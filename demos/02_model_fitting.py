@@ -51,7 +51,8 @@ for name, tm in model.types.items():
     print(f"delay/count copula: picked {tm.copula.family!r}"
           f" (true {true_tm.copula.family!r}),"
           f" theta {tm.copula.theta:.3f} (true {true_tm.copula.theta})")
-    print(f"  aic {report['types'][name]['copula_aic']:.1f}")
+    aic = report["types"][name]["copula_aic"][tm.copula.family]
+    print(f"  aic {aic:.1f}")
 
 print("\n--- cross-type layer ---")
 print(f"outer copula: {model.hac.outer_family},"

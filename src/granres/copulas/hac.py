@@ -9,12 +9,16 @@ score); an outer Archimedean copula D joins the two inner pairs:
 Validity requires the outer dependence not to exceed either inner dependence
 (compared on the Kendall's tau scale); HacSpec enforces that at construction,
 using each inner spec's long-run minimum when its parameter is time-varying.
+An independence outer copula nests any inner pair.
 
 Sampling is exact conditional inversion in the order u1, u2, u3, u4. The
 conditional cdfs only need the outer generator's first three inverse
 derivatives together with the inner h-functions and densities, so the scheme
 works for any mix of inner families, including time-varying inner parameters
 (the parameter of each inner pair may depend on the component drawn first).
+
+Claims of the two types are paired by accident day with match_days, both
+when the outer parameter is estimated and when the claim law is simulated.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, stats
 
+from ..delays import delay_cdf
 from .dynamics import CopulaSpec
 from .families import ARCHIMEDEAN, FAMILIES, family
 
@@ -45,9 +50,12 @@ class HacSpec:
                 f"outer family must be Archimedean, got {self.outer_family!r}"
             )
         if self.outer_family == "independence":
+            # independent pairs are a valid nesting for any inner copulas,
+            # negatively dependent ones included
             if self.outer_theta is not None:
                 raise ValueError("independence outer copula takes no parameter")
-        elif self.outer_theta is None:
+            return
+        if self.outer_theta is None:
             raise ValueError(f"{self.outer_family} outer copula needs a parameter")
         outer_tau = self.outer_tau()
         for label, inner in (("first", self.inner_a), ("second", self.inner_b)):
@@ -187,46 +195,69 @@ def hac_sample(spec, rng, size=1, x_a=0.0, x_b=0.0, theta_a_fn=None, theta_b_fn=
     return out
 
 
+def match_days(days_a, days_b, max_gap: int):
+    """Greedy nearest-day matching of two day arrays.
+
+    Days of a are visited in ascending order; each takes the nearest unused
+    day of b within max_gap (the earlier one on a tie), so every claim is
+    used at most once. Returns (idx_a, idx_b) of the matched pairs in that
+    visiting order, plus boolean masks of the unmatched days of a and b.
+    """
+    ia, ib = [], []
+    order_b = np.argsort(days_b, kind="stable")
+    sorted_b = days_b[order_b].tolist()
+    used_b = [False] * len(sorted_b)
+    day_a = days_a.tolist()
+    j = 0
+    for i in np.argsort(days_a, kind="stable").tolist():
+        d = day_a[i]
+        while j < len(sorted_b) and (sorted_b[j] < d - max_gap or used_b[j]):
+            j += 1
+        best, best_gap = -1, max_gap + 1
+        for k in range(j, min(j + 64, len(sorted_b))):
+            if used_b[k]:
+                continue
+            gap = abs(sorted_b[k] - d)
+            if gap < best_gap:
+                best, best_gap = k, gap
+            if sorted_b[k] > d + max_gap:
+                break
+        if best >= 0:
+            used_b[best] = True
+            ia.append(i)
+            ib.append(order_b[best])
+    rest_a = np.ones(days_a.size, dtype=bool)
+    rest_a[ia] = False
+    rest_b = np.ones(days_b.size, dtype=bool)
+    rest_b[order_b[np.asarray(used_b, dtype=bool)]] = False
+    return (
+        np.asarray(ia, dtype=np.int64),
+        np.asarray(ib, dtype=np.int64),
+        rest_a,
+        rest_b,
+    )
+
+
 def matched_delay_scores(portfolio, delay_models, max_gap_days=7):
     """Cross-type pseudo-observation pairs for outer dependence estimation.
 
-    Claims of the two types are matched greedily by accident day (closest
-    first, each claim used once, gaps above max_gap_days discarded); the
-    matched pair's delay scores are returned. Between types, only the outer
-    copula links any two components, so the Kendall's tau of these pairs
-    estimates the outer parameter directly.
+    Claims of the two types are matched by accident day with match_days
+    (closest first, each claim used once, gaps above max_gap_days
+    discarded); the matched pair's delay scores are returned. Between types,
+    only the outer copula links any two components, so the Kendall's tau of
+    these pairs estimates the outer parameter directly.
     """
     types = portfolio.claim_types
     if len(types) < 2:
         raise ValueError("need two claim types for cross-type dependence")
-    ta, tb = types[0], types[1]
-    a = sorted(portfolio.by_type(ta), key=lambda c: c.accident_day)
-    b = sorted(portfolio.by_type(tb), key=lambda c: c.accident_day)
-    scores_a, scores_b = [], []
-    j = 0
-    used = np.zeros(len(b), dtype=bool)
-    for c in a:
-        while j < len(b) and (b[j].accident_day < c.accident_day - max_gap_days or used[j]):
-            j += 1
-        best, best_gap = -1, max_gap_days + 1
-        for k in range(j, min(j + 64, len(b))):
-            if used[k]:
-                continue
-            gap = abs(b[k].accident_day - c.accident_day)
-            if gap < best_gap:
-                best, best_gap = k, gap
-            if b[k].accident_day > c.accident_day + max_gap_days:
-                break
-        if best >= 0:
-            used[best] = True
-            m = b[best]
-            scores_a.append(
-                delay_models[ta].cdf(c.accident_day, c.delay_days() + 0.5)
-            )
-            scores_b.append(
-                delay_models[tb].cdf(m.accident_day, m.delay_days() + 0.5)
-            )
-    return np.asarray(scores_a, dtype=float), np.asarray(scores_b, dtype=float)
+    claims = [portfolio.by_type(t) for t in types[:2]]
+    days = [np.array([c.accident_day for c in cs], dtype=np.int64) for cs in claims]
+    ia, ib, _, _ = match_days(days[0], days[1], max_gap_days)
+    scores = []
+    for ctype, cs, t, idx in zip(types, claims, days, (ia, ib)):
+        w = np.array([cs[i].delay_days() + 0.5 for i in idx], dtype=float)
+        scores.append(delay_cdf(delay_models[ctype], t[idx], w))
+    return scores[0], scores[1]
 
 
 def fit_hac_outer(scores_a, scores_b, inner_a, inner_b, outer_family="gumbel"):

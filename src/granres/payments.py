@@ -7,7 +7,8 @@ families decay monotonically, payments thin out as the claim ages:
 * power:       rate(tau) = lam0 * (1 + tau)^(-beta), beta > 1
 
 Both have closed-form cumulative intensities with closed-form inverses, which
-the simulation engine uses to place payment times given a count.
+the simulation engine (reserving._place_payments) uses to place payment
+times given a count.
 """
 
 from __future__ import annotations
@@ -153,14 +154,6 @@ class CountProcess:
         pmf = np.where(lam > 0, np.exp(logpmf), np.where(n == 0, 1.0, 0.0))
         return np.where(n < 0, 0.0, -rate * pmf)
 
-    def simulate(self, tau_max, rng):
-        """Payment times on (0, tau_max] by thinning against the rate(0) envelope."""
-        return simulate_payment_times(self.intensity, 0.0, float(tau_max), rng)
-
-    def simulate_increment(self, tau1, tau2, rng):
-        """Payment times on (tau1, tau2] by thinning against the rate(tau1) envelope."""
-        return simulate_payment_times(self.intensity, float(tau1), float(tau2), rng)
-
     def to_dict(self):
         return {
             "intensity": self.intensity.to_dict(),
@@ -172,23 +165,6 @@ class CountProcess:
     def from_dict(cls, d):
         cov = tuple(tuple(row) for row in d.get("cov", []))
         return cls(intensity_from_dict(d["intensity"]), d.get("se", {}), cov)
-
-
-def simulate_payment_times(intensity, tau1, tau2, rng) -> np.ndarray:
-    """Thinning on (tau1, tau2]: homogeneous candidates at the left-edge rate,
-    kept with probability rate(tau)/rate(tau1). Valid because both families
-    decay monotonically."""
-    if tau2 < tau1:
-        raise ValueError("need tau1 <= tau2")
-    if tau2 == tau1:
-        return np.array([])
-    envelope = float(intensity.rate(tau1))
-    n_cand = rng.poisson(envelope * (tau2 - tau1))
-    if n_cand == 0:
-        return np.array([])
-    cand = np.sort(rng.uniform(tau1, tau2, size=n_cand))
-    keep = rng.random(n_cand) < intensity.rate(cand) / envelope
-    return cand[keep]
 
 
 def fit_intensity(payment_taus, horizons, family: str = "exponential"):

@@ -1,10 +1,17 @@
 """Reserve prediction engine.
 
-Everything here runs over a valuation window (a, b]: claims reported by a
-are RBNS and contribute future payments of their ongoing payment process;
-claims incurred by a but not yet reported are IBNR and are produced by
-continuing the arrival process backward over a lookback window, keeping the
-occurrences whose drawn reporting delay lands inside (a, b].
+One kernel, _draw_claims, draws the claim law claim by claim: arrivals from
+the day-gap model, cross-type matching by accident day, the nested copula
+draw for matched pairs, the reporting delay, the payment count at the
+claim's horizon, payment placement and amounts. It has three views:
+
+* synth.synthesize: arrivals on [start, end], every claim that reports by
+  end kept, horizon end; the observed history.
+* _ibnr_draw (and ibnr_simulate, its ClaimRecord form): arrivals over the
+  lookback (a - lookback, a], kept if they report inside (a, b], horizon b;
+  the IBNR reserve.
+* _rbns_scenario: claims reported by a continue their payment process on
+  (a, b] through the same placement, _place_payments; the RBNS reserve.
 
 The Monte Carlo scenario loop is embarrassingly parallel. Scenario i draws
 from a generator seeded with the i-th child of SeedSequence(master), so
@@ -35,6 +42,7 @@ from .copulas import (
     hac_sample,
     matched_delay_scores,
 )
+from .copulas.hac import match_days
 from .daycount import DAYS_PER_YEAR, year_of, year_start
 from .delays import delay_cdf, delay_model_from_dict, delay_quantile, fit_delay
 from .frequency import OccurrenceModel, fit_occurrence, simulate_arrivals
@@ -111,11 +119,12 @@ class GranularModel:
     def __post_init__(self):
         if not self.types:
             raise ValueError("model needs at least one claim type")
+        unknown = sorted(set(self.types) - set(CLAIM_TYPES))
+        if unknown:
+            raise ValueError(f"unknown claim types {unknown}; known: {list(CLAIM_TYPES)}")
 
     def type_names(self) -> list:
-        known = [t for t in CLAIM_TYPES if t in self.types]
-        extra = sorted(t for t in self.types if t not in CLAIM_TYPES)
-        return known + extra
+        return [t for t in CLAIM_TYPES if t in self.types]
 
     def to_dict(self) -> dict:
         out = {"types": {t: m.to_dict() for t, m in sorted(self.types.items())}}
@@ -299,40 +308,6 @@ def fit_model(portfolio, recipe=None):
     return GranularModel(types=types, hac=hac), report
 
 
-def _type_model(model, claim_type) -> TypeModel:
-    if isinstance(model, TypeModel):
-        return model
-    return model.types[claim_type]
-
-
-def rbns_predict(claim, model, window, rng) -> list:
-    """Future payments in (a, b] for one claim reported by a.
-
-    The payment count over the internal sub-interval is a fresh Poisson
-    increment, independent of how many payments were observed by a; times
-    come from conditional thinning on the sub-interval. Amount chains
-    continue from the claim's observed payment history.
-    """
-    tm = _type_model(model, claim.claim_type)
-    r = claim.reporting_day
-    if r > window.a_day:
-        raise ValueError("claim not reported by the valuation date")
-    tau1 = (window.a_day - r) / DAYS_PER_YEAR
-    tau2 = (window.b_day - r) / DAYS_PER_YEAR
-    taus = tm.counts.simulate_increment(tau1, tau2, rng)
-    if taus.size == 0:
-        return []
-    days = r + np.ceil(taus * DAYS_PER_YEAR).astype(np.int64)
-    days = np.clip(days, window.a_day + 1, window.b_day)
-    if isinstance(tm.severity, OrderARSeverity):
-        k = len(claim.payments)
-        last = claim.payments[-1].amount if k else 0.0
-        amounts = tm.severity.continue_flat([taus.size], [k], [last], rng)
-    else:
-        amounts = tm.severity.sample(taus.size, rng)
-    return [PaymentEvent(int(d), float(x)) for d, x in zip(days, amounts)]
-
-
 def reporting_prob_window(delay_model, window, t):
     """P[a < T + W <= b | T = t]: the delay cdf increment over the window."""
     t_arr = np.asarray(t)
@@ -383,42 +358,6 @@ def default_lookback(delay_model, a_day: int, tail: float = 1e-4) -> int:
     return int(math.ceil(max(q1, q2))) + 1
 
 
-def _match_days(days_a, days_b, max_gap: int):
-    """Greedy nearest-day matching; returns (idx_a, idx_b) plus leftover masks."""
-    ia, ib = [], []
-    used_b = np.zeros(days_b.size, dtype=bool)
-    j = 0
-    order_b = np.argsort(days_b, kind="stable")
-    sorted_b = days_b[order_b]
-    for i in np.argsort(days_a, kind="stable"):
-        d = days_a[i]
-        while j < sorted_b.size and (sorted_b[j] < d - max_gap or used_b[j]):
-            j += 1
-        best, best_gap = -1, max_gap + 1
-        for k in range(j, min(j + 64, sorted_b.size)):
-            if used_b[k]:
-                continue
-            gap = abs(int(sorted_b[k]) - int(d))
-            if gap < best_gap:
-                best, best_gap = k, gap
-            if sorted_b[k] > d + max_gap:
-                break
-        if best >= 0:
-            used_b[best] = True
-            ia.append(i)
-            ib.append(order_b[best])
-    rest_a = np.ones(days_a.size, dtype=bool)
-    rest_a[ia] = False
-    rest_b = np.ones(days_b.size, dtype=bool)
-    rest_b[order_b[used_b]] = False
-    return (
-        np.asarray(ia, dtype=np.int64),
-        np.asarray(ib, dtype=np.int64),
-        rest_a,
-        rest_b,
-    )
-
-
 def _count_marginal_quantile(u, horizon, counts):
     """Smallest n with Q_horizon(n) >= u, vectorized."""
     from scipy import stats
@@ -429,12 +368,13 @@ def _count_marginal_quantile(u, horizon, counts):
     return np.maximum(np.nan_to_num(n, nan=0.0), 0.0).astype(np.int64)
 
 
-def _place_payments(counts, n_vec, r_vec, horizon, window, rng):
+def _place_payments(counts, n_vec, r_vec, lam_lo, lam_hi, after_day, last_day, rng):
     """Payment days for n_vec[i] payments of claim i, claim-major and sorted.
 
-    Conditional on the count, times are Lambda-inverse transformed order
-    statistics on (0, horizon]; days use the ceiling convention so every
-    payment lands in (a, b] exactly.
+    Given the count, claim i's payment times are Lambda-inverse transformed
+    order statistics on the cumulative-intensity interval (lam_lo, lam_hi]
+    (lam_lo may be a scalar); days use the ceiling convention and are
+    clipped into (max(r_vec[i], after_day), last_day].
     """
     n_vec = np.asarray(n_vec, dtype=np.int64)
     total = int(n_vec.sum())
@@ -442,111 +382,149 @@ def _place_payments(counts, n_vec, r_vec, horizon, window, rng):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     idx = np.repeat(np.arange(n_vec.size), n_vec)
     u = rng.random(total)
-    order = np.lexsort((u, idx))
-    u = u[order]
-    lam_top = np.asarray(counts.intensity.cumulative(horizon), dtype=float)
-    taus = counts.intensity.cumulative_inv(u * lam_top[idx])
-    days = r_vec[idx] + np.ceil(taus * DAYS_PER_YEAR).astype(np.int64)
-    days = np.clip(days, window.a_day + 1, window.b_day)
-    return idx, days
+    u = u[np.lexsort((u, idx))]
+    lam_lo = np.broadcast_to(lam_lo, lam_hi.shape)
+    taus = counts.intensity.cumulative_inv(lam_lo[idx] + u * (lam_hi - lam_lo)[idx])
+    r = r_vec[idx]
+    days = r + np.ceil(taus * DAYS_PER_YEAR).astype(np.int64)
+    return idx, np.clip(days, np.maximum(r, after_day) + 1, last_day)
 
 
-def _ibnr_draw(model, window, rng, lookback=None, match_gap_days=7):
-    """One scenario of IBNR claims, vectorized per type.
+def _inner_theta(tm, t_day: int, horizon_end: int):
+    """The inner copula parameter as a function of the pair's delay score.
+
+    A claim's dependence parameter is read at its own horizon: horizon_end
+    less the reporting day that the delay score u1 implies.
+    """
+
+    def theta_fn(u1):
+        w = math.floor(float(delay_quantile(tm.delay, t_day, u1)))
+        h = max((horizon_end - t_day - w) / DAYS_PER_YEAR, 0.0)
+        return float(tm.copula.theta_at(np.asarray(h)))
+
+    return theta_fn
+
+
+def _draw_claims(
+    model, from_day_by_type, to_day, report_after, horizon_end, rng, match_gap_days
+):
+    """One draw of the claim law, vectorized per type.
+
+    Accident days come from each type's arrival process started at
+    from_day_by_type[type] and run to to_day. When the model couples the two
+    types, their accidents are matched by day and each matched pair draws
+    (u1, u2, u3, u4) from the nested copula; other claims draw their delay
+    score alone. A claim is kept if it reports in (report_after,
+    horizon_end]. Its payment count over (0, horizon_end - r] comes from the
+    count margin at u2 (matched) or the copula conditional given u1 (free);
+    payments are placed in (r, horizon_end] and amounts drawn per claim.
 
     Returns {claim_type: dict of arrays}: accident days t, reporting days r,
     counts n, plus flat claim-major payment (idx, day, amount) arrays.
     """
     names = model.type_names()
-    a = window.a_day
-    arrivals = {}
-    for ctype in names:
-        tm = model.types[ctype]
-        lb = lookback if lookback is not None else default_lookback(tm.delay, a)
-        arrivals[ctype] = simulate_arrivals(tm.occurrence, a - lb, a, rng)
-
-    coupled = (
-        model.hac is not None
-        and model.hac.outer_family != "independence"
-        and len(names) >= 2
-    )
-    scores = {ctype: [np.empty(0), np.empty(0)] for ctype in names}  # (t, u1)
-    if coupled:
-        na, nb = names[0], names[1]
+    arrivals = {
+        t: simulate_arrivals(model.types[t].occurrence, from_day_by_type[t], to_day, rng)
+        for t in names
+    }
+    pairs = {t: (np.empty(0, dtype=np.int64), np.empty((0, 2))) for t in names}
+    free = arrivals
+    hac = model.hac
+    if hac is not None and hac.outer_family != "independence" and len(names) >= 2:
+        na, nb = names
         ta, tb = arrivals[na], arrivals[nb]
-        ia, ib, rest_a, rest_b = _match_days(ta, tb, match_gap_days)
-        tm_a, tm_b = model.types[na], model.types[nb]
-
-        def horizon_of(tm, t_day):
-            def theta_fn(u1):
-                w = math.floor(float(delay_quantile(tm.delay, t_day, u1)))
-                h = max((window.b_day - t_day - w) / DAYS_PER_YEAR, 0.0)
-                return float(tm.copula.theta_at(np.asarray(h)))
-
-            return theta_fn
-
-        pair_rows = np.empty((ia.size, 4))
+        ia, ib, rest_a, rest_b = match_days(ta, tb, match_gap_days)
+        rows = np.empty((ia.size, 4))
         for m in range(ia.size):
-            pair_rows[m] = hac_sample(
-                model.hac,
+            rows[m] = hac_sample(
+                hac,
                 rng,
                 size=1,
-                theta_a_fn=horizon_of(tm_a, int(ta[ia[m]])),
-                theta_b_fn=horizon_of(tm_b, int(tb[ib[m]])),
+                theta_a_fn=_inner_theta(model.types[na], int(ta[ia[m]]), horizon_end),
+                theta_b_fn=_inner_theta(model.types[nb], int(tb[ib[m]]), horizon_end),
             )[0]
-        scores[na] = [ta[ia], pair_rows[:, 0]]
-        scores[nb] = [tb[ib], pair_rows[:, 2]]
-        pair_u2 = {na: pair_rows[:, 1], nb: pair_rows[:, 3]}
-        leftovers = {na: ta[rest_a], nb: tb[rest_b]}
-    else:
-        pair_u2 = {}
-        leftovers = {ctype: arrivals[ctype] for ctype in names}
+        pairs = {na: (ta[ia], rows[:, :2]), nb: (tb[ib], rows[:, 2:])}
+        free = {na: ta[rest_a], nb: tb[rest_b]}
 
     out = {}
     for ctype in names:
         tm = model.types[ctype]
-        t_pair, u1_pair = scores[ctype]
-        t_free = leftovers[ctype]
-        u1_free = rng.random(t_free.size)
+        t_pair, u_pair = pairs[ctype]
+        t_free = free[ctype]
         t_all = np.concatenate([t_pair, t_free]).astype(np.int64)
-        u1 = np.concatenate([u1_pair, u1_free])
-        from_pair = np.concatenate(
-            [np.ones(t_pair.size, dtype=bool), np.zeros(t_free.size, dtype=bool)]
-        )
-        u2 = np.concatenate(
-            [pair_u2.get(ctype, np.empty(0)), np.full(t_free.size, np.nan)]
-        )
-
+        u1 = np.concatenate([u_pair[:, 0], rng.random(t_free.size)])
         w = np.floor(np.asarray(delay_quantile(tm.delay, t_all, u1), dtype=float))
         r = t_all + w.astype(np.int64)
-        keep = (r > a) & (r <= window.b_day)
-        t_k, r_k, u1_k = t_all[keep], r[keep], u1[keep]
-        pair_k, u2_k = from_pair[keep], u2[keep]
-        horizon = (window.b_day - r_k) / DAYS_PER_YEAR
+        keep = (r > report_after) & (r <= horizon_end)
+        paired = (np.arange(t_all.size) < t_pair.size)[keep]
+        u2 = u_pair[keep[: t_pair.size], 1]
+        t, r, u1 = t_all[keep], r[keep], u1[keep]
+        horizon = (horizon_end - r) / DAYS_PER_YEAR
 
-        n = np.zeros(t_k.size, dtype=np.int64)
-        if pair_k.any():
-            n[pair_k] = _count_marginal_quantile(
-                u2_k[pair_k], horizon[pair_k], tm.counts
-            )
-        free_k = ~pair_k
-        if free_k.any():
-            v = rng.random(int(free_k.sum()))
-            n[free_k] = conditional_count_quantile(
-                u1_k[free_k], v, horizon[free_k], tm.counts, tm.copula
+        n = np.zeros(t.size, dtype=np.int64)
+        if paired.any():
+            n[paired] = _count_marginal_quantile(u2, horizon[paired], tm.counts)
+        alone = ~paired
+        if alone.any():
+            v = rng.random(int(alone.sum()))
+            n[alone] = conditional_count_quantile(
+                u1[alone], v, horizon[alone], tm.counts, tm.copula
             )
 
-        idx, days = _place_payments(tm.counts, n, r_k, horizon, window, rng)
-        amounts = simulate_amounts(tm.severity, n, rng)
+        lam_hi = np.asarray(tm.counts.intensity.cumulative(horizon), dtype=float)
+        idx, days = _place_payments(
+            tm.counts, n, r, 0.0, lam_hi, report_after, horizon_end, rng
+        )
         out[ctype] = {
-            "t": t_k,
-            "r": r_k,
+            "t": t,
+            "r": r,
             "n": n,
             "pay_idx": idx,
             "pay_day": days,
-            "pay_amount": amounts,
+            "pay_amount": simulate_amounts(tm.severity, n, rng),
         }
     return out
+
+
+def _claim_records(claim_type, d, id_prefix, order=None) -> list:
+    """ClaimRecords from one type's kernel arrays.
+
+    order permutes the claims (default: kernel order); ids number them in
+    output order as {id_prefix}_{claim_type}_{k:06d}.
+    """
+    t, r = d["t"].tolist(), d["r"].tolist()
+    days, amounts = d["pay_day"].tolist(), d["pay_amount"].tolist()
+    bounds = np.concatenate(([0], np.cumsum(d["n"]))).tolist()
+    return [
+        ClaimRecord(
+            claim_id=f"{id_prefix}_{claim_type}_{pos + 1:06d}",
+            claim_type=claim_type,
+            accident_day=t[i],
+            reporting_day=r[i],
+            payments=tuple(
+                map(
+                    PaymentEvent,
+                    days[bounds[i] : bounds[i + 1]],
+                    amounts[bounds[i] : bounds[i + 1]],
+                )
+            ),
+        )
+        for pos, i in enumerate(range(len(t)) if order is None else order)
+    ]
+
+
+def _ibnr_draw(model, window, rng, lookback=None, match_gap_days=7):
+    """One scenario of IBNR claims: the claim-law kernel over the lookback.
+
+    Accidents arrive on (a - lookback, a] (default_lookback per type when
+    lookback is None) and are kept if they report inside (a, b].
+    """
+    a = window.a_day
+    from_day = {
+        t: a - (lookback if lookback is not None else default_lookback(tm.delay, a))
+        for t, tm in model.types.items()
+    }
+    return _draw_claims(model, from_day, a, a, window.b_day, rng, match_gap_days)
 
 
 def ibnr_simulate(model, window, rng, lookback=None, match_gap_days=7) -> list:
@@ -559,27 +537,7 @@ def ibnr_simulate(model, window, rng, lookback=None, match_gap_days=7) -> list:
     amounts from the severity model.
     """
     draw = _ibnr_draw(model, window, rng, lookback, match_gap_days)
-    claims = []
-    for ctype in model.type_names():
-        d = draw[ctype]
-        splits = np.cumsum(d["n"])[:-1]
-        day_groups = np.split(d["pay_day"], splits)
-        amt_groups = np.split(d["pay_amount"], splits)
-        for i in range(d["t"].size):
-            payments = tuple(
-                PaymentEvent(int(dy), float(am))
-                for dy, am in zip(day_groups[i], amt_groups[i])
-            )
-            claims.append(
-                ClaimRecord(
-                    claim_id=f"ibnr_{ctype}_{i + 1:06d}",
-                    claim_type=ctype,
-                    accident_day=int(d["t"][i]),
-                    reporting_day=int(d["r"][i]),
-                    payments=payments,
-                )
-            )
-    return claims
+    return [c for ctype, d in draw.items() for c in _claim_records(ctype, d, "ibnr")]
 
 
 def _period_edges(window):
@@ -735,15 +693,9 @@ def _rbns_scenario(model, prep, window, edges, rng):
         if total == 0:
             flows[ctype] = np.zeros(n_periods)
             continue
-        idx = np.repeat(np.arange(p.r.size), m)
-        u = rng.random(total)
-        order = np.lexsort((u, idx))
-        u = u[order]
-        taus = tm.counts.intensity.cumulative_inv(
-            lam_a[idx] + u * (lam_b - lam_a)[idx]
+        _, days = _place_payments(
+            tm.counts, m, p.r, lam_a, lam_b, window.a_day, window.b_day, rng
         )
-        days = p.r[idx] + np.ceil(taus * DAYS_PER_YEAR).astype(np.int64)
-        days = np.clip(days, window.a_day + 1, window.b_day)
         if isinstance(tm.severity, OrderARSeverity):
             amounts = tm.severity.continue_flat(m, p.k_obs, p.last_amt, rng)
         else:

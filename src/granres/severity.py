@@ -420,11 +420,6 @@ def order_pairs(sequences, j: int, k: int):
     return arr[:, 0], arr[:, 1]
 
 
-def normal_score_pairs(x, y):
-    """Each margin rank-transformed then probit-mapped; plot-ready pairs."""
-    return normal_scores(x), normal_scores(y)
-
-
 def repeated_amounts(portfolio, min_count: int = 21, claim_type=None) -> list:
     """Exact-duplicate amount report, largest multiplicities first.
 

@@ -1,11 +1,11 @@
 """Synthetic portfolio generation from a fully specified GranularModel.
 
-The generator and the reserve engine are two views of the same claim law:
-arrivals from the day-gap model, a delay score per claim, the total payment
-count at the claim's observation horizon drawn through the copula
-conditional, payment times as transformed order statistics, and amounts from
-the severity model. Claims reporting after the cutoff are dropped: the file
-represents what an insurer would hold in its systems on the cutoff date.
+synthesize is the observed-history view of the claim-law kernel in
+reserving (_draw_claims), the same draw the reserve engine's IBNR view
+makes: arrivals on [start, end], every claim that reports by the cutoff end
+kept, payments placed up to end. Claims reporting after the cutoff are
+dropped: the file represents what an insurer would hold in its systems on
+the cutoff date. Amounts are rounded to cents here.
 """
 
 from __future__ import annotations
@@ -14,14 +14,15 @@ import math
 
 import numpy as np
 
-from .claims import ClaimRecord, PaymentEvent, Portfolio
-from .copulas import CopulaSpec, HacSpec, conditional_count_quantile, hac_sample
-from .daycount import DAYS_PER_YEAR, parse_iso, year_of
-from .delays import WeibullDelayModel, delay_quantile
-from .frequency import OccurrenceModel, Poisson, simulate_arrivals
+from .claims import Portfolio
+from .copulas import CopulaSpec, HacSpec
+from .copulas import hac_sample  # noqa: F401  bench/tracing.py patches this name
+from .daycount import parse_iso, year_of
+from .delays import WeibullDelayModel
+from .frequency import OccurrenceModel, Poisson
 from .payments import CountProcess, ExponentialDecay, PowerDecay
-from .reserving import GranularModel, TypeModel, _count_marginal_quantile, _match_days
-from .severity import LogNormalSeverity, simulate_amounts
+from .reserving import GranularModel, TypeModel, _claim_records, _draw_claims
+from .severity import LogNormalSeverity
 
 
 def default_model(
@@ -84,15 +85,6 @@ def default_model(
     return GranularModel(types=types, hac=hac)
 
 
-def _theta_fn(tm, t_day: int, end_day: int):
-    def fn(u1):
-        w = math.floor(float(delay_quantile(tm.delay, t_day, u1)))
-        h = max((end_day - t_day - w) / DAYS_PER_YEAR, 0.0)
-        return float(tm.copula.theta_at(np.asarray(h, dtype=float)))
-
-    return fn
-
-
 def synthesize(
     model: GranularModel,
     start_day: int,
@@ -103,102 +95,22 @@ def synthesize(
 ) -> Portfolio:
     """Draw a complete observed portfolio on [start, end] with cutoff end."""
     names = model.type_names()
-    arrivals = {
-        t: simulate_arrivals(model.types[t].occurrence, start_day, end_day, rng)
-        for t in names
-    }
-    coupled = (
-        model.hac is not None
-        and model.hac.outer_family != "independence"
-        and len(names) >= 2
+    # every claim reports on or after its accident day, so reporting after
+    # start - 1 is no bound at all
+    draw = _draw_claims(
+        model,
+        dict.fromkeys(names, start_day),
+        end_day,
+        start_day - 1,
+        end_day,
+        rng,
+        match_gap_days,
     )
-    u1_of = {t: np.empty(0) for t in names}
-    u2_of = {t: np.empty(0) for t in names}
-    t_pair = {t: np.empty(0, dtype=np.int64) for t in names}
-    if coupled:
-        na, nb = names[0], names[1]
-        ta, tb = arrivals[na], arrivals[nb]
-        ia, ib, rest_a, rest_b = _match_days(ta, tb, match_gap_days)
-        rows = np.empty((ia.size, 4))
-        tm_a, tm_b = model.types[na], model.types[nb]
-        for m in range(ia.size):
-            rows[m] = hac_sample(
-                model.hac,
-                rng,
-                size=1,
-                theta_a_fn=_theta_fn(tm_a, int(ta[ia[m]]), end_day),
-                theta_b_fn=_theta_fn(tm_b, int(tb[ib[m]]), end_day),
-            )[0]
-        t_pair[na], u1_of[na], u2_of[na] = ta[ia], rows[:, 0], rows[:, 1]
-        t_pair[nb], u1_of[nb], u2_of[nb] = tb[ib], rows[:, 2], rows[:, 3]
-        free = {na: ta[rest_a], nb: tb[rest_b]}
-    else:
-        free = dict(arrivals)
-
     claims = []
-    for ctype in names:
-        tm = model.types[ctype]
-        t_free = free[ctype]
-        u1 = np.concatenate([u1_of[ctype], rng.random(t_free.size)])
-        t_all = np.concatenate([t_pair[ctype], t_free]).astype(np.int64)
-        from_pair = np.concatenate(
-            [
-                np.ones(t_pair[ctype].size, dtype=bool),
-                np.zeros(t_free.size, dtype=bool),
-            ]
-        )
-        u2 = np.concatenate([u2_of[ctype], np.full(t_free.size, np.nan)])
-
-        w = np.floor(np.asarray(delay_quantile(tm.delay, t_all, u1), dtype=float))
-        r = t_all + w.astype(np.int64)
-        keep = r <= end_day
-        t_k, r_k, u1_k = t_all[keep], r[keep], u1[keep]
-        pair_k, u2_k = from_pair[keep], u2[keep]
-        horizon = np.maximum((end_day - r_k) / DAYS_PER_YEAR, 0.0)
-
-        n = np.zeros(t_k.size, dtype=np.int64)
-        if pair_k.any():
-            n[pair_k] = _count_marginal_quantile(
-                u2_k[pair_k], horizon[pair_k], tm.counts
-            )
-        if (~pair_k).any():
-            v = rng.random(int((~pair_k).sum()))
-            n[~pair_k] = conditional_count_quantile(
-                u1_k[~pair_k], v, horizon[~pair_k], tm.counts, tm.copula
-            )
-
-        total = int(n.sum())
-        idx = np.repeat(np.arange(t_k.size), n)
-        uu = rng.random(total)
-        order = np.lexsort((uu, idx))
-        uu = uu[order]
-        lam_top = np.asarray(tm.counts.intensity.cumulative(horizon), dtype=float)
-        taus = tm.counts.intensity.cumulative_inv(uu * lam_top[idx])
-        days = r_k[idx] + np.ceil(taus * DAYS_PER_YEAR).astype(np.int64)
-        days = np.clip(days, r_k[idx] + 1, end_day)
-        amounts = np.round(simulate_amounts(tm.severity, n, rng), 2)
-        amounts = np.maximum(amounts, 0.01)
-
-        ord_t = np.argsort(t_k, kind="stable")
-        rank = np.empty(t_k.size, dtype=np.int64)
-        rank[ord_t] = np.arange(t_k.size)
-        splits = np.cumsum(n)[:-1]
-        day_groups = np.split(days, splits)
-        amt_groups = np.split(amounts, splits)
-        for pos, i in enumerate(ord_t):
-            payments = tuple(
-                PaymentEvent(int(d), float(x))
-                for d, x in zip(day_groups[i], amt_groups[i])
-            )
-            claims.append(
-                ClaimRecord(
-                    claim_id=f"{id_prefix}_{ctype}_{pos + 1:06d}",
-                    claim_type=ctype,
-                    accident_day=int(t_k[i]),
-                    reporting_day=int(r_k[i]),
-                    payments=payments,
-                )
-            )
+    for ctype, d in draw.items():
+        d["pay_amount"] = np.maximum(np.round(d["pay_amount"], 2), 0.01)
+        order = np.argsort(d["t"], kind="stable")
+        claims += _claim_records(ctype, d, id_prefix, order)
     return Portfolio(tuple(claims), data_cutoff=int(end_day))
 
 

@@ -41,7 +41,6 @@ from granres import (
     mixed_density,
     parse_iso,
     simulate_delay,
-    simulate_payment_times,
     synthesize,
 )
 from granres.cli import main
@@ -55,6 +54,8 @@ from granres.severity import (
     fit_lognormal,
     fit_order_ar,
 )
+
+from helpers import payment_taus
 
 DELAY = WeibullDelayModel(1.5, math.log(30.0), 0.0)
 PROC = CountProcess(ExponentialDecay(3.0, 1.2))
@@ -157,8 +158,7 @@ def _refit_weibull_tv(rng):
 
 def _refit_intensity(truth, lam0, beta, family):
     def run(rng):
-        horizons = rng.uniform(0.5, 6.0, 5000)
-        taus = [simulate_payment_times(truth, 0.0, float(h), rng) for h in horizons]
+        taus, horizons = payment_taus(truth, rng.uniform(0.5, 6.0, 5000), rng)
         fit = fit_intensity(taus, horizons, family)
         return [
             (fit.intensity.lam0, lam0, fit.se["lam0"]),

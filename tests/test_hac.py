@@ -14,13 +14,17 @@ from granres import (
     Portfolio,
     TimeVaryingParam,
     WeibullDelayModel,
+    default_model,
     fit_hac_outer,
     hac_cdf,
     hac_from_dict,
     hac_sample,
     matched_delay_scores,
+    parse_iso,
+    synthesize,
 )
 from granres.copulas.families import GUMBEL
+from granres.copulas.hac import match_days
 
 CLAY2 = CopulaSpec("clayton", theta=2.0)
 GUM2 = CopulaSpec("gumbel", theta=2.0)
@@ -81,6 +85,10 @@ def test_nesting_validity_enforced():
     with pytest.raises(ValueError, match="nesting violated"):
         HacSpec("gumbel", 1.6, dyn, GUM2)  # outer tau 0.375 > 1/3
     HacSpec("gumbel", 1.4, dyn, GUM2)  # outer tau 0.286 <= 1/3 is fine
+    # an independence outer copula nests any inner pair, negative tau too
+    neg = CopulaSpec("frank", theta=-0.1)
+    spec = HacSpec("independence", None, neg, CopulaSpec("independence"))
+    assert spec.outer_tau() == 0.0 > neg.min_tau()
 
 
 def test_hac_spec_validation_and_round_trip():
@@ -126,6 +134,59 @@ def test_matched_delay_scores_hand_case():
         matched_delay_scores(single, {"bodily_injury": dm})
 
 
+def test_match_days_hand_case():
+    days_a = np.array([10, 3, 20, 40, 41])
+    days_b = np.array([12, 11, 4, 44, 40, 22, 18])
+    ia, ib, rest_a, rest_b = match_days(days_a, days_b, max_gap=2)
+    # a is visited in day order 3, 10, 20, 40, 41; day 10 takes the nearer
+    # 11 over 12; 20 has 18 and 22 both at exactly the gap bound and takes
+    # the earlier; 41 finds its nearest day 40 taken by 40 and 44 beyond
+    # the bound, so it stays unmatched
+    assert ia.tolist() == [1, 0, 2, 3]
+    assert ib.tolist() == [2, 1, 6, 4]
+    assert rest_a.tolist() == [False, False, False, False, True]
+    assert rest_b.tolist() == [True, False, False, True, False, True, False]
+    ia, ib, rest_a, rest_b = match_days(days_a, days_b[:0], max_gap=2)
+    assert ia.size == ib.size == 0 and rest_a.all() and rest_b.size == 0
+
+
+def _loop_matched_scores(portfolio, dm, max_gap):
+    """Claim-object loop reference for matched_delay_scores."""
+    a = sorted(portfolio.by_type("bodily_injury"), key=lambda c: c.accident_day)
+    b = sorted(portfolio.by_type("material_damage"), key=lambda c: c.accident_day)
+    sa, sb, j, used = [], [], 0, [False] * len(b)
+    for c in a:
+        d = c.accident_day
+        while j < len(b) and (b[j].accident_day < d - max_gap or used[j]):
+            j += 1
+        best, best_gap = -1, max_gap + 1
+        for k in range(j, min(j + 64, len(b))):
+            gap = abs(b[k].accident_day - d)
+            if not used[k] and gap < best_gap:
+                best, best_gap = k, gap
+            if b[k].accident_day > d + max_gap:
+                break
+        if best >= 0:
+            used[best] = True
+            m = b[best]
+            sa.append(dm["bodily_injury"].cdf(d, c.delay_days() + 0.5))
+            sb.append(dm["material_damage"].cdf(m.accident_day, m.delay_days() + 0.5))
+    return np.asarray(sa, dtype=float), np.asarray(sb, dtype=float)
+
+
+def test_matched_delay_scores_match_the_claim_loop():
+    start, end = parse_iso("2016-01-01"), parse_iso("2018-12-31")
+    truth = default_model(3000, start, end)
+    port = synthesize(truth, start, end, np.random.default_rng(4))
+    dm = {t: truth.types[t].delay for t in truth.types}
+    for gap in (0, 3, 7):
+        got = matched_delay_scores(port, dm, max_gap_days=gap)
+        want = _loop_matched_scores(port, dm, gap)
+        assert got[0].size > 100
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+
+
 def test_fit_hac_outer_recovers_tau():
     rng = np.random.default_rng(9)
     a, b = GUMBEL.sample(3000, 1.5, rng)
@@ -145,6 +206,12 @@ def test_fit_hac_outer_projections_and_errors():
     with pytest.warns(UserWarning, match="nesting boundary"):
         fitc = fit_hac_outer(a, b, CLAY2, CLAY2, "gumbel")
     assert_allclose(fitc.outer_tau(), 0.5, atol=1e-9)
+
+    # a negative-tau inner copula caps the outer at independence
+    neg = CopulaSpec("frank", theta=-0.1)
+    with pytest.warns(UserWarning, match="nesting boundary"):
+        fitn = fit_hac_outer(a, b, neg, CLAY2, "gumbel")
+    assert fitn.outer_family == "independence" and fitn.inner_a == neg
 
     with pytest.raises(ValueError, match="at least 20 matched pairs"):
         fit_hac_outer(x[:10], x[:10], CLAY2, CLAY2, "gumbel")

@@ -1,17 +1,14 @@
-"""Payment-count process: decaying intensities, Poisson counts, thinning, fits."""
+"""Payment-count process: decaying intensities, Poisson counts, placement, fits."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from granres import (
-    CountProcess,
-    ExponentialDecay,
-    PowerDecay,
-    fit_intensity,
-    simulate_payment_times,
-)
+from granres import DAYS_PER_YEAR, CountProcess, ExponentialDecay, PowerDecay, fit_intensity
 from granres.payments import intensity_from_dict, total_se
+from granres.reserving import _place_payments
+
+from helpers import payment_taus
 
 
 def test_cumulative_intensity_closed_forms():
@@ -79,32 +76,48 @@ def test_count_cdf_time_derivative_matches_finite_differences():
         assert proc.dq_dtau(tau, -1) == 0.0
 
 
-def test_thinning_produces_correct_mean_count():
+def test_placed_payments_have_poisson_counts():
     inten = ExponentialDecay(2.0, 1.0)
     rng = np.random.default_rng(101)
-    counts = np.array(
-        [simulate_payment_times(inten, 0.0, 3.0, rng).size for _ in range(2000)],
-        dtype=float,
-    )
-    mu = float(inten.cumulative(3.0))
-    z = (counts.mean() - mu) / np.sqrt(mu / counts.size)
-    assert abs(z) < 4.0
+    taus, hz = payment_taus(inten, np.full(2000, 3.0), rng)
+    year = 365 / DAYS_PER_YEAR
+    counts = np.array([t.size for t in taus], dtype=float)
+    first_year = np.array([np.sum(t <= year) for t in taus], dtype=float)
+    # the count by any claim time tau is Poisson at Lambda(tau)
+    for tau, seen in ((hz[0], counts), (year, first_year)):
+        mu = float(inten.cumulative(tau))
+        z = (np.mean(seen) - mu) / np.sqrt(mu / counts.size)
+        assert abs(z) < 4.0
 
 
-def test_thinning_respects_window():
-    inten = ExponentialDecay(2.0, 1.0)
-    times = simulate_payment_times(inten, 1.0, 3.0, np.random.default_rng(5))
-    assert np.all((times > 1.0) & (times <= 3.0))
-    assert simulate_payment_times(inten, 2.0, 2.0, np.random.default_rng(5)).size == 0
-    with pytest.raises(ValueError, match="tau1 <= tau2"):
-        simulate_payment_times(inten, 3.0, 1.0, np.random.default_rng(5))
+def test_placed_payments_respect_window():
+    # RBNS geometry: claims reported by a continue their payments on (a, b]
+    proc = CountProcess(ExponentialDecay(2.0, 1.0))
+    r = np.array([0, 100, 200, 365], dtype=np.int64)
+    a, b = 365, 1095
+    lam_lo = proc.intensity.cumulative((a - r) / DAYS_PER_YEAR)
+    lam_hi = proc.intensity.cumulative((b - r) / DAYS_PER_YEAR)
+    rng = np.random.default_rng(5)
+    n = rng.poisson(50.0 * (lam_hi - lam_lo))
+    idx, days = _place_payments(proc, n, r, lam_lo, lam_hi, a, b, rng)
+    assert np.array_equal(idx, np.repeat(np.arange(r.size), n))
+    assert np.all((days > a) & (days <= b))
+    taus = (days - r[idx]) / DAYS_PER_YEAR
+    assert np.all(taus > ((a - r) / DAYS_PER_YEAR)[idx])
+    assert np.all(taus <= ((b - r) / DAYS_PER_YEAR)[idx])
+    for i in range(r.size):
+        assert np.all(np.diff(days[idx == i]) >= 0)  # claim-major, sorted
+    none = _place_payments(proc, np.zeros(4, dtype=int), r, lam_hi, lam_hi, a, b, rng)
+    assert none[0].size == 0 and none[1].size == 0
+    # times at the interval's lower edge still land after a
+    _, edge = _place_payments(proc, np.ones(4, dtype=int), r, lam_lo, lam_lo, a, b, rng)
+    assert np.all(edge == a + 1)
 
 
 def test_exponential_fit_recovers_truth():
     truth = ExponentialDecay(3.0, 2.0)
     rng = np.random.default_rng(17)
-    hz = rng.uniform(0.5, 6.0, 5000)
-    taus = [simulate_payment_times(truth, 0.0, float(h), rng) for h in hz]
+    taus, hz = payment_taus(truth, rng.uniform(0.5, 6.0, 5000), rng)
     fit = fit_intensity(taus, hz, "exponential")
     assert abs(fit.intensity.lam0 - 3.0) < 3 * fit.se["lam0"]
     assert abs(fit.intensity.beta - 2.0) < 3 * fit.se["beta"]
@@ -114,8 +127,7 @@ def test_exponential_fit_recovers_truth():
 def test_power_fit_recovers_truth():
     truth = PowerDecay(3.0, 2.2)
     rng = np.random.default_rng(19)
-    hz = rng.uniform(0.5, 6.0, 5000)
-    taus = [simulate_payment_times(truth, 0.0, float(h), rng) for h in hz]
+    taus, hz = payment_taus(truth, rng.uniform(0.5, 6.0, 5000), rng)
     fit = fit_intensity(taus, hz, "power")
     assert abs(fit.intensity.lam0 - 3.0) < 3 * fit.se["lam0"]
     assert abs(fit.intensity.beta - 2.2) < 3 * fit.se["beta"]
@@ -128,8 +140,7 @@ def test_longer_empty_exposure_lowers_expected_total():
         ("power", PowerDecay(3.0, 2.2)),
     ):
         rng = np.random.default_rng(23)
-        hz = np.full(800, 2.0)
-        taus = [simulate_payment_times(truth, 0.0, 2.0, rng) for _ in hz]
+        taus, hz = payment_taus(truth, np.full(800, 2.0), rng)
         short = fit_intensity(taus, hz, fam)
         long = fit_intensity(taus, hz * 2.0, fam)
         assert long.intensity.total() < short.intensity.total()

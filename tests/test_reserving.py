@@ -1,6 +1,7 @@
 """Reserve engine: RBNS continuation, IBNR simulation, summaries, backtests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from granres import (
     ibnr_count_conditional,
     ibnr_simulate,
     parse_iso,
-    rbns_predict,
     reporting_prob_window,
     reserve_summary,
     simulate_reserves,
@@ -158,30 +158,34 @@ def test_default_lookback():
     assert default_lookback(emp, 6209) == 4
 
 
-def test_rbns_predict_continues_payment_chain():
-    claim = ClaimRecord(
-        "x1", "material_damage", 6000, 6050, (PaymentEvent(6100, 100.0),)
-    )
-    tm = TypeModel(
-        occurrence=None,
-        delay=TM.delay,
-        counts=TM.counts,
-        severity=OrderARSeverity(LogNormalSeverity(3.0, 0.4), (0.5,), 0.0),
-        copula=CopulaSpec("independence"),
-    )
-    rng = np.random.default_rng(5)
-    seen = 0
-    for _ in range(20):
-        pays = rbns_predict(claim, tm, WIN, rng)
-        assert all(WIN.a_day < p.day <= WIN.b_day for p in pays)
-        # noiseless chain keeps halving from the last observed 100.0
-        expect = [100.0 * 0.5 ** (j + 1) for j in range(len(pays))]
-        assert_allclose([p.amount for p in pays], expect, rtol=1e-12)
-        seen += len(pays)
-    assert seen > 0
-    unreported = ClaimRecord("x2", "material_damage", 6300, 6400)
-    with pytest.raises(ValueError, match="not reported by the valuation date"):
-        rbns_predict(unreported, tm, WIN, rng)
+def test_rbns_continues_the_observed_payment_chain():
+    # x1 pays 100.0 by a and 7.0 after it: the chain continues from the last
+    # payment by a; x2 is reported after a and has no RBNS payments
+    claims = [
+        ClaimRecord(
+            "x1",
+            "material_damage",
+            6000,
+            6050,
+            (PaymentEvent(6100, 100.0), PaymentEvent(6300, 7.0)),
+        ),
+        ClaimRecord("x2", "material_damage", 6150, 6300),
+    ]
+    halving = OrderARSeverity(LogNormalSeverity(3.0, 0.4), (0.5,), 0.0)
+    model = GranularModel(types={"material_damage": replace(TM, severity=halving)})
+    dist = simulate_reserves(model, Portfolio(claims, 6400), WIN, 20, seed=5)
+    # the noiseless chain halves from 100.0, so m payments total 100 (1 - 0.5^m)
+    m = -np.log2(1.0 - dist.rbns / 100.0)
+    assert_allclose(m, np.round(m), atol=1e-9)
+    assert np.all(np.round(m) >= 0) and np.any(np.round(m) > 0)
+
+
+def test_model_rejects_unknown_claim_types():
+    with pytest.raises(ValueError, match="unknown claim types \\['liability'\\]"):
+        GranularModel(types={"material_damage": TM, "liability": TM})
+    bad = {"types": {"liability": MODEL.to_dict()["types"]["material_damage"]}}
+    with pytest.raises(ValueError, match="unknown claim types"):
+        GranularModel.from_dict(bad)
 
 
 def test_ibnr_simulate_containment():
