@@ -19,6 +19,7 @@ from scipy import integrate, optimize, special
 from scipy.stats import norm
 
 _EPS = 1e-12
+_BISECT_STEPS = 50
 
 
 def _clip01(x):
@@ -54,21 +55,35 @@ def bvn_cdf(x, y, rho, nodes=96):
     return norm.cdf(x) * norm.cdf(y) + corr
 
 
+def bisect(f, target, lo, hi):
+    """Invert an increasing f elementwise on [lo, hi] by bracketed bisection.
+
+    f maps an array of trial points, one per target, to an array. A target at
+    or below f(lo) takes lo and one at or above f(hi) takes hi; the rest end
+    within (hi - lo) / 2**_BISECT_STEPS of the crossing.
+    """
+    target = np.asarray(target, dtype=float)
+    a = np.full(target.shape, float(lo))
+    b = np.full(target.shape, float(hi))
+    below_lo = f(a) >= target
+    above_hi = f(b) <= target
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (a + b)
+        low = f(mid) < target
+        a = np.where(low, mid, a)
+        b = np.where(low, b, mid)
+    return np.where(below_lo, lo, np.where(above_hi, hi, 0.5 * (a + b)))
+
+
 class _Family:
     name = "base"
     n_params = 1
 
     def hinv(self, u, p, theta):
         """Numeric inverse of v -> h(u, v); overridden where closed form exists."""
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        p_arr = np.atleast_1d(np.clip(p, 1e-9, 1.0 - 1e-9))
-        th_arr = np.broadcast_to(np.asarray(theta, dtype=float), u_arr.shape)
-        out = np.empty_like(u_arr)
-        for i, (ui, pi, ti) in enumerate(zip(u_arr.ravel(), p_arr.ravel(), th_arr.ravel())):
-            out.ravel()[i] = optimize.brentq(
-                lambda v: self.h(ui, v, ti) - pi, 1e-12, 1.0 - 1e-12, xtol=1e-12
-            )
-        return out if np.asarray(u).shape else float(out[0])
+        u, p, theta = np.broadcast_arrays(u, np.clip(p, 1e-9, 1.0 - 1e-9), theta)
+        out = bisect(lambda v: self.h(u, v, theta), p, 1e-12, 1.0 - 1e-12)
+        return out if out.shape else float(out)
 
     def theta_from_tau(self, tau):
         lo, hi = self.theta_bounds
@@ -371,22 +386,22 @@ class Frank(_Family):
         v_arr = np.asarray(v, dtype=float)
         v = np.clip(v_arr, 0.0, 1.0)
         theta = self._nudge(theta)
-        a = np.exp(-theta * u)
-        b = np.expm1(-theta * v)
-        d = np.expm1(-theta * u)
-        et = np.expm1(-theta)
-        core = a * b / (et + d * b)
+        # both denominator terms share the numerator's sign: no cancellation
+        core = np.expm1(theta * v) / (
+            np.expm1(theta * u) - np.exp(theta * v) * np.expm1(theta * (u - 1.0))
+        )
         return np.where(v_arr <= 0.0, 0.0, np.where(v_arr >= 1.0, 1.0, core))
 
     def hinv(self, u, p, theta):
         u = _clip01(u)
         p = np.clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12)
         theta = self._nudge(theta)
-        a = np.exp(-theta * u)
-        d = np.expm1(-theta * u)
-        et = np.expm1(-theta)
-        b = p * et / (a - p * d)
-        return -np.log1p(b) / theta
+        # exp(theta v) = num / den, num - den = gap: sums of positive terms and
+        # log1p of a positive ratio keep full precision at large |theta|
+        e = (1.0 - p) * np.exp(-theta * u)
+        num, den = e + p, e + p * np.exp(-theta)
+        gap = -p * np.expm1(-theta)
+        return np.where(theta > 0, np.log1p(gap / den), -np.log1p(-gap / num)) / theta
 
     def density(self, u, v, theta):
         u = _clip01(u)

@@ -11,11 +11,14 @@ Validity requires the outer dependence not to exceed either inner dependence
 using each inner spec's long-run minimum when its parameter is time-varying.
 An independence outer copula nests any inner pair.
 
-Sampling is exact conditional inversion in the order u1, u2, u3, u4. The
-conditional cdfs only need the outer generator's first three inverse
-derivatives together with the inner h-functions and densities, so the scheme
-works for any mix of inner families, including time-varying inner parameters
-(the parameter of each inner pair may depend on the component drawn first).
+Sampling is exact conditional inversion in the order u1, u2, u3, u4,
+vectorized over rows: each conditional cdf is inverted for all rows at once,
+in closed form where the inner family has one and otherwise by bracketed
+bisection. The conditional cdfs only need the outer generator's first three
+inverse derivatives together with the inner h-functions and densities, so
+the scheme works for any mix of inner families, including time-varying inner
+parameters (the parameter of each inner pair may depend on the component
+drawn first).
 
 Claims of the two types are paired by accident day with match_days, both
 when the outer parameter is estimated and when the claim law is simulated.
@@ -27,11 +30,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import stats
 
 from ..delays import delay_cdf
 from .dynamics import CopulaSpec
-from .families import ARCHIMEDEAN, FAMILIES, family
+from .families import ARCHIMEDEAN, FAMILIES, bisect, family
 
 _TOL = 1e-9
 _LO, _HI = 1e-9, 1.0 - 1e-9
@@ -103,96 +106,64 @@ def hac_cdf(spec, u1, u2, u3, u4, x_a=0.0, x_b=0.0):
     return outer.cdf(s, t, spec.outer_theta)
 
 
-def _inner_pieces(fam, u, v, theta):
-    s = float(np.clip(fam.cdf(u, v, theta), 1e-12, 1.0 - 1e-12))
-    s1 = float(fam.h(u, v, theta))
-    s2 = float(fam.h(v, u, theta))
-    s12 = float(fam.density(u, v, theta))
-    return s, s1, s2, s12
+def hac_sample(spec, rng, size=1, x_a=0.0, x_b=0.0, theta_a_fn=None, theta_b_fn=None):
+    """Draw (u1, u2, u3, u4) rows from the nested copula, all rows at once.
 
-
-def _sample_one(spec, rng, theta_a_fn, theta_b_fn, x_a, x_b):
+    Each row takes four uniforms from rng in turn. theta_a_fn / theta_b_fn,
+    when given, map the array of an inner pair's first components to that
+    pair's dependence parameters, one per row; they take precedence over the
+    fixed development times x_a / x_b.
+    """
     fam_a = family(spec.inner_a.family)
     fam_b = family(spec.inner_b.family)
-    u1 = rng.uniform(_LO, _HI)
+    u1, p2, p3, p4 = rng.uniform(_LO, _HI, size=(size, 4)).T
     th_a = theta_a_fn(u1) if theta_a_fn else spec.inner_a.theta_at(x_a)
-    u2 = float(fam_a.hinv(u1, rng.uniform(_LO, _HI), th_a))
-    u2 = min(max(u2, _LO), _HI)
+    u2 = np.clip(fam_a.hinv(u1, p2, th_a), _LO, _HI)
 
     if spec.outer_family == "independence":
-        u3 = rng.uniform(_LO, _HI)
-        th_b = theta_b_fn(u3) if theta_b_fn else spec.inner_b.theta_at(x_b)
-        u4 = float(fam_b.hinv(u3, rng.uniform(_LO, _HI), th_b))
-        return u1, u2, min(max(u3, _LO), _HI), min(max(u4, _LO), _HI)
+        th_b = theta_b_fn(p3) if theta_b_fn else spec.inner_b.theta_at(x_b)
+        u4 = np.clip(fam_b.hinv(p3, p4, th_b), _LO, _HI)
+        return np.column_stack([u1, u2, p3, u4])
 
     outer = family(spec.outer_family)
     th0 = spec.outer_theta
-    s, s1, s2, s12 = _inner_pieces(fam_a, u1, u2, th_a)
-    phi_s = float(outer.gen(s, th0))
-    dphi_s = float(outer.gen_d1(s, th0))
-    ddphi_s = float(outer.gen_d2(s, th0))
+    s = np.clip(fam_a.cdf(u1, u2, th_a), 1e-12, 1.0 - 1e-12)
+    s1 = fam_a.h(u1, u2, th_a)
+    s2 = fam_a.h(u2, u1, th_a)
+    s12 = fam_a.density(u1, u2, th_a)
+    phi_s = outer.gen(s, th0)
+    dphi_s = outer.gen_d1(s, th0)
+    ddphi_s = outer.gen_d2(s, th0)
 
     # conditional cdf of U3 given (U1, U2): second mixed derivative ratio
     den = (
-        float(outer.gen_inv_d2(phi_s, th0)) * dphi_s**2
-        + float(outer.gen_inv_d1(phi_s, th0)) * ddphi_s
+        outer.gen_inv_d2(phi_s, th0) * dphi_s**2
+        + outer.gen_inv_d1(phi_s, th0) * ddphi_s
     ) * s1 * s2 + s12  # gen_inv_d1(phi(s)) * gen_d1(s) = 1 exactly
 
     def g3(u3):
-        x = phi_s + float(outer.gen(u3, th0))
-        d_s = float(outer.gen_inv_d1(x, th0)) * dphi_s
-        d_ss = (
-            float(outer.gen_inv_d2(x, th0)) * dphi_s**2
-            + float(outer.gen_inv_d1(x, th0)) * ddphi_s
-        )
-        return (d_ss * s1 * s2 + d_s * s12) / den
+        x = phi_s + outer.gen(u3, th0)
+        d1 = outer.gen_inv_d1(x, th0)
+        d_ss = outer.gen_inv_d2(x, th0) * dphi_s**2 + d1 * ddphi_s
+        return (d_ss * s1 * s2 + d1 * dphi_s * s12) / den
 
-    p3 = rng.uniform(_LO, _HI)
-    if g3(_LO) >= p3:
-        u3 = _LO
-    elif g3(_HI) <= p3:
-        u3 = _HI
-    else:
-        u3 = float(optimize.brentq(lambda z: g3(z) - p3, _LO, _HI, xtol=1e-12))
-
+    u3 = bisect(g3, p3, _LO, _HI)
     th_b = theta_b_fn(u3) if theta_b_fn else spec.inner_b.theta_at(x_b)
 
     def third_mixed(t, t3):
-        x = phi_s + float(outer.gen(t, th0))
-        lead = (
-            float(outer.gen_inv_d3(x, th0)) * dphi_s**2
-            + float(outer.gen_inv_d2(x, th0)) * ddphi_s
-        ) * s1 * s2 + float(outer.gen_inv_d2(x, th0)) * dphi_s * s12
-        return lead * float(outer.gen_d1(t, th0)) * t3
+        x = phi_s + outer.gen(t, th0)
+        d2 = outer.gen_inv_d2(x, th0)
+        lead = (outer.gen_inv_d3(x, th0) * dphi_s**2 + d2 * ddphi_s) * s1 * s2
+        return (lead + d2 * dphi_s * s12) * outer.gen_d1(t, th0) * t3
 
     k1 = third_mixed(u3, 1.0)
 
     def f4(u4):
-        t = float(np.clip(fam_b.cdf(u3, u4, th_b), 1e-12, 1.0 - 1e-12))
-        t3 = float(fam_b.h(u3, u4, th_b))
-        return third_mixed(t, t3) / k1
+        t = np.clip(fam_b.cdf(u3, u4, th_b), 1e-12, 1.0 - 1e-12)
+        return third_mixed(t, fam_b.h(u3, u4, th_b)) / k1
 
-    p4 = rng.uniform(_LO, _HI)
-    if f4(_LO) >= p4:
-        u4 = _LO
-    elif f4(_HI) <= p4:
-        u4 = _HI
-    else:
-        u4 = float(optimize.brentq(lambda z: f4(z) - p4, _LO, _HI, xtol=1e-12))
-    return u1, u2, u3, u4
-
-
-def hac_sample(spec, rng, size=1, x_a=0.0, x_b=0.0, theta_a_fn=None, theta_b_fn=None):
-    """Draw (u1, u2, u3, u4) rows from the nested copula.
-
-    theta_a_fn / theta_b_fn, when given, map the first component of an inner
-    pair to that pair's dependence parameter; they take precedence over the
-    fixed development times x_a / x_b.
-    """
-    out = np.empty((size, 4))
-    for i in range(size):
-        out[i] = _sample_one(spec, rng, theta_a_fn, theta_b_fn, x_a, x_b)
-    return out
+    u4 = bisect(f4, p4, _LO, _HI)
+    return np.column_stack([u1, u2, u3, u4])
 
 
 def match_days(days_a, days_b, max_gap: int):
@@ -275,12 +246,17 @@ def fit_hac_outer(scores_a, scores_b, inner_a, inner_b, outer_family="gumbel"):
     tau_hat = float(stats.kendalltau(scores_a, scores_b).statistic)
     cap = min(inner_a.min_tau(), inner_b.min_tau())
     tau_use = min(max(tau_hat, 0.0), cap)
+    independent = outer_family == "independence" or tau_use < 1e-6
     if tau_hat > cap + 1e-6:
         warnings.warn(
             f"outer tau estimate {tau_hat:.4f} exceeds inner minimum {cap:.4f}; "
-            "projected onto the nesting boundary"
+            + (
+                "outer copula set to independence"
+                if independent
+                else "projected onto the nesting boundary"
+            )
         )
-    if outer_family == "independence" or tau_use < 1e-6:
+    if independent:
         return HacSpec("independence", None, inner_a, inner_b)
     fam = FAMILIES[outer_family]
     theta = float(fam.theta_from_tau(tau_use))

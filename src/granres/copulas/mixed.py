@@ -53,15 +53,26 @@ def mixed_density(delay_model, count_process, spec, t, w, horizon, n):
     return dens * np.clip(bracket, 0.0, None)
 
 
+def count_quantile(u, horizon, count_process):
+    """Smallest n with Q_horizon(n) >= u, vectorized."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    lam = np.asarray(count_process.intensity.cumulative(horizon), dtype=float)
+    n = stats.poisson.ppf(np.clip(u, 1e-300, 1.0 - 1e-16), np.maximum(lam, 0.0))
+    return np.maximum(np.nan_to_num(n, nan=0.0), 0.0).astype(np.int64)
+
+
 def conditional_count_quantile(u, v, horizon, count_process, spec):
     """Smallest n with h(u, Q_horizon(n)) >= v, vectorized.
 
     This inverts the conditional count cdf given the delay's uniform score u,
-    which is exactly how the coupled pair (W, N) is simulated.
+    which is exactly how the coupled pair (W, N) is simulated. Under the
+    independence copula h(u, q) = q, so it is the count quantile of v.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     horizon = np.broadcast_to(np.asarray(horizon, dtype=float), u.shape)
+    if spec.family == "independence":
+        return count_quantile(v, horizon, count_process)
     fam = family(spec.family)
     theta = np.broadcast_to(spec.theta_at(horizon), u.shape)
     lam = np.asarray(count_process.intensity.cumulative(horizon), dtype=float)

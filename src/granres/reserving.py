@@ -43,6 +43,8 @@ from .copulas import (
     matched_delay_scores,
 )
 from .copulas.hac import match_days
+# bench/tracing.py patches this name to count the matched pairs kept
+from .copulas.mixed import count_quantile as _count_marginal_quantile
 from .daycount import DAYS_PER_YEAR, year_of, year_start
 from .delays import delay_cdf, delay_model_from_dict, delay_quantile, fit_delay
 from .frequency import OccurrenceModel, fit_occurrence, simulate_arrivals
@@ -320,8 +322,8 @@ def ibnr_count_conditional(model, window, t, w, n, claim_type=None):
     """P[N = n | accident at t, delay w, reported inside the window].
 
     The copula's conditional count bracket at horizon b - t - w, divided by
-    the window reporting probability. Integrating this against the delay
-    density over admissible w and summing over n gives 1 for each t.
+    the window reporting probability; vectorized in w. Integrating this against
+    the delay density over admissible w and summing over n gives 1 for each t.
     """
     if isinstance(model, TypeModel):
         tm = model
@@ -329,10 +331,11 @@ def ibnr_count_conditional(model, window, t, w, n, claim_type=None):
         tm = model.types[claim_type]
     else:
         raise TypeError("pass a TypeModel, or a GranularModel with claim_type")
-    if not (window.a_day < t + w <= window.b_day):
+    w = np.asarray(w, dtype=float)
+    if not np.all((window.a_day < t + w) & (t + w <= window.b_day)):
         raise ValueError("(t, w) must report inside the window")
     horizon = (window.b_day - t - w) / DAYS_PER_YEAR
-    u = np.asarray(delay_cdf(tm.delay, t, w), dtype=float).item()
+    u = np.asarray(delay_cdf(tm.delay, t, w), dtype=float)
     q_hi = tm.counts.count_cdf(horizon, n)
     q_lo = tm.counts.count_cdf(horizon, np.asarray(n) - 1)
     fam = copula_family(tm.copula.family)
@@ -358,16 +361,6 @@ def default_lookback(delay_model, a_day: int, tail: float = 1e-4) -> int:
     return int(math.ceil(max(q1, q2))) + 1
 
 
-def _count_marginal_quantile(u, horizon, counts):
-    """Smallest n with Q_horizon(n) >= u, vectorized."""
-    from scipy import stats
-
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    lam = np.asarray(counts.intensity.cumulative(horizon), dtype=float)
-    n = stats.poisson.ppf(np.clip(u, 1e-300, 1.0 - 1e-16), np.maximum(lam, 0.0))
-    return np.maximum(np.nan_to_num(n, nan=0.0), 0.0).astype(np.int64)
-
-
 def _place_payments(counts, n_vec, r_vec, lam_lo, lam_hi, after_day, last_day, rng):
     """Payment days for n_vec[i] payments of claim i, claim-major and sorted.
 
@@ -390,17 +383,17 @@ def _place_payments(counts, n_vec, r_vec, lam_lo, lam_hi, after_day, last_day, r
     return idx, np.clip(days, np.maximum(r, after_day) + 1, last_day)
 
 
-def _inner_theta(tm, t_day: int, horizon_end: int):
-    """The inner copula parameter as a function of the pair's delay score.
+def _inner_theta(tm, t_days, horizon_end: int):
+    """The inner copula parameters as a function of the pairs' delay scores.
 
     A claim's dependence parameter is read at its own horizon: horizon_end
-    less the reporting day that the delay score u1 implies.
+    less the reporting day that its delay score u1 implies.
     """
 
     def theta_fn(u1):
-        w = math.floor(float(delay_quantile(tm.delay, t_day, u1)))
-        h = max((horizon_end - t_day - w) / DAYS_PER_YEAR, 0.0)
-        return float(tm.copula.theta_at(np.asarray(h)))
+        w = np.floor(np.asarray(delay_quantile(tm.delay, t_days, u1), dtype=float))
+        h = np.maximum((horizon_end - t_days - w) / DAYS_PER_YEAR, 0.0)
+        return tm.copula.theta_at(h)
 
     return theta_fn
 
@@ -434,15 +427,13 @@ def _draw_claims(
         na, nb = names
         ta, tb = arrivals[na], arrivals[nb]
         ia, ib, rest_a, rest_b = match_days(ta, tb, match_gap_days)
-        rows = np.empty((ia.size, 4))
-        for m in range(ia.size):
-            rows[m] = hac_sample(
-                hac,
-                rng,
-                size=1,
-                theta_a_fn=_inner_theta(model.types[na], int(ta[ia[m]]), horizon_end),
-                theta_b_fn=_inner_theta(model.types[nb], int(tb[ib[m]]), horizon_end),
-            )[0]
+        rows = hac_sample(
+            hac,
+            rng,
+            size=ia.size,
+            theta_a_fn=_inner_theta(model.types[na], ta[ia], horizon_end),
+            theta_b_fn=_inner_theta(model.types[nb], tb[ib], horizon_end),
+        )
         pairs = {na: (ta[ia], rows[:, :2]), nb: (tb[ib], rows[:, 2:])}
         free = {na: ta[rest_a], nb: tb[rest_b]}
 

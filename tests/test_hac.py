@@ -107,10 +107,53 @@ def test_hac_spec_validation_and_round_trip():
 def test_sample_with_parameter_callbacks():
     spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
     rng = np.random.default_rng(2)
-    u = hac_sample(
-        spec, rng, size=25, theta_a_fn=lambda u1: 2.0, theta_b_fn=lambda u3: 2.0
-    )
+    seen = []
+
+    def theta_a(u1):
+        seen.append(u1.shape)
+        return np.full(u1.shape, 2.0)
+
+    u = hac_sample(spec, rng, size=25, theta_a_fn=theta_a, theta_b_fn=lambda u3: 2.0)
     assert u.shape == (25, 4) and np.all((u > 0) & (u < 1))
+    assert seen == [(25,)]  # one call with every row's first component
+
+
+def test_sample_consumes_four_uniforms_per_row():
+    spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
+    for m in (0, 1, 7):
+        rng = np.random.default_rng(5)
+        hac_sample(spec, rng, size=m)
+        ref = np.random.default_rng(5)
+        ref.uniform(size=4 * m)
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("outer", [("gumbel", 1.2), ("independence", None)])
+def test_sample_rows_match_one_row_calls(outer):
+    spec = HacSpec(*outer, CLAY2, GUM2)
+    many = hac_sample(spec, np.random.default_rng(9), size=12)
+    rng = np.random.default_rng(9)
+    one_by_one = np.vstack([hac_sample(spec, rng, size=1) for _ in range(12)])
+    assert_allclose(many, one_by_one, rtol=0, atol=1e-12)
+
+
+def test_sample_theta_callback_is_per_row():
+    # inner A's parameter follows u1: weak dependence below 0.5, strong
+    # dependence above; each row must match a one-row draw at its own value
+    spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
+    u = hac_sample(
+        spec,
+        np.random.default_rng(4),
+        size=40,
+        theta_a_fn=lambda u1: np.where(u1 < 0.5, 0.5, 8.0),
+    )
+    low = u[:, 0] < 0.5
+    assert 0 < low.sum() < low.size
+    rng = np.random.default_rng(4)
+    for i in range(u.shape[0]):
+        th = 0.5 if low[i] else 8.0
+        row = hac_sample(spec, rng, size=1, theta_a_fn=lambda u1, th=th: th)
+        assert_allclose(row[0], u[i], rtol=0, atol=1e-12)
 
 
 def test_matched_delay_scores_hand_case():
@@ -209,7 +252,7 @@ def test_fit_hac_outer_projections_and_errors():
 
     # a negative-tau inner copula caps the outer at independence
     neg = CopulaSpec("frank", theta=-0.1)
-    with pytest.warns(UserWarning, match="nesting boundary"):
+    with pytest.warns(UserWarning, match="outer copula set to independence"):
         fitn = fit_hac_outer(a, b, neg, CLAY2, "gumbel")
     assert fitn.outer_family == "independence" and fitn.inner_a == neg
 

@@ -65,6 +65,25 @@ def test_conditional_quantile_reduces_to_poisson_under_independence():
     assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("proc", [PROC, CountProcess(ExponentialDecay(40.0, 0.5))])
+def test_independence_count_quantile_equals_the_cdf_search(proc):
+    # the independence path is a Poisson quantile; it must pick exactly the
+    # smallest n with Q(n) >= v that a search over the Poisson cdf finds
+    rng = np.random.default_rng(23)
+    m = 100_000
+    u, v, horizon = rng.random(m), rng.random(m), 8.0 * rng.random(m)
+    v[:4] = [0.0, 1e-300, 0.5, 1.0 - 2.0**-53]
+    horizon[4] = 0.0
+    got = conditional_count_quantile(u, v, horizon, proc, CopulaSpec("independence"))
+    lam = proc.intensity.cumulative(horizon)
+    for lo in range(0, m, 5_000):
+        sl = slice(lo, lo + 5_000)
+        ns = np.arange(int(lam[sl].max() + 10.0 * np.sqrt(lam[sl].max()) + 21))
+        ok = stats.poisson.cdf(ns[None, :], lam[sl, None]) >= v[sl, None]
+        assert ok.any(axis=1).all()
+        assert_array_equal(got[sl], np.argmax(ok, axis=1))
+
+
 def test_coupled_simulation_preserves_both_margins():
     rng = np.random.default_rng(8)
     w, n = simulate_delay_count(DELAY, PROC, CLAY2, 1000, 2.0, rng, size=20_000)

@@ -132,9 +132,7 @@ def test_ibnr_count_conditional_normalizes_under_coupling():
     dens = delay_density(tm.delay, t, w)
     total = 0.0
     for n in range(61):
-        cond = np.array(
-            [float(ibnr_count_conditional(tm, WIN, t, float(wv), n)) for wv in w]
-        )
+        cond = ibnr_count_conditional(tm, WIN, t, w, n)
         total += simpson(cond * dens, x=w)
     assert_allclose(total, 1.0, atol=1e-6)
 
