@@ -18,60 +18,13 @@ from .claims import (
     censor,
     ingest_csv,
     ingest_csv_report,
-    split_rbns_ibnr,
     write_csv,
 )
-from .copulas import (
-    ARCHIMEDEAN,
-    CopulaFit,
-    CopulaSpec,
-    HacSpec,
-    TimeVaryingParam,
-    conditional_count_quantile,
-    copula_from_dict,
-    copula_pairs,
-    family,
-    fit_copula,
-    fit_hac_outer,
-    hac_cdf,
-    hac_from_dict,
-    hac_sample,
-    matched_delay_scores,
-    mixed_density,
-    simulate_delay_count,
-    sklar_joint_cdf,
-    static_from_tau,
-)
-from .daycount import DAYS_PER_YEAR, iso, parse_iso, to_date, to_day, year_of
-from .delays import (
-    EmpiricalDelayModel,
-    WeibullDelayModel,
-    delay_cdf,
-    delay_density,
-    delay_model_from_dict,
-    delay_quantile,
-    fit_delay,
-    simulate_delay,
-)
-from .frequency import (
-    CountFit,
-    NegativeBinomial,
-    OccurrenceModel,
-    Poisson,
-    ZeroModified,
-    date_differences,
-    dist_from_dict,
-    fit_count_mle,
-    fit_occurrence,
-    simulate_arrivals,
-)
-from .payments import (
-    CountProcess,
-    ExponentialDecay,
-    PowerDecay,
-    fit_intensity,
-    intensity_from_dict,
-)
+from .copulas import CopulaSpec, HacSpec, hac_sample
+from .daycount import iso, parse_iso
+from .delays import WeibullDelayModel
+from .frequency import NegativeBinomial, OccurrenceModel, Poisson
+from .payments import CountProcess, ExponentialDecay, PowerDecay
 from .reserving import (
     BacktestResult,
     GranularModel,
@@ -83,113 +36,59 @@ from .reserving import (
     chain_ladder_reserve,
     default_lookback,
     fit_model,
-    ibnr_count_conditional,
     ibnr_simulate,
-    reporting_prob_window,
     reserve_summary,
     simulate_reserves,
 )
-from .severity import (
-    GammaSeverity,
-    LogNormalSeverity,
-    OrderARSeverity,
-    amount_sequences,
-    fit_severity,
-    normal_scores,
-    repeated_amounts,
-    severity_from_dict,
-    simulate_amounts,
-)
-from .synth import default_model, synth_portfolio, synthesize
+from .severity import GammaSeverity, LogNormalSeverity, OrderARSeverity
+from .synth import default_model, synthesize
 
 __version__ = "0.1.0"
 
+# grouped by pipeline stage; every other name is imported from its submodule
 __all__ = [
-    "ARCHIMEDEAN",
-    "BacktestResult",
+    # claim data and I/O
     "CLAIM_TYPES",
     "ClaimRecord",
-    "CopulaFit",
-    "CopulaSpec",
-    "CountFit",
-    "CountProcess",
-    "DAYS_PER_YEAR",
-    "EmpiricalDelayModel",
-    "ExponentialDecay",
-    "GammaSeverity",
-    "GranularModel",
-    "HacSpec",
-    "IngestReport",
-    "LogNormalSeverity",
-    "NegativeBinomial",
-    "OccurrenceModel",
-    "OrderARSeverity",
     "PaymentEvent",
-    "PhaseError",
-    "Poisson",
     "Portfolio",
-    "PowerDecay",
-    "ReserveDistribution",
+    "IngestReport",
     "RunOffTriangle",
-    "TimeVaryingParam",
-    "TypeModel",
-    "ValuationWindow",
-    "WeibullDelayModel",
-    "ZeroModified",
     "aggregate_triangle",
-    "amount_sequences",
-    "backtest",
     "censor",
-    "chain_ladder_reserve",
-    "conditional_count_quantile",
-    "copula_from_dict",
-    "copula_pairs",
-    "date_differences",
-    "default_lookback",
-    "default_model",
-    "delay_cdf",
-    "delay_density",
-    "delay_model_from_dict",
-    "delay_quantile",
-    "dist_from_dict",
-    "family",
-    "fit_copula",
-    "fit_count_mle",
-    "fit_delay",
-    "fit_hac_outer",
-    "fit_intensity",
-    "fit_model",
-    "fit_occurrence",
-    "fit_severity",
-    "hac_cdf",
-    "hac_from_dict",
-    "hac_sample",
-    "ibnr_count_conditional",
-    "ibnr_simulate",
     "ingest_csv",
     "ingest_csv_report",
-    "intensity_from_dict",
-    "iso",
-    "matched_delay_scores",
-    "mixed_density",
-    "normal_scores",
-    "parse_iso",
-    "repeated_amounts",
-    "reporting_prob_window",
-    "reserve_summary",
-    "severity_from_dict",
-    "simulate_amounts",
-    "simulate_arrivals",
-    "simulate_delay",
-    "simulate_delay_count",
-    "simulate_reserves",
-    "sklar_joint_cdf",
-    "split_rbns_ibnr",
-    "static_from_tau",
-    "synth_portfolio",
-    "synthesize",
-    "to_date",
-    "to_day",
     "write_csv",
-    "year_of",
+    "parse_iso",
+    "iso",
+    # model components, to build a GranularModel by hand
+    "CopulaSpec",
+    "HacSpec",
+    "OccurrenceModel",
+    "Poisson",
+    "NegativeBinomial",
+    "WeibullDelayModel",
+    "CountProcess",
+    "ExponentialDecay",
+    "PowerDecay",
+    "LogNormalSeverity",
+    "GammaSeverity",
+    "OrderARSeverity",
+    "TypeModel",
+    "GranularModel",
+    # fitting, simulation and backtesting
+    "fit_model",
+    "PhaseError",
+    "ValuationWindow",
+    "simulate_reserves",
+    "ReserveDistribution",
+    "reserve_summary",
+    "backtest",
+    "BacktestResult",
+    "chain_ladder_reserve",
+    "default_lookback",
+    "ibnr_simulate",
+    "hac_sample",
+    "synthesize",
+    "default_model",
 ]

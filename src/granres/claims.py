@@ -13,8 +13,10 @@ data model.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -120,14 +122,15 @@ class IngestReport:
     messages: list[str] = field(default_factory=list)
 
 
-def _coerce_stream(source):
-    if isinstance(source, (str,)) and "\n" not in source:
-        return open(source, "r", newline=""), True
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8")), False
-    if isinstance(source, str):
-        return io.StringIO(source), False
-    return source, False
+@contextlib.contextmanager
+def _text_stream(target, mode):
+    """Open a path (str or os.PathLike) for the block and close it after it;
+    any other target is taken as an open text stream and left open."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode, newline="") as stream:
+            yield stream
+    else:
+        yield target
 
 
 def ingest_csv(source, cutoff=None, diagnostics=None) -> Portfolio:
@@ -149,7 +152,10 @@ def ingest_csv(source, cutoff=None, diagnostics=None) -> Portfolio:
 
 def ingest_csv_report(source, cutoff=None, diagnostics=None):
     """Like ingest_csv but also returns the IngestReport."""
-    stream, close = _coerce_stream(source)
+    if isinstance(source, bytes):
+        source = io.StringIO(source.decode("utf-8"))
+    elif isinstance(source, str) and "\n" in source:
+        source = io.StringIO(source)
     diag = diagnostics if diagnostics is not None else sys.stderr
     report = IngestReport()
 
@@ -157,7 +163,7 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
         report.messages.append(msg)
         print(msg, file=diag)
 
-    try:
+    with _text_stream(source, "r") as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -269,16 +275,11 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
             cutoff = max_day if max_day is not None else 0
         p = Portfolio(tuple(claims), int(cutoff))
         return p, report
-    finally:
-        if close:
-            stream.close()
 
 
 def write_csv(portfolio: Portfolio, dest) -> None:
     """Inverse of ingest_csv: one row per payment, a marker row for paymentless claims."""
-    own = isinstance(dest, str)
-    stream = open(dest, "w", newline="") if own else dest
-    try:
+    with _text_stream(dest, "w") as stream:
         w = csv.writer(stream, lineterminator="\n")
         w.writerow(_HEADER)
         for c in portfolio.claims:
@@ -287,9 +288,6 @@ def write_csv(portfolio: Portfolio, dest) -> None:
                 w.writerow(base + ["", ""])
             for p in c.payments:
                 w.writerow(base + [iso(p.day), f"{p.amount:.2f}"])
-    finally:
-        if own:
-            stream.close()
 
 
 def split_rbns_ibnr(portfolio: Portfolio, valuation_day: int):
@@ -344,16 +342,11 @@ class RunOffTriangle:
         return out
 
     def to_csv(self, dest) -> None:
-        own = isinstance(dest, str)
-        stream = open(dest, "w", newline="") if own else dest
-        try:
+        with _text_stream(dest, "w") as stream:
             w = csv.writer(stream, lineterminator="\n")
             w.writerow(["origin"] + [f"dev_{j}" for j in range(self.cells.shape[1])])
             for year, row in zip(self.origin_years, self.cells):
                 w.writerow([year] + ["" if np.isnan(v) else f"{v:.2f}" for v in row])
-        finally:
-            if own:
-                stream.close()
 
 
 def aggregate_triangle(portfolio: Portfolio, granularity: int = 1) -> RunOffTriangle:

@@ -1,60 +1,24 @@
-from .dynamics import CopulaSpec, TimeVaryingParam, copula_from_dict, static_from_tau
-from .families import (
-    ARCHIMEDEAN,
-    CLAYTON,
-    FAMILIES,
-    FRANK,
-    GAUSSIAN,
-    GUMBEL,
-    INDEPENDENCE,
-    bvn_cdf,
-    family,
-    sample_positive_stable,
-)
+from .dynamics import CopulaSpec, copula_from_dict
+from .families import family
 from .hac import (
     HacSpec,
     fit_hac_outer,
-    hac_cdf,
     hac_from_dict,
     hac_sample,
     matched_delay_scores,
 )
-from .mixed import (
-    CopulaFit,
-    conditional_count_quantile,
-    copula_pairs,
-    fit_copula,
-    mixed_density,
-    simulate_delay_count,
-    sklar_joint_cdf,
-)
+from .mixed import conditional_count_quantile, copula_pairs, fit_copula
 
 __all__ = [
-    "ARCHIMEDEAN",
-    "CLAYTON",
-    "FAMILIES",
-    "FRANK",
-    "GAUSSIAN",
-    "GUMBEL",
-    "INDEPENDENCE",
-    "CopulaFit",
     "CopulaSpec",
     "HacSpec",
-    "TimeVaryingParam",
-    "bvn_cdf",
     "conditional_count_quantile",
     "copula_from_dict",
     "copula_pairs",
     "family",
     "fit_copula",
     "fit_hac_outer",
-    "hac_cdf",
     "hac_from_dict",
     "hac_sample",
     "matched_delay_scores",
-    "mixed_density",
-    "sample_positive_stable",
-    "simulate_delay_count",
-    "sklar_joint_cdf",
-    "static_from_tau",
 ]

@@ -15,15 +15,24 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, optimize
 from scipy.stats import norm
 
 _EPS = 1e-12
 _BISECT_STEPS = 50
 
 
+def _clip(x, lo, hi):
+    """np.clip(x, lo, hi) as two ufunc calls; NaN stays NaN.
+
+    The copula functions run on every bisection halving, on a few dozen
+    pairs, where np.clip's Python-level wrapper was a large share of the time.
+    """
+    return np.minimum(np.maximum(x, lo), hi)
+
+
 def _clip01(x):
-    return np.clip(np.asarray(x, dtype=float), _EPS, 1.0 - _EPS)
+    return _clip(np.asarray(x, dtype=float), _EPS, 1.0 - _EPS)
 
 
 @lru_cache(maxsize=8)
@@ -81,7 +90,7 @@ class _Family:
 
     def hinv(self, u, p, theta):
         """Numeric inverse of v -> h(u, v); overridden where closed form exists."""
-        u, p, theta = np.broadcast_arrays(u, np.clip(p, 1e-9, 1.0 - 1e-9), theta)
+        u, p, theta = np.broadcast_arrays(u, _clip(p, 1e-9, 1.0 - 1e-9), theta)
         out = bisect(lambda v: self.h(u, v, theta), p, 1e-12, 1.0 - 1e-12)
         return out if out.shape else float(out)
 
@@ -100,11 +109,11 @@ class Independence(_Family):
     def cdf(self, u, v, theta=None):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        return np.clip(u, 0.0, 1.0) * np.clip(v, 0.0, 1.0)
+        return _clip(u, 0.0, 1.0) * _clip(v, 0.0, 1.0)
 
     def h(self, u, v, theta=None):
         v = np.asarray(v, dtype=float)
-        return np.clip(v, 0.0, 1.0) * np.ones_like(np.asarray(u, dtype=float))
+        return _clip(v, 0.0, 1.0) * np.ones_like(np.asarray(u, dtype=float))
 
     def hinv(self, u, p, theta=None):
         return np.asarray(p, dtype=float)
@@ -114,9 +123,6 @@ class Independence(_Family):
 
     def tau(self, theta=None):
         return 0.0
-
-    def sample(self, n, theta, rng):
-        return rng.random(n), rng.random(n)
 
     def link(self, theta):
         return 0.0
@@ -164,8 +170,8 @@ class Clayton(_Family):
         T = self._pow(u, theta) + self._pow(v, theta) - 1.0
         inner = np.exp(-np.log(T) / theta)
         out = np.where((u <= 0.0) | (v <= 0.0), 0.0, inner)
-        out = np.where(u >= 1.0, np.clip(v, 0.0, 1.0), out)
-        out = np.where(v >= 1.0, np.clip(u, 0.0, 1.0), out)
+        out = np.where(u >= 1.0, _clip(v, 0.0, 1.0), out)
+        out = np.where(v >= 1.0, _clip(u, 0.0, 1.0), out)
         return out
 
     def h(self, u, v, theta):
@@ -179,7 +185,7 @@ class Clayton(_Family):
 
     def hinv(self, u, p, theta):
         u = _clip01(u)
-        p = np.clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12)
+        p = _clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12)
         theta = np.asarray(theta, dtype=float)
         # invert p = u^-(theta+1) T^-(theta+1)/theta for v
         T = np.exp(-(theta / (theta + 1.0)) * (np.log(p) + (theta + 1.0) * np.log(u)))
@@ -208,11 +214,6 @@ class Clayton(_Family):
     def link_inv(self, eta):
         return np.exp(np.asarray(eta, dtype=float))
 
-    def sample(self, n, theta, rng):
-        u = rng.random(n)
-        v = self.hinv(u, rng.random(n), theta)
-        return u, v
-
     def gen(self, t, theta):
         return self._pow(t, theta) - 1.0
 
@@ -238,20 +239,6 @@ class Clayton(_Family):
         return -a * (a + 1.0) * (a + 2.0) * np.power(1.0 + np.asarray(x, dtype=float), -a - 3.0)
 
 
-def sample_positive_stable(alpha, size, rng):
-    """Kanter's representation: E[exp(-t S)] = exp(-t^alpha), alpha in (0, 1]."""
-    if alpha >= 1.0:
-        return np.ones(size)
-    theta = rng.uniform(0.0, np.pi, size)
-    w = rng.exponential(1.0, size)
-    a = (
-        np.sin(alpha * theta) ** alpha
-        * np.sin((1.0 - alpha) * theta) ** (1.0 - alpha)
-        / np.sin(theta)
-    ) ** (1.0 / (1.0 - alpha))
-    return (a / w) ** ((1.0 - alpha) / alpha)
-
-
 class Gumbel(_Family):
     """theta >= 1 (upper-tail dependence; theta = 1 is independence)."""
 
@@ -267,8 +254,8 @@ class Gumbel(_Family):
         s = a**theta + b**theta
         inner = np.exp(-np.exp(np.log(s) / theta))
         out = np.where((u <= 0.0) | (v <= 0.0), 0.0, inner)
-        out = np.where(u >= 1.0, np.clip(v, 0.0, 1.0), out)
-        out = np.where(v >= 1.0, np.clip(u, 0.0, 1.0), out)
+        out = np.where(u >= 1.0, _clip(v, 0.0, 1.0), out)
+        out = np.where(v >= 1.0, _clip(u, 0.0, 1.0), out)
         return out
 
     def h(self, u, v, theta):
@@ -310,15 +297,6 @@ class Gumbel(_Family):
 
     def link_inv(self, eta):
         return 1.0 + np.exp(np.asarray(eta, dtype=float))
-
-    def sample(self, n, theta, rng):
-        """Frailty construction: U_i = psi(E_i / V) with V positive stable."""
-        v = sample_positive_stable(1.0 / theta, n, rng)
-        e1 = rng.exponential(1.0, n)
-        e2 = rng.exponential(1.0, n)
-        u1 = np.exp(-((e1 / v) ** (1.0 / theta)))
-        u2 = np.exp(-((e2 / v) ** (1.0 / theta)))
-        return np.clip(u1, _EPS, 1 - _EPS), np.clip(u2, _EPS, 1 - _EPS)
 
     def gen(self, t, theta):
         return (-np.log(_clip01(t))) ** theta
@@ -372,19 +350,19 @@ class Frank(_Family):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         theta = self._nudge(theta)
-        eu = np.expm1(-theta * np.clip(u, 0.0, 1.0))
-        ev = np.expm1(-theta * np.clip(v, 0.0, 1.0))
+        eu = np.expm1(-theta * _clip(u, 0.0, 1.0))
+        ev = np.expm1(-theta * _clip(v, 0.0, 1.0))
         et = np.expm1(-theta)
         inner = -np.log1p(eu * ev / et) / theta
         out = np.where((u <= 0.0) | (v <= 0.0), 0.0, inner)
-        out = np.where(u >= 1.0, np.clip(v, 0.0, 1.0), out)
-        out = np.where(v >= 1.0, np.clip(u, 0.0, 1.0), out)
+        out = np.where(u >= 1.0, _clip(v, 0.0, 1.0), out)
+        out = np.where(v >= 1.0, _clip(u, 0.0, 1.0), out)
         return out
 
     def h(self, u, v, theta):
         u = _clip01(u)
         v_arr = np.asarray(v, dtype=float)
-        v = np.clip(v_arr, 0.0, 1.0)
+        v = _clip(v_arr, 0.0, 1.0)
         theta = self._nudge(theta)
         # both denominator terms share the numerator's sign: no cancellation
         core = np.expm1(theta * v) / (
@@ -394,7 +372,7 @@ class Frank(_Family):
 
     def hinv(self, u, p, theta):
         u = _clip01(u)
-        p = np.clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12)
+        p = _clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12)
         theta = self._nudge(theta)
         # exp(theta v) = num / den, num - den = gap: sums of positive terms and
         # log1p of a positive ratio keep full precision at large |theta|
@@ -426,11 +404,6 @@ class Frank(_Family):
 
     def link_inv(self, eta):
         return np.asarray(eta, dtype=float)
-
-    def sample(self, n, theta, rng):
-        u = rng.random(n)
-        v = self.hinv(u, rng.random(n), theta)
-        return u, np.clip(v, _EPS, 1 - _EPS)
 
     def gen(self, t, theta):
         theta = self._nudge(theta)
@@ -485,8 +458,8 @@ class Gaussian(_Family):
             np.broadcast_to(x, rho.shape), np.broadcast_to(y, rho.shape), rho
         )
         out = np.where((u <= 0.0) | (v <= 0.0), 0.0, inner)
-        out = np.where(u >= 1.0, np.clip(v, 0.0, 1.0), out)
-        out = np.where(v >= 1.0, np.clip(u, 0.0, 1.0), out)
+        out = np.where(u >= 1.0, _clip(v, 0.0, 1.0), out)
+        out = np.where(v >= 1.0, _clip(u, 0.0, 1.0), out)
         return out
 
     def h(self, u, v, theta):
@@ -500,7 +473,7 @@ class Gaussian(_Family):
     def hinv(self, u, p, theta):
         rho = np.asarray(theta, dtype=float)
         x = norm.ppf(_clip01(u))
-        z = norm.ppf(np.clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12))
+        z = norm.ppf(_clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12))
         return norm.cdf(z * np.sqrt(1.0 - rho**2) + rho * x)
 
     def density(self, u, v, theta):
@@ -521,12 +494,6 @@ class Gaussian(_Family):
 
     def link_inv(self, eta):
         return np.tanh(np.asarray(eta, dtype=float))
-
-    def sample(self, n, theta, rng):
-        z1 = rng.standard_normal(n)
-        z2 = rng.standard_normal(n)
-        x2 = theta * z1 + np.sqrt(1.0 - theta**2) * z2
-        return norm.cdf(z1), norm.cdf(x2)
 
 
 INDEPENDENCE = Independence()

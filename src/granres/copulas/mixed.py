@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize, stats
 
 from ..daycount import DAYS_PER_YEAR
-from ..delays import delay_cdf, delay_density, delay_quantile
+from ..delays import delay_cdf, delay_density
 from ..fitutil import observed_info_se
 from .dynamics import CopulaSpec, TimeVaryingParam
 from .families import FAMILIES, family
@@ -95,24 +95,6 @@ def conditional_count_quantile(u, v, horizon, count_process, spec):
     else:
         out[todo] = cap[todo]
     return out
-
-
-def simulate_delay_count(delay_model, count_process, spec, t, horizon, rng, size=1):
-    """Draw coupled (delay days, payment count at horizon) for accident day t.
-
-    The delay comes from its marginal quantile at a uniform u; the count is
-    the conditional quantile given u, so the pair has exactly the mixed joint
-    law above.
-    """
-    u = rng.random(size)
-    w = np.floor(
-        np.asarray(delay_quantile(delay_model, np.full(size, t), u), dtype=float)
-    ).astype(np.int64)
-    v = rng.random(size)
-    n = conditional_count_quantile(u, v, horizon, count_process, spec)
-    if size == 1:
-        return int(w[0]), int(n[0])
-    return w, n
 
 
 def copula_pairs(portfolio, claim_type=None):

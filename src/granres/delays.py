@@ -63,10 +63,6 @@ class WeibullDelayModel:
     def mean(self, t):
         return self.scale(t) * math.gamma(1.0 + 1.0 / self.shape)
 
-    def sample(self, t, rng, size=None):
-        u = rng.random() if size is None else rng.random(size)
-        return self.quantile(t, u)
-
     def to_dict(self):
         return {
             "variant": "weibull_tv",
@@ -118,11 +114,6 @@ class EmpiricalDelayModel:
     def mean(self, t):
         return float(np.mean(self._cohort_for(t)))
 
-    def sample(self, t, rng, size=None):
-        sample = self._cohort_for(t)
-        pick = rng.integers(0, sample.size, size=size)
-        return float(sample[pick]) if size is None else sample[pick].astype(float)
-
     def to_dict(self):
         return {
             "variant": "empirical_cohort",
@@ -162,11 +153,6 @@ def delay_quantile(model, t, u):
     if isinstance(model, WeibullDelayModel):
         return model.quantile(np.asarray(t), np.asarray(u, dtype=float))
     return _per_year(model, t, u, "quantile")
-
-
-def simulate_delay(model, t, rng, size=None):
-    """Delay draw(s) for accident day t."""
-    return model.sample(t, rng, size=size)
 
 
 def delay_model_from_dict(d):

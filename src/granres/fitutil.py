@@ -50,16 +50,11 @@ def observed_info_se(negloglik, x, rel_step=1e-4):
     information matrix is not positive definite (boundary solutions and the
     like), with a warning.
     """
-    hess = numeric_hessian(negloglik, x, rel_step)
-    try:
-        cov = np.linalg.inv(hess)
-        diag = np.diag(cov)
-        if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-            raise np.linalg.LinAlgError
-        return np.sqrt(diag)
-    except np.linalg.LinAlgError:
+    cov = observed_info_cov(negloglik, x, rel_step)
+    if cov is None:
         warnings.warn(
             "observed information not positive definite; standard errors unavailable",
             stacklevel=2,
         )
         return np.full(np.asarray(x).size, np.nan)
+    return np.sqrt(np.diag(cov))

@@ -120,40 +120,6 @@ class CountProcess:
         out = stats.poisson.cdf(np.where(n < 0, -1.0, n), np.maximum(lam, 0.0))
         return np.where(n < 0, 0.0, out)
 
-    def increment_logpmf(self, tau1, tau2, n):
-        if np.any(np.asarray(tau2) < np.asarray(tau1)):
-            raise ValueError("increment needs tau1 <= tau2")
-        lam = self.intensity.cumulative(tau2) - self.intensity.cumulative(tau1)
-        n = np.asarray(n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(
-                n < 0,
-                -np.inf,
-                np.where(
-                    lam > 0,
-                    n * np.log(np.maximum(lam, 1e-300)) - lam - special.gammaln(n + 1.0),
-                    np.where(n == 0, 0.0, -np.inf),
-                ),
-            )
-
-    def increment_pmf(self, tau1, tau2, n):
-        return np.exp(self.increment_logpmf(tau1, tau2, n))
-
-    def dq_dtau(self, tau, n):
-        """d/dtau of the count cdf Q_tau(n).
-
-        Q_tau(n) is non-increasing in tau (mass escapes upward as the mean
-        grows), so the derivative is the negative Poisson pmf at n scaled by
-        the rate: -rate(tau) * Lambda(tau)^n exp(-Lambda(tau)) / n!.
-        """
-        n = np.asarray(n, dtype=float)
-        lam = self.intensity.cumulative(tau)
-        rate = self.intensity.rate(tau)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpmf = n * np.log(np.maximum(lam, 1e-300)) - lam - special.gammaln(n + 1.0)
-        pmf = np.where(lam > 0, np.exp(logpmf), np.where(n == 0, 1.0, 0.0))
-        return np.where(n < 0, 0.0, -rate * pmf)
-
     def to_dict(self):
         return {
             "intensity": self.intensity.to_dict(),
@@ -240,16 +206,3 @@ def fit_intensity(payment_taus, horizons, family: str = "exponential"):
         cov_t = tuple(tuple(float(v) for v in row) for row in cov)
     return CountProcess(cls(float(x[0]), float(x[1])), se, cov_t)
 
-
-def total_se(process: CountProcess) -> float:
-    """Delta-method standard error of the expected total count Lambda(inf)."""
-    inten = process.intensity
-    if not process.cov:
-        return float("nan")
-    cov = np.asarray(process.cov, dtype=float)
-    lam0, beta = inten.lam0, inten.beta
-    if isinstance(inten, ExponentialDecay):
-        grad = np.array([1.0 / beta, -lam0 / beta**2])
-    else:
-        grad = np.array([1.0 / (beta - 1.0), -lam0 / (beta - 1.0) ** 2])
-    return float(np.sqrt(grad @ cov @ grad))

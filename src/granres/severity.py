@@ -16,12 +16,10 @@ deterministic geometric run-off, which is handy for calibration checks.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
-from scipy.stats import norm
+from scipy import special
 
 from .fitutil import observed_info_se
 
@@ -183,55 +181,19 @@ class OrderARSeverity:
             return rng.normal(0.0, self.sigma_eps, k)
         return np.zeros(k)
 
-    def simulate_chain(self, n_payments: int, rng) -> np.ndarray:
-        out = np.empty(n_payments)
-        if n_payments == 0:
-            return out
-        out[0] = self.base.sample(1, rng)[0]
-        for j in range(1, n_payments):
-            eps = self._innov(1, rng)[0]
-            out[j] = max(self.alpha_for(j) * out[j - 1] + eps, self.floor)
-        return out
-
-    def simulate_flat(self, counts, rng) -> np.ndarray:
-        """Amounts for many claims at once, claim-major order.
-
-        counts[i] payments for claim i; the returned flat array lists claim
-        0's payments first, then claim 1's, and so on. Vectorized over claims
-        by payment order, so runtime scales with the deepest chain, not the
-        number of claims.
-        """
-        counts = np.asarray(counts, dtype=np.int64)
-        total = int(counts.sum())
-        flat = np.empty(total)
-        if total == 0:
-            return flat
-        offsets = np.cumsum(counts) - counts
-        active = counts >= 1
-        cur = np.zeros(counts.size)
-        cur[active] = self.base.sample(int(active.sum()), rng)
-        flat[offsets[active]] = cur[active]
-        max_n = int(counts.max())
-        for j in range(2, max_n + 1):
-            active = counts >= j
-            k = int(active.sum())
-            nxt = self.alpha_for(j - 1) * cur[active] + self._innov(k, rng)
-            nxt = np.maximum(nxt, self.floor)
-            flat[offsets[active] + (j - 1)] = nxt
-            cur[active] = nxt
-        return flat
-
     def continue_flat(self, counts, k_obs, last_obs, rng) -> np.ndarray:
         """Future amounts for claims with observed payment history.
 
         counts[i] future payments for claim i; k_obs[i] payments already
         made; last_obs[i] the most recent observed amount (ignored when
         k_obs[i] = 0, where the chain starts fresh from the base
-        distribution). Flat claim-major output like simulate_flat.
+        distribution). k_obs and last_obs broadcast against counts. The
+        flat output lists claim 0's payments first, then claim 1's, and so
+        on; runtime scales with the deepest chain, not the number of claims.
         """
         counts = np.asarray(counts, dtype=np.int64)
-        k_obs = np.asarray(k_obs, dtype=np.int64)
-        last_obs = np.asarray(last_obs, dtype=float)
+        k_obs = np.broadcast_to(np.asarray(k_obs, dtype=np.int64), counts.shape)
+        last_obs = np.broadcast_to(np.asarray(last_obs, dtype=float), counts.shape)
         total = int(counts.sum())
         flat = np.empty(total)
         if total == 0:
@@ -265,16 +227,11 @@ class OrderARSeverity:
         }
 
 
-def iid_simulate_flat(model, counts, rng) -> np.ndarray:
-    counts = np.asarray(counts, dtype=np.int64)
-    return model.sample(int(counts.sum()), rng)
-
-
 def simulate_amounts(model, counts, rng) -> np.ndarray:
-    """Flat claim-major amounts for either severity structure."""
+    """Flat claim-major amounts for new claims, either severity structure."""
     if isinstance(model, OrderARSeverity):
-        return model.simulate_flat(counts, rng)
-    return iid_simulate_flat(model, counts, rng)
+        return model.continue_flat(counts, 0, 0.0, rng)
+    return model.sample(int(np.sum(counts)), rng)
 
 
 def amount_sequences(portfolio, claim_type=None) -> list:
@@ -400,37 +357,3 @@ def severity_from_dict(d: dict):
         )
     raise ValueError(f"unknown severity family {fam!r}")
 
-
-def normal_scores(amounts) -> np.ndarray:
-    """Rank-based normal scores, rank / (n + 1), for dependence diagnostics."""
-    x = np.asarray(amounts, dtype=float)
-    ranks = stats.rankdata(x, method="average")
-    return norm.ppf(ranks / (x.size + 1.0))
-
-
-def order_pairs(sequences, j: int, k: int):
-    """Amount pairs (payment j, payment k) across claims deep enough for both."""
-    if j < 1 or k < 1:
-        raise ValueError("payment orders start at 1")
-    need = max(j, k)
-    rows = [(s[j - 1], s[k - 1]) for s in sequences if s.size >= need]
-    if not rows:
-        return np.empty(0), np.empty(0)
-    arr = np.asarray(rows, dtype=float)
-    return arr[:, 0], arr[:, 1]
-
-
-def repeated_amounts(portfolio, min_count: int = 21, claim_type=None) -> list:
-    """Exact-duplicate amount report, largest multiplicities first.
-
-    Benefit-scale or tariff payments repeat legitimately, but a heavy spike
-    of one amount usually signals data mangling; this surfaces candidates
-    for review without judging them.
-    """
-    claims = portfolio.claims if claim_type is None else portfolio.by_type(claim_type)
-    counter = Counter(
-        round(p.amount, 2) for c in claims for p in c.payments
-    )
-    hits = [(amt, cnt) for amt, cnt in counter.items() if cnt >= min_count]
-    hits.sort(key=lambda t: (-t[1], t[0]))
-    return hits

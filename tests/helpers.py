@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from granres import DAYS_PER_YEAR, CountProcess
+from granres import CountProcess
+from granres.daycount import DAYS_PER_YEAR
 from granres.reserving import _place_payments
 
 

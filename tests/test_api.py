@@ -1,0 +1,143 @@
+"""The public API: the exported names, and every name the benchmark and the
+demos reach through the package."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import granres
+import granres.copulas
+
+ROOT = Path(__file__).resolve().parents[1]
+
+GRANRES_ALL = [
+    "CLAIM_TYPES",
+    "ClaimRecord",
+    "PaymentEvent",
+    "Portfolio",
+    "IngestReport",
+    "RunOffTriangle",
+    "aggregate_triangle",
+    "censor",
+    "ingest_csv",
+    "ingest_csv_report",
+    "write_csv",
+    "parse_iso",
+    "iso",
+    "CopulaSpec",
+    "HacSpec",
+    "OccurrenceModel",
+    "Poisson",
+    "NegativeBinomial",
+    "WeibullDelayModel",
+    "CountProcess",
+    "ExponentialDecay",
+    "PowerDecay",
+    "LogNormalSeverity",
+    "GammaSeverity",
+    "OrderARSeverity",
+    "TypeModel",
+    "GranularModel",
+    "fit_model",
+    "PhaseError",
+    "ValuationWindow",
+    "simulate_reserves",
+    "ReserveDistribution",
+    "reserve_summary",
+    "backtest",
+    "BacktestResult",
+    "chain_ladder_reserve",
+    "default_lookback",
+    "ibnr_simulate",
+    "hac_sample",
+    "synthesize",
+    "default_model",
+]
+
+# the names granres.reserving imports from the copula layer
+COPULAS_ALL = [
+    "CopulaSpec",
+    "HacSpec",
+    "conditional_count_quantile",
+    "copula_from_dict",
+    "copula_pairs",
+    "family",
+    "fit_copula",
+    "fit_hac_outer",
+    "hac_from_dict",
+    "hac_sample",
+    "matched_delay_scores",
+]
+
+
+def _scripts():
+    return sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+
+
+def _is_submodule(name):
+    return importlib.util.find_spec(f"granres.{name}") is not None
+
+
+def _attribute_chain(node):
+    """['granres', 'reserving', 'hac_sample'] for granres.reserving.hac_sample."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return [node.id] + parts[::-1]
+    return []
+
+
+def _tuple_table(tree, name):
+    """The leading string fields of each row of a module-level tuple table."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return [
+                tuple(e.value for e in row.elts if isinstance(e, ast.Constant))
+                for row in node.value.elts
+            ]
+    raise AssertionError(f"no {name} table")
+
+
+def test_exports_are_pinned():
+    assert granres.__all__ == GRANRES_ALL
+    assert sorted(granres.copulas.__all__) == sorted(COPULAS_ALL)
+    assert len(granres.__all__) == len(set(granres.__all__))
+
+
+def test_every_export_resolves():
+    for mod in (granres, granres.copulas):
+        for name in mod.__all__:
+            assert getattr(mod, name) is not None, name
+
+
+def test_bench_and_demos_use_only_exported_names():
+    for path in _scripts():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "granres":
+                for alias in node.names:
+                    assert alias.name in granres.__all__, (path.name, alias.name)
+            chain = _attribute_chain(node) if isinstance(node, ast.Attribute) else []
+            if len(chain) < 2 or chain[0] != "granres":
+                continue
+            if _is_submodule(chain[1]):
+                # a submodule attribute such as granres.reserving.hac_sample
+                obj = importlib.import_module(f"granres.{chain[1]}")
+                for attr in chain[2:]:
+                    assert hasattr(obj, attr), (path.name, ".".join(chain))
+                    obj = getattr(obj, attr)
+            else:
+                assert chain[1] in granres.__all__, (path.name, ".".join(chain))
+
+
+def test_tracer_targets_exist():
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    for modname, attr, *_ in _tuple_table(tree, "PATCHES"):
+        assert hasattr(importlib.import_module(modname), attr), (modname, attr)
+    for name, _label in _tuple_table(tree, "API"):
+        assert name in granres.__all__, name

@@ -16,9 +16,9 @@ from granres import (
     ingest_csv,
     ingest_csv_report,
     parse_iso,
-    split_rbns_ibnr,
     write_csv,
 )
+from granres.claims import split_rbns_ibnr
 
 
 def _claim(cid, ctype, acc, rep, pays=()):
@@ -92,6 +92,20 @@ def test_csv_round_trip(small_portfolio):
     back = ingest_csv(buf.getvalue(), cutoff=small_portfolio.data_cutoff)
     assert back.claims == small_portfolio.claims
     assert back.data_cutoff == small_portfolio.data_cutoff
+
+
+def test_csv_round_trip_through_path_objects(small_portfolio, tmp_path):
+    # str and os.PathLike destinations are opened and closed by the call
+    path = tmp_path / "portfolio.csv"
+    write_csv(small_portfolio, path)
+    for source in (path, str(path)):
+        back = ingest_csv(source, cutoff=small_portfolio.data_cutoff)
+        assert back.claims == small_portfolio.claims
+        again, report = ingest_csv_report(source)
+        assert again.claims == small_portfolio.claims and report.rejected_rows == 0
+    tri = tmp_path / "triangle.csv"
+    aggregate_triangle(small_portfolio).to_csv(tri)
+    assert tri.read_text().splitlines()[0] == "origin,dev_0,dev_1"
 
 
 def test_paymentless_claim_survives_round_trip(small_portfolio):

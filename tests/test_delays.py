@@ -7,19 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from granres import (
-    ClaimRecord,
+from granres import ClaimRecord, Portfolio, WeibullDelayModel
+from granres.daycount import year_start
+from granres.delays import (
     EmpiricalDelayModel,
-    Portfolio,
-    WeibullDelayModel,
     delay_cdf,
     delay_density,
     delay_model_from_dict,
     delay_quantile,
     fit_delay,
-    simulate_delay,
 )
-from granres.daycount import year_start
 
 
 def test_weibull_cdf_closed_form_and_quantile_roundtrip():
@@ -58,7 +55,7 @@ def test_weibull_fit_recovers_truth_from_day_censored_delays():
     truth = WeibullDelayModel(1.5, 3.0, -0.05)
     rng = np.random.default_rng(31)
     acc = rng.integers(0, 2192, 20_000)
-    w = np.array([truth.sample(int(t), rng) for t in acc])
+    w = delay_quantile(truth, acc, rng.random(acc.size))
     rep = acc + np.floor(w).astype(int)
     claims = [
         ClaimRecord(f"c{i}", "material_damage", int(a), int(r))
@@ -171,19 +168,19 @@ def test_vectorized_helpers_dispatch_per_year():
 
 
 def test_simulate_delay_shapes_and_determinism():
+    # a delay is drawn as the quantile at a uniform, one double per claim
     wb = WeibullDelayModel(1.2, math.log(15.0), 0.0)
-    a = simulate_delay(wb, 100, np.random.default_rng(5))
-    b = simulate_delay(wb, 100, np.random.default_rng(5))
-    assert np.isscalar(a) or a.shape == ()
+    a = delay_quantile(wb, 100, np.random.default_rng(5).random())
+    b = delay_quantile(wb, 100, np.random.default_rng(5).random())
+    assert a.shape == ()
     assert a == b
-    arr = simulate_delay(wb, 100, np.random.default_rng(5), size=50)
+    arr = delay_quantile(wb, np.full(50, 100), np.random.default_rng(5).random(50))
     assert arr.shape == (50,) and np.all(arr >= 0)
+    assert arr[0] == a
 
     emp = EmpiricalDelayModel({2000: np.array([3.0, 7.0])})
-    one = simulate_delay(emp, 10, np.random.default_rng(1))
-    assert isinstance(one, float) and one in (3.0, 7.0)
-    many = simulate_delay(emp, 10, np.random.default_rng(1), size=200)
-    assert set(np.unique(many)) == {3.0, 7.0}
+    many = delay_quantile(emp, np.full(200, 10), np.random.default_rng(1).random(200))
+    assert many.dtype == float and set(np.unique(many)) == {3.0, 7.0}
 
 
 def test_delay_dict_round_trips():

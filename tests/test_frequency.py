@@ -6,19 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from granres import (
-    ClaimRecord,
-    NegativeBinomial,
-    OccurrenceModel,
-    Poisson,
-    Portfolio,
+from granres import ClaimRecord, NegativeBinomial, OccurrenceModel, Poisson, Portfolio
+from granres.frequency import (
     ZeroModified,
     date_differences,
+    dist_from_dict,
     fit_count_mle,
     fit_occurrence,
     simulate_arrivals,
 )
-from granres.frequency import dist_from_dict
 
 
 def test_poisson_pmf_closed_form():

@@ -15,11 +15,12 @@ from granres import (
     PaymentEvent,
     Portfolio,
     WeibullDelayModel,
+)
+from granres.copulas.mixed import (
     conditional_count_quantile,
     copula_pairs,
     fit_copula,
     mixed_density,
-    simulate_delay_count,
     sklar_joint_cdf,
 )
 from granres.delays import delay_density, delay_quantile
@@ -85,8 +86,12 @@ def test_independence_count_quantile_equals_the_cdf_search(proc):
 
 
 def test_coupled_simulation_preserves_both_margins():
+    # the engine's coupled draw: the delay at a uniform u, then the count
+    # quantile conditional on u
     rng = np.random.default_rng(8)
-    w, n = simulate_delay_count(DELAY, PROC, CLAY2, 1000, 2.0, rng, size=20_000)
+    u = rng.random(20_000)
+    w = np.floor(delay_quantile(DELAY, np.full(u.size, 1000), u)).astype(np.int64)
+    n = conditional_count_quantile(u, rng.random(u.size), 2.0, PROC, CLAY2)
     lam = float(PROC.intensity.cumulative(2.0))
     z_mean = (n.mean() - lam) / np.sqrt(lam / n.size)
     assert abs(z_mean) < 4.0
@@ -101,12 +106,16 @@ def test_coupled_simulation_preserves_both_margins():
 
 
 def test_simulate_delay_count_scalar_and_vector():
-    one = simulate_delay_count(DELAY, PROC, CLAY2, 1000, 2.0, np.random.default_rng(4))
-    assert isinstance(one[0], int) and isinstance(one[1], int)
-    w, n = simulate_delay_count(DELAY, PROC, CLAY2, 1000, 2.0, np.random.default_rng(4), size=7)
-    assert w.shape == (7,) and n.shape == (7,)
-    assert w.dtype == np.int64 and n.dtype == np.int64
-    assert np.all(w >= 0) and np.all(n >= 0)
+    for size in (1, 7):
+        rng = np.random.default_rng(4)
+        u = rng.random(size)
+        w = np.floor(delay_quantile(DELAY, np.full(size, 1000), u)).astype(np.int64)
+        n = conditional_count_quantile(u, rng.random(size), 2.0, PROC, CLAY2)
+        assert w.shape == (size,) and n.shape == (size,)
+        assert n.dtype == np.int64
+        assert np.all(w >= 0) and np.all(n >= 0)
+    # a scalar score gives a one-element count array
+    assert conditional_count_quantile(0.5, 0.5, 2.0, PROC, CLAY2).shape == (1,)
 
 
 def test_copula_pairs_hand_case():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from granres import DAYS_PER_YEAR, CountProcess, ExponentialDecay, PowerDecay, fit_intensity
-from granres.payments import intensity_from_dict, total_se
+from granres import CountProcess, ExponentialDecay, PowerDecay
+from granres.daycount import DAYS_PER_YEAR
+from granres.payments import fit_intensity, intensity_from_dict
 from granres.reserving import _place_payments
 
 from helpers import payment_taus
@@ -53,27 +54,14 @@ def test_count_pmf_normalizes_and_cdf_matches():
     assert proc.count_pmf(0.0, 3) == 0.0
 
 
-def test_increment_pmf_window_and_errors():
-    proc = CountProcess(PowerDecay(2.0, 2.0))
-    lam = proc.intensity.cumulative(2.0) - proc.intensity.cumulative(0.5)
-    n = np.arange(0, 40)
-    pmf = proc.increment_pmf(0.5, 2.0, n)
-    assert_allclose(pmf.sum(), 1.0, atol=1e-12)
-    assert_allclose(pmf[0], np.exp(-lam), rtol=1e-13)
-    assert proc.increment_pmf(1.0, 1.0, 0) == 1.0
-    assert proc.increment_pmf(1.0, 1.0, 2) == 0.0
-    with pytest.raises(ValueError, match="tau1 <= tau2"):
-        proc.increment_logpmf(2.0, 1.0, 0)
-
-
 def test_count_cdf_time_derivative_matches_finite_differences():
     for proc in (CountProcess(ExponentialDecay(3.0, 1.2)), CountProcess(PowerDecay(3.0, 2.5))):
         tau, h = 1.3, 1e-5
         for n in (0, 2, 4, 9):
             fd = (proc.count_cdf(tau + h, n) - proc.count_cdf(tau - h, n)) / (2 * h)
-            assert_allclose(proc.dq_dtau(tau, n), fd, atol=1e-9)
-            assert proc.dq_dtau(tau, n) <= 0.0
-        assert proc.dq_dtau(tau, -1) == 0.0
+            # dQ_tau(n)/dtau = -rate(tau) * P[N(tau) = n]
+            assert_allclose(-proc.intensity.rate(tau) * proc.count_pmf(tau, n), fd, atol=1e-9)
+            assert fd <= 0.0
 
 
 def test_placed_payments_have_poisson_counts():
@@ -121,7 +109,7 @@ def test_exponential_fit_recovers_truth():
     fit = fit_intensity(taus, hz, "exponential")
     assert abs(fit.intensity.lam0 - 3.0) < 3 * fit.se["lam0"]
     assert abs(fit.intensity.beta - 2.0) < 3 * fit.se["beta"]
-    assert np.isfinite(total_se(fit))
+    assert len(fit.cov) == 2 and np.all(np.isfinite(fit.cov))
 
 
 def test_power_fit_recovers_truth():
@@ -163,15 +151,7 @@ def test_fit_at_bound_warns_and_flags_se():
     with pytest.warns(UserWarning, match="parameter bound"):
         fit = fit_intensity([[1e-6]] * 5, [10.0] * 5, "exponential")
     assert np.isnan(fit.se["lam0"]) and np.isnan(fit.se["beta"])
-    assert np.isnan(total_se(fit))
-
-
-def test_total_se_delta_method():
-    cp = CountProcess(ExponentialDecay(2.0, 1.0), cov=((1.0, 0.0), (0.0, 1.0)))
-    assert_allclose(total_se(cp), np.sqrt(5.0), rtol=1e-13)
-    cp = CountProcess(PowerDecay(3.0, 2.0), cov=((1.0, 0.0), (0.0, 1.0)))
-    assert_allclose(total_se(cp), np.sqrt(10.0), rtol=1e-13)
-    assert np.isnan(total_se(CountProcess(ExponentialDecay(1.0, 1.0))))
+    assert fit.cov == ()
 
 
 def test_count_process_dict_round_trip():

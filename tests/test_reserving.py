@@ -29,15 +29,14 @@ from granres import (
     default_lookback,
     default_model,
     fit_model,
-    ibnr_count_conditional,
     ibnr_simulate,
     parse_iso,
-    reporting_prob_window,
     reserve_summary,
     simulate_reserves,
     synthesize,
 )
 from granres.delays import EmpiricalDelayModel, delay_density
+from granres.reserving import ibnr_count_conditional, reporting_prob_window
 from granres.severity import LogNormalSeverity, OrderARSeverity
 
 WIN = ValuationWindow(6209, 6574)  # 2016-12-31 to 2017-12-31

@@ -12,14 +12,16 @@ from granres import (
     OrderARSeverity,
     PaymentEvent,
     Portfolio,
+)
+from granres.severity import (
     amount_sequences,
+    fit_gamma,
+    fit_lognormal,
+    fit_order_ar,
     fit_severity,
-    normal_scores,
-    repeated_amounts,
     severity_from_dict,
     simulate_amounts,
 )
-from granres.severity import fit_gamma, fit_lognormal, fit_order_ar, order_pairs
 
 
 def test_lognormal_logpdf_matches_scipy():
@@ -90,23 +92,23 @@ def test_alpha_order_mapping():
 
 def test_noiseless_chain_is_geometric():
     m = OrderARSeverity(LogNormalSeverity(4.0, 0.3), (0.5,), 0.0)
-    chain = m.simulate_chain(4, np.random.default_rng(3))
+    chain = simulate_amounts(m, np.array([4]), np.random.default_rng(3))
     assert_allclose(chain[1:], chain[0] * np.array([0.5, 0.25, 0.125]), rtol=1e-12)
     # zero coefficient with zero noise lands on the floor
     z = OrderARSeverity(LogNormalSeverity(4.0, 0.3), (0.0,), 0.0, floor=0.01)
-    chain = z.simulate_chain(3, np.random.default_rng(3))
+    chain = simulate_amounts(z, np.array([3]), np.random.default_rng(3))
     assert_array_equal(chain[1:], [0.01, 0.01])
 
 
 def test_simulate_flat_is_claim_major():
     m = OrderARSeverity(LogNormalSeverity(2.0, 0.4), (1.0,), 0.0)
     counts = np.array([3, 1, 2])
-    flat = m.simulate_flat(counts, np.random.default_rng(9))
+    flat = simulate_amounts(m, counts, np.random.default_rng(9))
     assert flat.shape == (6,)
     assert_allclose(flat[0:3], flat[0])  # alpha 1, no noise: constant chain
     assert_allclose(flat[4:6], flat[4])
     assert flat[0] != flat[3] and flat[3] != flat[4]
-    assert m.simulate_flat(np.array([0, 0]), np.random.default_rng(9)).size == 0
+    assert simulate_amounts(m, np.array([0, 0]), np.random.default_rng(9)).size == 0
 
 
 def test_continue_flat_deterministic_history():
@@ -124,7 +126,7 @@ def test_base_innovation_reduces_to_iid():
     red = OrderARSeverity(LogNormalSeverity(1.0, 0.5), (0.0,), 0.0, innovation="base")
     rng = np.random.default_rng(42)
     counts = rng.integers(1, 5, 2000)
-    flat = red.simulate_flat(counts, rng)
+    flat = simulate_amounts(red, counts, rng)
     p = stats.kstest(flat, "lognorm", args=(0.5, 0, np.exp(1.0))).pvalue
     assert p > 0.01
 
@@ -138,7 +140,7 @@ def test_fit_order_ar_recovers_coefficients():
     truth = OrderARSeverity(LogNormalSeverity(3.0, 0.4), (0.6, 0.4), 2.0)
     rng = np.random.default_rng(27)
     counts = rng.integers(1, 6, 3000)
-    flat = truth.simulate_flat(counts, rng)
+    flat = simulate_amounts(truth, counts, rng)
     seqs, pos = [], 0
     for c in counts:
         seqs.append(flat[pos : pos + c])
@@ -198,42 +200,6 @@ def test_simulate_amounts_dispatches():
     chain = OrderARSeverity(iid, (0.5,), 0.0)
     out = simulate_amounts(chain, np.array([2, 3]), np.random.default_rng(1))
     assert out.shape == (5,) and np.all(out > 0)
-
-
-def test_normal_scores_are_probit_ranks():
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal(1000)
-    s = normal_scores(x)
-    assert stats.kstest(s, "norm").pvalue > 0.01
-    assert_allclose(np.sort(s) + np.sort(s)[::-1], 0.0, atol=1e-9)  # symmetric grid
-    assert_array_equal(np.argsort(s), np.argsort(x))
-
-
-def test_order_pairs_extraction():
-    seqs = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0]), np.array([6.0])]
-    x, y = order_pairs(seqs, 1, 2)
-    assert_array_equal(x, [1.0, 4.0])
-    assert_array_equal(y, [2.0, 5.0])
-    x, y = order_pairs(seqs, 2, 3)
-    assert_array_equal(x, [2.0])
-    assert_array_equal(y, [3.0])
-    x, y = order_pairs(seqs, 5, 6)
-    assert x.size == 0 and y.size == 0
-    with pytest.raises(ValueError, match="orders start at 1"):
-        order_pairs(seqs, 0, 1)
-
-
-def test_repeated_amounts_report():
-    claims = []
-    amounts = [100.0] * 25 + [50.0] * 21 + [75.0] * 3 + [99.999] * 2
-    for i, amt in enumerate(amounts):
-        claims.append(
-            ClaimRecord(f"c{i}", "material_damage", 10, 12, (PaymentEvent(20, amt),))
-        )
-    port = Portfolio(claims, 100)
-    hits = repeated_amounts(port, min_count=21)
-    assert hits == [(100.0, 27), (50.0, 21)]  # 99.999 rounds into the 100.00 bucket
-    assert repeated_amounts(port, min_count=30) == []
 
 
 def test_severity_dict_round_trips():
