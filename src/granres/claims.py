@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import os
 import sys
@@ -25,12 +26,8 @@ import numpy as np
 from .daycount import iso, parse_iso, year_of
 
 CLAIM_TYPES = ("bodily_injury", "material_damage")
-_TYPE_ALIASES = {
-    "bodily_injury": "bodily_injury",
-    "bodilyinjury": "bodily_injury",
-    "material_damage": "material_damage",
-    "materialdamage": "material_damage",
-}
+# each type's name, also without its underscore
+_TYPE_ALIASES = {a: t for t in CLAIM_TYPES for a in (t, t.replace("_", ""))}
 _HEADER = ["claim_id", "claim_type", "accident_date", "reporting_date", "payment_date", "amount"]
 
 
@@ -76,37 +73,148 @@ class ClaimRecord:
         return self.reporting_day - self.accident_day
 
 
-@dataclass(frozen=True)
-class Portfolio:
-    """Immutable collection of claims with a data cutoff day.
+_COLUMNS = ("claim_ids", "type_codes", "accident_days", "reporting_days")
+_PAYMENTS = ("pay_ptr", "pay_days", "pay_amounts")
 
-    Claims are ordered by (accident_day, claim_id) so that downstream output is
-    reproducible regardless of input row order.
+
+def _type_codes(claim_types) -> np.ndarray:
+    """Codes into CLAIM_TYPES from type names or from codes; unknown ones raise."""
+    values = np.asarray(claim_types).reshape(-1)
+    known = np.arange(len(CLAIM_TYPES)) if values.dtype.kind in "iu" else CLAIM_TYPES
+    match = values[:, None] == np.asarray(known)
+    bad = ~match.any(axis=1)
+    if bad.any():
+        raise ValueError(f"unknown claim_type {values[bad][0].item()!r}")
+    return match.argmax(axis=1).astype(np.int8)
+
+
+def records_from_columns(ids, codes, accident, reporting, counts, days, amounts) -> list:
+    """ClaimRecords, in column order, from claim columns and the payments
+    listed claim by claim, counts[i] of them for claim i."""
+    days, amounts = np.asarray(days).tolist(), np.asarray(amounts).tolist()
+    bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64))).tolist()
+    rows = (np.asarray(x).tolist() for x in (ids, codes, accident, reporting))
+    return [
+        ClaimRecord(
+            cid, CLAIM_TYPES[k], t, r, tuple(map(PaymentEvent, days[i:j], amounts[i:j]))
+        )
+        for cid, k, t, r, i, j in zip(*rows, bounds, bounds[1:])
+    ]
+
+
+class Portfolio:
+    """Immutable claim data with a data cutoff day, stored as columns.
+
+    Per claim: claim_ids (str), type_codes (int8 codes into CLAIM_TYPES),
+    accident_days and reporting_days (int64). Payments in CSR form: claim
+    i's payments are pay_days[pay_ptr[i]:pay_ptr[i + 1]] (int64) and the
+    pay_amounts (float64) at the same positions; pay_owner holds the claim
+    index of each payment.
+
+    Claims are ordered by (accident_day, claim_id) so that downstream output
+    is reproducible regardless of input row order; a claim whose payment
+    days step back has its payments sorted by (day, amount), as ClaimRecord
+    sorts them. `claims` is a ClaimRecord view built on first use.
     """
 
-    claims: tuple[ClaimRecord, ...]
-    data_cutoff: int
+    def __init__(self, claims, data_cutoff):
+        claims = tuple(claims)
+        fields = ("claim_id", "claim_type", "accident_day", "reporting_day")
+        columns = [[getattr(c, name) for c in claims] for name in fields]
+        pays = [p for c in claims for p in c.payments]
+        counts = [len(c.payments) for c in claims]
+        days, amounts = [p.day for p in pays], [p.amount for p in pays]
+        self._fill(*columns, counts, days, amounts, data_cutoff)
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.claims, key=lambda c: (c.accident_day, c.claim_id)))
-        object.__setattr__(self, "claims", ordered)
-        for c in self.claims:
-            last = max([c.reporting_day] + [p.day for p in c.payments])
-            if last > self.data_cutoff:
-                raise ValueError(
-                    f"claim {c.claim_id}: date {last} beyond data cutoff {self.data_cutoff}"
-                )
+    @classmethod
+    def _from_columns(cls, *columns) -> "Portfolio":
+        """The one constructor from arrays; takes the arguments of _fill."""
+        self = cls.__new__(cls)
+        self._fill(*columns)
+        return self
+
+    def _fill(self, ids, claim_types, accident, reporting, counts, days, amounts, cutoff):
+        """Sort, check and store the columns; claim_types are names or codes,
+        counts[i] is the number of claim i's payments in days and amounts."""
+        ids, codes = np.asarray(ids, dtype=str), _type_codes(claim_types)
+        acc, rep = np.asarray(accident, np.int64), np.asarray(reporting, np.int64)
+        counts = np.asarray(counts, np.int64)
+        days, amounts = np.asarray(days, np.int64), np.asarray(amounts, float)
+        step = np.diff(acc)
+        if not np.all((step > 0) | ((step == 0) & (ids[1:] >= ids[:-1]))):
+            order = np.lexsort((ids, acc))
+            take = np.argsort(np.repeat(np.argsort(order), counts), kind="stable")
+            ids, codes, acc, rep, counts = (x[order] for x in (ids, codes, acc, rep, counts))
+            days, amounts = days[take], amounts[take]
+        owner = np.repeat(np.arange(ids.size), counts)
+        # ClaimRecord's rule: only a claim whose days step back is re-sorted
+        back = owner[1:][(days[1:] < days[:-1]) & (owner[1:] == owner[:-1])]
+        if back.size:
+            sel = np.flatnonzero(np.isin(owner, back))
+            take = np.arange(days.size)
+            take[sel] = sel[np.lexsort((amounts[sel], days[sel], owner[sel]))]
+            days, amounts = days[take], amounts[take]
+
+        cutoff = int(cutoff)
+        if np.any(rep < acc):
+            i = np.flatnonzero(rep < acc)[0]
+            raise ValueError(
+                f"claim {ids[i]}: reporting day {rep[i]} before accident day {acc[i]}"
+            )
+        if np.any(days < rep[owner]):
+            i = owner[np.flatnonzero(days < rep[owner])[0]]
+            raise ValueError(f"claim {ids[i]}: payment before reporting day")
+        if np.any(amounts == 0.0):
+            raise ValueError("payment amount must be nonzero")
+        last = rep.copy()
+        np.maximum.at(last, owner, days)
+        if np.any(last > cutoff):
+            i = np.flatnonzero(last > cutoff)[0]
+            raise ValueError(f"claim {ids[i]}: date {last[i]} beyond data cutoff {cutoff}")
+
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        columns = (ids, codes, acc, rep, ptr, days, amounts, owner)
+        for name, column in zip(_COLUMNS + _PAYMENTS + ("pay_owner",), columns):
+            column = column.view()
+            column.flags.writeable = False
+            setattr(self, name, column)
+        self.data_cutoff = cutoff
+
+    @functools.cached_property
+    def claims(self) -> tuple[ClaimRecord, ...]:
+        payments = (np.diff(self.pay_ptr), self.pay_days, self.pay_amounts)
+        return tuple(records_from_columns(*(getattr(self, k) for k in _COLUMNS), *payments))
+
+    def _select(self, keep, pay_keep=True, data_cutoff=None) -> "Portfolio":
+        """The claims where keep holds, with their payments where pay_keep holds."""
+        pays = keep[self.pay_owner] & pay_keep
+        return Portfolio._from_columns(
+            *(getattr(self, k)[keep] for k in _COLUMNS),
+            np.bincount(self.pay_owner[pays], minlength=len(self))[keep],
+            self.pay_days[pays],
+            self.pay_amounts[pays],
+            self.data_cutoff if data_cutoff is None else data_cutoff,
+        )
 
     def __len__(self):
-        return len(self.claims)
+        return self.claim_ids.size
 
-    def by_type(self, claim_type: str) -> tuple[ClaimRecord, ...]:
-        return tuple(c for c in self.claims if c.claim_type == claim_type)
+    def __eq__(self, other):
+        if not isinstance(other, Portfolio):
+            return NotImplemented
+        return self.data_cutoff == other.data_cutoff and all(
+            np.array_equal(getattr(self, k), getattr(other, k))
+            for k in _COLUMNS + _PAYMENTS
+        )
+
+    def by_type(self, *claim_types: str) -> "Portfolio":
+        """The sub-portfolio of the claims of the given types."""
+        codes = [k for k, name in enumerate(CLAIM_TYPES) if name in claim_types]
+        return self._select(np.isin(self.type_codes, codes))
 
     @property
     def claim_types(self) -> tuple[str, ...]:
-        present = {c.claim_type for c in self.claims}
-        return tuple(t for t in CLAIM_TYPES if t in present)
+        return tuple(CLAIM_TYPES[k] for k in np.unique(self.type_codes).tolist())
 
 
 @dataclass
@@ -163,6 +271,10 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
         report.messages.append(msg)
         print(msg, file=diag)
 
+    def reject(msg):
+        note(f"line {lineno}: {msg} (row rejected)")
+        report.rejected_rows += 1
+
     with _text_stream(source, "r") as stream:
         reader = csv.reader(stream)
         try:
@@ -183,32 +295,24 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
                 continue
             report.rows += 1
             if len(row) != 6:
-                note(f"line {lineno}: expected 6 fields, got {len(row)} (row rejected)")
-                report.rejected_rows += 1
+                reject(f"expected 6 fields, got {len(row)}")
                 continue
             cid, ctype_raw, acc_s, rep_s, pay_s, amt_s = (f.strip() for f in row)
             ctype = _TYPE_ALIASES.get(ctype_raw.replace(" ", "_").lower())
             if not cid:
-                note(f"line {lineno}: empty claim_id (row rejected)")
-                report.rejected_rows += 1
+                reject("empty claim_id")
                 continue
             if ctype is None:
-                note(f"line {lineno}: unknown claim_type {ctype_raw!r} (row rejected)")
-                report.rejected_rows += 1
+                reject(f"unknown claim_type {ctype_raw!r}")
                 continue
             try:
                 acc = parse_iso(acc_s)
                 rep = parse_iso(rep_s)
             except ValueError:
-                note(f"line {lineno}: malformed date (row rejected)")
-                report.rejected_rows += 1
+                reject("malformed date")
                 continue
             if rep < acc:
-                note(
-                    f"line {lineno}: reporting_date {rep_s} before accident_date "
-                    f"{acc_s} (row rejected)"
-                )
-                report.rejected_rows += 1
+                reject(f"reporting_date {rep_s} before accident_date {acc_s}")
                 continue
 
             key = (cid, ctype, acc, rep, pay_s, amt_s)
@@ -225,24 +329,18 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
                     pay = parse_iso(pay_s)
                     amt = float(amt_s)
                 except ValueError:
-                    note(f"line {lineno}: malformed payment fields (row rejected)")
-                    report.rejected_rows += 1
+                    reject("malformed payment fields")
                     continue
                 if pay < rep:
-                    note(
-                        f"line {lineno}: payment_date {pay_s} before reporting_date "
-                        f"{rep_s} (row rejected)"
-                    )
-                    report.rejected_rows += 1
+                    reject(f"payment_date {pay_s} before reporting_date {rep_s}")
                     continue
                 if amt == 0.0:
-                    note(f"line {lineno}: zero amount (row rejected)")
-                    report.rejected_rows += 1
+                    reject("zero amount")
                     continue
                 if amt < 0.0:
                     note(f"line {lineno}: negative amount {amt_s} for claim {cid} (kept, flagged)")
                     report.negative_amounts += 1
-                event = PaymentEvent(pay, amt)
+                event = (pay, amt)
 
             rec = pending.setdefault(
                 cid, {"type": ctype, "acc": acc, "rep": rep, "pays": []}
@@ -258,66 +356,53 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
 
             if event is not None:
                 rec["pays"].append(event)
-                max_day = event.day if max_day is None else max(max_day, event.day)
+                max_day = pay if max_day is None else max(max_day, pay)
             max_day = rep if max_day is None else max(max_day, rep)
 
-        claims = []
-        for cid, rec in pending.items():
-            if cid in bad_claims:
-                report.rejected_claims += 1
-                continue
-            claims.append(
-                ClaimRecord(cid, rec["type"], rec["acc"], rec["rep"], tuple(rec["pays"]))
-            )
-        report.claims = len(claims)
-
-        if cutoff is None:
-            cutoff = max_day if max_day is not None else 0
-        p = Portfolio(tuple(claims), int(cutoff))
-        return p, report
+    report.rejected_claims = len(bad_claims)
+    kept = [(cid, rec) for cid, rec in pending.items() if cid not in bad_claims]
+    report.claims = len(kept)
+    pays = [e for _, rec in kept for e in rec["pays"]]
+    if cutoff is None:
+        cutoff = max_day if max_day is not None else 0
+    portfolio = Portfolio._from_columns(
+        [cid for cid, _ in kept],
+        [rec["type"] for _, rec in kept],
+        [rec["acc"] for _, rec in kept],
+        [rec["rep"] for _, rec in kept],
+        [len(rec["pays"]) for _, rec in kept],
+        [day for day, _ in pays],
+        [amount for _, amount in pays],
+        cutoff,
+    )
+    return portfolio, report
 
 
 def write_csv(portfolio: Portfolio, dest) -> None:
     """Inverse of ingest_csv: one row per payment, a marker row for paymentless claims."""
+    n_pays = np.diff(portfolio.pay_ptr)
+    owner = np.repeat(np.arange(len(portfolio)), np.maximum(n_pays, 1))
+    paid = n_pays[owner] > 0
+    day, amount = np.full((2, owner.size), "", dtype=object)
+    day[paid] = iso(portfolio.pay_days)
+    amount[paid] = [f"{a:.2f}" for a in portfolio.pay_amounts.tolist()]
+    claim = (
+        portfolio.claim_ids,
+        np.asarray(CLAIM_TYPES)[portfolio.type_codes],
+        iso(portfolio.accident_days),
+        iso(portfolio.reporting_days),
+    )
     with _text_stream(dest, "w") as stream:
         w = csv.writer(stream, lineterminator="\n")
         w.writerow(_HEADER)
-        for c in portfolio.claims:
-            base = [c.claim_id, c.claim_type, iso(c.accident_day), iso(c.reporting_day)]
-            if not c.payments:
-                w.writerow(base + ["", ""])
-            for p in c.payments:
-                w.writerow(base + [iso(p.day), f"{p.amount:.2f}"])
-
-
-def split_rbns_ibnr(portfolio: Portfolio, valuation_day: int):
-    """Split claims at a valuation day.
-
-    Returns (rbns, unreported): rbns claims are reported by the valuation day
-    with payments censored to it; unreported claims have accident on or before
-    the valuation day but a later reporting day. Claims with accident after the
-    valuation day appear in neither.
-    """
-    a = int(valuation_day)
-    rbns = []
-    unreported = []
-    for c in portfolio.claims:
-        if c.accident_day > a:
-            continue
-        if c.reporting_day <= a:
-            kept = tuple(p for p in c.payments if p.day <= a)
-            rbns.append(
-                ClaimRecord(c.claim_id, c.claim_type, c.accident_day, c.reporting_day, kept)
-            )
-        else:
-            unreported.append(c)
-    return tuple(rbns), tuple(unreported)
+        w.writerows(zip(*(c[owner].tolist() for c in claim), day.tolist(), amount.tolist()))
 
 
 def censor(portfolio: Portfolio, valuation_day: int) -> Portfolio:
-    """The portfolio as it would have been observed at valuation_day."""
-    rbns, _ = split_rbns_ibnr(portfolio, valuation_day)
-    return Portfolio(rbns, int(valuation_day))
+    """The portfolio as it would have been observed at valuation_day: the
+    claims reported by then, with their payments made by then."""
+    a = int(valuation_day)
+    return portfolio._select(portfolio.reporting_days <= a, portfolio.pay_days <= a, a)
 
 
 @dataclass(frozen=True)
@@ -359,25 +444,19 @@ def aggregate_triangle(portfolio: Portfolio, granularity: int = 1) -> RunOffTria
     """
     if granularity < 1:
         raise ValueError("granularity must be a positive integer (years)")
-    if not portfolio.claims:
+    if not len(portfolio):
         raise ValueError("empty portfolio: nothing to aggregate")
-    acc_years = np.array([year_of(c.accident_day) for c in portfolio.claims])
+    acc_years = year_of(portfolio.accident_days)
     y0 = int(acc_years.min())
     cutoff_year = year_of(portfolio.data_cutoff)
     n_origin = (cutoff_year - y0) // granularity + 1
-    n_dev = n_origin
-    inc = np.zeros((n_origin, n_dev))
-    for c, ay in zip(portfolio.claims, acc_years):
-        i = (ay - y0) // granularity
-        origin_year = y0 + i * granularity
-        for p in c.payments:
-            j = (year_of(p.day) - origin_year) // granularity
-            inc[i, j] += p.amount
+    origin_years = y0 + np.arange(n_origin) * granularity
+    row = ((acc_years - y0) // granularity)[portfolio.pay_owner]
+    col = (year_of(portfolio.pay_days) - origin_years[row]) // granularity
+    inc = np.zeros((n_origin, n_origin))
+    np.add.at(inc, (row, col), portfolio.pay_amounts)
     cells = np.cumsum(inc, axis=1)
-    for i in range(n_origin):
-        origin_year = y0 + i * granularity
-        for j in range(n_dev):
-            if origin_year + (j + 1) * granularity - 1 > cutoff_year:
-                cells[i, j] = np.nan
-    origins = tuple(y0 + i * granularity for i in range(n_origin))
+    period_end = origin_years[:, None] + (np.arange(n_origin) + 1) * granularity - 1
+    cells[period_end > cutoff_year] = np.nan
+    origins = tuple(origin_years.tolist())
     return RunOffTriangle(origins, granularity, cells)

@@ -109,10 +109,11 @@ def _read_portfolio(cfg) -> Portfolio:
     portfolio, report = ingest_csv_report(path, cutoff=cut_day)
     keep_types = cfg.get("claim_types")
     if keep_types:
-        kept = tuple(c for c in portfolio.claims if c.claim_type in keep_types)
-        if not kept:
+        if isinstance(keep_types, str):
+            keep_types = [keep_types]
+        portfolio = portfolio.by_type(*keep_types)
+        if not len(portfolio):
             raise ConfigError(f"no claims left after claim_types={keep_types}")
-        portfolio = Portfolio(kept, portfolio.data_cutoff)
     if report.rejected_rows:
         print(f"ingest: {report.rejected_rows} rows rejected", file=sys.stderr)
     return portfolio
@@ -144,7 +145,7 @@ def cmd_synth(cfg) -> int:
     truth_path = os.path.join(out, "truth.json")
     _write_json(truth_path, {"model": model.to_dict(), "seed": seed})
     print(f"seed: {seed}")
-    print(f"claims: {len(portfolio.claims)}")
+    print(f"claims: {len(portfolio)}")
     print(f"wrote {csv_path}")
     print(f"wrote {truth_path}")
     return EXIT_OK
@@ -158,7 +159,7 @@ def cmd_fit(cfg) -> int:
     model.save(model_path)
     report_path = os.path.join(out, "fit_report.json")
     _write_json(report_path, report)
-    print(f"claims: {len(portfolio.claims)}")
+    print(f"claims: {len(portfolio)}")
     print(f"wrote {model_path}")
     print(f"wrote {report_path}")
     return EXIT_OK

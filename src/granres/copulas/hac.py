@@ -221,13 +221,13 @@ def matched_delay_scores(portfolio, delay_models, max_gap_days=7):
     types = portfolio.claim_types
     if len(types) < 2:
         raise ValueError("need two claim types for cross-type dependence")
-    claims = [portfolio.by_type(t) for t in types[:2]]
-    days = [np.array([c.accident_day for c in cs], dtype=np.int64) for cs in claims]
-    ia, ib, _, _ = match_days(days[0], days[1], max_gap_days)
+    subs = [portfolio.by_type(t) for t in types[:2]]
+    ia, ib, _, _ = match_days(subs[0].accident_days, subs[1].accident_days, max_gap_days)
     scores = []
-    for ctype, cs, t, idx in zip(types, claims, days, (ia, ib)):
-        w = np.array([cs[i].delay_days() + 0.5 for i in idx], dtype=float)
-        scores.append(delay_cdf(delay_models[ctype], t[idx], w))
+    for ctype, sub, idx in zip(types, subs, (ia, ib)):
+        t = sub.accident_days[idx]
+        w = sub.reporting_days[idx] - t + 0.5
+        scores.append(delay_cdf(delay_models[ctype], t, w))
     return scores[0], scores[1]
 
 

@@ -14,7 +14,7 @@ the w-margin is recovered exactly whatever the copula.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize, stats
@@ -105,14 +105,11 @@ def copula_pairs(portfolio, claim_type=None):
     the number of payments by the cutoff. Claims reported on the cutoff day
     itself carry no count information and are dropped.
     """
-    claims = portfolio.claims if claim_type is None else portfolio.by_type(claim_type)
-    cut = portfolio.data_cutoff
-    t = np.array([c.accident_day for c in claims], dtype=np.int64)
-    w = np.array([c.delay_days() for c in claims], dtype=np.int64)
-    horizon = np.array(
-        [(cut - c.reporting_day) / DAYS_PER_YEAR for c in claims], dtype=float
-    )
-    n = np.array([len(c.payments) for c in claims], dtype=np.int64)
+    sub = portfolio if claim_type is None else portfolio.by_type(claim_type)
+    t = sub.accident_days
+    w = sub.reporting_days - t
+    horizon = (sub.data_cutoff - sub.reporting_days) / DAYS_PER_YEAR
+    n = np.diff(sub.pay_ptr)
     keep = horizon > 0
     return t[keep], w[keep], horizon[keep], n[keep]
 
@@ -198,23 +195,20 @@ def fit_copula(
         )
 
     if family_name == "auto":
-        fits = {nm: static_fit(nm) for nm in FAMILIES}
+        fits, caught = {}, {}
+        for nm in FAMILIES:
+            with warnings.catch_warnings(record=True) as caught[nm]:
+                warnings.simplefilter("always")
+                fits[nm] = static_fit(nm)
         table = {nm: f.aic for nm, f in fits.items()}
         chosen = min(table, key=table.get)
-        base = fits[chosen]
-        base = CopulaFit(
-            base.spec, base.loglik, base.aic, base.n_obs, base.se, table
-        )
+        # the candidates not chosen leave no trace: only the pick's warnings
+        for w in caught[chosen]:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        base = replace(fits[chosen], aic_table=table)
     else:
         base = static_fit(family_name)
-        base = CopulaFit(
-            base.spec,
-            base.loglik,
-            base.aic,
-            base.n_obs,
-            base.se,
-            {family_name: base.aic},
-        )
+        base = replace(base, aic_table={family_name: base.aic})
 
     if not time_varying or base.spec.family == "independence":
         return base

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import datetime as dt
 
+import numpy as np
+
 EPOCH = dt.date(2000, 1, 1)
+_EPOCH64 = np.datetime64(EPOCH, "D")
 DAYS_PER_YEAR = 365.25
 
 
@@ -25,12 +28,19 @@ def parse_iso(text: str) -> int:
     return to_day(dt.date.fromisoformat(text))
 
 
-def iso(day: int) -> str:
-    return to_date(day).isoformat()
+def iso(day):
+    """YYYY-MM-DD of a day number, or an array of them for an array of days."""
+    text = np.datetime_as_string(_EPOCH64 + np.asarray(day, dtype=np.int64))
+    return text if np.ndim(text) else str(text)
 
 
-def year_of(day: int) -> int:
-    return to_date(day).year
+def year_of(day):
+    """Calendar year of a day number, or an int64 array of them for an array."""
+    # the scalar path is the arrival simulator's, once per simulated block
+    if not isinstance(day, (np.ndarray, list, tuple)):
+        return to_date(day).year
+    dates = _EPOCH64 + np.asarray(day, dtype=np.int64)
+    return dates.astype("datetime64[Y]").astype(np.int64) + 1970
 
 
 def year_start(year: int) -> int:

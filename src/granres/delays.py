@@ -125,7 +125,7 @@ def _per_year(model, t, values, method):
     """Evaluate a per-cohort method over vector accident days, grouped by year."""
     t = np.atleast_1d(np.asarray(t))
     values = np.broadcast_to(np.asarray(values, dtype=float), t.shape)
-    years = np.array([year_of(int(d)) for d in t.ravel()]).reshape(t.shape)
+    years = year_of(t)
     out = np.empty(t.shape, dtype=float)
     for y in np.unique(years):
         m = years == y
@@ -190,14 +190,13 @@ def fit_delay(portfolio, variant: str = "weibull_tv", min_cohort: int = 30):
     empirical_cohort: per-accident-year delay samples; cohorts smaller than
     min_cohort merge into the previous year with a warning.
     """
-    claims = portfolio.claims
-    if len(claims) < 100:
-        raise ValueError(f"need at least 100 reported claims, got {len(claims)}")
-    t_days = np.array([c.accident_day for c in claims], dtype=float)
-    w_days = np.array([float(c.delay_days()) for c in claims])
+    if len(portfolio) < 100:
+        raise ValueError(f"need at least 100 reported claims, got {len(portfolio)}")
+    t_days = portfolio.accident_days.astype(float)
+    w_days = (portfolio.reporting_days - portfolio.accident_days).astype(float)
+    years = year_of(portfolio.accident_days)
 
     if variant == "empirical_cohort":
-        years = np.array([year_of(int(d)) for d in t_days])
         cohorts = {}
         pending_years, pending = [], []
         for y in sorted(set(years.tolist())):
@@ -234,7 +233,7 @@ def fit_delay(portfolio, variant: str = "weibull_tv", min_cohort: int = 30):
         raise ValueError(f"unknown delay variant {variant!r}")
 
     t_years = t_days / 365.25
-    single_year = len({year_of(int(d)) for d in t_days}) == 1
+    single_year = np.unique(years).size == 1
     if single_year:
         warnings.warn(
             "single accident year: delay trend c1 not identifiable, fixed to 0",

@@ -255,15 +255,9 @@ def date_differences(portfolio):
     """
     out = {}
     for ctype in portfolio.claim_types:
-        days = sorted(c.accident_day for c in portfolio.by_type(ctype))
-        prev = 0
-        years = []
-        gaps = []
-        for d in days:
-            years.append(year_of(prev))
-            gaps.append(d - prev)
-            prev = d
-        out[ctype] = (np.asarray(years), np.asarray(gaps, dtype=np.int64))
+        days = portfolio.by_type(ctype).accident_days  # ascending
+        prev = np.concatenate(([0], days[:-1]))
+        out[ctype] = (year_of(prev), days - prev)
     return out
 
 
@@ -307,38 +301,24 @@ def fit_occurrence(portfolio, family: str = "poisson") -> dict:
     diffs = date_differences(portfolio)
     out = {}
     for ctype, (years, gaps) in diffs.items():
-        years, gaps = years[1:], gaps[1:]
-        uniq = sorted(set(years.tolist()))
-        groups = {}
-        carry_years = []
-        for y in uniq:
-            sel = gaps[years == y]
-            carry_years.append(y)
-            if sel.size < 10:
-                continue
-            groups[tuple(carry_years)] = np.concatenate(
-                [gaps[years == cy] for cy in carry_years]
-            )
-            carry_years = []
-        if carry_years:  # trailing small cohort joins the previous group
-            keys = list(groups)
-            if keys:
-                last = keys[-1]
-                merged = tuple(list(last) + carry_years)
-                groups[merged] = np.concatenate(
-                    [groups.pop(last)] + [gaps[years == cy] for cy in carry_years]
-                )
-            else:
-                groups[tuple(carry_years)] = gaps
+        years, gaps = years[1:], gaps[1:]  # ascending years
+        groups, carry = [], ()
+        for y in np.unique(years).tolist():
+            carry += (y,)
+            if np.count_nonzero(years == y) >= 10:
+                groups.append(carry)
+                carry = ()
+        if carry:  # trailing small cohort joins the previous group
+            groups = groups[:-1] + [(groups[-1] if groups else ()) + carry]
 
         by_year = {}
-        for ys, sel in groups.items():
+        for ys in groups:
             if len(ys) > 1:
                 warnings.warn(
                     f"{ctype}: occurrence years {ys} merged (fewer than 10 gaps)",
                     stacklevel=2,
                 )
-            fit = fit_count_mle(sel, family)
+            fit = fit_count_mle(gaps[np.isin(years, ys)], family)
             for y in ys:
                 by_year[y] = fit.dist
         out[ctype] = OccurrenceModel(family, by_year)

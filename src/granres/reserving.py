@@ -7,7 +7,7 @@ claim's horizon, payment placement and amounts. It has three views:
 
 * synth.synthesize: arrivals on [start, end], every claim that reports by
   end kept, horizon end; the observed history.
-* _ibnr_draw (and ibnr_simulate, its ClaimRecord form): arrivals over the
+* _ibnr_draw (and ibnr_simulate, its ClaimRecord view): arrivals over the
   lookback (a - lookback, a], kept if they report inside (a, b], horizon b;
   the IBNR reserve.
 * _rbns_scenario: claims reported by a continue their payment process on
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .claims import CLAIM_TYPES, ClaimRecord, PaymentEvent, Portfolio, censor
+from .claims import CLAIM_TYPES, censor, records_from_columns
 from .copulas import (
     CopulaSpec,
     HacSpec,
@@ -167,20 +167,15 @@ DEFAULT_RECIPE = {
 
 def _payment_taus(portfolio, claim_type):
     """Per-claim internal payment times and observation horizons (years)."""
-    cut = portfolio.data_cutoff
-    taus, horizons = [], []
-    for c in portfolio.by_type(claim_type):
-        h = (cut - c.reporting_day) / DAYS_PER_YEAR
-        if h <= 0:
-            continue
-        taus.append(
-            np.array(
-                [(p.day - c.reporting_day) / DAYS_PER_YEAR for p in c.payments],
-                dtype=float,
-            )
-        )
-        horizons.append(h)
-    return taus, np.asarray(horizons, dtype=float)
+    sub = portfolio.by_type(claim_type)
+    r = sub.reporting_days
+    taus = (sub.pay_days - r[sub.pay_owner]) / DAYS_PER_YEAR
+    horizons = (sub.data_cutoff - r) / DAYS_PER_YEAR
+    bounds = sub.pay_ptr.tolist()
+    return (
+        [taus[bounds[i] : bounds[i + 1]] for i in np.flatnonzero(horizons > 0).tolist()],
+        horizons[horizons > 0],
+    )
 
 
 class PhaseError(RuntimeError):
@@ -230,13 +225,10 @@ def fit_model(portfolio, recipe=None):
         )
         types = {}
         for ctype in portfolio.claim_types:
-            sub = Portfolio(
-                claims=portfolio.by_type(ctype), data_cutoff=portfolio.data_cutoff
-            )
             delay = _phase(
                 f"phase 2 (reporting delay, {ctype}) failed",
                 fit_delay,
-                sub,
+                portfolio.by_type(ctype),
                 cfg["delay_variant"],
             )
             taus, horizons = _payment_taus(portfolio, ctype)
@@ -477,33 +469,6 @@ def _draw_claims(
     return out
 
 
-def _claim_records(claim_type, d, id_prefix, order=None) -> list:
-    """ClaimRecords from one type's kernel arrays.
-
-    order permutes the claims (default: kernel order); ids number them in
-    output order as {id_prefix}_{claim_type}_{k:06d}.
-    """
-    t, r = d["t"].tolist(), d["r"].tolist()
-    days, amounts = d["pay_day"].tolist(), d["pay_amount"].tolist()
-    bounds = np.concatenate(([0], np.cumsum(d["n"]))).tolist()
-    return [
-        ClaimRecord(
-            claim_id=f"{id_prefix}_{claim_type}_{pos + 1:06d}",
-            claim_type=claim_type,
-            accident_day=t[i],
-            reporting_day=r[i],
-            payments=tuple(
-                map(
-                    PaymentEvent,
-                    days[bounds[i] : bounds[i + 1]],
-                    amounts[bounds[i] : bounds[i + 1]],
-                )
-            ),
-        )
-        for pos, i in enumerate(range(len(t)) if order is None else order)
-    ]
-
-
 def _ibnr_draw(model, window, rng, lookback=None, match_gap_days=7):
     """One scenario of IBNR claims: the claim-law kernel over the lookback.
 
@@ -528,7 +493,14 @@ def ibnr_simulate(model, window, rng, lookback=None, match_gap_days=7) -> list:
     amounts from the severity model.
     """
     draw = _ibnr_draw(model, window, rng, lookback, match_gap_days)
-    return [c for ctype, d in draw.items() for c in _claim_records(ctype, d, "ibnr")]
+    records = []
+    for ctype, d in draw.items():
+        n = d["t"].size
+        ids = [f"ibnr_{ctype}_{k:06d}" for k in range(1, n + 1)]
+        codes = np.full(n, CLAIM_TYPES.index(ctype))
+        columns = (d["t"], d["r"], d["n"], d["pay_day"], d["pay_amount"])
+        records += records_from_columns(ids, codes, *columns)
+    return records
 
 
 def _period_edges(window):
@@ -553,26 +525,16 @@ class _RbnsPrep:
 
 
 def _prepare_rbns(model, portfolio, window):
+    a = window.a_day
     prep = {}
     for ctype in model.type_names():
-        claims = [
-            c for c in portfolio.by_type(ctype) if c.reporting_day <= window.a_day
-        ]
-        r = np.array([c.reporting_day for c in claims], dtype=np.int64)
-        k = np.array(
-            [sum(1 for p in c.payments if p.day <= window.a_day) for c in claims],
-            dtype=np.int64,
-        )
-        last = np.array(
-            [
-                next(
-                    (p.amount for p in reversed(c.payments) if p.day <= window.a_day),
-                    0.0,
-                )
-                for c in claims
-            ],
-            dtype=float,
-        )
+        sub = portfolio.by_type(ctype)
+        reported = sub.reporting_days <= a
+        # payment days ascend within a claim, so those made by a come first
+        k = np.bincount(sub.pay_owner[sub.pay_days <= a], minlength=len(sub))[reported]
+        r = sub.reporting_days[reported]
+        last = np.zeros(r.size)
+        last[k > 0] = sub.pay_amounts[(sub.pay_ptr[:-1][reported] + k - 1)[k > 0]]
         prep[ctype] = _RbnsPrep(
             r=r,
             tau_a=(window.a_day - r) / DAYS_PER_YEAR,
@@ -697,7 +659,7 @@ def _rbns_scenario(model, prep, window, edges, rng):
 
 
 def _one_scenario(
-    model, prep, window, edges, seed_child, lookback, match_gap_days, parameter_risk
+    model, prep, window, edges, lookback, match_gap_days, parameter_risk, seed_child
 ):
     rng = np.random.default_rng(seed_child)
     if parameter_risk:
@@ -716,16 +678,9 @@ def _one_scenario(
     return row
 
 
-def _scenario_batch(args):
-    model, prep, window, edges, children, lookback, match_gap_days, prisk = args
-    out = []
-    for child in children:
-        out.append(
-            _one_scenario(
-                model, prep, window, edges, child, lookback, match_gap_days, prisk
-            )
-        )
-    return out
+def _scenario_batch(args, children):
+    """The rows of the scenarios seeded by children, in order."""
+    return [_one_scenario(*args, child) for child in children]
 
 
 @dataclass(frozen=True)
@@ -778,41 +733,18 @@ def simulate_reserves(
     prep = _prepare_rbns(model, portfolio, window)
     children = np.random.SeedSequence(seed).spawn(n_scenarios)
 
-    rows = [None] * n_scenarios
+    args = (model, prep, window, edges, lookback, match_gap_days, parameter_risk)
     if workers <= 1 or n_scenarios < 4:
-        for i, child in enumerate(children):
-            rows[i] = _one_scenario(
-                model,
-                prep,
-                window,
-                edges,
-                child,
-                lookback,
-                match_gap_days,
-                parameter_risk,
-            )
+        rows = _scenario_batch(args, children)
     else:
-        chunks = np.array_split(np.arange(n_scenarios), workers * 4)
-        tasks = [
-            (
-                model,
-                prep,
-                window,
-                edges,
-                [children[i] for i in chunk],
-                lookback,
-                match_gap_days,
-                parameter_risk,
-            )
-            for chunk in chunks
+        chunks = [
+            [children[i] for i in chunk]
+            for chunk in np.array_split(np.arange(n_scenarios), workers * 4)
             if chunk.size
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk, result in zip(
-                [c for c in chunks if c.size], pool.map(_scenario_batch, tasks)
-            ):
-                for i, row in zip(chunk, result):
-                    rows[i] = row
+            parts = pool.map(_scenario_batch, [args] * len(chunks), chunks)
+            rows = [row for part in parts for row in part]
 
     n_periods = edges.size - 1
     rbns = np.zeros(n_scenarios)
@@ -947,14 +879,11 @@ def backtest(
         workers=workers,
         parameter_risk=parameter_risk,
     )
+    incurred = (portfolio.accident_days <= a_day)[portfolio.pay_owner]
+    days = portfolio.pay_days
+    # summed in claim and payment order, left to right
     actual = float(
-        sum(
-            p.amount
-            for c in portfolio.claims
-            if c.accident_day <= a_day
-            for p in c.payments
-            if a_day < p.day <= b_day
-        )
+        sum(portfolio.pay_amounts[incurred & (a_day < days) & (days <= b_day)].tolist())
     )
     totals = dist.totals
     rank = float(np.mean(totals < actual) + 0.5 * np.mean(totals == actual))

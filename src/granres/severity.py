@@ -48,7 +48,8 @@ class LogNormalSeverity:
         return rng.lognormal(self.mu, self.sigma, n)
 
     def to_dict(self) -> dict:
-        return {"family": "lognormal", "mu": float(self.mu), "sigma": float(self.sigma)}
+        return {"family": "lognormal", "mu": float(self.mu), "sigma": float(self.sigma),
+                "se": dict(self.se)}
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,8 @@ class GammaSeverity:
         return rng.gamma(self.shape, self.scale, n)
 
     def to_dict(self) -> dict:
-        return {"family": "gamma", "shape": float(self.shape), "scale": float(self.scale)}
+        return {"family": "gamma", "shape": float(self.shape), "scale": float(self.scale),
+                "se": dict(self.se)}
 
 
 def fit_lognormal(amounts) -> LogNormalSeverity:
@@ -224,6 +226,7 @@ class OrderARSeverity:
             "sigma_eps": float(self.sigma_eps),
             "floor": float(self.floor),
             "innovation": self.innovation,
+            "se": dict(self.se),
         }
 
 
@@ -236,11 +239,10 @@ def simulate_amounts(model, counts, rng) -> np.ndarray:
 
 def amount_sequences(portfolio, claim_type=None) -> list:
     """Per-claim payment amount vectors in payment-time order."""
-    claims = portfolio.claims if claim_type is None else portfolio.by_type(claim_type)
+    sub = portfolio if claim_type is None else portfolio.by_type(claim_type)
+    bounds = sub.pay_ptr.tolist()
     return [
-        np.array([p.amount for p in c.payments], dtype=float)
-        for c in claims
-        if c.payments
+        sub.pay_amounts[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
     ]
 
 
@@ -257,19 +259,15 @@ def fit_order_ar(
     observations are pooled into the previous coefficient; max_order caps the
     number of distinct coefficients regardless.
     """
-    firsts = np.array([s[0] for s in sequences if s.size >= 1], dtype=float)
-    base = _IID_FITTERS[base_family](firsts)
-    prev, nxt, order = [], [], []
-    for s in sequences:
-        for j in range(1, s.size):
-            prev.append(s[j - 1])
-            nxt.append(s[j])
-            order.append(j)
-    if not prev:
+    counts = np.array([len(s) for s in sequences], dtype=np.int64)
+    flat = np.concatenate([np.asarray(s, dtype=float) for s in sequences] or [np.empty(0)])
+    # order[k] = j for the payment j places after its claim's first
+    order = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    base = _IID_FITTERS[base_family](flat[order == 0])
+    later = np.flatnonzero(order > 0)
+    if not later.size:
         raise ValueError("no multi-payment claims; cannot fit the chain")
-    prev = np.asarray(prev)
-    nxt = np.asarray(nxt)
-    order = np.asarray(order)
+    prev, nxt, order = flat[later - 1], flat[later], order[later]
 
     deepest = int(order.max())
     buckets = []  # list of boolean masks, one per fitted coefficient
@@ -330,10 +328,7 @@ def fit_severity(
 ):
     """Fit one claim type's severity model from a portfolio."""
     if structure == "iid":
-        amounts = np.concatenate(
-            amount_sequences(portfolio, claim_type) or [np.empty(0)]
-        )
-        return _IID_FITTERS[family](amounts)
+        return _IID_FITTERS[family](portfolio.by_type(claim_type).pay_amounts)
     if structure == "order_ar":
         return fit_order_ar(
             amount_sequences(portfolio, claim_type), base_family=family, **kwargs
@@ -344,9 +339,9 @@ def fit_severity(
 def severity_from_dict(d: dict):
     fam = d["family"]
     if fam == "lognormal":
-        return LogNormalSeverity(d["mu"], d["sigma"])
+        return LogNormalSeverity(d["mu"], d["sigma"], d.get("se", {}))
     if fam == "gamma":
-        return GammaSeverity(d["shape"], d["scale"])
+        return GammaSeverity(d["shape"], d["scale"], d.get("se", {}))
     if fam == "order_ar":
         return OrderARSeverity(
             base=severity_from_dict(d["base"]),
@@ -354,6 +349,7 @@ def severity_from_dict(d: dict):
             sigma_eps=d["sigma_eps"],
             floor=d.get("floor", 0.01),
             innovation=d.get("innovation", "normal"),
+            se=d.get("se", {}),
         )
     raise ValueError(f"unknown severity family {fam!r}")
 

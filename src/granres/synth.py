@@ -14,14 +14,14 @@ import math
 
 import numpy as np
 
-from .claims import Portfolio
+from .claims import CLAIM_TYPES, Portfolio
 from .copulas import CopulaSpec, HacSpec
 from .copulas import hac_sample  # noqa: F401  bench/tracing.py patches this name
 from .daycount import parse_iso, year_of
 from .delays import WeibullDelayModel
 from .frequency import OccurrenceModel, Poisson
 from .payments import CountProcess, ExponentialDecay, PowerDecay
-from .reserving import GranularModel, TypeModel, _claim_records, _draw_claims
+from .reserving import GranularModel, TypeModel, _draw_claims
 from .severity import LogNormalSeverity
 
 
@@ -106,12 +106,18 @@ def synthesize(
         rng,
         match_gap_days,
     )
-    claims = []
+    ids, codes = [], []
     for ctype, d in draw.items():
-        d["pay_amount"] = np.maximum(np.round(d["pay_amount"], 2), 0.01)
-        order = np.argsort(d["t"], kind="stable")
-        claims += _claim_records(ctype, d, id_prefix, order)
-    return Portfolio(tuple(claims), data_cutoff=int(end_day))
+        # ids number each type's claims in accident-day order
+        rank = np.argsort(np.argsort(d["t"], kind="stable")) + 1
+        ids += [f"{id_prefix}_{ctype}_{k:06d}" for k in rank.tolist()]
+        codes += [CLAIM_TYPES.index(ctype)] * rank.size
+    t, r, n, days, amounts = (
+        np.concatenate([d[k] for d in draw.values()])
+        for k in ("t", "r", "n", "pay_day", "pay_amount")
+    )
+    amounts = np.maximum(np.round(amounts, 2), 0.01)
+    return Portfolio._from_columns(ids, codes, t, r, n, days, amounts, end_day)
 
 
 def synth_portfolio(config: dict, rng) -> tuple:

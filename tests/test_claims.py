@@ -1,6 +1,7 @@
 """Data model, CSV round trips, splits, and triangle aggregation."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from granres import (
     parse_iso,
     write_csv,
 )
-from granres.claims import split_rbns_ibnr
 
 
 def _claim(cid, ctype, acc, rep, pays=()):
@@ -52,13 +52,40 @@ def test_payment_event_rejects_zero_amount():
         PaymentEvent(10, 0.0)
 
 
-def test_claim_record_validation():
-    with pytest.raises(ValueError, match="unknown claim_type"):
-        ClaimRecord("x", "hail", 0, 1)
-    with pytest.raises(ValueError, match="before accident"):
-        ClaimRecord("x", "bodily_injury", 10, 5)
-    with pytest.raises(ValueError, match="payment before reporting"):
-        ClaimRecord("x", "bodily_injury", 0, 10, (PaymentEvent(5, 1.0),))
+def _from_records(cid, ctype, acc, rep, pays, cutoff):
+    payments = tuple(PaymentEvent(d, a) for d, a in pays)
+    return Portfolio((ClaimRecord(cid, ctype, acc, rep, payments),), cutoff)
+
+
+def _from_columns(cid, ctype, acc, rep, pays, cutoff):
+    return Portfolio._from_columns(
+        [cid],
+        [ctype],
+        [acc],
+        [rep],
+        [len(pays)],
+        [d for d, _ in pays],
+        [a for _, a in pays],
+        cutoff,
+    )
+
+
+@pytest.mark.parametrize("build", [_from_records, _from_columns], ids=["records", "columns"])
+def test_claim_record_validation(build):
+    # the same checks and messages whether the claims arrive as ClaimRecords
+    # or as the columns that ingest and synthesis build
+    cases = [
+        (("x", "hail", 0, 1, ()), "unknown claim_type 'hail'"),
+        (("x", "bodily_injury", 10, 5, ()), "claim x: reporting day 5 before accident day 10"),
+        (("x", "bodily_injury", 0, 10, ((5, 1.0),)), "claim x: payment before reporting day"),
+        (("x", "bodily_injury", 0, 1, ((5, 0.0),)), "payment amount must be nonzero"),
+        (("z", "bodily_injury", 5, 20, ()), "claim z: date 20 beyond data cutoff 10"),
+        (("z", "bodily_injury", 5, 6, ((11, 1.0),)), "claim z: date 11 beyond data cutoff 10"),
+    ]
+    for claim, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(*claim, 10)
+    assert len(build("x", "bodily_injury", 0, 1, ((5, -1.0),), 10)) == 1
 
 
 def test_claim_record_sorts_payments_and_sums_paid():
@@ -82,6 +109,7 @@ def test_portfolio_orders_claims_and_checks_cutoff():
     assert [x.claim_id for x in p.claims] == ["c", "a", "b"]
     assert p.claim_types == ("bodily_injury", "material_damage")
     assert len(p.by_type("material_damage")) == 1
+    assert p.by_type("material_damage").claims == (c,)
     with pytest.raises(ValueError, match="beyond data cutoff"):
         Portfolio((ClaimRecord("z", "bodily_injury", 5, 20),), 10)
 
@@ -150,6 +178,28 @@ def test_ingest_rejects_bad_rows():
     assert len(g1.payments) == 2  # duplicate row kept
 
 
+def test_ingest_orders_claims_and_payments():
+    header = "claim_id,claim_type,accident_date,reporting_date,payment_date,amount\n"
+    rows = [
+        "b,bodily_injury,2018-01-01,2018-01-05,2018-03-01,30.00",
+        "b,bodily_injury,2018-01-01,2018-01-05,2018-02-01,20.00",
+        "b,bodily_injury,2018-01-01,2018-01-05,2018-02-01,10.00",
+        "s,bodily_injury,2018-01-01,2018-01-05,2018-02-01,20.00",
+        "s,bodily_injury,2018-01-01,2018-01-05,2018-02-01,10.00",
+        "a,material_damage,2018-01-01,2018-01-02,,",
+        "z,material_damage,2017-12-31,2018-01-02,2018-01-03,5.00",
+    ]
+    p = ingest_csv(header + "\n".join(rows) + "\n")
+    assert [c.claim_id for c in p.claims] == ["z", "a", "b", "s"]
+    # a claim whose days step back is sorted by (day, amount), as
+    # ClaimRecord sorts it; same-day rows of an ordered claim keep file order
+    assert p.pay_ptr.tolist() == [0, 1, 1, 4, 6]
+    assert p.pay_amounts.tolist() == [5.0, 10.0, 20.0, 30.0, 20.0, 10.0]
+    feb, mar = parse_iso("2018-02-01"), parse_iso("2018-03-01")
+    assert p.pay_days.tolist()[1:] == [feb, feb, mar, feb, feb]
+    assert Portfolio(p.claims, p.data_cutoff) == p
+
+
 def test_ingest_rejects_claim_with_inconsistent_header_rows():
     text = (
         "claim_id,claim_type,accident_date,reporting_date,payment_date,amount\n"
@@ -168,13 +218,15 @@ def test_ingest_requires_exact_header():
         ingest_csv(io.StringIO(""), diagnostics=io.StringIO())
 
 
-def test_split_rbns_ibnr(small_portfolio):
+def test_censor_keeps_the_claims_reported_by_the_day(small_portfolio):
     day = parse_iso("2019-09-30")
-    rbns, unreported = split_rbns_ibnr(small_portfolio, day)
-    assert {c.claim_id for c in rbns} == {"c1", "c2"}
-    assert {c.claim_id for c in unreported} == {"c3"}  # reported 2019-11-20
-    c1 = next(c for c in rbns if c.claim_id == "c1")
-    assert len(c1.payments) == 2  # both paid before the split day
+    obs = censor(small_portfolio, day)
+    assert {c.claim_id for c in obs.claims} == {"c1", "c2"}
+    c1 = next(c for c in obs.claims if c.claim_id == "c1")
+    assert len(c1.payments) == 2  # both paid before the day
+    # c3 is unreported at the day: reported 2019-11-20 in the full portfolio
+    c3 = next(c for c in small_portfolio.claims if c.claim_id == "c3")
+    assert c3.reporting_day > day
 
 
 def test_censor_drops_later_payments(small_portfolio):

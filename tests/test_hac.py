@@ -197,8 +197,8 @@ def test_match_days_hand_case():
 
 def _loop_matched_scores(portfolio, dm, max_gap):
     """Claim-object loop reference for matched_delay_scores."""
-    a = sorted(portfolio.by_type("bodily_injury"), key=lambda c: c.accident_day)
-    b = sorted(portfolio.by_type("material_damage"), key=lambda c: c.accident_day)
+    a = sorted(portfolio.by_type("bodily_injury").claims, key=lambda c: c.accident_day)
+    b = sorted(portfolio.by_type("material_damage").claims, key=lambda c: c.accident_day)
     sa, sb, j, used = [], [], 0, [False] * len(b)
     for c in a:
         d = c.accident_day

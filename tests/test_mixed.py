@@ -1,6 +1,7 @@
 """Coupled (reporting delay, payment count) law: density, simulation, fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from granres import (
     Portfolio,
     WeibullDelayModel,
 )
+from granres.copulas.families import FAMILIES
 from granres.copulas.mixed import (
     conditional_count_quantile,
     copula_pairs,
@@ -158,9 +160,22 @@ def test_fit_copula_recovers_clayton_theta():
 
 def test_fit_copula_auto_selection():
     indep_pairs = _coupled_pairs(CopulaSpec("independence"), seed=15)
-    fit0 = fit_copula(indep_pairs, DELAY, PROC, "auto")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit0 = fit_copula(indep_pairs, DELAY, PROC, "auto")
     assert fit0.spec.family == "independence"
     assert set(fit0.aic_table) == {"independence", "clayton", "gumbel", "frank", "gaussian"}
+    # Clayton and Gumbel stop on their lower bounds here, but they are not
+    # the pick, so their missing standard errors are not reported
+    assert [str(w.message) for w in caught] == []
+
+    # a pick at its upper bound keeps its warning
+    bound_pairs = _coupled_pairs(CopulaSpec("clayton", theta=28.0), seed=15)
+    with pytest.warns(UserWarning, match="standard errors unavailable"):
+        fit_bound = fit_copula(bound_pairs, DELAY, PROC, "auto")
+    assert fit_bound.spec.family == "clayton"
+    assert fit_bound.spec.theta == FAMILIES["clayton"].theta_bounds[1]
+    assert np.isnan(fit_bound.se["theta"])
 
     dep_pairs = _coupled_pairs(CLAY2, seed=14)
     fit1 = fit_copula(dep_pairs, DELAY, PROC, "auto")

@@ -1,5 +1,6 @@
 """Reserve engine: RBNS continuation, IBNR simulation, summaries, backtests."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -36,7 +37,11 @@ from granres import (
     synthesize,
 )
 from granres.delays import EmpiricalDelayModel, delay_density
-from granres.reserving import ibnr_count_conditional, reporting_prob_window
+from granres.reserving import (
+    _perturb_model,
+    ibnr_count_conditional,
+    reporting_prob_window,
+)
 from granres.severity import LogNormalSeverity, OrderARSeverity
 
 WIN = ValuationWindow(6209, 6574)  # 2016-12-31 to 2017-12-31
@@ -309,6 +314,34 @@ def test_model_save_load_round_trip(tmp_path, port1500):
     path2 = tmp_path / "model2.json"
     model.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_model_json_round_trip_keeps_standard_errors(tmp_path, port1500):
+    recipe = dict(
+        RECIPE,
+        severity_family={"bodily_injury": "lognormal", "material_damage": "gamma"},
+        severity_structure={"bodily_injury": "order_ar", "material_damage": "iid"},
+    )
+    model, _ = fit_model(port1500, recipe)
+    path = tmp_path / "model.json"
+    model.save(path)
+    loaded = GranularModel.load(path)
+    for ctype, tm in model.types.items():
+        back = loaded.types[ctype]
+        pairs = [(tm.delay, back.delay), (tm.counts, back.counts), (tm.severity, back.severity)]
+        if isinstance(tm.severity, OrderARSeverity):
+            pairs.append((tm.severity.base, back.severity.base))
+        for fitted, read in pairs:
+            assert fitted.se and read.se.keys() == fitted.se.keys()
+            assert_array_equal([read.se[k] for k in fitted.se], list(fitted.se.values()))
+    # parameter risk draws the same models from the saved file
+    draws = [
+        json.dumps(_perturb_model(m, np.random.default_rng(8)).to_dict(), sort_keys=True)
+        for m in (model, loaded)
+    ]
+    assert draws[0] == draws[1]
+    shifted = _perturb_model(loaded, np.random.default_rng(8)).types["material_damage"]
+    assert shifted.severity.shape != model.types["material_damage"].severity.shape
 
 
 def test_backtest_window_validation(port1500):

@@ -53,7 +53,7 @@ def test_generated_records_are_consistent(synth1k):
 def test_ids_ordered_by_accident_day(synth1k):
     portfolio, _ = synth1k
     for t in portfolio.claim_types:
-        claims = portfolio.by_type(t)
+        claims = portfolio.by_type(t).claims
         assert [c.claim_id for c in claims] == sorted(c.claim_id for c in claims)
         accs = [c.accident_day for c in claims]
         assert accs == sorted(accs)
@@ -63,7 +63,7 @@ def test_ids_ordered_by_accident_day(synth1k):
 def test_reporting_delays_reflect_the_preset(synth1k):
     portfolio, _ = synth1k
     mean_delay = {
-        t: np.mean([c.reporting_day - c.accident_day for c in portfolio.by_type(t)])
+        t: np.mean([c.reporting_day - c.accident_day for c in portfolio.by_type(t).claims])
         for t in portfolio.claim_types
     }
     # the injury preset reports far slower than the damage preset
