@@ -5,9 +5,14 @@ pass per-observation arrays (needed by the time-varying parameter map). The
 h-function is the partial derivative of the cdf in its first argument,
 h(u, v) = dC(u, v)/du, i.e. the conditional cdf of V given U = u.
 
-For the Archimedean families the additive generator phi and its inverse psi
+The edge rule of the cdf and h-function is written once, in _Family; each
+parametric family supplies only the interior. Independence keeps its
+product forms.
+
+For Clayton, Gumbel and Frank the additive generator phi and its inverse psi
 are exposed together with the derivatives needed by the nested (hierarchical)
-machinery: phi', phi'', psi', psi'', psi'''.
+machinery: phi', phi'', psi', psi'', psi'''. Independence needs none: the
+nested draw treats an independence outer copula on its own.
 """
 
 from __future__ import annotations
@@ -85,8 +90,26 @@ def bisect(f, target, lo, hi):
 
 
 class _Family:
+    """Edge rule of every parametric family; subclasses give the interior.
+
+    _cdf(u, v, theta) gets u and v as float arrays and _h(u, v, theta) gets
+    v as one. Both must accept any value, because cdf and h replace what
+    they return on and beyond the edges of the unit square.
+    """
+
     name = "base"
     n_params = 1
+
+    def cdf(self, u, v, theta):
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        out = np.where((u <= 0.0) | (v <= 0.0), 0.0, self._cdf(u, v, theta))
+        out = np.where(u >= 1.0, _clip(v, 0.0, 1.0), out)
+        return np.where(v >= 1.0, _clip(u, 0.0, 1.0), out)
+
+    def h(self, u, v, theta):
+        v = np.asarray(v, dtype=float)
+        return np.where(v <= 0.0, 0.0, np.where(v >= 1.0, 1.0, self._h(u, v, theta)))
 
     def hinv(self, u, p, theta):
         """Numeric inverse of v -> h(u, v); overridden where closed form exists."""
@@ -130,28 +153,6 @@ class Independence(_Family):
     def link_inv(self, eta):
         return None
 
-    # product generator: phi(t) = -log t
-    def gen(self, t, theta=None):
-        return -np.log(_clip01(t))
-
-    def gen_d1(self, t, theta=None):
-        return -1.0 / _clip01(t)
-
-    def gen_d2(self, t, theta=None):
-        return 1.0 / _clip01(t) ** 2
-
-    def gen_inv(self, x, theta=None):
-        return np.exp(-np.asarray(x, dtype=float))
-
-    def gen_inv_d1(self, x, theta=None):
-        return -np.exp(-np.asarray(x, dtype=float))
-
-    def gen_inv_d2(self, x, theta=None):
-        return np.exp(-np.asarray(x, dtype=float))
-
-    def gen_inv_d3(self, x, theta=None):
-        return -np.exp(-np.asarray(x, dtype=float))
-
 
 class Clayton(_Family):
     """theta > 0 (positive lower-tail dependence)."""
@@ -163,25 +164,16 @@ class Clayton(_Family):
         with np.errstate(over="ignore"):  # inf propagates correctly downstream
             return np.exp(-theta * np.log(_clip01(u)))
 
-    def cdf(self, u, v, theta):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def _cdf(self, u, v, theta):
         theta = np.asarray(theta, dtype=float)
         T = self._pow(u, theta) + self._pow(v, theta) - 1.0
-        inner = np.exp(-np.log(T) / theta)
-        out = np.where((u <= 0.0) | (v <= 0.0), 0.0, inner)
-        out = np.where(u >= 1.0, _clip(v, 0.0, 1.0), out)
-        out = np.where(v >= 1.0, _clip(u, 0.0, 1.0), out)
-        return out
+        return np.exp(-np.log(T) / theta)
 
-    def h(self, u, v, theta):
+    def _h(self, u, v, theta):
         u = _clip01(u)
-        v = np.asarray(v, dtype=float)
         theta = np.asarray(theta, dtype=float)
         T = self._pow(u, theta) + self._pow(v, theta) - 1.0
-        core = np.exp(-(theta + 1.0) * np.log(u) - (1.0 + 1.0 / theta) * np.log(T))
-        out = np.where(v <= 0.0, 0.0, np.where(v >= 1.0, 1.0, core))
-        return out
+        return np.exp(-(theta + 1.0) * np.log(u) - (1.0 + 1.0 / theta) * np.log(T))
 
     def hinv(self, u, p, theta):
         u = _clip01(u)
@@ -245,30 +237,21 @@ class Gumbel(_Family):
     name = "gumbel"
     theta_bounds = (1.0 + 1e-6, 17.0)
 
-    def cdf(self, u, v, theta):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def _cdf(self, u, v, theta):
         theta = np.asarray(theta, dtype=float)
         a = -np.log(_clip01(u))
         b = -np.log(_clip01(v))
         s = a**theta + b**theta
-        inner = np.exp(-np.exp(np.log(s) / theta))
-        out = np.where((u <= 0.0) | (v <= 0.0), 0.0, inner)
-        out = np.where(u >= 1.0, _clip(v, 0.0, 1.0), out)
-        out = np.where(v >= 1.0, _clip(u, 0.0, 1.0), out)
-        return out
+        return np.exp(-np.exp(np.log(s) / theta))
 
-    def h(self, u, v, theta):
+    def _h(self, u, v, theta):
         uc = _clip01(u)
-        vc = _clip01(v)
         theta = np.asarray(theta, dtype=float)
         a = -np.log(uc)
-        b = -np.log(vc)
+        b = -np.log(_clip01(v))
         s = a**theta + b**theta
         c = np.exp(-s ** (1.0 / theta))
-        core = c * s ** (1.0 / theta - 1.0) * a ** (theta - 1.0) / uc
-        v_arr = np.asarray(v, dtype=float)
-        return np.where(v_arr <= 0.0, 0.0, np.where(v_arr >= 1.0, 1.0, core))
+        return c * s ** (1.0 / theta - 1.0) * a ** (theta - 1.0) / uc
 
     def density(self, u, v, theta):
         u = _clip01(u)
@@ -346,29 +329,21 @@ class Frank(_Family):
         theta = np.asarray(theta, dtype=float)
         return np.where(np.abs(theta) < 1e-6, np.where(theta < 0, -1e-6, 1e-6), theta)
 
-    def cdf(self, u, v, theta):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def _cdf(self, u, v, theta):
         theta = self._nudge(theta)
         eu = np.expm1(-theta * _clip(u, 0.0, 1.0))
         ev = np.expm1(-theta * _clip(v, 0.0, 1.0))
         et = np.expm1(-theta)
-        inner = -np.log1p(eu * ev / et) / theta
-        out = np.where((u <= 0.0) | (v <= 0.0), 0.0, inner)
-        out = np.where(u >= 1.0, _clip(v, 0.0, 1.0), out)
-        out = np.where(v >= 1.0, _clip(u, 0.0, 1.0), out)
-        return out
+        return -np.log1p(eu * ev / et) / theta
 
-    def h(self, u, v, theta):
+    def _h(self, u, v, theta):
         u = _clip01(u)
-        v_arr = np.asarray(v, dtype=float)
-        v = _clip(v_arr, 0.0, 1.0)
+        v = _clip(v, 0.0, 1.0)
         theta = self._nudge(theta)
         # both denominator terms share the numerator's sign: no cancellation
-        core = np.expm1(theta * v) / (
+        return np.expm1(theta * v) / (
             np.expm1(theta * u) - np.exp(theta * v) * np.expm1(theta * (u - 1.0))
         )
-        return np.where(v_arr <= 0.0, 0.0, np.where(v_arr >= 1.0, 1.0, core))
 
     def hinv(self, u, p, theta):
         u = _clip01(u)
@@ -448,27 +423,17 @@ class Gaussian(_Family):
     name = "gaussian"
     theta_bounds = (-0.99, 0.99)
 
-    def cdf(self, u, v, theta):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def _cdf(self, u, v, theta):
         rho = np.broadcast_to(np.asarray(theta, dtype=float), np.broadcast(u, v).shape)
         x = norm.ppf(_clip01(u))
         y = norm.ppf(_clip01(v))
-        inner = bvn_cdf(
-            np.broadcast_to(x, rho.shape), np.broadcast_to(y, rho.shape), rho
-        )
-        out = np.where((u <= 0.0) | (v <= 0.0), 0.0, inner)
-        out = np.where(u >= 1.0, _clip(v, 0.0, 1.0), out)
-        out = np.where(v >= 1.0, _clip(u, 0.0, 1.0), out)
-        return out
+        return bvn_cdf(np.broadcast_to(x, rho.shape), np.broadcast_to(y, rho.shape), rho)
 
-    def h(self, u, v, theta):
+    def _h(self, u, v, theta):
         rho = np.asarray(theta, dtype=float)
         x = norm.ppf(_clip01(u))
-        v_arr = np.asarray(v, dtype=float)
         y = norm.ppf(_clip01(v))
-        core = norm.cdf((y - rho * x) / np.sqrt(1.0 - rho**2))
-        return np.where(v_arr <= 0.0, 0.0, np.where(v_arr >= 1.0, 1.0, core))
+        return norm.cdf((y - rho * x) / np.sqrt(1.0 - rho**2))
 
     def hinv(self, u, p, theta):
         rho = np.asarray(theta, dtype=float)

@@ -20,8 +20,9 @@ the scheme works for any mix of inner families, including time-varying inner
 parameters (the parameter of each inner pair may depend on the component
 drawn first).
 
-Claims of the two types are paired by accident day with match_days, both
-when the outer parameter is estimated and when the claim law is simulated.
+Claims of the two types are paired by accident day with match_days, within
+MATCH_GAP_DAYS, both when the outer parameter is estimated and when the
+claim law is simulated.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .families import ARCHIMEDEAN, FAMILIES, bisect, family
 
 _TOL = 1e-9
 _LO, _HI = 1e-9, 1.0 - 1e-9
+# the widest accident-day gap of a cross-type pair, in fit and simulation alike
+MATCH_GAP_DAYS = 7
 
 
 @dataclass(frozen=True)
@@ -209,11 +212,11 @@ def match_days(days_a, days_b, max_gap: int):
     )
 
 
-def matched_delay_scores(portfolio, delay_models, max_gap_days=7):
+def matched_delay_scores(portfolio, delay_models):
     """Cross-type pseudo-observation pairs for outer dependence estimation.
 
     Claims of the two types are matched by accident day with match_days
-    (closest first, each claim used once, gaps above max_gap_days
+    (closest first, each claim used once, gaps above MATCH_GAP_DAYS
     discarded); the matched pair's delay scores are returned. Between types,
     only the outer copula links any two components, so the Kendall's tau of
     these pairs estimates the outer parameter directly.
@@ -222,7 +225,9 @@ def matched_delay_scores(portfolio, delay_models, max_gap_days=7):
     if len(types) < 2:
         raise ValueError("need two claim types for cross-type dependence")
     subs = [portfolio.by_type(t) for t in types[:2]]
-    ia, ib, _, _ = match_days(subs[0].accident_days, subs[1].accident_days, max_gap_days)
+    ia, ib, _, _ = match_days(
+        subs[0].accident_days, subs[1].accident_days, MATCH_GAP_DAYS
+    )
     scores = []
     for ctype, sub, idx in zip(types, subs, (ia, ib)):
         t = sub.accident_days[idx]

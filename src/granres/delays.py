@@ -19,7 +19,7 @@ import numpy as np
 from scipy import optimize
 
 from .daycount import year_of, years_since_epoch
-from .fitutil import observed_info_se
+from .fitutil import observed_info_se, redraw
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,9 @@ class WeibullDelayModel:
     c0: float
     c1: float
     se: dict = field(default_factory=dict)
+
+    REDRAW_BOUNDS = {"shape": (0.05, math.inf), "c0": (-math.inf, math.inf),
+                     "c1": (-math.inf, 0.0)}
 
     def __post_init__(self):
         if not self.shape > 0:
@@ -62,6 +65,9 @@ class WeibullDelayModel:
 
     def mean(self, t):
         return self.scale(t) * math.gamma(1.0 + 1.0 / self.shape)
+
+    def perturbed(self, rng):
+        return redraw(self, rng, self.se)
 
     def to_dict(self):
         return {
@@ -113,6 +119,10 @@ class EmpiricalDelayModel:
 
     def mean(self, t):
         return float(np.mean(self._cohort_for(t)))
+
+    def perturbed(self, rng):
+        """Cohorts are the data themselves: no parameter to redraw."""
+        return self
 
     def to_dict(self):
         return {
@@ -187,8 +197,10 @@ def fit_delay(portfolio, variant: str = "weibull_tv", min_cohort: int = 30):
     by the optimizer bounds (boundary projection). A single-accident-year
     portfolio cannot identify c1; it is fixed to 0 with a warning.
 
-    empirical_cohort: per-accident-year delay samples; cohorts smaller than
-    min_cohort merge into the previous year with a warning.
+    empirical_cohort: per-accident-year delay samples. A year with fewer
+    than min_cohort claims merges forward with the years after it until the
+    group reaches min_cohort; a short tail of years joins the group before
+    it. Every year of a group shares the group's delays; merges warn.
     """
     if len(portfolio) < 100:
         raise ValueError(f"need at least 100 reported claims, got {len(portfolio)}")
@@ -197,36 +209,32 @@ def fit_delay(portfolio, variant: str = "weibull_tv", min_cohort: int = 30):
     years = year_of(portfolio.accident_days)
 
     if variant == "empirical_cohort":
-        cohorts = {}
-        pending_years, pending = [], []
-        for y in sorted(set(years.tolist())):
-            pending_years.append(y)
-            pending.append(w_days[years == y])
-            merged = np.concatenate(pending)
-            if merged.size >= min_cohort:
-                if len(pending_years) > 1:
+        groups, pending, n = [], [], 0
+        uniq, counts = np.unique(years, return_counts=True)
+        for y, count in zip(uniq.tolist(), counts.tolist()):
+            pending.append(y)
+            n += count
+            if n >= min_cohort:
+                if len(pending) > 1:
                     warnings.warn(
-                        f"delay cohorts {pending_years} merged (fewer than {min_cohort} claims)",
+                        f"delay cohorts {pending} merged (fewer than {min_cohort} claims)",
                         stacklevel=2,
                     )
-                for yy in pending_years:
-                    cohorts[yy] = np.sort(merged)
-                pending_years, pending = [], []
-        if pending:
-            tail = np.concatenate(pending)
-            if cohorts:
-                warnings.warn(
-                    f"delay cohorts {pending_years} merged into previous year "
-                    f"(fewer than {min_cohort} claims)",
-                    stacklevel=2,
-                )
-                prev = max(cohorts)
-                merged = np.sort(np.concatenate([cohorts[prev], tail]))
-                for yy in [prev] + pending_years:
-                    cohorts[yy] = merged
-            else:
-                for yy in pending_years:
-                    cohorts[yy] = np.sort(tail)
+                groups.append(pending)
+                pending, n = [], 0
+        if pending and groups:
+            warnings.warn(
+                f"delay cohorts {pending} merged into previous year group "
+                f"{groups[-1]} (fewer than {min_cohort} claims)",
+                stacklevel=2,
+            )
+            groups[-1] = groups[-1] + pending
+        elif pending:
+            groups.append(pending)
+        cohorts = {}
+        for group in groups:
+            merged = np.sort(w_days[np.isin(years, group)])
+            cohorts.update(dict.fromkeys(group, merged))
         return EmpiricalDelayModel(cohorts)
 
     if variant != "weibull_tv":

@@ -1,7 +1,10 @@
-"""Shared fitting utilities: numeric observed information and standard errors."""
+"""Shared fitting utilities: numeric observed information, standard errors,
+and the parameter-risk redraw of a fitted component."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -58,3 +61,28 @@ def observed_info_se(negloglik, x, rel_step=1e-4):
         )
         return np.full(np.asarray(x).size, np.nan)
     return np.sqrt(np.diag(cov))
+
+
+def redraw(component, rng, se, cov=()):
+    """A copy of a fitted component with its parameters drawn around the estimate.
+
+    The component's class lists its parameters in REDRAW_BOUNDS, an ordered
+    map from name to (lo, hi). A finite cov gives one joint normal draw in
+    that order; otherwise each parameter draws alone from se[name], with a
+    missing or non-finite standard error counting as 0. Each value is then
+    clipped into its bounds.
+    """
+    bounds = type(component).REDRAW_BOUNDS
+    est = [getattr(component, name) for name in bounds]
+    cov = np.asarray(cov, dtype=float)
+    if cov.size and np.all(np.isfinite(cov)):
+        values = rng.multivariate_normal(est, cov, method="svd").tolist()
+    else:
+        values = []
+        for name, x in zip(bounds, est):
+            s = float(se.get(name, 0.0))
+            values.append(float(x) + (s if math.isfinite(s) else 0.0) * rng.standard_normal())
+    return dataclasses.replace(
+        component,
+        **{name: min(max(x, lo), hi) for x, (name, (lo, hi)) in zip(values, bounds.items())},
+    )

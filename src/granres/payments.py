@@ -13,18 +13,21 @@ times given a count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import optimize, special, stats
 
-from .fitutil import observed_info_cov
+from .fitutil import observed_info_cov, redraw
 
 
 @dataclass(frozen=True)
 class ExponentialDecay:
     lam0: float
     beta: float
+
+    REDRAW_BOUNDS = {"lam0": (1e-6, math.inf), "beta": (1e-6, math.inf)}
 
     def __post_init__(self):
         if not (self.lam0 > 0 and self.beta > 0):
@@ -53,6 +56,8 @@ class ExponentialDecay:
 class PowerDecay:
     lam0: float
     beta: float
+
+    REDRAW_BOUNDS = {"lam0": (1e-6, math.inf), "beta": (1.0 + 1e-6, math.inf)}
 
     def __post_init__(self):
         if not (self.lam0 > 0 and self.beta > 1):
@@ -109,6 +114,10 @@ class CountProcess:
                 ),
             )
         return out
+
+    def perturbed(self, rng):
+        """The intensity redrawn from the joint covariance, or from se without one."""
+        return replace(self, intensity=redraw(self.intensity, rng, self.se, self.cov))
 
     def count_pmf(self, tau, n):
         return np.exp(self.count_logpmf(tau, n))

@@ -42,19 +42,14 @@ from .copulas import (
     hac_sample,
     matched_delay_scores,
 )
-from .copulas.hac import match_days
+from .copulas.hac import MATCH_GAP_DAYS, match_days
 # bench/tracing.py patches this name to count the matched pairs kept
 from .copulas.mixed import count_quantile as _count_marginal_quantile
 from .daycount import DAYS_PER_YEAR, year_of, year_start
 from .delays import delay_cdf, delay_model_from_dict, delay_quantile, fit_delay
 from .frequency import OccurrenceModel, fit_occurrence, simulate_arrivals
 from .payments import CountProcess, fit_intensity
-from .severity import (
-    OrderARSeverity,
-    fit_severity,
-    severity_from_dict,
-    simulate_amounts,
-)
+from .severity import fit_severity, severity_from_dict, simulate_amounts
 
 
 @dataclass(frozen=True)
@@ -161,7 +156,6 @@ DEFAULT_RECIPE = {
     "copula_family": "auto",
     "copula_time_varying": False,
     "hac_outer": "gumbel",
-    "match_gap_days": 7,
 }
 
 
@@ -274,11 +268,7 @@ def fit_model(portfolio, recipe=None):
         hac = None
         names = [t for t in CLAIM_TYPES if t in types]
         if cfg["hac_outer"] and len(names) >= 2:
-            sa, sb = matched_delay_scores(
-                portfolio,
-                {t: types[t].delay for t in names},
-                max_gap_days=cfg["match_gap_days"],
-            )
+            sa, sb = matched_delay_scores(portfolio, {t: types[t].delay for t in names})
             if sa.size >= 20:
                 hac = _phase(
                     "phase 5 (cross-type nesting) failed",
@@ -390,9 +380,7 @@ def _inner_theta(tm, t_days, horizon_end: int):
     return theta_fn
 
 
-def _draw_claims(
-    model, from_day_by_type, to_day, report_after, horizon_end, rng, match_gap_days
-):
+def _draw_claims(model, from_day_by_type, to_day, report_after, horizon_end, rng):
     """One draw of the claim law, vectorized per type.
 
     Accident days come from each type's arrival process started at
@@ -418,7 +406,7 @@ def _draw_claims(
     if hac is not None and hac.outer_family != "independence" and len(names) >= 2:
         na, nb = names
         ta, tb = arrivals[na], arrivals[nb]
-        ia, ib, rest_a, rest_b = match_days(ta, tb, match_gap_days)
+        ia, ib, rest_a, rest_b = match_days(ta, tb, MATCH_GAP_DAYS)
         rows = hac_sample(
             hac,
             rng,
@@ -469,7 +457,7 @@ def _draw_claims(
     return out
 
 
-def _ibnr_draw(model, window, rng, lookback=None, match_gap_days=7):
+def _ibnr_draw(model, window, rng, lookback=None):
     """One scenario of IBNR claims: the claim-law kernel over the lookback.
 
     Accidents arrive on (a - lookback, a] (default_lookback per type when
@@ -480,10 +468,10 @@ def _ibnr_draw(model, window, rng, lookback=None, match_gap_days=7):
         t: a - (lookback if lookback is not None else default_lookback(tm.delay, a))
         for t, tm in model.types.items()
     }
-    return _draw_claims(model, from_day, a, a, window.b_day, rng, match_gap_days)
+    return _draw_claims(model, from_day, a, a, window.b_day, rng)
 
 
-def ibnr_simulate(model, window, rng, lookback=None, match_gap_days=7) -> list:
+def ibnr_simulate(model, window, rng, lookback=None) -> list:
     """One scenario of IBNR claims as ClaimRecord objects.
 
     Occurrences are continued over (a - lookback, a]; each draws a delay and
@@ -492,7 +480,7 @@ def ibnr_simulate(model, window, rng, lookback=None, match_gap_days=7) -> list:
     cross-type matched pairs), times from the count-conditional placement,
     amounts from the severity model.
     """
-    draw = _ibnr_draw(model, window, rng, lookback, match_gap_days)
+    draw = _ibnr_draw(model, window, rng, lookback)
     records = []
     for ctype, d in draw.items():
         n = d["t"].size
@@ -545,85 +533,22 @@ def _prepare_rbns(model, portfolio, window):
     return prep
 
 
-def _normal_shift(rng, value, se, lo=None, hi=None):
-    se = float(se)
-    if not math.isfinite(se):
-        se = 0.0
-    x = float(value) + se * rng.standard_normal()
-    if lo is not None:
-        x = max(x, lo)
-    if hi is not None:
-        x = min(x, hi)
-    return x
-
-
-def _perturb_counts(counts, rng):
-    from .payments import intensity_from_dict
-
-    d = counts.intensity.to_dict()
-    cov = np.asarray(counts.cov, dtype=float) if counts.cov else None
-    if cov is not None and np.all(np.isfinite(cov)):
-        lam0, beta = rng.multivariate_normal(
-            [d["lam0"], d["beta"]], cov, method="svd"
-        )
-    else:
-        lam0 = _normal_shift(rng, d["lam0"], counts.se.get("lam0", 0.0))
-        beta = _normal_shift(rng, d["beta"], counts.se.get("beta", 0.0))
-    d["lam0"] = max(lam0, 1e-6)
-    d["beta"] = max(beta, 1.0 + 1e-6) if d["family"] == "power" else max(beta, 1e-6)
-    return CountProcess(intensity_from_dict(d), se=counts.se, cov=counts.cov)
-
-
-def _perturb_severity(sev, rng):
-    from .severity import GammaSeverity, LogNormalSeverity
-
-    if isinstance(sev, LogNormalSeverity):
-        return LogNormalSeverity(
-            mu=_normal_shift(rng, sev.mu, sev.se.get("mu", 0.0)),
-            sigma=_normal_shift(rng, sev.sigma, sev.se.get("sigma", 0.0), lo=1e-3),
-            se=sev.se,
-        )
-    if isinstance(sev, GammaSeverity):
-        return GammaSeverity(
-            shape=_normal_shift(rng, sev.shape, sev.se.get("shape", 0.0), lo=1e-6),
-            scale=_normal_shift(rng, sev.scale, sev.se.get("scale", 0.0), lo=1e-9),
-            se=sev.se,
-        )
-    if isinstance(sev, OrderARSeverity):
-        from dataclasses import replace
-
-        return replace(sev, base=_perturb_severity(sev.base, rng))
-    return sev
-
-
-def _perturb_delay(delay, rng):
-    from .delays import WeibullDelayModel
-
-    if not isinstance(delay, WeibullDelayModel):
-        return delay
-    return WeibullDelayModel(
-        shape=_normal_shift(rng, delay.shape, delay.se.get("shape", 0.0), lo=0.05),
-        c0=_normal_shift(rng, delay.c0, delay.se.get("c0", 0.0)),
-        c1=_normal_shift(rng, delay.c1, delay.se.get("c1", 0.0), hi=0.0),
-        se=delay.se,
-    )
-
-
 def _perturb_model(model, rng):
-    """Estimation-risk draw: resample parameters from their reported SEs.
+    """Estimation-risk draw: each component redraws its own parameters.
 
     Covers delays, payment intensities, and severity laws (the levers of the
     reserve mean); occurrence and dependence parameters stay at the point
-    estimate. Draw order is fixed so scenarios stay reproducible.
+    estimate. Draw order is fixed so scenarios stay reproducible: per type,
+    delay, then counts, then severity.
     """
     types = {}
     for ctype in model.type_names():
         tm = model.types[ctype]
         types[ctype] = TypeModel(
             occurrence=tm.occurrence,
-            delay=_perturb_delay(tm.delay, rng),
-            counts=_perturb_counts(tm.counts, rng),
-            severity=_perturb_severity(tm.severity, rng),
+            delay=tm.delay.perturbed(rng),
+            counts=tm.counts.perturbed(rng),
+            severity=tm.severity.perturbed(rng),
             copula=tm.copula,
         )
     return GranularModel(types=types, hac=model.hac)
@@ -642,31 +567,25 @@ def _rbns_scenario(model, prep, window, edges, rng):
         lam_a = np.asarray(tm.counts.intensity.cumulative(p.tau_a), dtype=float)
         lam_b = np.asarray(tm.counts.intensity.cumulative(p.tau_b), dtype=float)
         m = rng.poisson(np.maximum(lam_b - lam_a, 0.0))
-        total = int(m.sum())
-        if total == 0:
+        if not m.any():
             flows[ctype] = np.zeros(n_periods)
             continue
         _, days = _place_payments(
             tm.counts, m, p.r, lam_a, lam_b, window.a_day, window.b_day, rng
         )
-        if isinstance(tm.severity, OrderARSeverity):
-            amounts = tm.severity.continue_flat(m, p.k_obs, p.last_amt, rng)
-        else:
-            amounts = tm.severity.sample(total, rng)
+        amounts = tm.severity.continue_flat(m, p.k_obs, p.last_amt, rng)
         buckets = np.searchsorted(edges, days, side="right") - 1
         flows[ctype] = np.bincount(buckets, weights=amounts, minlength=n_periods)
     return flows
 
 
-def _one_scenario(
-    model, prep, window, edges, lookback, match_gap_days, parameter_risk, seed_child
-):
+def _one_scenario(model, prep, window, edges, lookback, parameter_risk, seed_child):
     rng = np.random.default_rng(seed_child)
     if parameter_risk:
         model = _perturb_model(model, rng)
     n_periods = edges.size - 1
     rbns_flows = _rbns_scenario(model, prep, window, edges, rng)
-    ibnr = _ibnr_draw(model, window, rng, lookback, match_gap_days)
+    ibnr = _ibnr_draw(model, window, rng, lookback)
     row = {}
     for ctype in model.type_names():
         d = ibnr[ctype]
@@ -712,7 +631,6 @@ def simulate_reserves(
     seed: int,
     workers: int = 1,
     lookback=None,
-    match_gap_days: int = 7,
     parameter_risk: bool = False,
 ) -> ReserveDistribution:
     """Monte Carlo reserve distribution over the window (a, b].
@@ -733,7 +651,7 @@ def simulate_reserves(
     prep = _prepare_rbns(model, portfolio, window)
     children = np.random.SeedSequence(seed).spawn(n_scenarios)
 
-    args = (model, prep, window, edges, lookback, match_gap_days, parameter_risk)
+    args = (model, prep, window, edges, lookback, parameter_risk)
     if workers <= 1 or n_scenarios < 4:
         rows = _scenario_batch(args, children)
     else:

@@ -15,20 +15,34 @@ deterministic geometric run-off, which is handy for calibration checks.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
 
-from .fitutil import observed_info_se
+from .fitutil import observed_info_se, redraw
+
+
+class _IidSeverity:
+    """Every payment of a claim drawn independently from one law."""
+
+    def perturbed(self, rng):
+        return redraw(self, rng, self.se)
+
+    def continue_flat(self, counts, k_obs, last_obs, rng) -> np.ndarray:
+        """Future amounts, claim-major; independent draws ignore the history."""
+        return self.sample(int(np.sum(counts)), rng)
 
 
 @dataclass(frozen=True)
-class LogNormalSeverity:
+class LogNormalSeverity(_IidSeverity):
     mu: float
     sigma: float
     se: dict = field(default_factory=dict, compare=False)
+
+    REDRAW_BOUNDS = {"mu": (-math.inf, math.inf), "sigma": (1e-3, math.inf)}
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -53,10 +67,12 @@ class LogNormalSeverity:
 
 
 @dataclass(frozen=True)
-class GammaSeverity:
+class GammaSeverity(_IidSeverity):
     shape: float
     scale: float
     se: dict = field(default_factory=dict, compare=False)
+
+    REDRAW_BOUNDS = {"shape": (1e-6, math.inf), "scale": (1e-9, math.inf)}
 
     def __post_init__(self):
         if self.shape <= 0 or self.scale <= 0:
@@ -183,6 +199,10 @@ class OrderARSeverity:
             return rng.normal(0.0, self.sigma_eps, k)
         return np.zeros(k)
 
+    def perturbed(self, rng):
+        """Parameter risk redraws the first-payment law; the chain stays put."""
+        return replace(self, base=self.base.perturbed(rng))
+
     def continue_flat(self, counts, k_obs, last_obs, rng) -> np.ndarray:
         """Future amounts for claims with observed payment history.
 
@@ -232,9 +252,7 @@ class OrderARSeverity:
 
 def simulate_amounts(model, counts, rng) -> np.ndarray:
     """Flat claim-major amounts for new claims, either severity structure."""
-    if isinstance(model, OrderARSeverity):
-        return model.continue_flat(counts, 0, 0.0, rng)
-    return model.sample(int(np.sum(counts)), rng)
+    return model.continue_flat(counts, 0, 0.0, rng)
 
 
 def amount_sequences(portfolio, claim_type=None) -> list:
@@ -256,8 +274,10 @@ def fit_order_ar(
     """Least-squares coefficients per payment order, pooled noise scale.
 
     Transitions at order j (payment j to j+1) with fewer than min_obs
-    observations are pooled into the previous coefficient; max_order caps the
-    number of distinct coefficients regardless.
+    observations pool forward with the next orders until the pooled bucket
+    holds min_obs; the deepest order closes the last bucket whatever its
+    size. Orders from max_order on share one bucket, so max_order caps the
+    number of distinct coefficients.
     """
     counts = np.array([len(s) for s in sequences], dtype=np.int64)
     flat = np.concatenate([np.asarray(s, dtype=float) for s in sequences] or [np.empty(0)])
@@ -279,11 +299,6 @@ def fit_order_ar(
             continue
         buckets.append(mask)
         pending = np.zeros(order.size, dtype=bool)
-    if pending.any():
-        if buckets:
-            buckets[-1] = buckets[-1] | pending
-        else:
-            buckets.append(pending)
 
     coefs, denoms, resid = [], [], []
     for mask in buckets:

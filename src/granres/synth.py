@@ -90,7 +90,6 @@ def synthesize(
     start_day: int,
     end_day: int,
     rng,
-    match_gap_days: int = 7,
     id_prefix: str = "syn",
 ) -> Portfolio:
     """Draw a complete observed portfolio on [start, end] with cutoff end."""
@@ -104,7 +103,6 @@ def synthesize(
         start_day - 1,
         end_day,
         rng,
-        match_gap_days,
     )
     ids, codes = [], []
     for ctype, d in draw.items():
@@ -135,7 +133,4 @@ def synth_portfolio(config: dict, rng) -> tuple:
         model = default_model(
             n_claims, start, end, config.get("dependence", "independence")
         )
-    portfolio = synthesize(
-        model, start, end, rng, match_gap_days=int(config.get("match_gap_days", 7))
-    )
-    return portfolio, model
+    return synthesize(model, start, end, rng), model

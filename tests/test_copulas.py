@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
 from granres import CopulaSpec
@@ -36,6 +36,12 @@ def test_cdf_boundary_identities():
         assert_allclose(fam.cdf(np.zeros(3), g, th), 0.0, atol=1e-12)
         assert_allclose(fam.cdf(g, np.ones(3), th), g, atol=1e-12)
         assert_allclose(fam.cdf(np.ones(3), g, th), g, atol=1e-12)
+        assert_array_equal(fam.h(g, np.zeros(3), th), 0.0)
+        assert_array_equal(fam.h(g, np.ones(3), th), 1.0)
+        nan = np.full(3, np.nan)
+        assert np.isnan(fam.cdf(nan, g, th)).all()
+        assert np.isnan(fam.cdf(g, nan, th)).all()
+        assert np.isnan(fam.h(g, nan, th)).all()
 
 
 def test_cdf_closed_form_values():
@@ -131,7 +137,7 @@ def test_frank_is_continuous_through_zero():
 def test_generator_identities():
     t = np.array([0.1, 0.35, 0.6, 0.9])
     u, v = 0.3, 0.65
-    for name, th in [("independence", None), ("clayton", 2.0), ("gumbel", 2.5), ("frank", 4.0)]:
+    for name, th in [("clayton", 2.0), ("gumbel", 2.5), ("frank", 4.0)]:
         fam = family(name)
         assert name in ARCHIMEDEAN
         assert_allclose(fam.gen_inv(fam.gen(t, th), th), t, rtol=1e-10)

@@ -133,6 +133,24 @@ def test_fit_empirical_merges_thin_cohorts():
     assert_array_equal(m.cohorts[2000], m.cohorts[2001])
 
 
+def test_fit_empirical_merges_short_tail_into_the_whole_group():
+    rng = np.random.default_rng(14)
+    acc = np.concatenate(
+        [year_start(y) + rng.integers(0, 360, n) for y, n in ((2016, 20), (2017, 90), (2018, 10))]
+    )
+    rep = acc + rng.integers(0, 30, acc.size)
+    claims = [
+        ClaimRecord(f"c{i}", "material_damage", int(a), int(r))
+        for i, (a, r) in enumerate(zip(acc, rep))
+    ]
+    with pytest.warns(UserWarning, match="merged"):
+        m = fit_delay(Portfolio(claims, int(rep.max())), "empirical_cohort")
+    # 2016 merges forward into 2017; the short 2018 tail joins that group
+    assert [m.cohorts[y].size for y in (2016, 2017, 2018)] == [120, 120, 120]
+    assert_array_equal(m.cohorts[2016], m.cohorts[2018])
+    assert_array_equal(np.sort(rep - acc), m.cohorts[2017])
+
+
 def test_fit_empirical_merges_thin_leading_cohort():
     rng = np.random.default_rng(13)
     acc0 = rng.integers(0, 360, 5)

@@ -21,6 +21,7 @@ from granres import (
 from granres.copulas.dynamics import TimeVaryingParam
 from granres.copulas.families import GUMBEL
 from granres.copulas.hac import (
+    MATCH_GAP_DAYS,
     fit_hac_outer,
     hac_cdf,
     hac_from_dict,
@@ -167,9 +168,7 @@ def test_matched_delay_scores_hand_case():
         ClaimRecord("b2", "material_damage", 300, 301),
     ]
     port = Portfolio(claims, 400)
-    sa, sb = matched_delay_scores(
-        port, {"bodily_injury": dm, "material_damage": dm}, max_gap_days=7
-    )
+    sa, sb = matched_delay_scores(port, {"bodily_injury": dm, "material_damage": dm})
     # only the (day 10, day 12) pair is close enough; scores at w + 0.5
     assert_allclose(sa, [1.0 - math.exp(-5.5 / 10.0)], rtol=1e-12)
     assert_allclose(sb, [1.0 - math.exp(-8.5 / 10.0)], rtol=1e-12)
@@ -195,11 +194,11 @@ def test_match_days_hand_case():
     assert ia.size == ib.size == 0 and rest_a.all() and rest_b.size == 0
 
 
-def _loop_matched_scores(portfolio, dm, max_gap):
-    """Claim-object loop reference for matched_delay_scores."""
+def _loop_matched_pairs(portfolio, max_gap):
+    """Claim-object loop reference for the cross-type matching."""
     a = sorted(portfolio.by_type("bodily_injury").claims, key=lambda c: c.accident_day)
     b = sorted(portfolio.by_type("material_damage").claims, key=lambda c: c.accident_day)
-    sa, sb, j, used = [], [], 0, [False] * len(b)
+    pairs, j, used = [], 0, [False] * len(b)
     for c in a:
         d = c.accident_day
         while j < len(b) and (b[j].accident_day < d - max_gap or used[j]):
@@ -213,23 +212,40 @@ def _loop_matched_scores(portfolio, dm, max_gap):
                 break
         if best >= 0:
             used[best] = True
-            m = b[best]
-            sa.append(dm["bodily_injury"].cdf(d, c.delay_days() + 0.5))
-            sb.append(dm["material_damage"].cdf(m.accident_day, m.delay_days() + 0.5))
-    return np.asarray(sa, dtype=float), np.asarray(sb, dtype=float)
+            pairs.append((c, b[best]))
+    return pairs
 
 
-def test_matched_delay_scores_match_the_claim_loop():
+@pytest.fixture(scope="module")
+def matched():
     start, end = parse_iso("2016-01-01"), parse_iso("2018-12-31")
     truth = default_model(3000, start, end)
-    port = synthesize(truth, start, end, np.random.default_rng(4))
+    return truth, synthesize(truth, start, end, np.random.default_rng(4))
+
+
+def test_matched_delay_scores_match_the_claim_loop(matched):
+    truth, port = matched
     dm = {t: truth.types[t].delay for t in truth.types}
-    for gap in (0, 3, 7):
-        got = matched_delay_scores(port, dm, max_gap_days=gap)
-        want = _loop_matched_scores(port, dm, gap)
-        assert got[0].size > 100
-        for x, y in zip(got, want):
-            assert x.tobytes() == y.tobytes()
+    got = matched_delay_scores(port, dm)
+    pairs = _loop_matched_pairs(port, MATCH_GAP_DAYS)
+    assert got[0].size == len(pairs) > 100
+    for side, x in enumerate(got):
+        y = [
+            dm[p[side].claim_type].cdf(p[side].accident_day, p[side].delay_days() + 0.5)
+            for p in pairs
+        ]
+        assert x.tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("gap", [0, 3])
+def test_match_days_matches_the_claim_loop(matched, gap):
+    _, port = matched
+    subs = [port.by_type(t) for t in ("bodily_injury", "material_damage")]
+    ia, ib, _, _ = match_days(subs[0].accident_days, subs[1].accident_days, gap)
+    pairs = _loop_matched_pairs(port, gap)
+    assert ia.size > 100
+    assert [subs[0].claims[i].claim_id for i in ia] == [a.claim_id for a, _ in pairs]
+    assert [subs[1].claims[i].claim_id for i in ib] == [b.claim_id for _, b in pairs]
 
 
 def test_fit_hac_outer_recovers_tau():

@@ -7,6 +7,7 @@ A change that alters the draws on purpose records new digests and says why.
 """
 
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -17,11 +18,13 @@ from granres import (
     OrderARSeverity,
     ValuationWindow,
     default_model,
+    fit_model,
     ibnr_simulate,
     parse_iso,
     simulate_reserves,
     synthesize,
 )
+from granres.reserving import _perturb_model
 
 START, END = parse_iso("2016-01-01"), parse_iso("2018-12-31")
 WINDOW = ValuationWindow.one_year(parse_iso("2017-12-31"))
@@ -35,6 +38,25 @@ RESERVES = {
     "independence": "7ad830e2a1d897f72a20df9b807ef2ed3b94468e9ef3d87dca41e9b1fb4ce533",
     "archimedean": "169cc0c322dbccc751b1a87429ad439bc1d76654f1a29b9e738219bd445cf25c",
     "order_ar_parameter_risk": "42a0cb17bf9871e7eb7767e1de4c2218d84046730346f9f062b587d166599111",
+}
+# parameter-risk draws around fitted estimates: every component family with
+# its fitted standard errors, and the counts' joint covariance. The digests
+# cover the fitted estimates too, so a change to a fitter records new ones.
+PERTURB_RECIPES = {
+    "weibull": {
+        "intensity_family": {"bodily_injury": "exponential", "material_damage": "power"},
+        "severity_family": {"bodily_injury": "lognormal", "material_damage": "gamma"},
+    },
+    "empirical_order_ar": {
+        "delay_variant": "empirical_cohort",
+        "intensity_family": {"bodily_injury": "power", "material_damage": "exponential"},
+        "severity_family": {"bodily_injury": "gamma", "material_damage": "lognormal"},
+        "severity_structure": "order_ar",
+    },
+}
+PERTURB = {
+    "weibull": "61c0a5471a7731b39de441e85a422c03fa38ddcb475657ade62538bfc5b88ca7",
+    "empirical_order_ar": "a6c940f749f2211336f21eacda0d4160b7df2afdbb053841c5a69bb37dbc9574",
 }
 
 
@@ -99,3 +121,20 @@ def test_simulate_reserves_is_pinned(drawn, case, workers):
         model, portfolio, WINDOW, 8, seed=17, workers=workers, parameter_risk=prisk
     )
     assert _arrays_digest(dist.rbns, dist.ibnr, dist.by_period) == RESERVES[case]
+
+
+@pytest.mark.parametrize("case", sorted(PERTURB))
+def test_perturb_model_draws_are_pinned(drawn, case):
+    _, portfolio = drawn["independence"]
+    recipe = dict(PERTURB_RECIPES[case], copula_family="independence", hac_outer=None)
+    model, _ = fit_model(portfolio, recipe)
+    for tm in model.types.values():
+        assert len(tm.counts.cov) == 2
+        assert tm.severity.se
+    rng = np.random.default_rng(21)
+    h = hashlib.sha256()
+    for _ in range(5):
+        drawn_model = _perturb_model(model, rng).to_dict()
+        assert drawn_model != model.to_dict()
+        h.update(json.dumps(drawn_model, sort_keys=True).encode())
+    assert h.hexdigest() == PERTURB[case]

@@ -14,12 +14,14 @@ from granres import (
     CopulaSpec,
     CountProcess,
     ExponentialDecay,
+    GammaSeverity,
     GranularModel,
     OccurrenceModel,
     PaymentEvent,
     PhaseError,
     Poisson,
     Portfolio,
+    PowerDecay,
     ReserveDistribution,
     RunOffTriangle,
     TypeModel,
@@ -91,6 +93,9 @@ def test_valuation_window():
 def test_fit_model_rejects_unknown_recipe_keys():
     with pytest.raises(ValueError, match="unknown recipe keys"):
         fit_model(_rbns_portfolio(), {"bogus": 1})
+    # the cross-type match gap is fixed, so fit and simulation agree on it
+    with pytest.raises(ValueError, match="unknown recipe keys"):
+        fit_model(_rbns_portfolio(), {"match_gap_days": 7})
 
 
 def test_fit_error_names_the_failing_stage():
@@ -342,6 +347,57 @@ def test_model_json_round_trip_keeps_standard_errors(tmp_path, port1500):
     assert draws[0] == draws[1]
     shifted = _perturb_model(loaded, np.random.default_rng(8)).types["material_damage"]
     assert shifted.severity.shape != model.types["material_damage"].severity.shape
+
+
+# the clamps of a parameter-risk redraw, (lo, hi) per parameter in draw order
+REDRAW_CLAMPS = {
+    WeibullDelayModel: {"shape": (0.05, math.inf), "c0": (-math.inf, math.inf),
+                        "c1": (-math.inf, 0.0)},
+    ExponentialDecay: {"lam0": (1e-6, math.inf), "beta": (1e-6, math.inf)},
+    PowerDecay: {"lam0": (1e-6, math.inf), "beta": (1.0 + 1e-6, math.inf)},
+    LogNormalSeverity: {"mu": (-math.inf, math.inf), "sigma": (1e-3, math.inf)},
+    GammaSeverity: {"shape": (1e-6, math.inf), "scale": (1e-9, math.inf)},
+}
+
+
+def test_parameter_redraws_stay_in_bounds():
+    for cls, clamps in REDRAW_CLAMPS.items():
+        assert list(cls.REDRAW_BOUNDS.items()) == list(clamps.items())
+
+    def wide(cls):
+        return dict.fromkeys(REDRAW_CLAMPS[cls], 1e3)
+
+    delay = WeibullDelayModel(1.5, math.log(30.0), -0.01, se=wide(WeibullDelayModel))
+    lognormal = LogNormalSeverity(3.0, 0.4, se=wide(LogNormalSeverity))
+    model = GranularModel(types={
+        "bodily_injury": replace(
+            TM,
+            delay=delay,
+            counts=CountProcess(ExponentialDecay(3.0, 1.2), se=wide(ExponentialDecay)),
+            severity=OrderARSeverity(lognormal, (0.5,), 0.3),
+        ),
+        "material_damage": replace(
+            TM,
+            delay=delay,
+            counts=CountProcess(PowerDecay(3.0, 2.5), cov=((1e6, 0.0), (0.0, 1e6))),
+            severity=GammaSeverity(2.0, 50.0, se=wide(GammaSeverity)),
+        ),
+    })
+    rng = np.random.default_rng(5)
+    hits = set()
+    for _ in range(100):
+        for tm in _perturb_model(model, rng).types.values():
+            sev = tm.severity
+            for comp in (tm.delay, tm.counts.intensity, getattr(sev, "base", sev)):
+                for name, (lo, hi) in REDRAW_CLAMPS[type(comp)].items():
+                    x = getattr(comp, name)
+                    assert lo <= x <= hi
+                    if x in (lo, hi):
+                        hits.add((type(comp), name))
+    # every finite clamp was reached, so each one is exercised
+    assert len(hits) == sum(
+        math.isfinite(b) for c in REDRAW_CLAMPS.values() for lohi in c.values() for b in lohi
+    )
 
 
 def test_backtest_window_validation(port1500):
