@@ -109,17 +109,40 @@ def hac_cdf(spec, u1, u2, u3, u4, x_a=0.0, x_b=0.0):
     return outer.cdf(s, t, spec.outer_theta)
 
 
-def hac_sample(spec, rng, size=1, x_a=0.0, x_b=0.0, theta_a_fn=None, theta_b_fn=None):
+def hac_uniforms(rng, size):
+    """The (size, 4) uniforms that hac_sample turns into size rows."""
+    return rng.uniform(_LO, _HI, size=(size, 4))
+
+
+def hac_sample(
+    spec,
+    rng=None,
+    size=1,
+    x_a=0.0,
+    x_b=0.0,
+    theta_a_fn=None,
+    theta_b_fn=None,
+    uniforms=None,
+):
     """Draw (u1, u2, u3, u4) rows from the nested copula, all rows at once.
 
-    Each row takes four uniforms from rng in turn. theta_a_fn / theta_b_fn,
-    when given, map the array of an inner pair's first components to that
-    pair's dependence parameters, one per row; they take precedence over the
-    fixed development times x_a / x_b.
+    Each row takes four uniforms from rng in turn, or, in place of rng and
+    size, reads them from uniforms as drawn by hac_uniforms. theta_a_fn /
+    theta_b_fn, when given, map the array of an inner pair's first
+    components to that pair's dependence parameters, one per row; they take
+    precedence over the fixed development times x_a / x_b.
+
+    Every step is elementwise over rows, so solving stacked uniforms gives
+    bit for bit the rows of solving each block alone, as long as the theta
+    maps treat each block as its own.
     """
+    if (rng is None) == (uniforms is None):
+        raise ValueError("pass exactly one of rng and uniforms")
+    if uniforms is None:
+        uniforms = hac_uniforms(rng, size)
     fam_a = family(spec.inner_a.family)
     fam_b = family(spec.inner_b.family)
-    u1, p2, p3, p4 = rng.uniform(_LO, _HI, size=(size, 4)).T
+    u1, p2, p3, p4 = uniforms.T
     th_a = theta_a_fn(u1) if theta_a_fn else spec.inner_a.theta_at(x_a)
     u2 = np.clip(fam_a.hinv(u1, p2, th_a), _LO, _HI)
 
@@ -179,27 +202,27 @@ def match_days(days_a, days_b, max_gap: int):
     """
     ia, ib = [], []
     order_b = np.argsort(days_b, kind="stable")
+    b_index = order_b.tolist()
     sorted_b = days_b[order_b].tolist()
-    used_b = [False] * len(sorted_b)
+    n_b = len(sorted_b)
+    used_b = [False] * n_b
     day_a = days_a.tolist()
     j = 0
     for i in np.argsort(days_a, kind="stable").tolist():
         d = day_a[i]
-        while j < len(sorted_b) and (sorted_b[j] < d - max_gap or used_b[j]):
+        while j < n_b and (sorted_b[j] < d - max_gap or used_b[j]):
             j += 1
         best, best_gap = -1, max_gap + 1
-        for k in range(j, min(j + 64, len(sorted_b))):
-            if used_b[k]:
-                continue
-            gap = abs(sorted_b[k] - d)
-            if gap < best_gap:
-                best, best_gap = k, gap
-            if sorted_b[k] > d + max_gap:
-                break
+        for k in range(j, min(j + 64, n_b)):
+            b = sorted_b[k]
+            if b - d >= best_gap:
+                break  # days of b ascend, so none after this one is nearer
+            if not used_b[k] and abs(b - d) < best_gap:
+                best, best_gap = k, abs(b - d)
         if best >= 0:
             used_b[best] = True
             ia.append(i)
-            ib.append(order_b[best])
+            ib.append(b_index[best])
     rest_a = np.ones(days_a.size, dtype=bool)
     rest_a[ia] = False
     rest_b = np.ones(days_b.size, dtype=bool)

@@ -1,21 +1,32 @@
 """Reserve prediction engine.
 
-One kernel, _draw_claims, draws the claim law claim by claim: arrivals from
-the day-gap model, cross-type matching by accident day, the nested copula
-draw for matched pairs, the reporting delay, the payment count at the
-claim's horizon, payment placement and amounts. It has three views:
+One kernel draws the claim law claim by claim, in three stages: arrivals
+from the day-gap model and cross-type matching by accident day, with four
+copula uniforms per matched pair (_draw_arrivals); the nested copula solve
+for the matched pairs (_solve_pairs); the reporting delay, the payment count
+at the claim's horizon, payment placement and amounts (_finish_claims).
+_draw_claims runs the three in turn for one draw. The kernel has three
+views:
 
 * synth.synthesize: arrivals on [start, end], every claim that reports by
   end kept, horizon end; the observed history.
-* _ibnr_draw (and ibnr_simulate, its ClaimRecord view): arrivals over the
+* ibnr_simulate (and _ibnr_draw, the engine's stage 3): arrivals over the
   lookback (a - lookback, a], kept if they report inside (a, b], horizon b;
   the IBNR reserve.
 * _rbns_scenario: claims reported by a continue their payment process on
   (a, b] through the same placement, _place_payments; the RBNS reserve.
 
-The Monte Carlo scenario loop is embarrassingly parallel. Scenario i draws
-from a generator seeded with the i-th child of SeedSequence(master), so
-results are identical for any worker count and merge by scenario index.
+Scenario i draws from a generator seeded with the i-th child of
+SeedSequence(master). A worker runs its chunk of scenarios in batches of up
+to _BATCH_SCENARIOS, stage by stage: each scenario's parameter redraw, RBNS
+flows and IBNR arrivals; then a single nested copula solve over the matched
+pairs of the whole batch, each scenario's inner parameters set by its own
+model; then each scenario's delays, counts, placement and amounts. Every
+draw comes from its scenario's own generator in the same order as running
+the scenario alone, and the solve is elementwise, so output is bitwise the
+same for any batch size and worker count, and merges by scenario index.
+Without the nested copula there is no joint solve and each scenario runs
+straight through.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +53,7 @@ from .copulas import (
     hac_sample,
     matched_delay_scores,
 )
-from .copulas.hac import MATCH_GAP_DAYS, match_days
+from .copulas.hac import MATCH_GAP_DAYS, hac_uniforms, match_days
 # bench/tracing.py patches this name to count the matched pairs kept
 from .copulas.mixed import count_quantile as _count_marginal_quantile
 from .daycount import DAYS_PER_YEAR, year_of, year_start
@@ -380,40 +391,84 @@ def _inner_theta(tm, t_days, horizon_end: int):
     return theta_fn
 
 
-def _draw_claims(model, from_day_by_type, to_day, report_after, horizon_end, rng):
-    """One draw of the claim law, vectorized per type.
+def _coupled(model) -> bool:
+    """Whether the nested copula joins the model's two claim types."""
+    hac = model.hac
+    return hac is not None and hac.outer_family != "independence" and len(model.types) >= 2
 
-    Accident days come from each type's arrival process started at
-    from_day_by_type[type] and run to to_day. When the model couples the two
-    types, their accidents are matched by day and each matched pair draws
-    (u1, u2, u3, u4) from the nested copula; other claims draw their delay
-    score alone. A claim is kept if it reports in (report_after,
-    horizon_end]. Its payment count over (0, horizon_end - r] comes from the
-    count margin at u2 (matched) or the copula conditional given u1 (free);
-    payments are placed in (r, horizon_end] and amounts drawn per claim.
 
-    Returns {claim_type: dict of arrays}: accident days t, reporting days r,
-    counts n, plus flat claim-major payment (idx, day, amount) arrays.
+def _draw_arrivals(model, from_day_by_type, to_day, rng):
+    """Stage 1 of the claim law: accident days, and for a coupled model the
+    cross-type match and each matched pair's four copula uniforms.
+
+    Returns (arrivals, match, uniforms): arrivals per type, and match_days'
+    output and the (pairs, 4) uniforms, both None when the model is not
+    coupled.
     """
     names = model.type_names()
     arrivals = {
         t: simulate_arrivals(model.types[t].occurrence, from_day_by_type[t], to_day, rng)
         for t in names
     }
+    if not _coupled(model):
+        return arrivals, None, None
+    match = match_days(arrivals[names[0]], arrivals[names[1]], MATCH_GAP_DAYS)
+    return arrivals, match, hac_uniforms(rng, match[0].size)
+
+
+def _solve_pairs(drawn, horizon_end):
+    """Stage 2: the nested copula rows of every matched pair of a batch.
+
+    drawn lists (model, stage-1 draw) for draws of one coupled model that may
+    differ only in their redrawn margins. A single hac_sample solves every
+    pair at once; each draw's inner parameters come from its own model. The
+    solve is elementwise, so each draw's rows are bit for bit those of
+    solving it alone. Returns one (pairs, 4) row array per draw.
+    """
+    ends = np.cumsum([draw[2].shape[0] for _, draw in drawn]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+
+    def segmented(k):
+        # inner pair k's theta map: each draw's rows through its own model
+        maps = []
+        for model, (arrivals, match, _) in drawn:
+            name = model.type_names()[k]
+            days = arrivals[name][match[k]]
+            maps.append(_inner_theta(model.types[name], days, horizon_end))
+
+        def theta_fn(u):
+            return np.concatenate([f(u[lo:hi]) for f, (lo, hi) in zip(maps, spans)])
+
+        return theta_fn
+
+    rows = hac_sample(
+        drawn[0][0].hac,
+        uniforms=np.concatenate([draw[2] for _, draw in drawn]),
+        theta_a_fn=segmented(0),
+        theta_b_fn=segmented(1),
+    )
+    return [rows[lo:hi] for lo, hi in spans]
+
+
+def _finish_claims(model, draw, rows, report_after, horizon_end, rng):
+    """Stage 3 of the claim law, given stage 1's draw and the pairs' rows.
+
+    A claim is kept if it reports in (report_after, horizon_end]. Its
+    payment count over (0, horizon_end - r] comes from the count margin at
+    u2 (matched) or the copula conditional given u1 (free); payments are
+    placed in (r, horizon_end] and amounts drawn per claim.
+
+    Returns {claim_type: dict of arrays}: accident days t, reporting days r,
+    counts n, plus flat claim-major payment (idx, day, amount) arrays.
+    """
+    names = model.type_names()
+    arrivals, match, _ = draw
     pairs = {t: (np.empty(0, dtype=np.int64), np.empty((0, 2))) for t in names}
     free = arrivals
-    hac = model.hac
-    if hac is not None and hac.outer_family != "independence" and len(names) >= 2:
+    if match is not None:
         na, nb = names
         ta, tb = arrivals[na], arrivals[nb]
-        ia, ib, rest_a, rest_b = match_days(ta, tb, MATCH_GAP_DAYS)
-        rows = hac_sample(
-            hac,
-            rng,
-            size=ia.size,
-            theta_a_fn=_inner_theta(model.types[na], ta[ia], horizon_end),
-            theta_b_fn=_inner_theta(model.types[nb], tb[ib], horizon_end),
-        )
+        ia, ib, rest_a, rest_b = match
         pairs = {na: (ta[ia], rows[:, :2]), nb: (tb[ib], rows[:, 2:])}
         free = {na: ta[rest_a], nb: tb[rest_b]}
 
@@ -457,18 +512,37 @@ def _draw_claims(model, from_day_by_type, to_day, report_after, horizon_end, rng
     return out
 
 
-def _ibnr_draw(model, window, rng, lookback=None):
-    """One scenario of IBNR claims: the claim-law kernel over the lookback.
+def _draw_claims(model, from_day_by_type, to_day, report_after, horizon_end, rng):
+    """One draw of the claim law, vectorized per type: the three stages in turn.
 
-    Accidents arrive on (a - lookback, a] (default_lookback per type when
-    lookback is None) and are kept if they report inside (a, b].
+    Accident days come from each type's arrival process started at
+    from_day_by_type[type] and run to to_day. When the model couples the two
+    types, their accidents are matched by day and each matched pair draws
+    (u1, u2, u3, u4) from the nested copula; other claims draw their delay
+    score alone. Stage 3 (_finish_claims) keeps, counts and pays the claims.
     """
-    a = window.a_day
-    from_day = {
-        t: a - (lookback if lookback is not None else default_lookback(tm.delay, a))
+    draw = _draw_arrivals(model, from_day_by_type, to_day, rng)
+    rows = _solve_pairs([(model, draw)], horizon_end)[0] if _coupled(model) else None
+    return _finish_claims(model, draw, rows, report_after, horizon_end, rng)
+
+
+def _ibnr_start_days(model, a_day, lookback):
+    """Each type's first IBNR accident day: a - lookback, or a less the type's
+    default_lookback when lookback is None."""
+    return {
+        t: a_day - (lookback if lookback is not None else default_lookback(tm.delay, a_day))
         for t, tm in model.types.items()
     }
-    return _draw_claims(model, from_day, a, a, window.b_day, rng)
+
+
+def _ibnr_draw(model, window, draw, rows, rng):
+    """Stage 3 of one IBNR scenario: of the accidents drawn over the lookback
+    (a - lookback, a], keep those reporting inside (a, b], horizon b.
+
+    bench/tracing.py patches this name to time and count each scenario's
+    IBNR claims.
+    """
+    return _finish_claims(model, draw, rows, window.a_day, window.b_day, rng)
 
 
 def ibnr_simulate(model, window, rng, lookback=None) -> list:
@@ -480,7 +554,9 @@ def ibnr_simulate(model, window, rng, lookback=None) -> list:
     cross-type matched pairs), times from the count-conditional placement,
     amounts from the severity model.
     """
-    draw = _ibnr_draw(model, window, rng, lookback)
+    a = window.a_day
+    starts = _ibnr_start_days(model, a, lookback)
+    draw = _draw_claims(model, starts, a, a, window.b_day, rng)
     records = []
     for ctype, d in draw.items():
         n = d["t"].size
@@ -503,13 +579,16 @@ def _period_edges(window):
 
 @dataclass(frozen=True)
 class _RbnsPrep:
-    """Read-only per-type arrays for the scenario loop."""
+    """Read-only per-type arrays for the scenario loop; lam_a and lam_b are the
+    cumulative payment intensity at tau_a and tau_b under the scenario's model."""
 
     r: np.ndarray
     tau_a: np.ndarray
     tau_b: np.ndarray
     k_obs: np.ndarray
     last_amt: np.ndarray
+    lam_a: np.ndarray
+    lam_b: np.ndarray
 
 
 def _prepare_rbns(model, portfolio, window):
@@ -529,8 +608,23 @@ def _prepare_rbns(model, portfolio, window):
             tau_b=(window.b_day - r) / DAYS_PER_YEAR,
             k_obs=k,
             last_amt=last,
+            lam_a=np.empty(0),
+            lam_b=np.empty(0),
         )
-    return prep
+    return _rbns_intensities(model, prep)
+
+
+def _rbns_intensities(model, prep):
+    """prep with lam_a and lam_b read off model's payment intensities."""
+    out = {}
+    for ctype, p in prep.items():
+        cumulative = model.types[ctype].counts.intensity.cumulative
+        out[ctype] = replace(
+            p,
+            lam_a=np.asarray(cumulative(p.tau_a), dtype=float),
+            lam_b=np.asarray(cumulative(p.tau_b), dtype=float),
+        )
+    return out
 
 
 def _perturb_model(model, rng):
@@ -555,7 +649,7 @@ def _perturb_model(model, rng):
 
 
 def _rbns_scenario(model, prep, window, edges, rng):
-    """One scenario of RBNS payments; returns per-type (period flows, total)."""
+    """One scenario of RBNS payments; returns per-type period flows."""
     flows = {}
     for ctype in model.type_names():
         tm = model.types[ctype]
@@ -564,14 +658,12 @@ def _rbns_scenario(model, prep, window, edges, rng):
         if p.r.size == 0:
             flows[ctype] = np.zeros(n_periods)
             continue
-        lam_a = np.asarray(tm.counts.intensity.cumulative(p.tau_a), dtype=float)
-        lam_b = np.asarray(tm.counts.intensity.cumulative(p.tau_b), dtype=float)
-        m = rng.poisson(np.maximum(lam_b - lam_a, 0.0))
+        m = rng.poisson(np.maximum(p.lam_b - p.lam_a, 0.0))
         if not m.any():
             flows[ctype] = np.zeros(n_periods)
             continue
         _, days = _place_payments(
-            tm.counts, m, p.r, lam_a, lam_b, window.a_day, window.b_day, rng
+            tm.counts, m, p.r, p.lam_a, p.lam_b, window.a_day, window.b_day, rng
         )
         amounts = tm.severity.continue_flat(m, p.k_obs, p.last_amt, rng)
         buckets = np.searchsorted(edges, days, side="right") - 1
@@ -579,17 +671,47 @@ def _rbns_scenario(model, prep, window, edges, rng):
     return flows
 
 
-def _one_scenario(model, prep, window, edges, lookback, parameter_risk, seed_child):
+@dataclass(frozen=True)
+class _Scenarios:
+    """What every scenario of one simulate_reserves call shares.
+
+    prep and starts (each type's first IBNR accident day) hold the point
+    model's values; with parameter_risk a scenario recomputes both from its
+    redrawn model.
+    """
+
+    model: GranularModel
+    prep: dict
+    starts: dict
+    window: ValuationWindow
+    edges: np.ndarray
+    lookback: int | None
+    parameter_risk: bool
+
+
+def _start_scenario(sc, seed_child):
+    """Stage 1 of a scenario, on its own generator: the parameter redraw, the
+    RBNS flows and the IBNR arrivals, match and pair uniforms."""
     rng = np.random.default_rng(seed_child)
-    if parameter_risk:
+    model, prep, starts = sc.model, sc.prep, sc.starts
+    if sc.parameter_risk:
         model = _perturb_model(model, rng)
-    n_periods = edges.size - 1
-    rbns_flows = _rbns_scenario(model, prep, window, edges, rng)
-    ibnr = _ibnr_draw(model, window, rng, lookback)
+        prep = _rbns_intensities(model, prep)
+        starts = _ibnr_start_days(model, sc.window.a_day, sc.lookback)
+    rbns_flows = _rbns_scenario(model, prep, sc.window, sc.edges, rng)
+    draw = _draw_arrivals(model, starts, sc.window.a_day, rng)
+    return model, rng, rbns_flows, draw
+
+
+def _finish_scenario(sc, started, rows):
+    """Stage 3 of a scenario: its IBNR claims, then both flows per type."""
+    model, rng, rbns_flows, draw = started
+    ibnr = _ibnr_draw(model, sc.window, draw, rows, rng)
+    n_periods = sc.edges.size - 1
     row = {}
     for ctype in model.type_names():
         d = ibnr[ctype]
-        buckets = np.searchsorted(edges, d["pay_day"], side="right") - 1
+        buckets = np.searchsorted(sc.edges, d["pay_day"], side="right") - 1
         ibnr_flow = np.bincount(
             buckets, weights=d["pay_amount"], minlength=n_periods
         )
@@ -597,9 +719,30 @@ def _one_scenario(model, prep, window, edges, lookback, parameter_risk, seed_chi
     return row
 
 
-def _scenario_batch(args, children):
-    """The rows of the scenarios seeded by children, in order."""
-    return [_one_scenario(*args, child) for child in children]
+# Scenarios per joint nested-copula solve: enough to spread numpy's per-call
+# cost over many pairs, few enough that a long run holds a bounded number of
+# half-drawn scenarios. Output does not depend on it.
+_BATCH_SCENARIOS = 64
+
+
+def _scenario_batch(sc, children):
+    """The rows of the scenarios seeded by children, in order, stage by stage.
+
+    Every scenario of a batch runs stage 1 on its own generator; one
+    hac_sample then solves the nested copula for the matched pairs of all of
+    them (stage 2); every scenario finishes on its own generator (stage 3).
+    Without the nested copula there is no stage 2, and each scenario runs
+    straight through.
+    """
+    if not _coupled(sc.model):
+        return [_finish_scenario(sc, _start_scenario(sc, c), None) for c in children]
+    rows = []
+    for k in range(0, len(children), _BATCH_SCENARIOS):
+        started = [_start_scenario(sc, c) for c in children[k : k + _BATCH_SCENARIOS]]
+        drawn = [(model, draw) for model, _, _, draw in started]
+        solved = _solve_pairs(drawn, sc.window.b_day)
+        rows += [_finish_scenario(sc, s, r) for s, r in zip(started, solved)]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -648,12 +791,19 @@ def simulate_reserves(
         raise ValueError("valuation date is past the data cutoff")
     names = model.type_names()
     edges, years = _period_edges(window)
-    prep = _prepare_rbns(model, portfolio, window)
+    sc = _Scenarios(
+        model=model,
+        prep=_prepare_rbns(model, portfolio, window),
+        starts=_ibnr_start_days(model, window.a_day, lookback),
+        window=window,
+        edges=edges,
+        lookback=lookback,
+        parameter_risk=parameter_risk,
+    )
     children = np.random.SeedSequence(seed).spawn(n_scenarios)
 
-    args = (model, prep, window, edges, lookback, parameter_risk)
     if workers <= 1 or n_scenarios < 4:
-        rows = _scenario_batch(args, children)
+        rows = _scenario_batch(sc, children)
     else:
         chunks = [
             [children[i] for i in chunk]
@@ -661,7 +811,7 @@ def simulate_reserves(
             if chunk.size
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_scenario_batch, [args] * len(chunks), chunks)
+            parts = pool.map(_scenario_batch, [sc] * len(chunks), chunks)
             rows = [row for part in parts for row in part]
 
     n_periods = edges.size - 1

@@ -85,13 +85,7 @@ def default_model(
     return GranularModel(types=types, hac=hac)
 
 
-def synthesize(
-    model: GranularModel,
-    start_day: int,
-    end_day: int,
-    rng,
-    id_prefix: str = "syn",
-) -> Portfolio:
+def synthesize(model: GranularModel, start_day: int, end_day: int, rng) -> Portfolio:
     """Draw a complete observed portfolio on [start, end] with cutoff end."""
     names = model.type_names()
     # every claim reports on or after its accident day, so reporting after
@@ -108,7 +102,7 @@ def synthesize(
     for ctype, d in draw.items():
         # ids number each type's claims in accident-day order
         rank = np.argsort(np.argsort(d["t"], kind="stable")) + 1
-        ids += [f"{id_prefix}_{ctype}_{k:06d}" for k in rank.tolist()]
+        ids += [f"syn_{ctype}_{k:06d}" for k in rank.tolist()]
         codes += [CLAIM_TYPES.index(ctype)] * rank.size
     t, r, n, days, amounts = (
         np.concatenate([d[k] for d in draw.values()])

@@ -25,6 +25,7 @@ from granres.copulas.hac import (
     fit_hac_outer,
     hac_cdf,
     hac_from_dict,
+    hac_uniforms,
     match_days,
     matched_delay_scores,
 )
@@ -129,6 +130,16 @@ def test_sample_consumes_four_uniforms_per_row():
         ref = np.random.default_rng(5)
         ref.uniform(size=4 * m)
         assert rng.random() == ref.random()
+
+
+def test_sample_reads_given_uniforms_in_place_of_rng():
+    spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
+    drawn = hac_sample(spec, np.random.default_rng(5), size=7)
+    given = hac_sample(spec, uniforms=hac_uniforms(np.random.default_rng(5), 7))
+    assert given.tobytes() == drawn.tobytes()
+    for bad in ({}, {"rng": np.random.default_rng(5), "uniforms": np.full((1, 4), 0.5)}):
+        with pytest.raises(ValueError, match="exactly one of rng and uniforms"):
+            hac_sample(spec, **bad)
 
 
 @pytest.mark.parametrize("outer", [("gumbel", 1.2), ("independence", None)])

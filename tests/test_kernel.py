@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from granres import (
+    CopulaSpec,
     GranularModel,
+    HacSpec,
     OrderARSeverity,
     ValuationWindow,
     default_model,
@@ -24,6 +26,8 @@ from granres import (
     simulate_reserves,
     synthesize,
 )
+from granres.copulas import family
+from granres.copulas.dynamics import TimeVaryingParam
 from granres.reserving import _perturb_model
 
 START, END = parse_iso("2016-01-01"), parse_iso("2018-12-31")
@@ -37,6 +41,7 @@ IBNR_ARCHIMEDEAN = "1eea2aa9d49930ad07485c736d23d73b7601504348bb93fd8c448215368c
 RESERVES = {
     "independence": "7ad830e2a1d897f72a20df9b807ef2ed3b94468e9ef3d87dca41e9b1fb4ce533",
     "archimedean": "169cc0c322dbccc751b1a87429ad439bc1d76654f1a29b9e738219bd445cf25c",
+    "archimedean_parameter_risk": "f6fe8002c3f6ffef9bd018d25ad9868f998e33faf3a6cc0f9d04d8eed3e14c8b",
     "order_ar_parameter_risk": "42a0cb17bf9871e7eb7767e1de4c2218d84046730346f9f062b587d166599111",
 }
 # parameter-risk draws around fitted estimates: every component family with
@@ -100,8 +105,32 @@ def test_ibnr_simulate_is_pinned(drawn):
     assert _claims_digest(claims) == IBNR_ARCHIMEDEAN
 
 
+def _decaying(spec):
+    """spec made time-varying: one link unit more dependence at x = 0, relaxing
+    to spec's own level."""
+    eta = float(family(spec.family).link(spec.theta))
+    return CopulaSpec(spec.family, dynamics=TimeVaryingParam(eta + 1.0, eta, 1.0))
+
+
 def _reserve_case(drawn, case):
     """(model, portfolio, parameter_risk) for one pinned reserve run."""
+    if case == "archimedean_parameter_risk":
+        # each scenario's redrawn delays set its matched pairs' horizons and so
+        # their time-varying inner parameters
+        truth, portfolio = drawn["archimedean"]
+        se = {"shape": 0.15, "c0": 0.3, "c1": 0.015}
+        types = {
+            t: replace(tm, delay=replace(tm.delay, se=se), copula=_decaying(tm.copula))
+            for t, tm in truth.types.items()
+        }
+        names = truth.type_names()
+        hac = HacSpec(
+            truth.hac.outer_family,
+            truth.hac.outer_theta,
+            types[names[0]].copula,
+            types[names[1]].copula,
+        )
+        return GranularModel(types=types, hac=hac), portfolio, True
     if case != "order_ar_parameter_risk":
         return (*drawn[case], False)
     # chained amounts continue from the observed history; parameters redrawn

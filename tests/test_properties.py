@@ -1,5 +1,6 @@
-"""Property tests for the copula inversions the samplers rely on and for the
-claim data's CSV round trip."""
+"""Property tests for the copula inversions the samplers rely on, for the
+nested draw's rows not depending on which rows are solved with them, and for
+the claim data's CSV round trip."""
 
 import io
 
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from granres import ClaimRecord, PaymentEvent, Portfolio, ingest_csv, write_csv
 from granres.claims import CLAIM_TYPES
+from granres.copulas import CopulaSpec, HacSpec, hac_sample
 from granres.copulas.families import FAMILIES, bisect
+from granres.copulas.hac import hac_uniforms
 
 UNIT = st.floats(0.01, 0.99)
 
@@ -55,6 +58,59 @@ def test_bisect_hits_interior_targets_and_takes_the_ends_outside(a, b, c, target
     inside = ~below & ~above
     assert np.all((x >= lo) & (x <= hi))
     assert np.all(np.abs(f(x[inside]) - target[inside]) <= 1e-9 * (1.0 + b * hi**c))
+
+
+NESTING = ("clayton", "gumbel", "frank")
+
+
+@st.composite
+def nested_specs(draw):
+    """A valid nested copula: outer tau at most either inner tau."""
+    outer_tau = draw(st.floats(0.05, 0.3))
+    inner = [
+        CopulaSpec(name, theta=FAMILIES[name].theta_from_tau(draw(st.floats(outer_tau, 0.7))))
+        for name in (draw(st.sampled_from(NESTING)), draw(st.sampled_from(NESTING)))
+    ]
+    outer = draw(st.sampled_from(NESTING))
+    return HacSpec(outer, FAMILIES[outer].theta_from_tau(outer_tau), *inner)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nested_specs(),
+    st.lists(st.tuples(st.integers(0, 6), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_hac_sample_on_stacked_blocks_equals_each_block_alone(spec, blocks, seed):
+    """Stacking blocks of uniforms into one solve changes no row, bit for bit,
+    when each block's inner parameters come from its own per-row map."""
+    rng = np.random.default_rng(seed)
+    uniforms = [hac_uniforms(rng, size) for size, _ in blocks]
+
+    def inner_map(spec_theta, slope):
+        return lambda u: spec_theta * (1.0 + slope * u)
+
+    def maps(k):
+        theta = (spec.inner_a, spec.inner_b)[k].theta
+        return [inner_map(theta, slope) for _, slope in blocks]
+
+    alone = [
+        hac_sample(spec, uniforms=u, theta_a_fn=fa, theta_b_fn=fb)
+        for u, fa, fb in zip(uniforms, maps(0), maps(1))
+    ]
+    ends = np.cumsum([size for size, _ in blocks])
+    starts = ends - [size for size, _ in blocks]
+
+    def stacked_map(fns):
+        return lambda u: np.concatenate([f(u[a:b]) for f, a, b in zip(fns, starts, ends)])
+
+    stacked = hac_sample(
+        spec,
+        uniforms=np.concatenate(uniforms),
+        theta_a_fn=stacked_map(maps(0)),
+        theta_b_fn=stacked_map(maps(1)),
+    )
+    assert stacked.tobytes() == np.concatenate(alone).tobytes()
 
 
 # claim ids may need CSV quoting, but carry no edge whitespace (ingest strips it)

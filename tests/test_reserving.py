@@ -28,6 +28,7 @@ from granres import (
     ValuationWindow,
     WeibullDelayModel,
     backtest,
+    censor,
     chain_ladder_reserve,
     default_lookback,
     default_model,
@@ -38,6 +39,9 @@ from granres import (
     simulate_reserves,
     synthesize,
 )
+from granres import reserving
+from granres.copulas import HacSpec, family
+from granres.copulas.dynamics import TimeVaryingParam
 from granres.delays import EmpiricalDelayModel, delay_density
 from granres.reserving import (
     _perturb_model,
@@ -232,6 +236,41 @@ def test_reserve_determinism_across_workers():
         simulate_reserves(MODEL, port, WIN, 0, seed=1)
     with pytest.raises(ValueError, match="past the data cutoff"):
         simulate_reserves(MODEL, port, ValuationWindow(9000, 9365), 4, seed=1)
+
+
+def test_nested_scenarios_repeat_bitwise_for_any_batching(monkeypatch):
+    """One nested-copula solve spans a batch's scenarios, while each scenario's
+    redrawn delays set its own pairs' time-varying inner parameters: 13
+    scenarios in one batch (1 worker), in uneven chunks (2 and 3 workers) or
+    in batches of 4 draw the same reserves."""
+    start, end = parse_iso("2016-01-01"), parse_iso("2017-12-31")
+    truth = default_model(1000, start, end, dependence="archimedean")
+    se = {"shape": 0.15, "c0": 0.3, "c1": 0.015}
+    types = {}
+    for t, tm in truth.types.items():
+        eta = float(family(tm.copula.family).link(tm.copula.theta))
+        copula = CopulaSpec(tm.copula.family, dynamics=TimeVaryingParam(eta + 1.0, eta, 1.0))
+        types[t] = replace(tm, delay=replace(tm.delay, se=se), copula=copula)
+    hac = HacSpec(
+        truth.hac.outer_family,
+        truth.hac.outer_theta,
+        types["bodily_injury"].copula,
+        types["material_damage"].copula,
+    )
+    model = GranularModel(types=types, hac=hac)
+    window = ValuationWindow.one_year(parse_iso("2016-12-31"))
+    port = censor(synthesize(truth, start, end, np.random.default_rng(5)), window.a_day)
+    dists = [
+        simulate_reserves(model, port, window, 13, seed=4, workers=w, parameter_risk=True)
+        for w in (1, 2, 3)
+    ]
+    monkeypatch.setattr(reserving, "_BATCH_SCENARIOS", 4)
+    dists.append(simulate_reserves(model, port, window, 13, seed=4, parameter_risk=True))
+    assert np.all(dists[0].ibnr > 0)
+    for other in dists[1:]:
+        assert_array_equal(dists[0].rbns, other.rbns)
+        assert_array_equal(dists[0].ibnr, other.ibnr)
+        assert_array_equal(dists[0].by_period, other.by_period)
 
 
 def test_parameter_risk_widens_the_predictive():
