@@ -289,15 +289,23 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
         bad_claims: set[str] = set()
         seen_rows: set[tuple] = set()
         max_day = None
+        # a claim's dates repeat on each of its rows: parse each string once
+        days: dict[str, int] = {}
+
+        def day_of(text):
+            day = days.get(text)
+            if day is None:
+                day = days[text] = parse_iso(text)
+            return day
 
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not f.strip() for f in row):
+            if not "".join(row).strip():
                 continue
             report.rows += 1
             if len(row) != 6:
                 reject(f"expected 6 fields, got {len(row)}")
                 continue
-            cid, ctype_raw, acc_s, rep_s, pay_s, amt_s = (f.strip() for f in row)
+            cid, ctype_raw, acc_s, rep_s, pay_s, amt_s = map(str.strip, row)
             ctype = _TYPE_ALIASES.get(ctype_raw.replace(" ", "_").lower())
             if not cid:
                 reject("empty claim_id")
@@ -306,8 +314,8 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
                 reject(f"unknown claim_type {ctype_raw!r}")
                 continue
             try:
-                acc = parse_iso(acc_s)
-                rep = parse_iso(rep_s)
+                acc = day_of(acc_s)
+                rep = day_of(rep_s)
             except ValueError:
                 reject("malformed date")
                 continue
@@ -326,7 +334,7 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
             event = None
             if not (pay_s == "" and amt_s == ""):
                 try:
-                    pay = parse_iso(pay_s)
+                    pay = day_of(pay_s)
                     amt = float(amt_s)
                 except ValueError:
                     reject("malformed payment fields")

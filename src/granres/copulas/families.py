@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 _EPS = 1e-12
 _BISECT_STEPS = 50
@@ -66,7 +66,7 @@ def bvn_cdf(x, y, rho, nodes=96):
         2.0 * np.pi * np.sqrt(one_m_r2)
     )
     corr = np.sum(dens * wgt, axis=-1) * np.squeeze(scale, axis=-1)
-    return norm.cdf(x) * norm.cdf(y) + corr
+    return ndtr(x) * ndtr(y) + corr
 
 
 def bisect(f, target, lo, hi):
@@ -425,26 +425,26 @@ class Gaussian(_Family):
 
     def _cdf(self, u, v, theta):
         rho = np.broadcast_to(np.asarray(theta, dtype=float), np.broadcast(u, v).shape)
-        x = norm.ppf(_clip01(u))
-        y = norm.ppf(_clip01(v))
+        x = ndtri(_clip01(u))
+        y = ndtri(_clip01(v))
         return bvn_cdf(np.broadcast_to(x, rho.shape), np.broadcast_to(y, rho.shape), rho)
 
     def _h(self, u, v, theta):
         rho = np.asarray(theta, dtype=float)
-        x = norm.ppf(_clip01(u))
-        y = norm.ppf(_clip01(v))
-        return norm.cdf((y - rho * x) / np.sqrt(1.0 - rho**2))
+        x = ndtri(_clip01(u))
+        y = ndtri(_clip01(v))
+        return ndtr((y - rho * x) / np.sqrt(1.0 - rho**2))
 
     def hinv(self, u, p, theta):
         rho = np.asarray(theta, dtype=float)
-        x = norm.ppf(_clip01(u))
-        z = norm.ppf(_clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12))
-        return norm.cdf(z * np.sqrt(1.0 - rho**2) + rho * x)
+        x = ndtri(_clip01(u))
+        z = ndtri(_clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12))
+        return ndtr(z * np.sqrt(1.0 - rho**2) + rho * x)
 
     def density(self, u, v, theta):
         rho = np.asarray(theta, dtype=float)
-        x = norm.ppf(_clip01(u))
-        y = norm.ppf(_clip01(v))
+        x = ndtri(_clip01(u))
+        y = ndtri(_clip01(v))
         r2 = 1.0 - rho**2
         return np.exp(-(rho**2 * (x**2 + y**2) - 2.0 * rho * x * y) / (2.0 * r2)) / np.sqrt(r2)
 

@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..delays import delay_cdf
 from .dynamics import CopulaSpec
@@ -259,6 +258,66 @@ def matched_delay_scores(portfolio, delay_models):
     return scores[0], scores[1]
 
 
+def _inversions(r):
+    """Pairs i < j with r[i] > r[j], counted by a bottom-up merge of r.
+
+    At each width the runs of r are sorted; every element of a right run
+    counts the elements of its left run above it, by one search over all the
+    left runs keyed by (run pair, value), and one sort on the same key then
+    merges each pair of runs.
+    """
+    r = np.asarray(r, dtype=np.int64)
+    base = int(r.max()) + 1
+    pos = np.arange(r.size)
+    count, width = 0, 1
+    while width < r.size:
+        pair = pos // (2 * width)
+        right = (pos // width) % 2 == 1
+        key = pair * base + r
+        left = key[~right]
+        above = np.searchsorted(left, (pair[right] + 1) * base) - np.searchsorted(
+            left, key[right], side="right"
+        )
+        count += int(above.sum())
+        r = np.sort(key) - pair * base
+        width *= 2
+    return count
+
+
+def _tied_pairs(counts):
+    counts = np.asarray(counts, dtype=np.int64)
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def kendall_tau_b(x, y):
+    """Kendall's tau-b of paired samples, the float scipy.stats.kendalltau gives.
+
+    Dense ranks (y first, then a stable sort on x, so y ascends within tied
+    x), the discordant pairs as the inversions of y in that order, and
+    scipy's tie-corrected formula evaluated in scipy's order.
+    """
+    x = np.asarray(x).ravel()
+    y = np.asarray(y).ravel()
+    size = x.size
+    perm = np.argsort(y)
+    x, y = x[perm], y[perm]
+    y = np.r_[True, y[1:] != y[:-1]].cumsum(dtype=np.intp)
+    perm = np.argsort(x, kind="mergesort")
+    x, y = x[perm], y[perm]
+    x = np.r_[True, x[1:] != x[:-1]].cumsum(dtype=np.intp)
+    dis = _inversions(y)
+    runs = np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True]
+    ntie = _tied_pairs(np.diff(np.flatnonzero(runs)))
+    xtie = _tied_pairs(np.bincount(x))
+    ytie = _tied_pairs(np.bincount(y))
+    tot = size * (size - 1) // 2
+    if xtie == tot or ytie == tot:
+        return float("nan")
+    con_minus_dis = tot - xtie - ytie + ntie - 2 * dis
+    tau = con_minus_dis / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(np.minimum(1.0, max(-1.0, tau)))
+
+
 def fit_hac_outer(scores_a, scores_b, inner_a, inner_b, outer_family="gumbel"):
     """Outer parameter by Kendall's tau inversion, projected onto nesting.
 
@@ -271,7 +330,7 @@ def fit_hac_outer(scores_a, scores_b, inner_a, inner_b, outer_family="gumbel"):
         raise ValueError("outer family must be Archimedean")
     if len(scores_a) < 20:
         raise ValueError("need at least 20 matched pairs")
-    tau_hat = float(stats.kendalltau(scores_a, scores_b).statistic)
+    tau_hat = kendall_tau_b(scores_a, scores_b)
     cap = min(inner_a.min_tau(), inner_b.min_tau())
     tau_use = min(max(tau_hat, 0.0), cap)
     independent = outer_family == "independence" or tau_use < 1e-6

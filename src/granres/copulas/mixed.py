@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special
 
 from ..daycount import DAYS_PER_YEAR
 from ..delays import delay_cdf, delay_density
@@ -54,10 +54,17 @@ def mixed_density(delay_model, count_process, spec, t, w, horizon, n):
 
 
 def count_quantile(u, horizon, count_process):
-    """Smallest n with Q_horizon(n) >= u, vectorized."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    lam = np.asarray(count_process.intensity.cumulative(horizon), dtype=float)
-    n = stats.poisson.ppf(np.clip(u, 1e-300, 1.0 - 1e-16), np.maximum(lam, 0.0))
+    """Smallest n with Q_horizon(n) >= u, vectorized.
+
+    The steps of scipy's Poisson quantile, so the n are the same: the cdf
+    inverted in a continuous n and rounded up, then one cdf check a step
+    below.
+    """
+    u = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), 1e-300, 1.0 - 1e-16)
+    lam = np.maximum(np.asarray(count_process.intensity.cumulative(horizon), dtype=float), 0.0)
+    n = np.ceil(special.pdtrik(u, lam))
+    below = np.maximum(n - 1.0, 0.0)
+    n = np.where(special.pdtr(below, lam) >= u, below, n)
     return np.maximum(np.nan_to_num(n, nan=0.0), 0.0).astype(np.int64)
 
 
@@ -85,7 +92,7 @@ def conditional_count_quantile(u, v, horizon, count_process, spec):
         idx = np.flatnonzero(todo)
         hi = int(cap[idx].max())
         ns = np.arange(hi + 1)
-        q = stats.poisson.cdf(ns[None, :], lam[idx, None])
+        q = special.pdtr(ns[None, :], lam[idx, None])
         hmat = fam.h(u[idx, None], q, theta[idx, None])
         ok = hmat >= v[idx, None]
         found = ok.any(axis=1)

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 from .daycount import year_of, year_start
 from .fitutil import observed_info_se
@@ -32,6 +32,9 @@ class Poisson:
 
     def pmf(self, k):
         return np.exp(self.logpmf(k))
+
+    def cdf(self, k):
+        return special.pdtr(k, self.mu)
 
     def mean(self):
         return self.mu
@@ -72,6 +75,10 @@ class NegativeBinomial:
     def pmf(self, k):
         return np.exp(self.logpmf(k))
 
+    def cdf(self, k):
+        # the regularized incomplete beta I_p(r, k + 1); nbdtr would truncate r
+        return special.betainc(self.r, np.asarray(k) + 1.0, self.p)
+
     def mean(self):
         return self.r * (1.0 - self.p) / self.p
 
@@ -83,6 +90,21 @@ class NegativeBinomial:
 
     def to_dict(self):
         return {"family": "negbin", "r": self.r, "p": self.p}
+
+
+def _cdf_quantile(cdf, u):
+    """Smallest k >= 0 with cdf(k) >= u, for each u, from one table of the cdf.
+
+    The table doubles until it reaches the largest u. It stops short only
+    where the cdf has flattened out below u near 1 in floating point; such a
+    u gets the table's last k.
+    """
+    top = float(np.max(u))
+    table = cdf(np.arange(64))
+    while table[-1] < top and (table[-1] < 0.5 or table[-1] > table[table.size // 2 - 1]):
+        table = cdf(np.arange(2 * table.size))
+    idx = np.searchsorted(np.maximum.accumulate(table), u, side="left")
+    return np.minimum(idx, table.size - 1)
 
 
 @dataclass(frozen=True)
@@ -129,10 +151,7 @@ class ZeroModified:
         if npos:
             b0 = self._base_p0()
             u = b0 + rng.random(npos) * (1.0 - b0)
-            if isinstance(self.base, Poisson):
-                out[pos] = stats.poisson.ppf(u, self.base.mu).astype(np.int64)
-            else:
-                out[pos] = stats.nbinom.ppf(u, self.base.r, self.base.p).astype(np.int64)
+            out[pos] = _cdf_quantile(self.base.cdf, u)
         return int(out[0]) if size is None else out
 
     def to_dict(self):

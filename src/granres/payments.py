@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import optimize, special
 
 from .fitutil import observed_info_cov, redraw
 
@@ -126,7 +126,7 @@ class CountProcess:
         """Q_tau(n) = P[N(tau) <= n]; n = -1 gives 0."""
         n = np.asarray(n, dtype=float)
         lam = self.intensity.cumulative(tau)
-        out = stats.poisson.cdf(np.where(n < 0, -1.0, n), np.maximum(lam, 0.0))
+        out = special.pdtr(np.maximum(n, 0.0), np.maximum(lam, 0.0))
         return np.where(n < 0, 0.0, out)
 
     def to_dict(self):

@@ -4,6 +4,9 @@ demos reach through the package."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import granres
@@ -113,6 +116,18 @@ def test_every_export_resolves():
     for mod in (granres, granres.copulas):
         for name in mod.__all__:
             assert getattr(mod, name) is not None, name
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes about 0.6 s to import; the engine calls the
+    # scipy.special kernels it wraps instead
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, granres, granres.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_bench_and_demos_use_only_exported_names():
