@@ -173,7 +173,11 @@ class Portfolio:
             raise ValueError(f"claim {ids[i]}: date {last[i]} beyond data cutoff {cutoff}")
 
         ptr = np.concatenate(([0], np.cumsum(counts)))
-        columns = (ids, codes, acc, rep, ptr, days, amounts, owner)
+        self._store((ids, codes, acc, rep, ptr, days, amounts, owner), cutoff)
+
+    def _store(self, columns, cutoff):
+        """Keep sorted, checked columns as read-only views, in the order of
+        _COLUMNS, _PAYMENTS and pay_owner."""
         for name, column in zip(_COLUMNS + _PAYMENTS + ("pay_owner",), columns):
             column = column.view()
             column.flags.writeable = False
@@ -186,15 +190,26 @@ class Portfolio:
         return tuple(records_from_columns(*(getattr(self, k) for k in _COLUMNS), *payments))
 
     def _select(self, keep, pay_keep=True, data_cutoff=None) -> "Portfolio":
-        """The claims where keep holds, with their payments where pay_keep holds."""
+        """The claims where keep holds, with their payments where pay_keep holds.
+
+        A subset of sorted, checked columns is sorted and valid itself, so it
+        is stored without _fill's sort and checks; a data_cutoff given must
+        not fall before any date kept.
+        """
         pays = keep[self.pay_owner] & pay_keep
-        return Portfolio._from_columns(
-            *(getattr(self, k)[keep] for k in _COLUMNS),
-            np.bincount(self.pay_owner[pays], minlength=len(self))[keep],
-            self.pay_days[pays],
-            self.pay_amounts[pays],
-            self.data_cutoff if data_cutoff is None else data_cutoff,
+        counts = np.bincount(self.pay_owner[pays], minlength=len(self))[keep]
+        sub = Portfolio.__new__(Portfolio)
+        sub._store(
+            (
+                *(getattr(self, k)[keep] for k in _COLUMNS),
+                np.concatenate(([0], np.cumsum(counts))),
+                self.pay_days[pays],
+                self.pay_amounts[pays],
+                np.repeat(np.arange(counts.size), counts),
+            ),
+            self.data_cutoff if data_cutoff is None else int(data_cutoff),
         )
+        return sub
 
     def __len__(self):
         return self.claim_ids.size

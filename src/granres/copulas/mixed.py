@@ -53,19 +53,50 @@ def mixed_density(delay_model, count_process, spec, t, w, horizon, n):
     return dens * np.clip(bracket, 0.0, None)
 
 
-def count_quantile(u, horizon, count_process):
-    """Smallest n with Q_horizon(n) >= u, vectorized.
+def _finite_intensity(count_process, horizon):
+    """Lambda(horizon), floored at 0; a count search cannot end at a
+    non-finite Lambda, so it raises there."""
+    lam = np.asarray(count_process.intensity.cumulative(horizon), dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("count search needs a finite cumulative intensity")
+    return np.maximum(lam, 0.0)
 
-    The steps of scipy's Poisson quantile, so the n are the same: the cdf
-    inverted in a continuous n and rounded up, then one cdf check a step
-    below.
+
+def count_quantile(u, horizon, count_process):
+    """Smallest n >= 0 with Q_horizon(n) >= u, vectorized; a NaN u gives 0.
+
+    u is clipped to [1e-300, 1 - 1e-16], as scipy's Poisson quantile takes
+    it, and the n are the ones that quantile returns. The search starts
+    from the Cornish-Fisher normal guess floor(lam + z sqrt(lam) + (z^2 - 1) / 6),
+    z the normal quantile of u, and walks the Poisson cdf a step at a time:
+    up while Q(n) < u, then down while Q(n - 1) >= u, on the rows not yet
+    settled. Rows with u above 1 - 1e-12 take scipy's own steps instead
+    (the continuous inverse rounded up, then one check a step below).
     """
     u = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), 1e-300, 1.0 - 1e-16)
-    lam = np.maximum(np.asarray(count_process.intensity.cumulative(horizon), dtype=float), 0.0)
-    n = np.ceil(special.pdtrik(u, lam))
-    below = np.maximum(n - 1.0, 0.0)
-    n = np.where(special.pdtr(below, lam) >= u, below, n)
-    return np.maximum(np.nan_to_num(n, nan=0.0), 0.0).astype(np.int64)
+    lam = _finite_intensity(count_process, horizon)
+    lam, u = np.broadcast_arrays(lam, u)
+    z = special.ndtri(u)
+    n = np.maximum(np.floor(lam + z * np.sqrt(lam) + (z * z - 1.0) / 6.0), 0.0)
+    low = special.pdtr(n, lam) < u
+    up = np.flatnonzero(low)
+    while up.size:
+        n[up] += 1.0
+        up = up[special.pdtr(n[up], lam[up]) < u[up]]
+    down = np.flatnonzero(~low & (n > 0.0))
+    while down.size:
+        down = down[special.pdtr(n[down] - 1.0, lam[down]) >= u[down]]
+        n[down] -= 1.0
+        down = down[n[down] > 0.0]
+    # within a few ulps of 1 the rounded cdf is flat over several n and
+    # scipy's answer is not the smallest of them: take scipy's steps there
+    top = np.flatnonzero(u > 1.0 - 1e-12)
+    if top.size:
+        n[top] = np.ceil(special.pdtrik(u[top], lam[top]))
+        below = np.maximum(n[top] - 1.0, 0.0)
+        n[top] = np.where(special.pdtr(below, lam[top]) >= u[top], below, n[top])
+    n[np.isnan(u)] = 0.0
+    return n.astype(np.int64)
 
 
 def conditional_count_quantile(u, v, horizon, count_process, spec):
@@ -74,33 +105,43 @@ def conditional_count_quantile(u, v, horizon, count_process, spec):
     This inverts the conditional count cdf given the delay's uniform score u,
     which is exactly how the coupled pair (W, N) is simulated. Under the
     independence copula h(u, q) = q, so it is the count quantile of v.
+
+    Otherwise the first n is searched in blocks of columns n, h not being
+    assumed monotone in n: the first block is lam + 4 sqrt(lam) + 4 wide
+    (the largest lam of the rows), and the rows not settled continue from the
+    last column searched in a block twice as wide. A row whose count cdf
+    reaches 1 in a block without h reaching v can never settle; the search
+    raises there. NaN u, v or theta and a non-finite Lambda raise too.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    if np.isnan(u).any() or np.isnan(v).any():
+        raise ValueError("conditional count quantile of a NaN score")
     horizon = np.broadcast_to(np.asarray(horizon, dtype=float), u.shape)
     if spec.family == "independence":
         return count_quantile(v, horizon, count_process)
     fam = family(spec.family)
     theta = np.broadcast_to(spec.theta_at(horizon), u.shape)
-    lam = np.asarray(count_process.intensity.cumulative(horizon), dtype=float)
+    if np.isnan(theta).any():
+        raise ValueError("conditional count quantile at a NaN copula parameter")
+    lam = _finite_intensity(count_process, horizon)
     out = np.zeros(u.shape, dtype=np.int64)
-    todo = np.ones(u.shape, dtype=bool)
-    cap = np.maximum(lam + 10.0 * np.sqrt(lam) + 20.0, 8.0).astype(np.int64)
-    for _ in range(40):
-        if not todo.any():
-            break
-        idx = np.flatnonzero(todo)
-        hi = int(cap[idx].max())
-        ns = np.arange(hi + 1)
+    idx = np.arange(u.size)
+    start = 0
+    width = int(np.max(lam + 4.0 * np.sqrt(lam), initial=0.0)) + 4
+    while idx.size:
+        ns = np.arange(start, start + width, dtype=float)
         q = special.pdtr(ns[None, :], lam[idx, None])
-        hmat = fam.h(u[idx, None], q, theta[idx, None])
-        ok = hmat >= v[idx, None]
+        ok = fam.h(u[idx, None], q, theta[idx, None]) >= v[idx, None]
         found = ok.any(axis=1)
-        out[idx[found]] = np.argmax(ok[found], axis=1)
-        todo[idx[found]] = False
-        cap[idx[~found]] *= 2
-    else:
-        out[todo] = cap[todo]
+        out[idx[found]] = start + np.argmax(ok[found], axis=1)
+        stuck = ~found & (q[:, -1] == 1.0)
+        if stuck.any():
+            i = idx[stuck][0]
+            raise ValueError(f"no count reaches h >= {v[i]} at u = {u[i]}, theta = {theta[i]}")
+        idx = idx[~found]
+        start += width
+        width *= 2
     return out
 
 

@@ -14,6 +14,7 @@ times given a count.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -196,8 +197,6 @@ def fit_intensity(payment_taus, horizons, family: str = "exponential"):
         np.isclose(xi, lo) or np.isclose(xi, hi) for xi, (lo, hi) in zip(x, bounds)
     )
     if at_bound:
-        import warnings
-
         warnings.warn(
             f"intensity fit at parameter bound (lam0={x[0]:.4g}, beta={x[1]:.4g}); "
             "estimates flagged, standard errors unreliable",

@@ -361,6 +361,10 @@ def _place_payments(counts, n_vec, r_vec, lam_lo, lam_hi, after_day, last_day, r
     order statistics on the cumulative-intensity interval (lam_lo, lam_hi]
     (lam_lo may be a scalar); days use the ceiling convention and are
     clipped into (max(r_vec[i], after_day), last_day].
+
+    The order statistics come from one int64 sort of the keys
+    claim * total + rank, rank being each uniform's place in sorted order;
+    the keys stay below 2**63 while claims * payments does.
     """
     n_vec = np.asarray(n_vec, dtype=np.int64)
     total = int(n_vec.sum())
@@ -368,7 +372,9 @@ def _place_payments(counts, n_vec, r_vec, lam_lo, lam_hi, after_day, last_day, r
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     idx = np.repeat(np.arange(n_vec.size), n_vec)
     u = rng.random(total)
-    u = u[np.lexsort((u, idx))]
+    order = np.argsort(u)
+    key = np.sort(idx[order] * total + np.arange(total))
+    u = u[order][key % total]
     lam_lo = np.broadcast_to(lam_lo, lam_hi.shape)
     taus = counts.intensity.cumulative_inv(lam_lo[idx] + u * (lam_hi - lam_lo)[idx])
     r = r_vec[idx]

@@ -17,10 +17,12 @@ from granres import (
     Portfolio,
     WeibullDelayModel,
 )
+from granres.copulas.dynamics import TimeVaryingParam
 from granres.copulas.families import FAMILIES
 from granres.copulas.mixed import (
     conditional_count_quantile,
     copula_pairs,
+    count_quantile,
     fit_copula,
     mixed_density,
     sklar_joint_cdf,
@@ -118,6 +120,46 @@ def test_simulate_delay_count_scalar_and_vector():
         assert np.all(w >= 0) and np.all(n >= 0)
     # a scalar score gives a one-element count array
     assert conditional_count_quantile(0.5, 0.5, 2.0, PROC, CLAY2).shape == (1,)
+
+
+@pytest.mark.parametrize("family, theta", [("clayton", 2.0), ("gumbel", 3.0), ("frank", -5.0)])
+def test_conditional_count_quantile_settles_rows_past_the_first_block(family, theta):
+    # v running up to 1 sweeps the answer across the first block's edge and
+    # into the block after it; a full matrix over every n is the reference
+    spec = CopulaSpec(family, theta=theta)
+    v = np.tile(1.0 - np.logspace(-0.5, -16.0, 600), 3)
+    u = np.repeat([0.05, 0.5, 0.95], 600)
+    horizon = np.repeat([0.2, 1.0, 3.0], 600)[np.random.default_rng(9).permutation(1800)]
+    got = conditional_count_quantile(u, v, horizon, PROC, spec)
+    lam = PROC.intensity.cumulative(horizon)
+    q = stats.poisson.cdf(np.arange(120)[None, :], lam[:, None])
+    ok = FAMILIES[family].h(u[:, None], q, theta) >= v[:, None]
+    assert ok.any(axis=1).all()
+    assert_array_equal(got, np.argmax(ok, axis=1))
+    # the second block starts at the first block's width, lam + 4 sqrt(lam) + 4
+    width = int(lam.max() + 4.0 * np.sqrt(lam.max())) + 4
+    assert np.any(got == width) and np.any(got > width)
+
+
+def test_count_searches_raise_where_they_cannot_end():
+    tv = CopulaSpec("clayton", dynamics=TimeVaryingParam(1.5, 0.0, 0.8))
+    nan = float("nan")
+    cases = [
+        (nan, 0.5, 1.0, CLAY2),  # NaN u
+        (0.5, nan, 1.0, CLAY2),  # NaN v
+        (0.5, nan, 1.0, CopulaSpec("independence")),
+        (0.5, 0.5, nan, tv),  # NaN theta
+        (0.5, 0.5, nan, CLAY2),  # NaN Lambda
+        (0.5, 1.5, 1.0, CLAY2),  # no count reaches v
+    ]
+    for u, v, horizon, spec in cases:
+        with pytest.raises(ValueError):
+            conditional_count_quantile(u, v, horizon, PROC, spec)
+    for horizon in (np.nan, -np.inf):  # Lambda NaN and -inf
+        with pytest.raises(ValueError):
+            count_quantile(np.array([0.2, 0.5]), np.array([1.0, horizon]), PROC)
+    # a NaN score still gives 0 in the marginal quantile
+    assert_array_equal(count_quantile([np.nan, 0.5], 1.0, PROC), [0, 2])
 
 
 def test_copula_pairs_hand_case():

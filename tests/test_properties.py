@@ -1,18 +1,34 @@
 """Property tests for the copula inversions the samplers rely on, for the
-nested draw's rows not depending on which rows are solved with them, and for
-the claim data's CSV round trip."""
+nested draw's rows not depending on which rows are solved with them, for the
+count searches and payment placement against plain references, and for the
+claim data's CSV round trip and sub-portfolios."""
 
 import io
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+from scipy import special, stats
 
-from granres import ClaimRecord, PaymentEvent, Portfolio, ingest_csv, write_csv
-from granres.claims import CLAIM_TYPES
+from granres import (
+    ClaimRecord,
+    CountProcess,
+    ExponentialDecay,
+    PaymentEvent,
+    Portfolio,
+    ingest_csv,
+    write_csv,
+)
+from granres.claims import CLAIM_TYPES, censor
 from granres.copulas import CopulaSpec, HacSpec, hac_sample
+from granres.copulas.dynamics import TimeVaryingParam
 from granres.copulas.families import FAMILIES, bisect
 from granres.copulas.hac import hac_uniforms
+from granres.copulas.mixed import conditional_count_quantile, count_quantile
+from granres.daycount import DAYS_PER_YEAR
+from granres.reserving import _place_payments
 
 UNIT = st.floats(0.01, 0.99)
 
@@ -141,3 +157,194 @@ def test_csv_round_trip_is_the_identity(portfolio):
     back = ingest_csv(buf.getvalue(), cutoff=portfolio.data_cutoff, diagnostics=io.StringIO())
     assert back == portfolio
     assert back.claims == portfolio.claims
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_and_theta(), *(st.floats(0.0, 1.0),) * 4)
+def test_copula_cdf_gives_every_rectangle_nonnegative_mass(fam_theta, a, b, c, d):
+    name, theta = fam_theta
+    cdf = FAMILIES[name].cdf
+    (u1, u2), (v1, v2) = sorted((a, b)), sorted((c, d))
+    mass = cdf(u2, v2, theta) - cdf(u1, v2, theta) - cdf(u2, v1, theta) + cdf(u1, v1, theta)
+    assert float(mass) >= -1e-12
+
+
+class _GivenDraws:
+    """A generator stand-in whose random(size) returns fixed values, so that
+    the placement's uniforms can repeat."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values.copy()
+
+
+class _RecordedIntensity:
+    """An intensity that keeps the cumulative values it is asked to invert."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = None
+
+    def cumulative_inv(self, x):
+        self.seen = np.array(x)
+        return self.inner.cumulative_inv(x)
+
+
+def _place_reference(intensity, n, u, r, lam_lo, lam_hi, after_day, last_day):
+    """_place_payments with each claim's uniforms sorted on their own."""
+    idx = np.repeat(np.arange(n.size), n)
+    ends = np.cumsum(n)
+    u = np.concatenate([np.sort(u[e - k : e]) for e, k in zip(ends, n)])
+    lam_lo = np.broadcast_to(lam_lo, lam_hi.shape)
+    x = lam_lo[idx] + u * (lam_hi - lam_lo)[idx]
+    days = r[idx] + np.ceil(intensity.cumulative_inv(x) * DAYS_PER_YEAR).astype(np.int64)
+    return idx, x, np.clip(days, np.maximum(r[idx], after_day) + 1, last_day)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 6), min_size=1, max_size=30),
+    st.integers(0, 30),
+    st.sampled_from([0, 1, 250, 700]),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_place_payments_sorts_each_claims_uniforms(
+    counts, at, big, pool, repeat, scalar_lo, seed
+):
+    """Zero counts, one claim with hundreds of payments, and repeated u."""
+    n = np.array(counts[:at] + [big] + counts[at:], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    total = int(n.sum())
+    u = rng.choice(np.array(pool), total) if repeat else rng.random(total)
+    a, b = 365, 1095
+    r = rng.integers(0, a + 1, n.size)
+    inner = ExponentialDecay(2.0, 1.0)
+    lam_lo = 0.0 if scalar_lo else inner.cumulative((a - r) / DAYS_PER_YEAR)
+    lam_hi = inner.cumulative((b - r) / DAYS_PER_YEAR)
+    counts_law = SimpleNamespace(intensity=_RecordedIntensity(inner))
+    idx, days = _place_payments(counts_law, n, r, lam_lo, lam_hi, a, b, _GivenDraws(u))
+    if total == 0:
+        assert idx.size == 0 and days.size == 0
+        return
+    want_idx, want_x, want_days = _place_reference(inner, n, u, r, lam_lo, lam_hi, a, b)
+    assert_array_equal(idx, want_idx)
+    assert counts_law.intensity.seen.tobytes() == want_x.tobytes()
+    assert_array_equal(days, want_days)
+
+
+# lambda = 800 (1 - exp(-horizon)) runs from 0 at horizon 0 to about 798
+WIDE = CountProcess(ExponentialDecay(800.0, 1.0))
+HORIZON = st.one_of(st.just(0.0), st.floats(0.0, 0.01), st.floats(0.0, 6.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(st.floats(0.0, 1.0), st.just(float("nan"))), HORIZON),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_count_quantile_equals_the_poisson_ppf(rows):
+    u, horizon = (np.array(x) for x in zip(*rows))
+    lam = WIDE.intensity.cumulative(horizon)
+    want = stats.poisson.ppf(np.clip(u, 1e-300, 1.0 - 1e-16), lam)
+    want = np.nan_to_num(want, nan=0.0).astype(np.int64)
+    assert_array_equal(count_quantile(u, horizon, WIDE), want)
+
+
+def _first_count_reaching(u, v, lam, fam, theta):
+    """The smallest n with h(u, Q(n)) >= v, from one matrix over every n up
+    to where the Poisson cdf is 1."""
+    top = float(lam.max())
+    ns = np.arange(int(top + 40.0 * np.sqrt(top) + 60.0))
+    q = special.pdtr(ns[None, :], lam[:, None])
+    assert np.all(q[:, -1] == 1.0)
+    ok = fam.h(u[:, None], q, np.broadcast_to(theta, u.shape)[:, None]) >= v[:, None]
+    assert ok.any(axis=1).all()
+    return np.argmax(ok, axis=1)
+
+
+COUNT_FAMILIES = ("clayton", "gumbel", "frank", "gaussian")
+# v close to 1 settles past the search's first block of counts
+NEAR_ONE = st.one_of(st.floats(0.0, 1.0), st.floats(1.0 - 1e-12, 1.0))
+
+
+@st.composite
+def count_copulas(draw):
+    """A constant or time-varying copula of a family the count search inverts."""
+    name = draw(st.sampled_from(COUNT_FAMILIES))
+    fam = FAMILIES[name]
+    lo, hi = fam.theta_bounds
+    inside = st.floats(lo + 1e-6 * (hi - lo), hi - 1e-6 * (hi - lo))
+    if not draw(st.booleans()):
+        return CopulaSpec(name, theta=draw(inside))
+    etas = sorted(float(fam.link(draw(inside))) for _ in range(2))
+    dyn = TimeVaryingParam(eta0=etas[1], eta_inf=etas[0], kappa=draw(st.floats(0.0, 3.0)))
+    return CopulaSpec(name, dynamics=dyn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    count_copulas(),
+    st.lists(st.tuples(st.floats(0.0, 1.0), NEAR_ONE, HORIZON), min_size=1, max_size=30),
+)
+def test_conditional_count_quantile_equals_the_full_matrix_search(spec, rows):
+    u, v, horizon = (np.array(x) for x in zip(*rows))
+    lam = WIDE.intensity.cumulative(horizon)
+    want = _first_count_reaching(u, v, lam, FAMILIES[spec.family], spec.theta_at(horizon))
+    assert_array_equal(conditional_count_quantile(u, v, horizon, WIDE, spec), want)
+
+
+COLUMNS = (
+    "claim_ids", "type_codes", "accident_days", "reporting_days",
+    "pay_ptr", "pay_days", "pay_amounts", "pay_owner",
+)
+
+
+def _shuffled_columns(portfolio, rng):
+    """The portfolio's columns with the claims and each claim's payments in
+    random order, as _from_columns takes them."""
+    order = rng.permutation(len(portfolio))
+    counts = np.diff(portfolio.pay_ptr)[order]
+    spans = [rng.permutation(np.arange(*portfolio.pay_ptr[i : i + 2])) for i in order]
+    pays = np.concatenate([np.zeros(0, dtype=np.int64)] + spans)
+    claims = [getattr(portfolio, k)[order] for k in COLUMNS[:4]]
+    return claims + [counts, portfolio.pay_days[pays], portfolio.pay_amounts[pays]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(portfolios(), st.integers(0, 2**32 - 1))
+def test_select_equals_a_rebuild_from_the_same_columns(portfolio, seed):
+    rng = np.random.default_rng(seed)
+    # _fill sorts the claims and the payments that step back
+    p = Portfolio._from_columns(*_shuffled_columns(portfolio, rng), portfolio.data_cutoff)
+    keep = rng.random(len(p)) < 0.6
+    pay_keep = rng.random(p.pay_days.size) < 0.7
+    a = int(rng.integers(-2000, p.data_cutoff + 1))
+    cases = [
+        (p._select(keep, pay_keep), keep, pay_keep, p.data_cutoff),
+        (censor(p, a), p.reporting_days <= a, p.pay_days <= a, a),
+        (p.by_type(CLAIM_TYPES[0]), p.type_codes == 0, True, p.data_cutoff),
+    ]
+    for sub, keep, pay_keep, cutoff in cases:
+        pays = keep[p.pay_owner] & pay_keep
+        rebuilt = Portfolio._from_columns(
+            *(getattr(p, k)[keep] for k in COLUMNS[:4]),
+            np.bincount(p.pay_owner[pays], minlength=len(p))[keep],
+            p.pay_days[pays],
+            p.pay_amounts[pays],
+            cutoff,
+        )
+        assert sub == rebuilt and sub.data_cutoff == rebuilt.data_cutoff
+        assert sub.claims == rebuilt.claims
+        for k in COLUMNS:
+            got, want = getattr(sub, k), getattr(rebuilt, k)
+            assert got.dtype == want.dtype and not got.flags.writeable
+            assert_array_equal(got, want)

@@ -38,7 +38,7 @@ def test_count_cdf_matches_poisson_cdf():
     want = np.where(n < 0, 0.0, stats.poisson.cdf(np.where(n < 0, -1.0, n), lam))
     got = PROC.count_cdf(horizon, n)
     assert_array_equal(got, want)
-    # the grid form the cap matrix uses: every n against every lambda
+    # the grid form the conditional count search uses: a block of n against every lambda
     ns = np.arange(80)
     assert_array_equal(
         PROC.count_cdf(horizon[:, None], ns[None, :]), stats.poisson.cdf(ns[None, :], lam[:, None])
@@ -58,6 +58,18 @@ def test_count_quantile_matches_poisson_ppf():
     assert_array_equal(count_quantile(u, horizon, PROC), want)
     # lambda = 0 everywhere
     assert_array_equal(count_quantile(u[:20], np.zeros(20), PROC), np.zeros(20, dtype=np.int64))
+
+
+def test_count_quantile_matches_poisson_ppf_where_the_cdf_rounds_to_one():
+    # within a few ulps of 1 the rounded Poisson cdf is flat over several n
+    # once lambda is a few hundred, and scipy's quantile is not the smallest
+    wide = CountProcess(ExponentialDecay(3000.0, 1.0))
+    horizon = np.repeat(np.linspace(0.0, 4.0, 300), 12)
+    u = np.tile(1.0 - np.arange(12) * 2.0**-53, 300)
+    u[::12] = 1.0 - 1e-16
+    lam = wide.intensity.cumulative(horizon)
+    want = stats.poisson.ppf(np.clip(u, 1e-300, 1.0 - 1e-16), lam).astype(np.int64)
+    assert_array_equal(count_quantile(u, horizon, wide), want)
 
 
 @pytest.mark.parametrize("family, theta", [("clayton", 2.0), ("frank", -3.0), ("gaussian", 0.5)])
