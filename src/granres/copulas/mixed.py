@@ -66,12 +66,12 @@ def count_quantile(u, horizon, count_process):
     """Smallest n >= 0 with Q_horizon(n) >= u, vectorized; a NaN u gives 0.
 
     u is clipped to [1e-300, 1 - 1e-16], as scipy's Poisson quantile takes
-    it, and the n are the ones that quantile returns. The search starts
-    from the Cornish-Fisher normal guess floor(lam + z sqrt(lam) + (z^2 - 1) / 6),
-    z the normal quantile of u, and walks the Poisson cdf a step at a time:
-    up while Q(n) < u, then down while Q(n - 1) >= u, on the rows not yet
-    settled. Rows with u above 1 - 1e-12 take scipy's own steps instead
-    (the continuous inverse rounded up, then one check a step below).
+    it. The search starts from the Cornish-Fisher normal guess
+    floor(lam + z sqrt(lam) + (z^2 - 1) / 6), z the normal quantile of u, and
+    walks the Poisson cdf a step at a time: up while Q(n) < u, then down
+    while Q(n - 1) >= u, on the rows not yet settled. This is scipy's answer
+    too, except within a few ulps of 1 at lambda of a few hundred, where the
+    rounded cdf is flat over several n and scipy's is not the smallest.
     """
     u = np.clip(np.atleast_1d(np.asarray(u, dtype=float)), 1e-300, 1.0 - 1e-16)
     lam = _finite_intensity(count_process, horizon)
@@ -88,13 +88,6 @@ def count_quantile(u, horizon, count_process):
         down = down[special.pdtr(n[down] - 1.0, lam[down]) >= u[down]]
         n[down] -= 1.0
         down = down[n[down] > 0.0]
-    # within a few ulps of 1 the rounded cdf is flat over several n and
-    # scipy's answer is not the smallest of them: take scipy's steps there
-    top = np.flatnonzero(u > 1.0 - 1e-12)
-    if top.size:
-        n[top] = np.ceil(special.pdtrik(u[top], lam[top]))
-        below = np.maximum(n[top] - 1.0, 0.0)
-        n[top] = np.where(special.pdtr(below, lam[top]) >= u[top], below, n[top])
     n[np.isnan(u)] = 0.0
     return n.astype(np.int64)
 

@@ -21,7 +21,7 @@ from granres import (
     ingest_csv,
     write_csv,
 )
-from granres.claims import CLAIM_TYPES, censor
+from granres.claims import _COLUMNS, _PAYMENTS, CLAIM_TYPES, censor
 from granres.copulas import CopulaSpec, HacSpec, hac_sample
 from granres.copulas.dynamics import TimeVaryingParam
 from granres.copulas.families import FAMILIES, bisect
@@ -254,9 +254,20 @@ HORIZON = st.one_of(st.just(0.0), st.floats(0.0, 0.01), st.floats(0.0, 6.0))
 def test_count_quantile_equals_the_poisson_ppf(rows):
     u, horizon = (np.array(x) for x in zip(*rows))
     lam = WIDE.intensity.cumulative(horizon)
-    want = stats.poisson.ppf(np.clip(u, 1e-300, 1.0 - 1e-16), lam)
-    want = np.nan_to_num(want, nan=0.0).astype(np.int64)
-    assert_array_equal(count_quantile(u, horizon, WIDE), want)
+    clipped = np.clip(u, 1e-300, 1.0 - 1e-16)
+    got = count_quantile(u, horizon, WIDE)
+    # the smallest n with Q(n) >= u (0 at NaN u), from the cdf over every n
+    # up to where it is 1
+    ns = np.arange(int(lam.max() + 40.0 * np.sqrt(lam.max()) + 60.0))
+    target = np.nan_to_num(clipped, nan=0.0)
+    reached = special.pdtr(ns[None, :], lam[:, None]) >= target[:, None]
+    assert reached[:, -1].all()
+    assert_array_equal(got, np.argmax(reached, axis=1))
+    # scipy's quantile is the same n, except within a few ulps of 1, where
+    # the rounded cdf is flat over several n and scipy's lands past the first
+    ppf = np.nan_to_num(stats.poisson.ppf(clipped, lam), nan=0.0).astype(np.int64)
+    away = np.isnan(u) | (clipped <= 1.0 - 1e-12)
+    assert_array_equal(got[away], ppf[away])
 
 
 def _first_count_reaching(u, v, lam, fam, theta):
@@ -302,12 +313,6 @@ def test_conditional_count_quantile_equals_the_full_matrix_search(spec, rows):
     assert_array_equal(conditional_count_quantile(u, v, horizon, WIDE, spec), want)
 
 
-COLUMNS = (
-    "claim_ids", "type_codes", "accident_days", "reporting_days",
-    "pay_ptr", "pay_days", "pay_amounts", "pay_owner",
-)
-
-
 def _shuffled_columns(portfolio, rng):
     """The portfolio's columns with the claims and each claim's payments in
     random order, as _from_columns takes them."""
@@ -315,7 +320,7 @@ def _shuffled_columns(portfolio, rng):
     counts = np.diff(portfolio.pay_ptr)[order]
     spans = [rng.permutation(np.arange(*portfolio.pay_ptr[i : i + 2])) for i in order]
     pays = np.concatenate([np.zeros(0, dtype=np.int64)] + spans)
-    claims = [getattr(portfolio, k)[order] for k in COLUMNS[:4]]
+    claims = [getattr(portfolio, k)[order] for k in _COLUMNS]
     return claims + [counts, portfolio.pay_days[pays], portfolio.pay_amounts[pays]]
 
 
@@ -336,7 +341,7 @@ def test_select_equals_a_rebuild_from_the_same_columns(portfolio, seed):
     for sub, keep, pay_keep, cutoff in cases:
         pays = keep[p.pay_owner] & pay_keep
         rebuilt = Portfolio._from_columns(
-            *(getattr(p, k)[keep] for k in COLUMNS[:4]),
+            *(getattr(p, k)[keep] for k in _COLUMNS),
             np.bincount(p.pay_owner[pays], minlength=len(p))[keep],
             p.pay_days[pays],
             p.pay_amounts[pays],
@@ -344,7 +349,7 @@ def test_select_equals_a_rebuild_from_the_same_columns(portfolio, seed):
         )
         assert sub == rebuilt and sub.data_cutoff == rebuilt.data_cutoff
         assert sub.claims == rebuilt.claims
-        for k in COLUMNS:
+        for k in _COLUMNS + _PAYMENTS + ("pay_owner",):
             got, want = getattr(sub, k), getattr(rebuilt, k)
             assert got.dtype == want.dtype and not got.flags.writeable
             assert_array_equal(got, want)

@@ -60,16 +60,22 @@ def test_count_quantile_matches_poisson_ppf():
     assert_array_equal(count_quantile(u[:20], np.zeros(20), PROC), np.zeros(20, dtype=np.int64))
 
 
-def test_count_quantile_matches_poisson_ppf_where_the_cdf_rounds_to_one():
+def test_count_quantile_is_the_smallest_n_where_the_cdf_rounds_to_one():
     # within a few ulps of 1 the rounded Poisson cdf is flat over several n
-    # once lambda is a few hundred, and scipy's quantile is not the smallest
+    # once lambda is a few hundred; scipy's quantile is not the smallest of
+    # them there, the walk is
     wide = CountProcess(ExponentialDecay(3000.0, 1.0))
     horizon = np.repeat(np.linspace(0.0, 4.0, 300), 12)
     u = np.tile(1.0 - np.arange(12) * 2.0**-53, 300)
     u[::12] = 1.0 - 1e-16
     lam = wide.intensity.cumulative(horizon)
-    want = stats.poisson.ppf(np.clip(u, 1e-300, 1.0 - 1e-16), lam).astype(np.int64)
-    assert_array_equal(count_quantile(u, horizon, wide), want)
+    clipped = np.clip(u, 1e-300, 1.0 - 1e-16)
+    ns = np.arange(int(lam.max() + 40.0 * np.sqrt(lam.max()) + 60.0))
+    reached = special.pdtr(ns[None, :], lam[:, None]) >= clipped[:, None]
+    assert reached[:, -1].all()
+    got = count_quantile(u, horizon, wide)
+    assert_array_equal(got, np.argmax(reached, axis=1))
+    assert np.any(got < stats.poisson.ppf(clipped, lam))
 
 
 @pytest.mark.parametrize("family, theta", [("clayton", 2.0), ("frank", -3.0), ("gaussian", 0.5)])
