@@ -5,10 +5,10 @@ The CSV schema is one payment per row::
     claim_id,claim_type,accident_date,reporting_date,payment_date,amount
 
 Dates are ISO (YYYY-MM-DD) and amounts use a dot decimal separator with up to
-two decimal places. A claim with no payments is a single row with empty
-payment_date and amount fields. Rows that fail validation are rejected and
-reported as line-oriented text on the diagnostic stream; they never reach the
-data model.
+two decimal places; an amount must be finite and nonzero. A claim with no
+payments is a single row with empty payment_date and amount fields. Rows that
+fail validation are rejected and reported as line-oriented text on the
+diagnostic stream; they never reach the data model.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import contextlib
 import csv
 import functools
 import io
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -33,12 +34,15 @@ _HEADER = ["claim_id", "claim_type", "accident_date", "reporting_date", "payment
 
 @dataclass(frozen=True, order=True)
 class PaymentEvent:
-    """One paid amount on one day. Zero amounts are not representable."""
+    """One paid amount on one day. Zero and non-finite amounts are not
+    representable."""
 
     day: int
     amount: float
 
     def __post_init__(self):
+        if not math.isfinite(self.amount):
+            raise ValueError("payment amount must be finite")
         if self.amount == 0.0:
             raise ValueError("payment amount must be nonzero")
 
@@ -164,6 +168,8 @@ class Portfolio:
         if np.any(days < rep[owner]):
             i = owner[np.flatnonzero(days < rep[owner])[0]]
             raise ValueError(f"claim {ids[i]}: payment before reporting day")
+        if not np.all(np.isfinite(amounts)):
+            raise ValueError("payment amount must be finite")
         if np.any(amounts == 0.0):
             raise ValueError("payment amount must be nonzero")
         last = rep.copy()
@@ -352,6 +358,8 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
                     pay = day_of(pay_s)
                     amt = float(amt_s)
                 except ValueError:
+                    amt = math.nan  # rejected below with the non-finite amounts
+                if not math.isfinite(amt):
                     reject("malformed payment fields")
                     continue
                 if pay < rep:

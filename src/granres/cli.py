@@ -70,6 +70,11 @@ _FLAG_KEYS = (
 )
 
 
+# config keys the commands read as numbers, with the conversion each takes
+_NUMBER_KEYS = {"seed": int, "scenarios": int, "workers": int, "n_claims": int,
+                "granularity": int, "runoff_years": float}
+
+
 def _effective_config(args) -> dict:
     cfg = _load_config(args.config)
     for key in _FLAG_KEYS:
@@ -78,6 +83,12 @@ def _effective_config(args) -> dict:
             cfg[key] = val
     cfg.setdefault("seed", 0)
     cfg.setdefault("out", ".")
+    for key, convert in _NUMBER_KEYS.items():
+        if cfg.get(key) is not None:
+            try:
+                convert(cfg[key])
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from e
     if int(cfg.get("scenarios", 1)) < 1:
         raise ConfigError("scenarios must be at least 1")
     return cfg
@@ -119,7 +130,7 @@ def _read_portfolio(cfg) -> Portfolio:
     return portfolio
 
 
-def _window(cfg, cutoff=None) -> ValuationWindow:
+def _window(cfg) -> ValuationWindow:
     a = parse_iso(str(_require(cfg, "valuation_date", "valuation date (ISO)")))
     choice = str(cfg.get("horizon", "one-year"))
     if choice == "one-year":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import ARCHIMEDEAN, FAMILIES, family
+from .families import FAMILIES
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,6 @@ class CopulaSpec:
                         f"outside [{lo}, {hi}]"
                     )
 
-    @property
-    def is_time_varying(self) -> bool:
-        return self.dynamics is not None
-
     def theta_at(self, x):
         """Dependence parameter at development time x (years); vectorized."""
         fam = FAMILIES[self.family]
@@ -90,13 +86,6 @@ class CopulaSpec:
             return np.broadcast_to(float(self.theta), np.asarray(x, dtype=float).shape).copy()
         return np.asarray(fam.link_inv(self.dynamics.eta(x)), dtype=float)
 
-    def tau_at(self, x) -> float:
-        """Kendall's tau implied at development time x."""
-        fam = FAMILIES[self.family]
-        if self.family == "independence":
-            return 0.0
-        return float(fam.tau(float(self.theta_at(np.asarray(x, dtype=float)))))
-
     def min_tau(self) -> float:
         """Smallest Kendall's tau over all development times (the x -> inf limit)."""
         fam = FAMILIES[self.family]
@@ -105,10 +94,6 @@ class CopulaSpec:
         if self.dynamics is None:
             return float(fam.tau(self.theta))
         return float(fam.tau(float(fam.link_inv(self.dynamics.eta_inf))))
-
-    @property
-    def is_archimedean(self) -> bool:
-        return self.family in ARCHIMEDEAN
 
     def to_dict(self) -> dict:
         out: dict = {"family": self.family}
@@ -130,11 +115,3 @@ def copula_from_dict(d: dict) -> CopulaSpec:
         theta=d.get("theta"),
         dynamics=TimeVaryingParam(**dyn) if dyn else None,
     )
-
-
-def static_from_tau(family_name: str, tau: float) -> CopulaSpec:
-    """Convenience: build a constant-parameter spec matching a Kendall's tau."""
-    if family_name == "independence" or abs(tau) < 1e-12:
-        return CopulaSpec("independence")
-    fam = family(family_name)
-    return CopulaSpec(family_name, theta=float(fam.theta_from_tau(tau)))

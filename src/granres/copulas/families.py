@@ -45,7 +45,11 @@ def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-def bvn_cdf(x, y, rho, nodes=96):
+# Gauss-Legendre nodes of bvn_cdf's correlation integral
+_BVN_NODES = 96
+
+
+def bvn_cdf(x, y, rho):
     """Bivariate standard normal cdf via the correlation-integral identity.
 
     P[X <= x, Y <= y] = Phi(x) Phi(y) + integral_0^rho of the bivariate
@@ -55,7 +59,7 @@ def bvn_cdf(x, y, rho, nodes=96):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    t, wgt = _leggauss(nodes)
+    t, wgt = _leggauss(_BVN_NODES)
     # map nodes from [-1, 1] to [0, rho] per element
     r = 0.5 * rho[..., None] * (t + 1.0)
     scale = 0.5 * rho[..., None]

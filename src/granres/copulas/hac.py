@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..delays import delay_cdf
-from .dynamics import CopulaSpec
+from .dynamics import CopulaSpec, copula_from_dict
 from .families import ARCHIMEDEAN, FAMILIES, bisect, family
 
 _TOL = 1e-9
@@ -88,8 +88,6 @@ class HacSpec:
 
 
 def hac_from_dict(d: dict) -> HacSpec:
-    from .dynamics import copula_from_dict
-
     return HacSpec(
         outer_family=d["outer_family"],
         outer_theta=d.get("outer_theta"),
@@ -98,12 +96,12 @@ def hac_from_dict(d: dict) -> HacSpec:
     )
 
 
-def hac_cdf(spec, u1, u2, u3, u4, x_a=0.0, x_b=0.0):
-    """Four-dimensional cdf; x_a, x_b set the inner development times."""
+def hac_cdf(spec, u1, u2, u3, u4):
+    """Four-dimensional cdf, the inner parameters read at development time 0."""
     fam_a = family(spec.inner_a.family)
     fam_b = family(spec.inner_b.family)
-    s = fam_a.cdf(u1, u2, spec.inner_a.theta_at(np.asarray(x_a, dtype=float)))
-    t = fam_b.cdf(u3, u4, spec.inner_b.theta_at(np.asarray(x_b, dtype=float)))
+    s = fam_a.cdf(u1, u2, spec.inner_a.theta_at(0.0))
+    t = fam_b.cdf(u3, u4, spec.inner_b.theta_at(0.0))
     outer = family(spec.outer_family)
     return outer.cdf(s, t, spec.outer_theta)
 
@@ -113,23 +111,14 @@ def hac_uniforms(rng, size):
     return rng.uniform(_LO, _HI, size=(size, 4))
 
 
-def hac_sample(
-    spec,
-    rng=None,
-    size=1,
-    x_a=0.0,
-    x_b=0.0,
-    theta_a_fn=None,
-    theta_b_fn=None,
-    uniforms=None,
-):
+def hac_sample(spec, rng=None, size=1, theta_a_fn=None, theta_b_fn=None, uniforms=None):
     """Draw (u1, u2, u3, u4) rows from the nested copula, all rows at once.
 
     Each row takes four uniforms from rng in turn, or, in place of rng and
     size, reads them from uniforms as drawn by hac_uniforms. theta_a_fn /
     theta_b_fn, when given, map the array of an inner pair's first
-    components to that pair's dependence parameters, one per row; they take
-    precedence over the fixed development times x_a / x_b.
+    components to that pair's dependence parameters, one per row; without
+    them each inner parameter is read at development time 0.
 
     Every step is elementwise over rows, so solving stacked uniforms gives
     bit for bit the rows of solving each block alone, as long as the theta
@@ -142,11 +131,11 @@ def hac_sample(
     fam_a = family(spec.inner_a.family)
     fam_b = family(spec.inner_b.family)
     u1, p2, p3, p4 = uniforms.T
-    th_a = theta_a_fn(u1) if theta_a_fn else spec.inner_a.theta_at(x_a)
+    th_a = theta_a_fn(u1) if theta_a_fn else spec.inner_a.theta_at(0.0)
     u2 = np.clip(fam_a.hinv(u1, p2, th_a), _LO, _HI)
 
     if spec.outer_family == "independence":
-        th_b = theta_b_fn(p3) if theta_b_fn else spec.inner_b.theta_at(x_b)
+        th_b = theta_b_fn(p3) if theta_b_fn else spec.inner_b.theta_at(0.0)
         u4 = np.clip(fam_b.hinv(p3, p4, th_b), _LO, _HI)
         return np.column_stack([u1, u2, p3, u4])
 
@@ -173,7 +162,7 @@ def hac_sample(
         return (d_ss * s1 * s2 + d1 * dphi_s * s12) / den
 
     u3 = bisect(g3, p3, _LO, _HI)
-    th_b = theta_b_fn(u3) if theta_b_fn else spec.inner_b.theta_at(x_b)
+    th_b = theta_b_fn(u3) if theta_b_fn else spec.inner_b.theta_at(0.0)
 
     def third_mixed(t, t3):
         x = phi_s + outer.gen(t, th0)

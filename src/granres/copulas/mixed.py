@@ -138,7 +138,7 @@ def conditional_count_quantile(u, v, horizon, count_process, spec):
     return out
 
 
-def copula_pairs(portfolio, claim_type=None):
+def copula_pairs(portfolio, claim_type):
     """Raw pairs (t, w, horizon, count) for copula estimation.
 
     One row per reported claim: accident day, observed delay in days, years
@@ -146,7 +146,7 @@ def copula_pairs(portfolio, claim_type=None):
     the number of payments by the cutoff. Claims reported on the cutoff day
     itself carry no count information and are dropped.
     """
-    sub = portfolio if claim_type is None else portfolio.by_type(claim_type)
+    sub = portfolio.by_type(claim_type)
     t = sub.accident_days
     w = sub.reporting_days - t
     horizon = (sub.data_cutoff - sub.reporting_days) / DAYS_PER_YEAR

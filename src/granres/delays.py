@@ -190,7 +190,11 @@ def _interval_negloglik(params, t_years, w_days, fix_c1):
     return -float(np.sum(np.log(mass)))
 
 
-def fit_delay(portfolio, variant: str = "weibull_tv", min_cohort: int = 30):
+# the fewest claims an empirical delay cohort holds before years merge
+_MIN_COHORT = 30
+
+
+def fit_delay(portfolio, variant: str = "weibull_tv"):
     """Fit a reporting-delay model on the reported claims of a portfolio.
 
     weibull_tv: interval-censored ML over (shape, c0, c1) with c1 <= 0 enforced
@@ -198,8 +202,8 @@ def fit_delay(portfolio, variant: str = "weibull_tv", min_cohort: int = 30):
     portfolio cannot identify c1; it is fixed to 0 with a warning.
 
     empirical_cohort: per-accident-year delay samples. A year with fewer
-    than min_cohort claims merges forward with the years after it until the
-    group reaches min_cohort; a short tail of years joins the group before
+    than _MIN_COHORT claims merges forward with the years after it until the
+    group reaches _MIN_COHORT; a short tail of years joins the group before
     it. Every year of a group shares the group's delays; merges warn.
     """
     if len(portfolio) < 100:
@@ -214,10 +218,10 @@ def fit_delay(portfolio, variant: str = "weibull_tv", min_cohort: int = 30):
         for y, count in zip(uniq.tolist(), counts.tolist()):
             pending.append(y)
             n += count
-            if n >= min_cohort:
+            if n >= _MIN_COHORT:
                 if len(pending) > 1:
                     warnings.warn(
-                        f"delay cohorts {pending} merged (fewer than {min_cohort} claims)",
+                        f"delay cohorts {pending} merged (fewer than {_MIN_COHORT} claims)",
                         stacklevel=2,
                     )
                 groups.append(pending)
@@ -225,7 +229,7 @@ def fit_delay(portfolio, variant: str = "weibull_tv", min_cohort: int = 30):
         if pending and groups:
             warnings.warn(
                 f"delay cohorts {pending} merged into previous year group "
-                f"{groups[-1]} (fewer than {min_cohort} claims)",
+                f"{groups[-1]} (fewer than {_MIN_COHORT} claims)",
                 stacklevel=2,
             )
             groups[-1] = groups[-1] + pending

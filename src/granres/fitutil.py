@@ -9,19 +9,20 @@ import warnings
 
 import numpy as np
 
+# central-difference step, relative to max(1, |x|) per coordinate
+_REL_STEP = 1e-4
 
-def numeric_hessian(f, x, rel_step=1e-4):
+
+def numeric_hessian(f, x):
     """Central-difference Hessian of a scalar function at x."""
     x = np.asarray(x, dtype=float)
     k = x.size
-    h = rel_step * np.maximum(1.0, np.abs(x))
+    h = _REL_STEP * np.maximum(1.0, np.abs(x))
+    steps = np.diag(h)  # row i steps coordinate i alone
     hess = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):
-            ei = np.zeros(k)
-            ej = np.zeros(k)
-            ei[i] = h[i]
-            ej[j] = h[j]
+            ei, ej = steps[i], steps[j]
             if i == j:
                 d = (f(x + ei) - 2.0 * f(x) + f(x - ei)) / h[i] ** 2
             else:
@@ -33,9 +34,9 @@ def numeric_hessian(f, x, rel_step=1e-4):
     return hess
 
 
-def observed_info_cov(negloglik, x, rel_step=1e-4):
+def observed_info_cov(negloglik, x):
     """Covariance matrix from the observed information, or None if singular."""
-    hess = numeric_hessian(negloglik, x, rel_step)
+    hess = numeric_hessian(negloglik, x)
     try:
         cov = np.linalg.inv(hess)
         diag = np.diag(cov)
@@ -46,14 +47,14 @@ def observed_info_cov(negloglik, x, rel_step=1e-4):
         return None
 
 
-def observed_info_se(negloglik, x, rel_step=1e-4):
+def observed_info_se(negloglik, x):
     """Standard errors from the observed information of a negative log-likelihood.
 
     Returns an array of per-parameter standard errors; entries are NaN when the
     information matrix is not positive definite (boundary solutions and the
     like), with a warning.
     """
-    cov = observed_info_cov(negloglik, x, rel_step)
+    cov = observed_info_cov(negloglik, x)
     if cov is None:
         warnings.warn(
             "observed information not positive definite; standard errors unavailable",

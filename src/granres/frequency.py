@@ -42,7 +42,7 @@ class Poisson:
     def var(self):
         return self.mu
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.poisson(self.mu, size=size)
 
     def to_dict(self):
@@ -85,7 +85,7 @@ class NegativeBinomial:
     def var(self):
         return self.r * (1.0 - self.p) / self.p**2
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.negative_binomial(self.r, self.p, size=size)
 
     def to_dict(self):
@@ -143,16 +143,15 @@ class ZeroModified:
         m = self.mean()
         return scale * m2_base - m**2
 
-    def sample(self, rng, size=None):
-        n = 1 if size is None else int(size)
-        out = np.zeros(n, dtype=np.int64)
-        pos = rng.random(n) >= self.p0
+    def sample(self, rng, size):
+        out = np.zeros(int(size), dtype=np.int64)
+        pos = rng.random(out.size) >= self.p0
         npos = int(pos.sum())
         if npos:
             b0 = self._base_p0()
             u = b0 + rng.random(npos) * (1.0 - b0)
             out[pos] = _cdf_quantile(self.base.cdf, u)
-        return int(out[0]) if size is None else out
+        return out
 
     def to_dict(self):
         return {"family": "zm_" + self.base.to_dict()["family"], "p0": self.p0, "base": self.base.to_dict()}

@@ -143,31 +143,26 @@ class CountProcess:
         return cls(intensity_from_dict(d["intensity"]), d.get("se", {}), cov)
 
 
-def fit_intensity(payment_taus, horizons, family: str = "exponential"):
+def fit_intensity(events, horizons, family: str = "exponential"):
     """ML fit of a decaying payment intensity.
 
     Parameters
     ----------
-    payment_taus : sequence of arrays
-        Per-claim payment times in years since reporting.
+    events : array
+        Every claim's payment times in years since its reporting, flat.
     horizons : array
         Per-claim observation horizons (years from reporting to the cutoff).
     family : "exponential" or "power"
 
-    The log-likelihood is sum(log rate(tau_event)) - sum(Lambda(horizon)).
-    Returns a CountProcess with observed-information standard errors; a
-    boundary solution flags the fit with se NaN and a warning.
+    The log-likelihood is sum(log rate(tau_event)) - sum(Lambda(horizon)),
+    which needs no grouping of events by claim. Returns a CountProcess with
+    observed-information standard errors; a boundary solution flags the fit
+    with se NaN and a warning.
     """
+    events = np.asarray(events, dtype=float)
     horizons = np.asarray(horizons, dtype=float)
     if np.any(horizons < 0):
         raise ValueError("horizons must be nonnegative")
-    if len(payment_taus) != horizons.size:
-        raise ValueError("one horizon per claim required")
-    events = (
-        np.concatenate([np.asarray(ts, dtype=float) for ts in payment_taus])
-        if len(payment_taus)
-        else np.array([])
-    )
     if events.size == 0:
         raise ValueError("no payment events: intensity not identifiable")
     if horizons.sum() <= 0:
@@ -202,13 +197,9 @@ def fit_intensity(payment_taus, horizons, family: str = "exponential"):
             "estimates flagged, standard errors unreliable",
             stacklevel=2,
         )
-        return CountProcess(
-            cls(float(x[0]), float(x[1])), {"lam0": float("nan"), "beta": float("nan")}
-        )
-    cov = observed_info_cov(nll, x)
+    cov = None if at_bound else observed_info_cov(nll, x)
     if cov is None:
-        se = {"lam0": float("nan"), "beta": float("nan")}
-        cov_t = ()
+        se, cov_t = {"lam0": float("nan"), "beta": float("nan")}, ()
     else:
         se = {"lam0": float(np.sqrt(cov[0, 0])), "beta": float(np.sqrt(cov[1, 1]))}
         cov_t = tuple(tuple(float(v) for v in row) for row in cov)

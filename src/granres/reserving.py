@@ -25,8 +25,7 @@ model; then each scenario's delays, counts, placement and amounts. Every
 draw comes from its scenario's own generator in the same order as running
 the scenario alone, and the solve is elementwise, so output is bitwise the
 same for any batch size and worker count, and merges by scenario index.
-Without the nested copula there is no joint solve and each scenario runs
-straight through.
+Without the nested copula the batch skips the joint solve.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .copulas import (
     conditional_count_quantile,
     copula_from_dict,
     copula_pairs,
-    family as copula_family,
     fit_copula,
     fit_hac_outer,
     hac_from_dict,
@@ -56,8 +54,8 @@ from .copulas import (
 from .copulas.hac import MATCH_GAP_DAYS, hac_uniforms, match_days
 # bench/tracing.py patches this name to count the matched pairs kept
 from .copulas.mixed import count_quantile as _count_marginal_quantile
-from .daycount import DAYS_PER_YEAR, year_of, year_start
-from .delays import delay_cdf, delay_model_from_dict, delay_quantile, fit_delay
+from .daycount import DAYS_PER_YEAR, to_date, to_day, year_of, year_start
+from .delays import delay_model_from_dict, delay_quantile, fit_delay
 from .frequency import OccurrenceModel, fit_occurrence, simulate_arrivals
 from .payments import CountProcess, fit_intensity
 from .severity import fit_severity, severity_from_dict, simulate_amounts
@@ -76,15 +74,14 @@ class ValuationWindow:
 
     @classmethod
     def one_year(cls, a_day: int) -> "ValuationWindow":
-        return cls(a_day, a_day + 365)
+        """(a, the same calendar date a year later]; Feb 29 ends on Feb 28."""
+        a = to_date(a_day)
+        day = 28 if (a.month, a.day) == (2, 29) else a.day
+        return cls(a_day, to_day(a.replace(year=a.year + 1, day=day)))
 
     @classmethod
     def ultimate(cls, a_day: int, runoff_years: float = 15.0) -> "ValuationWindow":
         return cls(a_day, a_day + int(round(runoff_years * DAYS_PER_YEAR)))
-
-    @property
-    def horizon_years(self) -> float:
-        return (self.b_day - self.a_day) / DAYS_PER_YEAR
 
 
 @dataclass(frozen=True)
@@ -171,16 +168,14 @@ DEFAULT_RECIPE = {
 
 
 def _payment_taus(portfolio, claim_type):
-    """Per-claim internal payment times and observation horizons (years)."""
+    """The internal payment times (years), flat, of the claims with a
+    positive observation horizon, and those horizons (years)."""
     sub = portfolio.by_type(claim_type)
     r = sub.reporting_days
-    taus = (sub.pay_days - r[sub.pay_owner]) / DAYS_PER_YEAR
     horizons = (sub.data_cutoff - r) / DAYS_PER_YEAR
-    bounds = sub.pay_ptr.tolist()
-    return (
-        [taus[bounds[i] : bounds[i + 1]] for i in np.flatnonzero(horizons > 0).tolist()],
-        horizons[horizons > 0],
-    )
+    open_ = (horizons > 0)[sub.pay_owner]
+    taus = (sub.pay_days[open_] - r[sub.pay_owner[open_]]) / DAYS_PER_YEAR
+    return taus, horizons[horizons > 0]
 
 
 class PhaseError(RuntimeError):
@@ -303,54 +298,20 @@ def fit_model(portfolio, recipe=None):
     return GranularModel(types=types, hac=hac), report
 
 
-def reporting_prob_window(delay_model, window, t):
-    """P[a < T + W <= b | T = t]: the delay cdf increment over the window."""
-    t_arr = np.asarray(t)
-    hi = delay_cdf(delay_model, t_arr, np.asarray(window.b_day - t_arr, dtype=float))
-    lo = delay_cdf(delay_model, t_arr, np.asarray(window.a_day - t_arr, dtype=float))
-    return hi - lo
+# the delay tail mass that default_lookback leaves beyond its lookback
+_LOOKBACK_TAIL = 1e-4
 
 
-def ibnr_count_conditional(model, window, t, w, n, claim_type=None):
-    """P[N = n | accident at t, delay w, reported inside the window].
-
-    The copula's conditional count bracket at horizon b - t - w, divided by
-    the window reporting probability; vectorized in w. Integrating this against
-    the delay density over admissible w and summing over n gives 1 for each t.
-    """
-    if isinstance(model, TypeModel):
-        tm = model
-    elif claim_type is not None:
-        tm = model.types[claim_type]
-    else:
-        raise TypeError("pass a TypeModel, or a GranularModel with claim_type")
-    w = np.asarray(w, dtype=float)
-    if not np.all((window.a_day < t + w) & (t + w <= window.b_day)):
-        raise ValueError("(t, w) must report inside the window")
-    horizon = (window.b_day - t - w) / DAYS_PER_YEAR
-    u = np.asarray(delay_cdf(tm.delay, t, w), dtype=float)
-    q_hi = tm.counts.count_cdf(horizon, n)
-    q_lo = tm.counts.count_cdf(horizon, np.asarray(n) - 1)
-    fam = copula_family(tm.copula.family)
-    theta = tm.copula.theta_at(np.asarray(horizon, dtype=float))
-    bracket = np.clip(fam.h(u, q_hi, theta) - fam.h(u, q_lo, theta), 0.0, None)
-    win = np.asarray(reporting_prob_window(tm.delay, window, t), dtype=float).item()
-    if win <= 0:
-        raise ValueError("window has zero reporting probability at this t")
-    return bracket / win
-
-
-def default_lookback(delay_model, a_day: int, tail: float = 1e-4) -> int:
+def default_lookback(delay_model, a_day: int) -> int:
     """Days of pre-valuation occurrence history worth simulating.
 
-    Two passes of the high quantile: delays may lengthen for older accident
-    dates, so the quantile is re-evaluated at the start of the first guess's
-    window.
+    Two passes of the 1 - _LOOKBACK_TAIL delay quantile: delays may lengthen
+    for older accident dates, so the quantile is re-evaluated at the start of
+    the first guess's window.
     """
-    q1 = float(np.max(delay_quantile(delay_model, a_day, 1.0 - tail)))
-    q2 = float(
-        np.max(delay_quantile(delay_model, a_day - int(math.ceil(q1)), 1.0 - tail))
-    )
+    top = 1.0 - _LOOKBACK_TAIL
+    q1 = float(np.max(delay_quantile(delay_model, a_day, top)))
+    q2 = float(np.max(delay_quantile(delay_model, a_day - int(math.ceil(q1)), top)))
     return int(math.ceil(max(q1, q2))) + 1
 
 
@@ -429,8 +390,11 @@ def _solve_pairs(drawn, horizon_end):
     differ only in their redrawn margins. A single hac_sample solves every
     pair at once; each draw's inner parameters come from its own model. The
     solve is elementwise, so each draw's rows are bit for bit those of
-    solving it alone. Returns one (pairs, 4) row array per draw.
+    solving it alone. Returns one (pairs, 4) row array per draw, or one None
+    per draw when the model is not coupled.
     """
+    if not _coupled(drawn[0][0]):
+        return [None] * len(drawn)
     ends = np.cumsum([draw[2].shape[0] for _, draw in drawn]).tolist()
     spans = list(zip([0] + ends[:-1], ends))
 
@@ -528,11 +492,11 @@ def _draw_claims(model, from_day_by_type, to_day, report_after, horizon_end, rng
     score alone. Stage 3 (_finish_claims) keeps, counts and pays the claims.
     """
     draw = _draw_arrivals(model, from_day_by_type, to_day, rng)
-    rows = _solve_pairs([(model, draw)], horizon_end)[0] if _coupled(model) else None
+    rows = _solve_pairs([(model, draw)], horizon_end)[0]
     return _finish_claims(model, draw, rows, report_after, horizon_end, rng)
 
 
-def _ibnr_start_days(model, a_day, lookback):
+def _ibnr_start_days(model, a_day, lookback=None):
     """Each type's first IBNR accident day: a - lookback, or a less the type's
     default_lookback when lookback is None."""
     return {
@@ -691,7 +655,6 @@ class _Scenarios:
     starts: dict
     window: ValuationWindow
     edges: np.ndarray
-    lookback: int | None
     parameter_risk: bool
 
 
@@ -703,7 +666,7 @@ def _start_scenario(sc, seed_child):
     if sc.parameter_risk:
         model = _perturb_model(model, rng)
         prep = _rbns_intensities(model, prep)
-        starts = _ibnr_start_days(model, sc.window.a_day, sc.lookback)
+        starts = _ibnr_start_days(model, sc.window.a_day)
     rbns_flows = _rbns_scenario(model, prep, sc.window, sc.edges, rng)
     draw = _draw_arrivals(model, starts, sc.window.a_day, rng)
     return model, rng, rbns_flows, draw
@@ -725,9 +688,9 @@ def _finish_scenario(sc, started, rows):
     return row
 
 
-# Scenarios per joint nested-copula solve: enough to spread numpy's per-call
-# cost over many pairs, few enough that a long run holds a bounded number of
-# half-drawn scenarios. Output does not depend on it.
+# Scenarios per batch, and so per joint nested-copula solve: enough to spread
+# numpy's per-call cost over many pairs, few enough that a long run holds a
+# bounded number of half-drawn scenarios. Output does not depend on it.
 _BATCH_SCENARIOS = 64
 
 
@@ -736,12 +699,9 @@ def _scenario_batch(sc, children):
 
     Every scenario of a batch runs stage 1 on its own generator; one
     hac_sample then solves the nested copula for the matched pairs of all of
-    them (stage 2); every scenario finishes on its own generator (stage 3).
-    Without the nested copula there is no stage 2, and each scenario runs
-    straight through.
+    them (stage 2, skipped without the nested copula); every scenario
+    finishes on its own generator (stage 3).
     """
-    if not _coupled(sc.model):
-        return [_finish_scenario(sc, _start_scenario(sc, c), None) for c in children]
     rows = []
     for k in range(0, len(children), _BATCH_SCENARIOS):
         started = [_start_scenario(sc, c) for c in children[k : k + _BATCH_SCENARIOS]]
@@ -768,9 +728,6 @@ class ReserveDistribution:
     def totals(self) -> np.ndarray:
         return self.rbns + self.ibnr
 
-    def summary(self, levels=(0.5, 0.75, 0.95, 0.995)) -> dict:
-        return reserve_summary(self, levels)
-
 
 def simulate_reserves(
     model,
@@ -779,7 +736,6 @@ def simulate_reserves(
     n_scenarios: int,
     seed: int,
     workers: int = 1,
-    lookback=None,
     parameter_risk: bool = False,
 ) -> ReserveDistribution:
     """Monte Carlo reserve distribution over the window (a, b].
@@ -800,10 +756,9 @@ def simulate_reserves(
     sc = _Scenarios(
         model=model,
         prep=_prepare_rbns(model, portfolio, window),
-        starts=_ibnr_start_days(model, window.a_day, lookback),
+        starts=_ibnr_start_days(model, window.a_day),
         window=window,
         edges=edges,
-        lookback=lookback,
         parameter_risk=parameter_risk,
     )
     children = np.random.SeedSequence(seed).spawn(n_scenarios)
@@ -844,32 +799,33 @@ def simulate_reserves(
     )
 
 
-def _block_summary(x, levels):
+# the quantile levels of every reserve and backtest summary
+LEVELS = (0.5, 0.75, 0.95, 0.995)
+
+
+def _block_summary(x):
     x = np.asarray(x, dtype=float)
     out = {
         "mean": float(np.mean(x)),
         "sd": float(np.std(x, ddof=1)) if x.size > 1 else 0.0,
     }
-    for q in levels:
+    for q in LEVELS:
         out[f"q{q:g}"] = float(np.quantile(x, q, method="midpoint"))
     return out
 
 
-def reserve_summary(dist, levels=(0.5, 0.75, 0.95, 0.995)) -> dict:
-    """Mean, sd, and quantiles for the total and each decomposition block."""
+def reserve_summary(dist) -> dict:
+    """Mean, sd, and the LEVELS quantiles for the total and each block."""
     if dist.rbns.size == 0:
         raise ValueError("no scenarios to summarize")
-    levels = tuple(sorted(levels))
     out = {
         "n_scenarios": int(dist.rbns.size),
         "seed": dist.master_seed,
         "window": {"a_day": dist.window.a_day, "b_day": dist.window.b_day},
-        "total": _block_summary(dist.totals, levels),
-        "rbns": _block_summary(dist.rbns, levels),
-        "ibnr": _block_summary(dist.ibnr, levels),
-        "by_type": {
-            t: _block_summary(dist.by_type[t], levels) for t in dist.claim_types
-        },
+        "total": _block_summary(dist.totals),
+        "rbns": _block_summary(dist.rbns),
+        "ibnr": _block_summary(dist.ibnr),
+        "by_type": {t: _block_summary(dist.by_type[t]) for t in dist.claim_types},
         "expected_cash_flow": {
             str(y): float(np.mean(dist.by_period[:, j]))
             for j, y in enumerate(dist.period_years)
@@ -928,14 +884,13 @@ def backtest(
     n_scenarios: int = 1000,
     seed: int = 0,
     workers: int = 1,
-    levels=(0.5, 0.75, 0.95, 0.995),
-    parameter_risk: bool = True,
 ) -> BacktestResult:
     """Fit on data up to a, predict (a, b], compare with realized payments.
 
     The holdout total counts payments in (a, b] of claims incurred by a: the
-    reserve's scope. The predictive includes estimation risk by default so
-    out-of-sample coverage is honest about parameter uncertainty.
+    reserve's scope. The predictive includes estimation risk, so
+    out-of-sample coverage is honest about parameter uncertainty; coverage
+    is reported at the LEVELS quantiles.
     """
     if a_day >= portfolio.data_cutoff:
         raise ValueError("no holdout: valuation date must precede the data cutoff")
@@ -945,13 +900,7 @@ def backtest(
     train = censor(portfolio, a_day)
     model, report = fit_model(train, recipe)
     dist = simulate_reserves(
-        model,
-        train,
-        window,
-        n_scenarios,
-        seed,
-        workers=workers,
-        parameter_risk=parameter_risk,
+        model, train, window, n_scenarios, seed, workers=workers, parameter_risk=True
     )
     incurred = (portfolio.accident_days <= a_day)[portfolio.pay_owner]
     days = portfolio.pay_days
@@ -963,7 +912,7 @@ def backtest(
     rank = float(np.mean(totals < actual) + 0.5 * np.mean(totals == actual))
     coverage = {
         f"{q:g}": bool(actual <= np.quantile(totals, q, method="midpoint"))
-        for q in levels
+        for q in LEVELS
     }
     lo = np.quantile(totals, 0.05, method="midpoint")
     hi = np.quantile(totals, 0.95, method="midpoint")

@@ -186,12 +186,6 @@ class OrderARSeverity:
         if self.innovation not in ("normal", "base"):
             raise ValueError("innovation must be 'normal' or 'base'")
 
-    def alpha_for(self, order: int) -> float:
-        """Coefficient applied to payment ``order`` to produce order + 1."""
-        if order < 1:
-            raise ValueError("order starts at 1")
-        return float(self.alphas[min(order, len(self.alphas)) - 1])
-
     def _innov(self, k: int, rng) -> np.ndarray:
         if self.innovation == "base":
             return self.base.sample(k, rng)
@@ -255,32 +249,24 @@ def simulate_amounts(model, counts, rng) -> np.ndarray:
     return model.continue_flat(counts, 0, 0.0, rng)
 
 
-def amount_sequences(portfolio, claim_type=None) -> list:
-    """Per-claim payment amount vectors in payment-time order."""
-    sub = portfolio if claim_type is None else portfolio.by_type(claim_type)
-    bounds = sub.pay_ptr.tolist()
-    return [
-        sub.pay_amounts[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
+# order-AR pooling: orders from _MAX_ORDER on share one coefficient, and an
+# order with fewer than _MIN_OBS transitions pools with the next ones
+_MAX_ORDER = 5
+_MIN_OBS = 50
 
 
-def fit_order_ar(
-    sequences,
-    base_family: str = "lognormal",
-    max_order: int = 5,
-    min_obs: int = 50,
-    floor: float = 0.01,
-) -> OrderARSeverity:
+def fit_order_ar(amounts, counts, base_family: str = "lognormal") -> OrderARSeverity:
     """Least-squares coefficients per payment order, pooled noise scale.
 
-    Transitions at order j (payment j to j+1) with fewer than min_obs
-    observations pool forward with the next orders until the pooled bucket
-    holds min_obs; the deepest order closes the last bucket whatever its
-    size. Orders from max_order on share one bucket, so max_order caps the
-    number of distinct coefficients.
+    amounts lists the payments claim by claim in payment-time order, counts[i]
+    of them for claim i. Transitions at order j (payment j to j+1) with fewer
+    than _MIN_OBS observations pool forward with the next orders until the
+    pooled bucket holds _MIN_OBS; the deepest order closes the last bucket
+    whatever its size. Orders from _MAX_ORDER on share one bucket, so
+    _MAX_ORDER caps the number of distinct coefficients.
     """
-    counts = np.array([len(s) for s in sequences], dtype=np.int64)
-    flat = np.concatenate([np.asarray(s, dtype=float) for s in sequences] or [np.empty(0)])
+    counts = np.asarray(counts, dtype=np.int64)
+    flat = np.asarray(amounts, dtype=float)
     # order[k] = j for the payment j places after its claim's first
     order = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
     base = _IID_FITTERS[base_family](flat[order == 0])
@@ -294,7 +280,7 @@ def fit_order_ar(
     pending = np.zeros(order.size, dtype=bool)
     for j in range(1, deepest + 1):
         mask = pending | (order == j)
-        if j < deepest and (j >= max_order or int(mask.sum()) < min_obs):
+        if j < deepest and (j >= _MAX_ORDER or int(mask.sum()) < _MIN_OBS):
             pending = mask
             continue
         buckets.append(mask)
@@ -314,14 +300,12 @@ def fit_order_ar(
 
     # expand bucket coefficients to one alpha per order, so pooling of a
     # sparse interior order can never shift deeper orders' coefficients
-    per_order = np.empty(min(deepest, max_order), dtype=float)
+    per_order = np.empty(min(deepest, _MAX_ORDER), dtype=float)
     per_order_den = np.empty(per_order.size, dtype=float)
-    for i, mask in enumerate(buckets):
+    for a, denom, mask in zip(coefs, denoms, buckets):
         covered = np.unique(order[mask])
-        for j in covered:
-            if j <= per_order.size:
-                per_order[j - 1] = coefs[i]
-                per_order_den[j - 1] = denoms[i]
+        covered = covered[covered <= per_order.size] - 1
+        per_order[covered], per_order_den[covered] = a, denom
     se = {
         f"alpha_{j + 1}": (
             sigma_eps / np.sqrt(per_order_den[j]) if per_order_den[j] > 0 else np.nan
@@ -329,25 +313,16 @@ def fit_order_ar(
         for j in range(per_order.size)
     }
     se["sigma_eps"] = sigma_eps / np.sqrt(2.0 * dof)
-    return OrderARSeverity(
-        base, tuple(float(a) for a in per_order), sigma_eps, floor=floor, se=se
-    )
+    return OrderARSeverity(base, tuple(float(a) for a in per_order), sigma_eps, se=se)
 
 
-def fit_severity(
-    portfolio,
-    claim_type,
-    family: str = "lognormal",
-    structure: str = "iid",
-    **kwargs,
-):
+def fit_severity(portfolio, claim_type, family: str = "lognormal", structure: str = "iid"):
     """Fit one claim type's severity model from a portfolio."""
+    sub = portfolio.by_type(claim_type)
     if structure == "iid":
-        return _IID_FITTERS[family](portfolio.by_type(claim_type).pay_amounts)
+        return _IID_FITTERS[family](sub.pay_amounts)
     if structure == "order_ar":
-        return fit_order_ar(
-            amount_sequences(portfolio, claim_type), base_family=family, **kwargs
-        )
+        return fit_order_ar(sub.pay_amounts, np.diff(sub.pay_ptr), base_family=family)
     raise ValueError(f"unknown severity structure {structure!r}")
 
 

@@ -178,12 +178,7 @@ def _refit_gamma(rng):
 def _refit_order_ar(rng):
     truth = OrderARSeverity(LogNormalSeverity(3.0, 0.4), (0.6, 0.4), 2.0)
     counts = rng.integers(1, 6, 3000)
-    flat = simulate_amounts(truth, counts, rng)
-    seqs, pos = [], 0
-    for c in counts:
-        seqs.append(flat[pos : pos + c])
-        pos += c
-    fit = fit_order_ar(seqs, "lognormal")
+    fit = fit_order_ar(simulate_amounts(truth, counts, rng), counts, "lognormal")
     # the positivity floor truncates innovations, so sigma_eps refits a touch
     # low; the level links and the base distribution are the contract here
     return [

@@ -74,6 +74,11 @@ COPULAS_ALL = [
 ]
 
 
+# reference laws no production code calls: tests compare the engine's draws
+# and fits against them
+REFERENCE_LAWS = {"hac_cdf", "sklar_joint_cdf", "mixed_density"}
+
+
 def _scripts():
     return sorted((ROOT / "bench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
@@ -156,3 +161,33 @@ def test_tracer_targets_exist():
         assert hasattr(importlib.import_module(modname), attr), (modname, attr)
     for name, _label in _tuple_table(tree, "API"):
         assert name in granres.__all__, name
+
+
+def _names(node):
+    """Every variable, attribute and imported name used under node."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+    return out
+
+
+def test_every_function_has_a_production_caller():
+    # a top-level function that only tests call is dead code: each one is
+    # named in src/, bench/ or demos/ outside its own definition
+    files = [p for d in ("src", "bench", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
+    nodes = [(path, node) for path in files for node in ast.parse(path.read_text()).body]
+    used = {id(node): _names(node) for _, node in nodes}
+    unused = [
+        f"{path.relative_to(ROOT)}:{node.name}"
+        for path, node in nodes
+        if path.is_relative_to(ROOT / "src" / "granres")
+        and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in REFERENCE_LAWS
+        and not any(node.name in used[id(other)] for _, other in nodes if other is not node)
+    ]
+    assert unused == []

@@ -1,6 +1,7 @@
 """Data model, CSV round trips, splits, and triangle aggregation."""
 
 import io
+import math
 import re
 
 import numpy as np
@@ -79,6 +80,8 @@ def test_claim_record_validation(build):
         (("x", "bodily_injury", 10, 5, ()), "claim x: reporting day 5 before accident day 10"),
         (("x", "bodily_injury", 0, 10, ((5, 1.0),)), "claim x: payment before reporting day"),
         (("x", "bodily_injury", 0, 1, ((5, 0.0),)), "payment amount must be nonzero"),
+        (("x", "bodily_injury", 0, 1, ((5, math.nan),)), "payment amount must be finite"),
+        (("x", "bodily_injury", 0, 1, ((5, -math.inf),)), "payment amount must be finite"),
         (("z", "bodily_injury", 5, 20, ()), "claim z: date 20 beyond data cutoff 10"),
         (("z", "bodily_injury", 5, 6, ((11, 1.0),)), "claim z: date 11 beyond data cutoff 10"),
     ]
@@ -166,14 +169,19 @@ def test_ingest_rejects_bad_rows():
         "b6,bodily_injury,2018-01-01,2018-01-05,2018-02-01",  # 5 fields
         "g2,material_damage,2018-03-01,2018-03-02,2018-04-01,-25.00",  # kept, flagged
         "g1,bodily_injury,2018-01-01,2018-01-05,2018-02-01,100.00",  # duplicate, kept
+        "b7,bodily_injury,2018-01-01,2018-01-05,2018-02-01,nan",  # not finite
+        "b8,bodily_injury,2018-01-01,2018-01-05,2018-02-01,inf",
+        "b9,bodily_injury,2018-01-01,2018-01-05,2018-02-01,-inf",
     ]
     diag = io.StringIO()
     p, report = ingest_csv_report(header + "\n".join(rows) + "\n", diagnostics=diag)
     assert {c.claim_id for c in p.claims} == {"g1", "g2"}
-    assert report.rejected_rows == 6
+    assert report.rejected_rows == 9
     assert report.negative_amounts == 1
     assert report.duplicate_rows == 1
-    assert len(diag.getvalue().splitlines()) == 8
+    assert len(diag.getvalue().splitlines()) == 11
+    for line in (11, 12, 13):
+        assert f"line {line}: malformed payment fields (row rejected)" in report.messages
     g1 = next(c for c in p.claims if c.claim_id == "g1")
     assert len(g1.payments) == 2  # duplicate row kept
 

@@ -64,8 +64,9 @@ def test_reserve_outputs(workdir):
     assert _reserve(workdir, "r1", workers=1) == 0
     summary = json.loads((workdir / "r1" / "summary.json").read_text())
     assert summary["window"]["a"] == "2019-12-31"
-    assert summary["window"]["b"] == "2020-12-30"
-    assert summary["window"]["b_day"] - summary["window"]["a_day"] == 365
+    # one year on from 2019-12-31 is 2020-12-31, 366 days across Feb 29
+    assert summary["window"]["b"] == "2020-12-31"
+    assert summary["window"]["b_day"] - summary["window"]["a_day"] == 366
     assert summary["n_scenarios"] == 50 and summary["seed"] == 9
     assert summary["total"]["q0.995"] >= summary["total"]["q0.5"]
     lines = (workdir / "r1" / "scenarios.csv").read_text().splitlines()
@@ -181,6 +182,13 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
 
     assert main(["fit", "--out", str(tmp_path)]) == 2
     assert "missing input portfolio CSV" in capsys.readouterr().err
+
+    # a value the command cannot read as a number is a config error too
+    for key, value in (("scenarios", "many"), ("seed", "abc"), ("runoff_years", [15])):
+        (tmp_path / "typed.json").write_text(json.dumps({key: value}))
+        assert main(["reserve", "--config", str(tmp_path / "typed.json"), "--input", port,
+                     "--valuation-date", "2019-12-31", "--out", str(tmp_path)]) == 2
+        assert f"config error: {key} must be a number" in capsys.readouterr().err
 
 
 def test_model_errors_exit_1(workdir, tmp_path, capsys):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
 from granres import CopulaSpec
-from granres.copulas.dynamics import TimeVaryingParam, copula_from_dict, static_from_tau
+from granres.copulas.dynamics import TimeVaryingParam, copula_from_dict
 from granres.copulas.families import (
     ARCHIMEDEAN,
     CLAYTON,
@@ -180,21 +180,18 @@ def test_copula_spec_validation():
 def test_spec_parameter_decay():
     dyn = TimeVaryingParam(np.log(4.0), 0.0, 0.7)
     spec = CopulaSpec("clayton", dynamics=dyn)
-    assert spec.is_time_varying and spec.is_archimedean
     assert_allclose(spec.theta_at(0.0), 4.0, rtol=1e-12)
     assert_allclose(spec.theta_at(1.0), np.exp(np.log(4.0) * np.exp(-0.7)), rtol=1e-12)
-    assert_allclose(spec.tau_at(0.0), 4.0 / 6.0, rtol=1e-12)
     assert_allclose(spec.min_tau(), 1.0 / 3.0, rtol=1e-12)
     xs = np.linspace(0.0, 10.0, 40)
     assert np.all(np.diff(spec.theta_at(xs)) < 0)
 
     static = CopulaSpec("gumbel", theta=2.0)
-    assert not static.is_time_varying
     assert_allclose(static.theta_at(np.array([0.0, 3.0])), 2.0)
     assert static.min_tau() == 0.5
 
     indep = CopulaSpec("independence")
-    assert indep.tau_at(1.0) == 0.0 and indep.min_tau() == 0.0
+    assert indep.min_tau() == 0.0
     assert_allclose(indep.theta_at(np.array([0.0, 1.0])), 0.0)
 
 
@@ -205,12 +202,3 @@ def test_spec_dict_round_trips():
         CopulaSpec("clayton", dynamics=TimeVaryingParam(1.2, 0.1, 0.8)),
     ):
         assert copula_from_dict(spec.to_dict()) == spec
-
-
-def test_static_from_tau():
-    assert static_from_tau("clayton", 0.5) == CopulaSpec("clayton", theta=2.0)
-    assert static_from_tau("gumbel", 0.5) == CopulaSpec("gumbel", theta=2.0)
-    assert static_from_tau("clayton", 0.0) == CopulaSpec("independence")
-    assert static_from_tau("independence", 0.3) == CopulaSpec("independence")
-    spec = static_from_tau("frank", 0.3)
-    assert_allclose(FRANK.tau(spec.theta), 0.3, atol=1e-8)

@@ -172,13 +172,11 @@ def test_copula_pairs_hand_case():
         ClaimRecord("c3", "bodily_injury", 200, 220),
     ]
     port = Portfolio(claims, 475)
-    t, w, horizon, n = copula_pairs(port)
+    t, w, horizon, n = copula_pairs(port, "bodily_injury")
     assert_array_equal(t, [100, 200])
     assert_array_equal(w, [10, 20])
     assert_allclose(horizon, [(475 - 110) / 365.25, (475 - 220) / 365.25])
     assert_array_equal(n, [2, 0])
-    t_b, _, _, _ = copula_pairs(port, claim_type="bodily_injury")
-    assert_array_equal(t_b, t)
 
 
 def _coupled_pairs(spec, seed, m=2000):
@@ -231,7 +229,7 @@ def test_time_varying_refit_never_hurts_aic():
     tv = fit_copula(pairs, DELAY, PROC, "clayton", time_varying=True)
     assert tv.spec.family == "clayton"
     assert tv.aic <= base.aic + 1e-9
-    if tv.spec.is_time_varying:
+    if tv.spec.dynamics is not None:
         assert "clayton_tv" in tv.aic_table
 
 

@@ -69,12 +69,10 @@ def test_placed_payments_have_poisson_counts():
     rng = np.random.default_rng(101)
     taus, hz = payment_taus(inten, np.full(2000, 3.0), rng)
     year = 365 / DAYS_PER_YEAR
-    counts = np.array([t.size for t in taus], dtype=float)
-    first_year = np.array([np.sum(t <= year) for t in taus], dtype=float)
     # the count by any claim time tau is Poisson at Lambda(tau)
-    for tau, seen in ((hz[0], counts), (year, first_year)):
+    for tau, seen in ((hz[0], taus.size), (year, np.sum(taus <= year))):
         mu = float(inten.cumulative(tau))
-        z = (np.mean(seen) - mu) / np.sqrt(mu / counts.size)
+        z = (seen / hz.size - mu) / np.sqrt(mu / hz.size)
         assert abs(z) < 4.0
 
 
@@ -136,20 +134,18 @@ def test_longer_empty_exposure_lowers_expected_total():
 
 def test_fit_intensity_input_validation():
     with pytest.raises(ValueError, match="nonnegative"):
-        fit_intensity([[0.5]], [-1.0])
-    with pytest.raises(ValueError, match="one horizon per claim"):
-        fit_intensity([[0.5], [0.2]], [1.0])
+        fit_intensity([0.5], [-1.0])
     with pytest.raises(ValueError, match="no payment events"):
-        fit_intensity([[], []], [1.0, 2.0])
+        fit_intensity([], [1.0, 2.0])
     with pytest.raises(ValueError, match="zero total exposure"):
-        fit_intensity([[0.0]], [0.0])
+        fit_intensity([0.0], [0.0])
     with pytest.raises(ValueError, match="unknown intensity family"):
-        fit_intensity([[0.5]], [1.0], "weibull")
+        fit_intensity([0.5], [1.0], "weibull")
 
 
 def test_fit_at_bound_warns_and_flags_se():
     with pytest.warns(UserWarning, match="parameter bound"):
-        fit = fit_intensity([[1e-6]] * 5, [10.0] * 5, "exponential")
+        fit = fit_intensity([1e-6] * 5, [10.0] * 5, "exponential")
     assert np.isnan(fit.se["lam0"]) and np.isnan(fit.se["beta"])
     assert fit.cov == ()
 

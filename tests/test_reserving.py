@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.integrate import simpson
 
 from granres import (
     ClaimRecord,
@@ -42,12 +41,8 @@ from granres import (
 from granres import reserving
 from granres.copulas import HacSpec, family
 from granres.copulas.dynamics import TimeVaryingParam
-from granres.delays import EmpiricalDelayModel, delay_density
-from granres.reserving import (
-    _perturb_model,
-    ibnr_count_conditional,
-    reporting_prob_window,
-)
+from granres.delays import EmpiricalDelayModel, delay_quantile
+from granres.reserving import _finish_claims, _perturb_model
 from granres.severity import LogNormalSeverity, OrderARSeverity
 
 WIN = ValuationWindow(6209, 6574)  # 2016-12-31 to 2017-12-31
@@ -90,8 +85,18 @@ def test_valuation_window():
     with pytest.raises(ValueError, match="b > a"):
         ValuationWindow(100, 100)
     assert ValuationWindow.one_year(100) == ValuationWindow(100, 465)
+    # one year on is the same calendar date, whether or not a Feb 29 lies
+    # between; a Feb 29 valuation ends on Feb 28
+    for a, b in (
+        ("2019-12-31", "2020-12-31"),
+        ("2019-03-01", "2020-03-01"),
+        ("2020-02-28", "2021-02-28"),
+        ("2020-02-29", "2021-02-28"),
+        ("2023-02-28", "2024-02-28"),
+    ):
+        window = ValuationWindow.one_year(parse_iso(a))
+        assert window == ValuationWindow(parse_iso(a), parse_iso(b))
     assert ValuationWindow.ultimate(0).b_day == 5479
-    assert_allclose(ValuationWindow(0, 5479).horizon_years, 5479 / 365.25)
 
 
 def test_fit_model_rejects_unknown_recipe_keys():
@@ -112,53 +117,35 @@ def test_fit_error_names_the_failing_stage():
         fit_model(port, {"copula_family": "independence", "hac_outer": None})
 
 
-def test_reporting_prob_window_closed_form():
-    dm = WeibullDelayModel(1.0, math.log(10.0), 0.0)
-    win = ValuationWindow(100, 200)
-    got = reporting_prob_window(dm, win, np.array([95, 50]))
-    assert_allclose(
-        got,
-        [math.exp(-0.5) - math.exp(-10.5), math.exp(-5.0) - math.exp(-15.0)],
-        rtol=1e-12,
-    )
-
-
-def test_ibnr_count_conditional_independence_identity():
-    t, w = 6100, 150.0
-    horizon = (WIN.b_day - t - w) / 365.25
-    win_prob = float(reporting_prob_window(TM.delay, WIN, t))
-    for n in range(5):
-        direct = TM.counts.count_pmf(horizon, n) / win_prob
-        assert_allclose(ibnr_count_conditional(TM, WIN, t, w, n), direct, rtol=1e-12)
-        via_model = ibnr_count_conditional(
-            MODEL, WIN, t, w, n, claim_type="material_damage"
-        )
-        assert_allclose(via_model, direct, rtol=1e-12)
-
-
 def test_ibnr_count_conditional_normalizes_under_coupling():
-    tm = TypeModel(
-        TM.occurrence, TM.delay, TM.counts, TM.severity, CopulaSpec("clayton", theta=2.0)
-    )
-    t = 6100
-    w = np.linspace(WIN.a_day - t + 1e-9, WIN.b_day - t, 1201)
-    dens = delay_density(tm.delay, t, w)
-    total = 0.0
-    for n in range(61):
-        cond = ibnr_count_conditional(tm, WIN, t, w, n)
-        total += simpson(cond * dens, x=w)
-    assert_allclose(total, 1.0, atol=1e-6)
+    """The engine's IBNR stage draws a free claim's count from the copula
+    conditional given its delay score u, at its own horizon b - r: P[N <= n |
+    u] = h(u, Q(n)). Over the delay scores that report in the window, that
+    law sums to one and its mean is the mean count of the claims kept."""
+    tm = replace(TM, copula=CopulaSpec("clayton", theta=2.0))
+    model = GranularModel(types={"material_damage": tm})
+    t = 6200
+    u = (np.arange(200_000) + 0.5) / 200_000
+    r = t + np.floor(delay_quantile(tm.delay, t, u)).astype(np.int64)
+    kept = (WIN.a_day < r) & (r <= WIN.b_day)
+    u, horizon = u[kept], (WIN.b_day - r[kept]) / 365.25
+    fam, theta = family("clayton"), tm.copula.theta_at(horizon)
+    n = np.arange(61)[:, None]
+    cdf = fam.h(u, tm.counts.count_cdf(horizon, n), theta)
+    pmf = np.diff(cdf, axis=0, prepend=0.0)
+    assert_allclose(pmf.sum(axis=0), 1.0, atol=1e-12)
+    mean = float(np.mean((1.0 - cdf).sum(axis=0)))
+    poisson = float(np.mean(tm.counts.intensity.cumulative(horizon)))
 
-
-def test_ibnr_count_conditional_domain_errors():
-    with pytest.raises(ValueError, match="report inside the window"):
-        ibnr_count_conditional(TM, WIN, 6100, 10.0, 1)
-    emp = EmpiricalDelayModel({2016: np.array([1.0, 2.0, 3.0])})
-    tme = TypeModel(TM.occurrence, emp, TM.counts, TM.severity, CopulaSpec("independence"))
-    with pytest.raises(ValueError, match="zero reporting probability"):
-        ibnr_count_conditional(tme, ValuationWindow(6000, 6100), 5995, 50.0, 1)
-    with pytest.raises(TypeError, match="claim_type"):
-        ibnr_count_conditional(MODEL, WIN, 6100, 150.0, 1)
+    rng = np.random.default_rng(8)
+    draw = ({"material_damage": np.full(20_000, t)}, None, None)
+    claims = _finish_claims(model, draw, None, WIN.a_day, WIN.b_day, rng)
+    drawn = claims["material_damage"]["n"]
+    assert drawn.size > 15_000
+    se = drawn.std(ddof=1) / np.sqrt(drawn.size)
+    assert abs(drawn.mean() - mean) < 4.0 * se
+    # the coupling moves the mean away from the independent Poisson count
+    assert abs(mean - poisson) > 10.0 * se
 
 
 def test_default_lookback():
@@ -238,25 +225,31 @@ def test_reserve_determinism_across_workers():
         simulate_reserves(MODEL, port, ValuationWindow(9000, 9365), 4, seed=1)
 
 
-def test_nested_scenarios_repeat_bitwise_for_any_batching(monkeypatch):
+@pytest.mark.parametrize("preset", ["archimedean", "independence"])
+def test_nested_scenarios_repeat_bitwise_for_any_batching(monkeypatch, preset):
     """One nested-copula solve spans a batch's scenarios, while each scenario's
     redrawn delays set its own pairs' time-varying inner parameters: 13
     scenarios in one batch (1 worker), in uneven chunks (2 and 3 workers) or
-    in batches of 4 draw the same reserves."""
+    in batches of 4 draw the same reserves. An uncoupled model runs the same
+    batches without the solve."""
     start, end = parse_iso("2016-01-01"), parse_iso("2017-12-31")
-    truth = default_model(1000, start, end, dependence="archimedean")
+    truth = default_model(1000, start, end, dependence=preset)
     se = {"shape": 0.15, "c0": 0.3, "c1": 0.015}
     types = {}
     for t, tm in truth.types.items():
-        eta = float(family(tm.copula.family).link(tm.copula.theta))
-        copula = CopulaSpec(tm.copula.family, dynamics=TimeVaryingParam(eta + 1.0, eta, 1.0))
+        copula = tm.copula
+        if truth.hac is not None:
+            eta = float(family(copula.family).link(copula.theta))
+            copula = CopulaSpec(copula.family, dynamics=TimeVaryingParam(eta + 1.0, eta, 1.0))
         types[t] = replace(tm, delay=replace(tm.delay, se=se), copula=copula)
-    hac = HacSpec(
-        truth.hac.outer_family,
-        truth.hac.outer_theta,
-        types["bodily_injury"].copula,
-        types["material_damage"].copula,
-    )
+    hac = None
+    if truth.hac is not None:
+        hac = HacSpec(
+            truth.hac.outer_family,
+            truth.hac.outer_theta,
+            types["bodily_injury"].copula,
+            types["material_damage"].copula,
+        )
     model = GranularModel(types=types, hac=hac)
     window = ValuationWindow.one_year(parse_iso("2016-12-31"))
     port = censor(synthesize(truth, start, end, np.random.default_rng(5)), window.a_day)
@@ -312,7 +305,6 @@ def test_reserve_summary_quantiles():
     assert s["total"]["q0.995"] == 99.5
     assert s["ibnr"]["mean"] == 0.0
     assert s["expected_cash_flow"] == {"2017": 50.5}
-    assert dist.summary() == s
     empty = ReserveDistribution(
         WIN, (), (2017,), np.array([]), np.array([]), {}, np.zeros((0, 1)), 0
     )

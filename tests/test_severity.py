@@ -14,7 +14,6 @@ from granres import (
     Portfolio,
 )
 from granres.severity import (
-    amount_sequences,
     fit_gamma,
     fit_lognormal,
     fit_order_ar,
@@ -79,11 +78,10 @@ def test_fit_input_guards():
 
 def test_alpha_order_mapping():
     m = OrderARSeverity(LogNormalSeverity(1.0, 0.5), (0.5, 0.3), 0.0)
-    assert m.alpha_for(1) == 0.5
-    assert m.alpha_for(2) == 0.3
-    assert m.alpha_for(9) == 0.3  # deepest coefficient extends outward
-    with pytest.raises(ValueError, match="order starts at 1"):
-        m.alpha_for(0)
+    rng = np.random.default_rng(0)
+    # payment 1 to 2 takes alpha_1, every later order the deepest coefficient
+    out = m.continue_flat(np.array([3, 2]), np.array([1, 8]), np.array([100.0, 10.0]), rng)
+    assert_allclose(out, [50.0, 15.0, 4.5, 3.0, 0.9], rtol=1e-12)
     with pytest.raises(ValueError, match="at least one"):
         OrderARSeverity(LogNormalSeverity(1.0, 0.5), (), 0.0)
     with pytest.raises(ValueError, match="innovation"):
@@ -140,12 +138,7 @@ def test_fit_order_ar_recovers_coefficients():
     truth = OrderARSeverity(LogNormalSeverity(3.0, 0.4), (0.6, 0.4), 2.0)
     rng = np.random.default_rng(27)
     counts = rng.integers(1, 6, 3000)
-    flat = simulate_amounts(truth, counts, rng)
-    seqs, pos = [], 0
-    for c in counts:
-        seqs.append(flat[pos : pos + c])
-        pos += c
-    fit = fit_order_ar(seqs, "lognormal", max_order=5, min_obs=50)
+    fit = fit_order_ar(simulate_amounts(truth, counts, rng), counts, "lognormal")
     assert abs(fit.alphas[0] - 0.6) < 3 * fit.se["alpha_1"]
     assert abs(fit.alphas[1] - 0.4) < 3 * fit.se["alpha_2"]
     assert abs(fit.base.mu - 3.0) < 3 * fit.base.se["mu"]
@@ -154,16 +147,13 @@ def test_fit_order_ar_recovers_coefficients():
 
 def test_fit_order_ar_pools_sparse_interior_orders():
     rng = np.random.default_rng(60)
-    seqs = []
-    for n, cnt in ((2, 200), (3, 10), (4, 30)):
-        for _ in range(cnt):
-            seqs.append(rng.lognormal(3.0, 0.4, n) + 0.1)
-    fit = fit_order_ar(seqs, "lognormal", max_order=5, min_obs=50)
+    counts = np.repeat([2, 3, 4], [200, 10, 30])
+    amounts = np.concatenate([rng.lognormal(3.0, 0.4, n) + 0.1 for n in counts])
+    fit = fit_order_ar(amounts, counts, "lognormal")
     assert len(fit.alphas) == 3
     assert fit.alphas[1] == fit.alphas[2]  # orders 2 and 3 share one coefficient
-    singles = [np.array([v]) for v in rng.lognormal(3.0, 0.4, 60)]
     with pytest.raises(ValueError, match="no multi-payment"):
-        fit_order_ar(singles)
+        fit_order_ar(rng.lognormal(3.0, 0.4, 60), np.ones(60, dtype=int))
 
 
 def _two_payment_portfolio(n=80, seed=7):
@@ -187,10 +177,9 @@ def test_fit_severity_structures():
     assert isinstance(iid, LogNormalSeverity)
     chain = fit_severity(port, "material_damage", family="lognormal", structure="order_ar")
     assert isinstance(chain, OrderARSeverity)
+    assert len(chain.alphas) == 1  # 80 claims of two payments: one order
     with pytest.raises(ValueError, match="unknown severity structure"):
         fit_severity(port, "material_damage", structure="markov")
-    seqs = amount_sequences(port, "material_damage")
-    assert len(seqs) == 80 and all(s.size == 2 for s in seqs)
 
 
 def test_simulate_amounts_dispatches():

@@ -121,7 +121,6 @@ def test_zero_modified_sample_matches_the_stats_quantile(base):
     zm = ZeroModified(base, 0.35)
     got = zm.sample(np.random.default_rng(44), size=40_000)
     assert_array_equal(got, _zm_reference(zm, 44, 40_000))
-    assert zm.sample(np.random.default_rng(45)) == int(_zm_reference(zm, 45, 1)[0])
 
 
 def test_normal_kernels_match_norm():
