@@ -69,10 +69,6 @@ class ClaimRecord:
         if days != sorted(days):
             object.__setattr__(self, "payments", tuple(sorted(self.payments)))
 
-    @property
-    def paid(self) -> float:
-        return float(sum(p.amount for p in self.payments))
-
     def delay_days(self) -> int:
         return self.reporting_day - self.accident_day
 
@@ -446,16 +442,6 @@ class RunOffTriangle:
     origin_years: tuple[int, ...]
     granularity: int
     cells: np.ndarray
-
-    def latest(self) -> np.ndarray:
-        """Last observed cumulative value per origin row."""
-        out = np.empty(len(self.origin_years))
-        for i, row in enumerate(self.cells):
-            obs = np.flatnonzero(~np.isnan(row))
-            if obs.size == 0:
-                raise ValueError(f"origin {self.origin_years[i]}: no observed cells")
-            out[i] = row[obs[-1]]
-        return out
 
     def to_csv(self, dest) -> None:
         with _text_stream(dest, "w") as stream:

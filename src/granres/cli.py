@@ -131,18 +131,35 @@ def _read_portfolio(cfg) -> Portfolio:
 
 
 def _window(cfg) -> ValuationWindow:
-    a = parse_iso(str(_require(cfg, "valuation_date", "valuation date (ISO)")))
+    """The valuation window (a, b]; a window that cannot be built is a config
+    error, raised before any portfolio is read or fitted."""
+    text = str(_require(cfg, "valuation_date", "valuation date (ISO)"))
+    try:
+        a = parse_iso(text)
+    except ValueError as e:
+        raise ConfigError(f"valuation_date must be an ISO date: {text!r} ({e})") from e
     choice = str(cfg.get("horizon", "one-year"))
     if choice == "one-year":
-        return ValuationWindow.one_year(a)
+        try:
+            return ValuationWindow.one_year(a)
+        except ValueError as e:
+            raise ConfigError(f"valuation_date has no date a year later: {text!r} ({e})") from e
     if choice == "ultimate":
-        return ValuationWindow.ultimate(a, float(cfg.get("runoff_years", 15.0)))
+        years = float(cfg.get("runoff_years", 15.0))
+        try:
+            return ValuationWindow.ultimate(a, years)
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(
+                f"runoff_years must give a horizon after valuation_date: {years!r} ({e})"
+            ) from e
     try:
         b = parse_iso(choice)
     except ValueError as e:
         raise ConfigError(
             f"horizon must be one-year, ultimate, or an ISO date: {choice!r}"
         ) from e
+    if b <= a:
+        raise ConfigError(f"horizon {choice} must fall after valuation_date {text}")
     return ValuationWindow(a, b)
 
 
@@ -198,6 +215,7 @@ def _cashflow_csv(path, dist) -> None:
 def cmd_reserve(cfg) -> int:
     out = _out_dir(cfg)
     seed = int(cfg["seed"])
+    window = _window(cfg)
     portfolio = _read_portfolio(cfg)
     if cfg.get("model"):
         if not os.path.exists(cfg["model"]):
@@ -206,7 +224,6 @@ def cmd_reserve(cfg) -> int:
     else:
         model, report = fit_model(portfolio, cfg.get("recipe"))
         _write_json(os.path.join(out, "fit_report.json"), report)
-    window = _window(cfg)
     dist = simulate_reserves(
         model,
         portfolio,
@@ -232,8 +249,8 @@ def cmd_reserve(cfg) -> int:
 def cmd_backtest(cfg) -> int:
     out = _out_dir(cfg)
     seed = int(cfg["seed"])
-    portfolio = _read_portfolio(cfg)
     window = _window(cfg)
+    portfolio = _read_portfolio(cfg)
     result = backtest(
         portfolio,
         cfg.get("recipe"),

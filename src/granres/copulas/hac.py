@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..delays import delay_cdf
+from ..delays import delay_score
 from .dynamics import CopulaSpec, copula_from_dict
 from .families import ARCHIMEDEAN, FAMILIES, bisect, family
 
@@ -111,23 +111,19 @@ def hac_uniforms(rng, size):
     return rng.uniform(_LO, _HI, size=(size, 4))
 
 
-def hac_sample(spec, rng=None, size=1, theta_a_fn=None, theta_b_fn=None, uniforms=None):
+def hac_sample(spec, uniforms, theta_a_fn=None, theta_b_fn=None):
     """Draw (u1, u2, u3, u4) rows from the nested copula, all rows at once.
 
-    Each row takes four uniforms from rng in turn, or, in place of rng and
-    size, reads them from uniforms as drawn by hac_uniforms. theta_a_fn /
-    theta_b_fn, when given, map the array of an inner pair's first
-    components to that pair's dependence parameters, one per row; without
-    them each inner parameter is read at development time 0.
+    Each row solves one row of uniforms, as drawn by hac_uniforms.
+    theta_a_fn / theta_b_fn, when given, map the array of an inner pair's
+    first components to that pair's dependence parameters, one per row;
+    without them each inner parameter is read at development time 0, as in
+    hac_cdf.
 
     Every step is elementwise over rows, so solving stacked uniforms gives
     bit for bit the rows of solving each block alone, as long as the theta
     maps treat each block as its own.
     """
-    if (rng is None) == (uniforms is None):
-        raise ValueError("pass exactly one of rng and uniforms")
-    if uniforms is None:
-        uniforms = hac_uniforms(rng, size)
     fam_a = family(spec.inner_a.family)
     fam_b = family(spec.inner_b.family)
     u1, p2, p3, p4 = uniforms.T
@@ -223,28 +219,23 @@ def match_days(days_a, days_b, max_gap: int):
     )
 
 
-def matched_delay_scores(portfolio, delay_models):
+def matched_delay_scores(sub_a, sub_b, delay_a, delay_b):
     """Cross-type pseudo-observation pairs for outer dependence estimation.
 
-    Claims of the two types are matched by accident day with match_days
-    (closest first, each claim used once, gaps above MATCH_GAP_DAYS
-    discarded); the matched pair's delay scores are returned. Between types,
-    only the outer copula links any two components, so the Kendall's tau of
-    these pairs estimates the outer parameter directly.
+    The claims of the two sub-portfolios, one claim type each, are matched by
+    accident day with match_days (closest first, each claim used once, gaps
+    above MATCH_GAP_DAYS discarded); the matched pairs' delay scores are
+    returned. Between types, only the outer copula links any two components,
+    so the Kendall's tau of these pairs estimates the outer parameter
+    directly.
     """
-    types = portfolio.claim_types
-    if len(types) < 2:
-        raise ValueError("need two claim types for cross-type dependence")
-    subs = [portfolio.by_type(t) for t in types[:2]]
-    ia, ib, _, _ = match_days(
-        subs[0].accident_days, subs[1].accident_days, MATCH_GAP_DAYS
-    )
-    scores = []
-    for ctype, sub, idx in zip(types, subs, (ia, ib)):
+    ia, ib, _, _ = match_days(sub_a.accident_days, sub_b.accident_days, MATCH_GAP_DAYS)
+
+    def scores(sub, model, idx):
         t = sub.accident_days[idx]
-        w = sub.reporting_days[idx] - t + 0.5
-        scores.append(delay_cdf(delay_models[ctype], t, w))
-    return scores[0], scores[1]
+        return delay_score(model, t, sub.reporting_days[idx] - t)
+
+    return scores(sub_a, delay_a, ia), scores(sub_b, delay_b, ib)
 
 
 def _inversions(r):

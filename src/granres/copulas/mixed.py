@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize, special
 
 from ..daycount import DAYS_PER_YEAR
-from ..delays import delay_cdf, delay_density
+from ..delays import delay_cdf, delay_density, delay_score
 from ..fitutil import observed_info_se
 from .dynamics import CopulaSpec, TimeVaryingParam
 from .families import FAMILIES, family
@@ -138,21 +138,23 @@ def conditional_count_quantile(u, v, horizon, count_process, spec):
     return out
 
 
-def copula_pairs(portfolio, claim_type):
-    """Raw pairs (t, w, horizon, count) for copula estimation.
+def copula_pairs(sub):
+    """One claim type's count observation: copula pairs and payment times.
 
-    One row per reported claim: accident day, observed delay in days, years
-    from reporting to the data cutoff (the count's observation horizon), and
-    the number of payments by the cutoff. Claims reported on the cutoff day
-    itself carry no count information and are dropped.
+    The pairs (t, w, horizon, n) hold one row per reported claim: accident
+    day, observed delay in days, years from reporting to the data cutoff (the
+    count's observation horizon), and the number of payments by the cutoff.
+    Claims reported on the cutoff day itself carry no count information and
+    are dropped. Returns (pairs, taus), taus the claim times (years since
+    reporting) of the kept claims' payments, flat and claim-major.
     """
-    sub = portfolio.by_type(claim_type)
-    t = sub.accident_days
-    w = sub.reporting_days - t
-    horizon = (sub.data_cutoff - sub.reporting_days) / DAYS_PER_YEAR
-    n = np.diff(sub.pay_ptr)
+    r = sub.reporting_days
+    horizon = (sub.data_cutoff - r) / DAYS_PER_YEAR
     keep = horizon > 0
-    return t[keep], w[keep], horizon[keep], n[keep]
+    paid = keep[sub.pay_owner]
+    taus = (sub.pay_days[paid] - r[sub.pay_owner[paid]]) / DAYS_PER_YEAR
+    t = sub.accident_days[keep]
+    return (t, r[keep] - t, horizon[keep], np.diff(sub.pay_ptr)[keep]), taus
 
 
 @dataclass(frozen=True)
@@ -176,21 +178,14 @@ def fit_copula(
     """Maximum likelihood copula fit, margins held fixed (multistage style).
 
     pairs is the (t, w, horizon, n) tuple from copula_pairs. The delay enters
-    through its marginal score at the censoring interval's midpoint,
-    u = H_t(w + 0.5). family_name "auto" compares every family (independence
-    included) by AIC on constant-parameter fits. With time_varying=True the
-    selected family is refit with the link-scale decay map; the extra two
-    parameters are kept only when they improve AIC.
+    through its score u = H_t(w + 0.5) (delays.delay_score). family_name
+    "auto" compares every family (independence included) by AIC on
+    constant-parameter fits; only the chosen family gets a standard error.
+    With time_varying=True the selected family is refit with the link-scale
+    decay map; the extra two parameters are kept only when they improve AIC.
     """
     t, w, horizon, n = pairs
-    u = np.clip(
-        np.asarray(
-            delay_cdf(delay_model, np.asarray(t), np.asarray(w, dtype=float) + 0.5),
-            dtype=float,
-        ),
-        1e-9,
-        1 - 1e-9,
-    )
+    u = np.clip(delay_score(delay_model, t, w), 1e-9, 1 - 1e-9)
     horizon = np.asarray(horizon, dtype=float)
     n = np.asarray(n)
     if u.size < 20:
@@ -199,10 +194,11 @@ def fit_copula(
     q_lo = count_process.count_cdf(horizon, n - 1)
 
     def static_fit(name):
+        """A constant-parameter fit and its negative log-likelihood in theta."""
         fam = FAMILIES[name]
         if name == "independence":
             ll = _pair_loglik(u, q_hi, q_lo, fam, None)
-            return CopulaFit(CopulaSpec("independence"), ll, -2.0 * ll, u.size)
+            return CopulaFit(CopulaSpec("independence"), ll, -2.0 * ll, u.size), None
         lo, hi = fam.theta_bounds
         if name == "frank":
             starts = [-2.0, 2.0]
@@ -224,32 +220,16 @@ def fit_copula(
             )
             if best is None or res.fun < best.fun:
                 best = res
-        theta = float(best.x[0])
         ll = -float(best.fun)
-        se = observed_info_se(nll, best.x)
-        return CopulaFit(
-            CopulaSpec(name, theta=theta),
-            ll,
-            2.0 - 2.0 * ll,
-            u.size,
-            se={"theta": float(se[0])},
-        )
+        spec = CopulaSpec(name, theta=float(best.x[0]))
+        return CopulaFit(spec, ll, 2.0 - 2.0 * ll, u.size), nll
 
-    if family_name == "auto":
-        fits, caught = {}, {}
-        for nm in FAMILIES:
-            with warnings.catch_warnings(record=True) as caught[nm]:
-                warnings.simplefilter("always")
-                fits[nm] = static_fit(nm)
-        table = {nm: f.aic for nm, f in fits.items()}
-        chosen = min(table, key=table.get)
-        # the candidates not chosen leave no trace: only the pick's warnings
-        for w in caught[chosen]:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        base = replace(fits[chosen], aic_table=table)
-    else:
-        base = static_fit(family_name)
-        base = replace(base, aic_table={family_name: base.aic})
+    names = FAMILIES if family_name == "auto" else (family_name,)
+    fits = {nm: static_fit(nm) for nm in names}
+    table = {nm: f.aic for nm, (f, _) in fits.items()}
+    base, nll = fits[min(table, key=table.get)]
+    se = {} if nll is None else {"theta": float(observed_info_se(nll, [base.spec.theta])[0])}
+    base = replace(base, se=se, aic_table=table)
 
     if not time_varying or base.spec.family == "independence":
         return base

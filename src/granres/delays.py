@@ -151,6 +151,12 @@ def delay_cdf(model, t, w):
     return _per_year(model, t, w, "cdf")
 
 
+def delay_score(model, t, w):
+    """The uniform score H_t(w + 0.5) of delays observed as w whole days: the
+    cdf at the midpoint of the day each delay was censored to."""
+    return delay_cdf(model, t, np.asarray(w, dtype=float) + 0.5)
+
+
 def delay_density(model, t, w):
     """dH_t/dw, vectorized over accident days (smooth variant only)."""
     if isinstance(model, WeibullDelayModel):

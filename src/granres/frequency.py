@@ -265,18 +265,16 @@ def fit_count_mle(obs, family: str) -> CountFit:
     raise ValueError(f"unknown count family {family!r}")
 
 
-def date_differences(portfolio):
-    """Per-type accident-day gaps tagged by the calendar year of the earlier day.
+def date_differences(sub):
+    """The accident-day gaps of one claim type's claims, tagged by the
+    calendar year of the earlier day.
 
-    Returns {claim_type: (years array, gaps array)} with the T_0 = 0 convention
-    (the first gap is measured from day 0 and tagged with its year).
+    Returns (years array, gaps array) with the T_0 = 0 convention (the first
+    gap is measured from day 0 and tagged with its year).
     """
-    out = {}
-    for ctype in portfolio.claim_types:
-        days = portfolio.by_type(ctype).accident_days  # ascending
-        prev = np.concatenate(([0], days[:-1]))
-        out[ctype] = (year_of(prev), days - prev)
-    return out
+    days = sub.accident_days  # ascending
+    prev = np.concatenate(([0], days[:-1]))
+    return year_of(prev), days - prev
 
 
 @dataclass(frozen=True)
@@ -308,39 +306,37 @@ class OccurrenceModel:
         return cls(d["family"], {int(y): dist_from_dict(v) for y, v in d["by_year"].items()})
 
 
-def fit_occurrence(portfolio, family: str = "poisson") -> dict:
-    """Fit per-year gap distributions for each claim type present.
+def fit_occurrence(sub, family: str) -> OccurrenceModel:
+    """Fit per-year gap distributions to one claim type's claims.
 
     The gap of the earliest claim is anchored at the time origin, not at an
     observed arrival, so it is excluded from fitting. Years with fewer than
     10 gap observations are merged into a neighboring year's cohort (warning);
     the merged year inherits that fit.
     """
-    diffs = date_differences(portfolio)
-    out = {}
-    for ctype, (years, gaps) in diffs.items():
-        years, gaps = years[1:], gaps[1:]  # ascending years
-        groups, carry = [], ()
-        for y in np.unique(years).tolist():
-            carry += (y,)
-            if np.count_nonzero(years == y) >= 10:
-                groups.append(carry)
-                carry = ()
-        if carry:  # trailing small cohort joins the previous group
-            groups = groups[:-1] + [(groups[-1] if groups else ()) + carry]
+    years, gaps = date_differences(sub)
+    years, gaps = years[1:], gaps[1:]  # ascending years
+    groups, carry = [], ()
+    for y in np.unique(years).tolist():
+        carry += (y,)
+        if np.count_nonzero(years == y) >= 10:
+            groups.append(carry)
+            carry = ()
+    if carry:  # trailing small cohort joins the previous group
+        groups = groups[:-1] + [(groups[-1] if groups else ()) + carry]
 
-        by_year = {}
-        for ys in groups:
-            if len(ys) > 1:
-                warnings.warn(
-                    f"{ctype}: occurrence years {ys} merged (fewer than 10 gaps)",
-                    stacklevel=2,
-                )
-            fit = fit_count_mle(gaps[np.isin(years, ys)], family)
-            for y in ys:
-                by_year[y] = fit.dist
-        out[ctype] = OccurrenceModel(family, by_year)
-    return out
+    by_year = {}
+    for ys in groups:
+        if len(ys) > 1:
+            warnings.warn(
+                f"{'/'.join(sub.claim_types)}: occurrence years {ys} merged "
+                "(fewer than 10 gaps)",
+                stacklevel=2,
+            )
+        fit = fit_count_mle(gaps[np.isin(years, ys)], family)
+        for y in ys:
+            by_year[y] = fit.dist
+    return OccurrenceModel(family, by_year)
 
 
 def simulate_arrivals(model: OccurrenceModel, from_day: int, to_day: int, rng) -> np.ndarray:

@@ -167,17 +167,6 @@ DEFAULT_RECIPE = {
 }
 
 
-def _payment_taus(portfolio, claim_type):
-    """The internal payment times (years), flat, of the claims with a
-    positive observation horizon, and those horizons (years)."""
-    sub = portfolio.by_type(claim_type)
-    r = sub.reporting_days
-    horizons = (sub.data_cutoff - r) / DAYS_PER_YEAR
-    open_ = (horizons > 0)[sub.pay_owner]
-    taus = (sub.pay_days[open_] - r[sub.pay_owner[open_]]) / DAYS_PER_YEAR
-    return taus, horizons[horizons > 0]
-
-
 class PhaseError(RuntimeError):
     """A stage of the multistage fit failed; the message names the phase."""
 
@@ -215,42 +204,42 @@ def fit_model(portfolio, recipe=None):
         cfg.update(recipe)
 
     report = {"types": {}, "warnings": []}
+    subs = {ctype: portfolio.by_type(ctype) for ctype in portfolio.claim_types}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        occurrence = _phase(
-            "phase 1 (occurrence) failed",
-            fit_occurrence,
-            portfolio,
-            cfg["occurrence_family"],
-        )
+        occurrence = {
+            ctype: _phase(
+                "phase 1 (occurrence) failed", fit_occurrence, sub, cfg["occurrence_family"]
+            )
+            for ctype, sub in subs.items()
+        }
         types = {}
-        for ctype in portfolio.claim_types:
+        for ctype, sub in subs.items():
             delay = _phase(
                 f"phase 2 (reporting delay, {ctype}) failed",
                 fit_delay,
-                portfolio.by_type(ctype),
+                sub,
                 cfg["delay_variant"],
             )
-            taus, horizons = _payment_taus(portfolio, ctype)
+            pairs, taus = copula_pairs(sub)
             counts = _phase(
                 f"phase 3 (payment counts, {ctype}) failed",
                 fit_intensity,
                 taus,
-                horizons,
+                pairs[2],  # the observation horizons
                 _per_type(cfg, "intensity_family", ctype),
             )
             severity = _phase(
                 f"phase 4 (severity, {ctype}) failed",
                 fit_severity,
-                portfolio,
-                ctype,
-                family=_per_type(cfg, "severity_family", ctype),
-                structure=_per_type(cfg, "severity_structure", ctype),
+                sub,
+                _per_type(cfg, "severity_family", ctype),
+                _per_type(cfg, "severity_structure", ctype),
             )
             cop = _phase(
                 f"phase 5 (dependence, {ctype}) failed",
                 fit_copula,
-                copula_pairs(portfolio, ctype),
+                pairs,
                 delay,
                 counts,
                 family_name=_per_type(cfg, "copula_family", ctype),
@@ -272,9 +261,11 @@ def fit_model(portfolio, recipe=None):
             }
 
         hac = None
-        names = [t for t in CLAIM_TYPES if t in types]
+        names = list(types)  # in CLAIM_TYPES order, as portfolio.claim_types
         if cfg["hac_outer"] and len(names) >= 2:
-            sa, sb = matched_delay_scores(portfolio, {t: types[t].delay for t in names})
+            sa, sb = matched_delay_scores(
+                subs[names[0]], subs[names[1]], types[names[0]].delay, types[names[1]].delay
+            )
             if sa.size >= 20:
                 hac = _phase(
                     "phase 5 (cross-type nesting) failed",

@@ -316,9 +316,8 @@ def fit_order_ar(amounts, counts, base_family: str = "lognormal") -> OrderARSeve
     return OrderARSeverity(base, tuple(float(a) for a in per_order), sigma_eps, se=se)
 
 
-def fit_severity(portfolio, claim_type, family: str = "lognormal", structure: str = "iid"):
-    """Fit one claim type's severity model from a portfolio."""
-    sub = portfolio.by_type(claim_type)
+def fit_severity(sub, family: str, structure: str):
+    """Fit a severity model to the payments of one claim type's claims."""
     if structure == "iid":
         return _IID_FITTERS[family](sub.pay_amounts)
     if structure == "order_ar":

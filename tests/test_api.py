@@ -7,6 +7,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import granres
@@ -76,7 +77,7 @@ COPULAS_ALL = [
 
 # reference laws no production code calls: tests compare the engine's draws
 # and fits against them
-REFERENCE_LAWS = {"hac_cdf", "sklar_joint_cdf", "mixed_density"}
+REFERENCE_LAWS = {"hac_cdf", "sklar_joint_cdf", "mixed_density", "count_pmf"}
 
 
 def _scripts():
@@ -163,31 +164,47 @@ def test_tracer_targets_exist():
         assert name in granres.__all__, name
 
 
-def _names(node):
-    """Every variable, attribute and imported name used under node."""
-    out = set()
+def _uses(node, method):
+    """Counts of the names used under node. A method is reached only as an
+    attribute or by a string (getattr), so for methods only those count."""
+    out = Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
-        elif isinstance(n, ast.alias):
-            out.add(n.name.rpartition(".")[2])
+        if isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif method and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+        elif not method and isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif not method and isinstance(n, ast.alias):
+            out[n.name.rpartition(".")[2]] += 1
     return out
 
 
 def test_every_function_has_a_production_caller():
-    # a top-level function that only tests call is dead code: each one is
-    # named in src/, bench/ or demos/ outside its own definition
+    # a top-level function or a non-dunder method that only tests call is
+    # dead code: each is named in src/, bench/ or demos/ outside its own
+    # definition
     files = [p for d in ("src", "bench", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
-    nodes = [(path, node) for path in files for node in ast.parse(path.read_text()).body]
-    used = {id(node): _names(node) for _, node in nodes}
+    trees = [(path, ast.parse(path.read_text())) for path in files]
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defs = []  # (path, definition, is a method)
+    for path, tree in trees:
+        if not path.is_relative_to(ROOT / "src" / "granres"):
+            continue
+        for node in tree.body:
+            if isinstance(node, funcs):
+                defs.append((path, node, False))
+            elif isinstance(node, ast.ClassDef):
+                defs += [
+                    (path, m, True)
+                    for m in node.body
+                    if isinstance(m, funcs) and not m.name.startswith("__")
+                ]
+    uses = {m: sum((_uses(tree, m) for _, tree in trees), Counter()) for m in (False, True)}
     unused = [
         f"{path.relative_to(ROOT)}:{node.name}"
-        for path, node in nodes
-        if path.is_relative_to(ROOT / "src" / "granres")
-        and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name not in REFERENCE_LAWS
-        and not any(node.name in used[id(other)] for _, other in nodes if other is not node)
+        for path, node, method in defs
+        if node.name not in REFERENCE_LAWS
+        and uses[method][node.name] <= _uses(node, method)[node.name]
     ]
     assert unused == []

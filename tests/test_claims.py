@@ -12,7 +12,6 @@ from granres import (
     ClaimRecord,
     PaymentEvent,
     Portfolio,
-    RunOffTriangle,
     aggregate_triangle,
     censor,
     ingest_csv,
@@ -100,7 +99,7 @@ def test_claim_record_sorts_payments_and_sums_paid():
         (PaymentEvent(9, 2.0), PaymentEvent(3, 1.0)),
     )
     assert [p.day for p in c.payments] == [3, 9]
-    assert c.paid == 3.0
+    assert sum(p.amount for p in c.payments) == 3.0
     assert c.delay_days() == 1
 
 
@@ -251,7 +250,6 @@ def test_triangle_hand_oracle(small_portfolio):
     assert_allclose(tri.cells[0], [100.0, 150.0])
     assert tri.cells[1, 0] == 80.0
     assert np.isnan(tri.cells[1, 1])
-    assert_allclose(tri.latest(), [150.0, 80.0])
 
 
 def test_triangle_granularity_two(small_portfolio):
@@ -268,12 +266,6 @@ def test_triangle_csv_format(small_portfolio):
     assert lines[0] == "origin,dev_0,dev_1"
     assert lines[1] == "2018,100.00,150.00"
     assert lines[2] == "2019,80.00,"
-
-
-def test_triangle_latest_requires_observed_cells():
-    tri = RunOffTriangle((2018,), 1, np.array([[np.nan]]))
-    with pytest.raises(ValueError, match="no observed cells"):
-        tri.latest()
 
 
 def test_triangle_rejects_bad_inputs(small_portfolio):

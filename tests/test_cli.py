@@ -190,6 +190,26 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
                      "--valuation-date", "2019-12-31", "--out", str(tmp_path)]) == 2
         assert f"config error: {key} must be a number" in capsys.readouterr().err
 
+    # a window that cannot be built fails before the portfolio is read or fitted
+    ultimate = ["--valuation-date", "2019-12-31", "--horizon", "ultimate"]
+    for i, (command, flags, cfg, message) in enumerate((
+        ("reserve", ["--valuation-date", "2020-13-45"], {},
+         "valuation_date must be an ISO date"),
+        ("reserve", ["--valuation-date", "9999-06-01"], {},
+         "valuation_date has no date a year later"),
+        ("backtest", ["--valuation-date", "2020-12-31", "--horizon", "2019-01-01"], {},
+         "horizon 2019-01-01 must fall after valuation_date"),
+        ("reserve", ultimate, {"runoff_years": -1}, "runoff_years must give a horizon"),
+        ("reserve", ultimate, {"runoff_years": 1e308}, "runoff_years must give a horizon"),
+        ("backtest", ultimate, {"runoff_years": -1}, "runoff_years must give a horizon"),
+    )):
+        (tmp_path / "window.json").write_text(json.dumps(cfg))
+        out = tmp_path / f"window{i}"
+        assert main([command, "--config", str(tmp_path / "window.json"), "--input", port,
+                     *flags, "--scenarios", "5", "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
+
 
 def test_model_errors_exit_1(workdir, tmp_path, capsys):
     rc = main(["reserve", "--config", str(workdir / "res.json"),

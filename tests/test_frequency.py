@@ -139,11 +139,11 @@ def test_date_differences_anchors_first_gap_at_origin():
         ClaimRecord("c", "material_damage", 8, 8),
         ClaimRecord("d", "bodily_injury", 3, 4),
     ]
-    diffs = date_differences(Portfolio(claims, 10))
-    years, gaps = diffs["material_damage"]
+    port = Portfolio(claims, 10)
+    years, gaps = date_differences(port.by_type("material_damage"))
     assert_array_equal(gaps, [5, 0, 3])
     assert_array_equal(years, [2000, 2000, 2000])
-    years_b, gaps_b = diffs["bodily_injury"]
+    years_b, gaps_b = date_differences(port.by_type("bodily_injury"))
     assert_array_equal(gaps_b, [3])
     assert_array_equal(years_b, [2000])
 
@@ -217,7 +217,7 @@ def test_fit_occurrence_recovers_single_year_mean():
         for i, d in enumerate(days)
     ]
     occ = fit_occurrence(Portfolio(claims, int(days[-1]) + 1), "poisson")
-    mu = occ["bodily_injury"].by_year[2000].mu
+    mu = occ.by_year[2000].mu
     assert abs(mu - 3.0) < 4 * np.sqrt(3.0 / 59)
 
 
@@ -230,8 +230,7 @@ def test_fit_occurrence_merges_thin_trailing_year():
         ClaimRecord("m16", "material_damage", 370, 370),
         ClaimRecord("m17", "material_damage", 380, 380),
     ]
-    with pytest.warns(UserWarning, match="merged"):
-        occ = fit_occurrence(Portfolio(claims, 400), "poisson")
-    om = occ["material_damage"]
+    with pytest.warns(UserWarning, match="material_damage: occurrence years .* merged"):
+        om = fit_occurrence(Portfolio(claims, 400), "poisson")
     assert sorted(om.by_year) == [2000, 2001]
     assert om.by_year[2001] is om.by_year[2000]

@@ -68,7 +68,7 @@ def test_cdf_is_symmetric_within_pairs():
 def test_sample_pairwise_kendall_taus():
     spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
     rng = np.random.default_rng(33)
-    u = hac_sample(spec, rng, size=4000)
+    u = hac_sample(spec, hac_uniforms(rng, 4000))
     assert u.shape == (4000, 4)
     assert np.all((u > 0) & (u < 1))
     tau = lambda i, j: stats.kendalltau(u[:, i], u[:, j]).statistic
@@ -117,7 +117,7 @@ def test_sample_with_parameter_callbacks():
         seen.append(u1.shape)
         return np.full(u1.shape, 2.0)
 
-    u = hac_sample(spec, rng, size=25, theta_a_fn=theta_a, theta_b_fn=lambda u3: 2.0)
+    u = hac_sample(spec, hac_uniforms(rng, 25), theta_a_fn=theta_a, theta_b_fn=lambda u3: 2.0)
     assert u.shape == (25, 4) and np.all((u > 0) & (u < 1))
     assert seen == [(25,)]  # one call with every row's first component
 
@@ -126,28 +126,28 @@ def test_sample_consumes_four_uniforms_per_row():
     spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
     for m in (0, 1, 7):
         rng = np.random.default_rng(5)
-        hac_sample(spec, rng, size=m)
+        hac_sample(spec, hac_uniforms(rng, m))
         ref = np.random.default_rng(5)
         ref.uniform(size=4 * m)
         assert rng.random() == ref.random()
 
 
-def test_sample_reads_given_uniforms_in_place_of_rng():
-    spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
-    drawn = hac_sample(spec, np.random.default_rng(5), size=7)
-    given = hac_sample(spec, uniforms=hac_uniforms(np.random.default_rng(5), 7))
-    assert given.tobytes() == drawn.tobytes()
-    for bad in ({}, {"rng": np.random.default_rng(5), "uniforms": np.full((1, 4), 0.5)}):
-        with pytest.raises(ValueError, match="exactly one of rng and uniforms"):
-            hac_sample(spec, **bad)
+def test_sample_solves_each_row_of_given_uniforms():
+    # each row solves its own uniforms: the first passes through, and under
+    # an independence outer copula the third does too
+    uniforms = hac_uniforms(np.random.default_rng(5), 7)
+    for outer in (("gumbel", 1.2), ("independence", None)):
+        rows = hac_sample(HacSpec(*outer, CLAY2, GUM2), uniforms)
+        assert rows[:, 0].tobytes() == uniforms[:, 0].tobytes()
+    assert rows[:, 2].tobytes() == uniforms[:, 2].tobytes()
 
 
 @pytest.mark.parametrize("outer", [("gumbel", 1.2), ("independence", None)])
 def test_sample_rows_match_one_row_calls(outer):
     spec = HacSpec(*outer, CLAY2, GUM2)
-    many = hac_sample(spec, np.random.default_rng(9), size=12)
+    many = hac_sample(spec, hac_uniforms(np.random.default_rng(9), 12))
     rng = np.random.default_rng(9)
-    one_by_one = np.vstack([hac_sample(spec, rng, size=1) for _ in range(12)])
+    one_by_one = np.vstack([hac_sample(spec, hac_uniforms(rng, 1)) for _ in range(12)])
     assert_allclose(many, one_by_one, rtol=0, atol=1e-12)
 
 
@@ -157,8 +157,7 @@ def test_sample_theta_callback_is_per_row():
     spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
     u = hac_sample(
         spec,
-        np.random.default_rng(4),
-        size=40,
+        hac_uniforms(np.random.default_rng(4), 40),
         theta_a_fn=lambda u1: np.where(u1 < 0.5, 0.5, 8.0),
     )
     low = u[:, 0] < 0.5
@@ -166,7 +165,7 @@ def test_sample_theta_callback_is_per_row():
     rng = np.random.default_rng(4)
     for i in range(u.shape[0]):
         th = 0.5 if low[i] else 8.0
-        row = hac_sample(spec, rng, size=1, theta_a_fn=lambda u1, th=th: th)
+        row = hac_sample(spec, hac_uniforms(rng, 1), theta_a_fn=lambda u1, th=th: th)
         assert_allclose(row[0], u[i], rtol=0, atol=1e-12)
 
 
@@ -179,14 +178,12 @@ def test_matched_delay_scores_hand_case():
         ClaimRecord("b2", "material_damage", 300, 301),
     ]
     port = Portfolio(claims, 400)
-    sa, sb = matched_delay_scores(port, {"bodily_injury": dm, "material_damage": dm})
+    sa, sb = matched_delay_scores(
+        port.by_type("bodily_injury"), port.by_type("material_damage"), dm, dm
+    )
     # only the (day 10, day 12) pair is close enough; scores at w + 0.5
     assert_allclose(sa, [1.0 - math.exp(-5.5 / 10.0)], rtol=1e-12)
     assert_allclose(sb, [1.0 - math.exp(-8.5 / 10.0)], rtol=1e-12)
-
-    single = Portfolio([c for c in claims if c.claim_type == "bodily_injury"], 400)
-    with pytest.raises(ValueError, match="two claim types"):
-        matched_delay_scores(single, {"bodily_injury": dm})
 
 
 def test_match_days_hand_case():
@@ -237,7 +234,8 @@ def matched():
 def test_matched_delay_scores_match_the_claim_loop(matched):
     truth, port = matched
     dm = {t: truth.types[t].delay for t in truth.types}
-    got = matched_delay_scores(port, dm)
+    bi, md = "bodily_injury", "material_damage"
+    got = matched_delay_scores(port.by_type(bi), port.by_type(md), dm[bi], dm[md])
     pairs = _loop_matched_pairs(port, MATCH_GAP_DAYS)
     assert got[0].size == len(pairs) > 100
     for side, x in enumerate(got):

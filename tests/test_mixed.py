@@ -171,12 +171,13 @@ def test_copula_pairs_hand_case():
         ClaimRecord("c2", "bodily_injury", 150, 475),  # reported on the cutoff
         ClaimRecord("c3", "bodily_injury", 200, 220),
     ]
-    port = Portfolio(claims, 475)
-    t, w, horizon, n = copula_pairs(port, "bodily_injury")
+    (t, w, horizon, n), taus = copula_pairs(Portfolio(claims, 475))
     assert_array_equal(t, [100, 200])
     assert_array_equal(w, [10, 20])
     assert_allclose(horizon, [(475 - 110) / 365.25, (475 - 220) / 365.25])
     assert_array_equal(n, [2, 0])
+    # the payment times in claim time of the kept claims
+    assert_allclose(taus, [(200 - 110) / 365.25, (300 - 110) / 365.25])
 
 
 def _coupled_pairs(spec, seed, m=2000):

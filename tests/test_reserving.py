@@ -117,6 +117,24 @@ def test_fit_error_names_the_failing_stage():
         fit_model(port, {"copula_family": "independence", "hac_outer": None})
 
 
+def test_fit_model_selects_each_claim_type_once(monkeypatch):
+    start, end = parse_iso("2016-01-01"), parse_iso("2018-12-31")
+    truth = default_model(1500, start, end, dependence="archimedean")
+    port = synthesize(truth, start, end, np.random.default_rng(3))
+    calls = []
+    by_type = Portfolio.by_type
+
+    def counted(self, *claim_types):
+        calls.append(claim_types)
+        return by_type(self, *claim_types)
+
+    monkeypatch.setattr(Portfolio, "by_type", counted)
+    _, report = fit_model(port)
+    # every phase reads the one selection, the cross-type nesting too
+    assert calls == [("bodily_injury",), ("material_damage",)]
+    assert report["hac"]["outer_family"] == "gumbel"
+
+
 def test_ibnr_count_conditional_normalizes_under_coupling():
     """The engine's IBNR stage draws a free claim's count from the copula
     conditional given its delay score u, at its own horizon b - r: P[N <= n |

@@ -172,14 +172,14 @@ def _two_payment_portfolio(n=80, seed=7):
 
 
 def test_fit_severity_structures():
-    port = _two_payment_portfolio()
-    iid = fit_severity(port, "material_damage", family="lognormal", structure="iid")
+    sub = _two_payment_portfolio().by_type("material_damage")
+    iid = fit_severity(sub, "lognormal", "iid")
     assert isinstance(iid, LogNormalSeverity)
-    chain = fit_severity(port, "material_damage", family="lognormal", structure="order_ar")
+    chain = fit_severity(sub, "lognormal", "order_ar")
     assert isinstance(chain, OrderARSeverity)
     assert len(chain.alphas) == 1  # 80 claims of two payments: one order
     with pytest.raises(ValueError, match="unknown severity structure"):
-        fit_severity(port, "material_damage", structure="markov")
+        fit_severity(sub, "lognormal", "markov")
 
 
 def test_simulate_amounts_dispatches():
