@@ -169,8 +169,11 @@ class Clayton(_Family):
             return np.exp(-theta * np.log(_clip01(u)))
 
     def _cdf(self, u, v, theta):
+        # u and v unclipped: at the _EPS clip C(u, v) would reach _EPS, above
+        # its bound min(u, v); an infinite u^-theta gives C = 0 instead
         theta = np.asarray(theta, dtype=float)
-        T = self._pow(u, theta) + self._pow(v, theta) - 1.0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            T = np.exp(-theta * np.log(u)) + np.exp(-theta * np.log(v)) - 1.0
         return np.exp(-np.log(T) / theta)
 
     def _h(self, u, v, theta):

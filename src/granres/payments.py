@@ -6,9 +6,11 @@ families decay monotonically, payments thin out as the claim ages:
 * exponential: rate(tau) = lam0 * exp(-beta * tau)
 * power:       rate(tau) = lam0 * (1 + tau)^(-beta), beta > 1
 
-Both have closed-form cumulative intensities with closed-form inverses, which
-the simulation engine (reserving._place_payments) uses to place payment
-times given a count.
+Both have closed-form cumulative intensities with closed-form inverses. The
+simulation engine places a new claim's payment times given its count through
+the inverse (reserving._place_payments), and reads the RBNS means of each
+calendar period off the cumulative at the period's edges
+(reserving._bucket_means).
 """
 
 from __future__ import annotations

@@ -5,16 +5,18 @@ from the day-gap model and cross-type matching by accident day, with four
 copula uniforms per matched pair (_draw_arrivals); the nested copula solve
 for the matched pairs (_solve_pairs); the reporting delay, the payment count
 at the claim's horizon, payment placement and amounts (_finish_claims).
-_draw_claims runs the three in turn for one draw. The kernel has three
-views:
+_draw_claims runs the three in turn for one draw. The kernel has two views:
 
 * synth.synthesize: arrivals on [start, end], every claim that reports by
   end kept, horizon end; the observed history.
 * ibnr_simulate (and _ibnr_draw, the engine's stage 3): arrivals over the
   lookback (a - lookback, a], kept if they report inside (a, b], horizon b;
   the IBNR reserve.
-* _rbns_scenario: claims reported by a continue their payment process on
-  (a, b] through the same placement, _place_payments; the RBNS reserve.
+
+The RBNS reserve (_rbns_scenario) continues the claims reported by a on
+(a, b]. It keeps only per-period flows, so it places no payment days: each
+period's count over all claims is one Poisson draw (superposition), its mean
+read at the period edges by the ceiling-day rule of _place_payments.
 
 Scenario i draws from a generator seeded with the i-th child of
 SeedSequence(master). A worker runs its chunk of scenarios in batches of up
@@ -34,7 +36,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,7 +60,7 @@ from .daycount import DAYS_PER_YEAR, to_date, to_day, year_of, year_start
 from .delays import delay_model_from_dict, delay_quantile, fit_delay
 from .frequency import OccurrenceModel, fit_occurrence, simulate_arrivals
 from .payments import CountProcess, fit_intensity
-from .severity import fit_severity, severity_from_dict, simulate_amounts
+from .severity import OrderARSeverity, fit_severity, severity_from_dict, simulate_amounts
 
 
 @dataclass(frozen=True)
@@ -306,13 +308,13 @@ def default_lookback(delay_model, a_day: int) -> int:
     return int(math.ceil(max(q1, q2))) + 1
 
 
-def _place_payments(counts, n_vec, r_vec, lam_lo, lam_hi, after_day, last_day, rng):
+def _place_payments(counts, n_vec, r_vec, lam_hi, last_day, rng):
     """Payment days for n_vec[i] payments of claim i, claim-major and sorted.
 
     Given the count, claim i's payment times are Lambda-inverse transformed
-    order statistics on the cumulative-intensity interval (lam_lo, lam_hi]
-    (lam_lo may be a scalar); days use the ceiling convention and are
-    clipped into (max(r_vec[i], after_day), last_day].
+    order statistics on the cumulative-intensity interval (0, lam_hi[i]];
+    days use the ceiling convention, r + ceil(tau * year), and are clipped
+    into (r_vec[i], last_day].
 
     The order statistics come from one int64 sort of the keys
     claim * total + rank, rank being each uniform's place in sorted order;
@@ -327,11 +329,10 @@ def _place_payments(counts, n_vec, r_vec, lam_lo, lam_hi, after_day, last_day, r
     order = np.argsort(u)
     key = np.sort(idx[order] * total + np.arange(total))
     u = u[order][key % total]
-    lam_lo = np.broadcast_to(lam_lo, lam_hi.shape)
-    taus = counts.intensity.cumulative_inv(lam_lo[idx] + u * (lam_hi - lam_lo)[idx])
+    taus = counts.intensity.cumulative_inv(u * lam_hi[idx])
     r = r_vec[idx]
     days = r + np.ceil(taus * DAYS_PER_YEAR).astype(np.int64)
-    return idx, np.clip(days, np.maximum(r, after_day) + 1, last_day)
+    return idx, np.clip(days, r + 1, last_day)
 
 
 def _inner_theta(tm, t_days, horizon_end: int):
@@ -459,9 +460,7 @@ def _finish_claims(model, draw, rows, report_after, horizon_end, rng):
             )
 
         lam_hi = np.asarray(tm.counts.intensity.cumulative(horizon), dtype=float)
-        idx, days = _place_payments(
-            tm.counts, n, r, 0.0, lam_hi, report_after, horizon_end, rng
-        )
+        idx, days = _place_payments(tm.counts, n, r, lam_hi, horizon_end, rng)
         out[ctype] = {
             "t": t,
             "r": r,
@@ -540,16 +539,16 @@ def _period_edges(window):
 
 @dataclass(frozen=True)
 class _RbnsPrep:
-    """Read-only per-type arrays for the scenario loop; lam_a and lam_b are the
-    cumulative payment intensity at tau_a and tau_b under the scenario's model."""
+    """One claim type's claims reported by a, grouped by reporting day: the
+    distinct days, ascending, and the number of claims on each. No model
+    parameter enters, so every scenario shares it. An order-AR severity also
+    reads each claim's payment count k_obs and last amount last_amt by a,
+    claims in reporting-day order; for an iid severity both are None."""
 
-    r: np.ndarray
-    tau_a: np.ndarray
-    tau_b: np.ndarray
-    k_obs: np.ndarray
-    last_amt: np.ndarray
-    lam_a: np.ndarray
-    lam_b: np.ndarray
+    days: np.ndarray
+    n_claims: np.ndarray
+    k_obs: np.ndarray | None = None
+    last_amt: np.ndarray | None = None
 
 
 def _prepare_rbns(model, portfolio, window):
@@ -558,34 +557,18 @@ def _prepare_rbns(model, portfolio, window):
     for ctype in model.type_names():
         sub = portfolio.by_type(ctype)
         reported = sub.reporting_days <= a
+        r = sub.reporting_days[reported]
+        days, n_claims = np.unique(r, return_counts=True)
+        if not isinstance(model.types[ctype].severity, OrderARSeverity):
+            prep[ctype] = _RbnsPrep(days, n_claims)
+            continue
         # payment days ascend within a claim, so those made by a come first
         k = np.bincount(sub.pay_owner[sub.pay_days <= a], minlength=len(sub))[reported]
-        r = sub.reporting_days[reported]
         last = np.zeros(r.size)
         last[k > 0] = sub.pay_amounts[(sub.pay_ptr[:-1][reported] + k - 1)[k > 0]]
-        prep[ctype] = _RbnsPrep(
-            r=r,
-            tau_a=(window.a_day - r) / DAYS_PER_YEAR,
-            tau_b=(window.b_day - r) / DAYS_PER_YEAR,
-            k_obs=k,
-            last_amt=last,
-            lam_a=np.empty(0),
-            lam_b=np.empty(0),
-        )
-    return _rbns_intensities(model, prep)
-
-
-def _rbns_intensities(model, prep):
-    """prep with lam_a and lam_b read off model's payment intensities."""
-    out = {}
-    for ctype, p in prep.items():
-        cumulative = model.types[ctype].counts.intensity.cumulative
-        out[ctype] = replace(
-            p,
-            lam_a=np.asarray(cumulative(p.tau_a), dtype=float),
-            lam_b=np.asarray(cumulative(p.tau_b), dtype=float),
-        )
-    return out
+        order = np.argsort(r, kind="stable")
+        prep[ctype] = _RbnsPrep(days, n_claims, k[order], last[order])
+    return prep
 
 
 def _perturb_model(model, rng):
@@ -609,26 +592,76 @@ def _perturb_model(model, rng):
     return GranularModel(types=types, hac=model.hac)
 
 
+def _bucket_means(intensity, days, edges):
+    """(P, days) expected payments in each bucket of a claim reported on
+    each of days: Lambda(tau_{d,j+1}) - Lambda(tau_{d,j}).
+
+    Bucket j holds the payment days [edges[j], edges[j+1]); by the ceiling-day
+    rule of _place_payments, day r + ceil(tau * year), those are the claim
+    times (tau_{d,j}, tau_{d,j+1}], tau_{d,j} = (edges[j] - d - 1) / year.
+    For d <= a the buckets cover (tau_a, tau_b], payment days (a, b].
+    """
+    taus = (edges[:, None] - days - 1) / DAYS_PER_YEAR
+    lam = np.asarray(intensity.cumulative(taus), dtype=float)
+    return np.maximum(np.diff(lam, axis=0), 0.0)
+
+
+def _split_over_claims(p, means, m, rng):
+    """Each bucket's payment count m[j] split over the claims of prep p.
+
+    A payment of bucket j goes to reporting-day group g with probability
+    means[j, g] / sum(means[j]), by one searchsorted on the cumulative means,
+    then to one of the group's claims uniformly: the multinomial split, which
+    leaves each claim's bucket counts independent Poisson, as drawn claim by
+    claim. Returns the paying claims, their counts and each payment's bucket,
+    claim-major with buckets ascending: the order of continue_flat's chains.
+    """
+    n_periods, n_days = means.shape
+    bucket = np.repeat(np.arange(n_periods), m)
+    cum = np.cumsum(means.ravel())
+    top = cum[n_days - 1 :: n_days]
+    bottom = np.concatenate([[0.0], top[:-1]])
+    target = bottom[bucket] + rng.random(bucket.size) * (top - bottom)[bucket]
+    # a bucket's payments are exchangeable, and sorted targets keep each
+    # bucket's block in place while searchsorted walks cum once
+    flat = np.searchsorted(cum, np.sort(target), side="right")
+    # rounding can put a target on its bucket's top, past the last group
+    group = np.minimum(flat - bucket * n_days, n_days - 1)
+    first = np.cumsum(p.n_claims) - p.n_claims
+    claim = first[group] + rng.integers(0, p.n_claims[group])
+    key = np.sort(claim * n_periods + bucket)
+    owners, counts = np.unique(key // n_periods, return_counts=True)
+    return owners, counts, key % n_periods
+
+
 def _rbns_scenario(model, prep, window, edges, rng):
-    """One scenario of RBNS payments; returns per-type period flows."""
+    """One scenario of RBNS payments; returns per-type period flows.
+
+    Claims pay independent Poisson counts per bucket (_bucket_means), so a
+    bucket's count over all claims is one Poisson draw at their sum (Norberg
+    1993): one rng.poisson call per type. An iid severity needs only that
+    count. An order-AR severity reads each claim's history: the counts are
+    split over the claims, and earlier buckets take a chain's earlier links.
+    """
+    n_periods = edges.size - 1
     flows = {}
     for ctype in model.type_names():
         tm = model.types[ctype]
         p = prep[ctype]
-        n_periods = edges.size - 1
-        if p.r.size == 0:
+        if p.days.size == 0:
             flows[ctype] = np.zeros(n_periods)
             continue
-        m = rng.poisson(np.maximum(p.lam_b - p.lam_a, 0.0))
-        if not m.any():
-            flows[ctype] = np.zeros(n_periods)
-            continue
-        _, days = _place_payments(
-            tm.counts, m, p.r, p.lam_a, p.lam_b, window.a_day, window.b_day, rng
-        )
-        amounts = tm.severity.continue_flat(m, p.k_obs, p.last_amt, rng)
-        buckets = np.searchsorted(edges, days, side="right") - 1
-        flows[ctype] = np.bincount(buckets, weights=amounts, minlength=n_periods)
+        means = _bucket_means(tm.counts.intensity, p.days, edges) * p.n_claims
+        m = rng.poisson(means.sum(axis=1))
+        if p.k_obs is None:
+            bucket = np.repeat(np.arange(n_periods), m)
+            amounts = tm.severity.continue_flat(m, 0, 0.0, rng)
+        else:
+            owners, counts, bucket = _split_over_claims(p, means, m, rng)
+            amounts = tm.severity.continue_flat(
+                counts, p.k_obs[owners], p.last_amt[owners], rng
+            )
+        flows[ctype] = np.bincount(bucket, weights=amounts, minlength=n_periods)
     return flows
 
 
@@ -636,9 +669,9 @@ def _rbns_scenario(model, prep, window, edges, rng):
 class _Scenarios:
     """What every scenario of one simulate_reserves call shares.
 
-    prep and starts (each type's first IBNR accident day) hold the point
-    model's values; with parameter_risk a scenario recomputes both from its
-    redrawn model.
+    prep holds no model parameter. starts (each type's first IBNR accident
+    day) holds the point model's values; with parameter_risk a scenario
+    recomputes them from its redrawn model.
     """
 
     model: GranularModel
@@ -651,14 +684,14 @@ class _Scenarios:
 
 def _start_scenario(sc, seed_child):
     """Stage 1 of a scenario, on its own generator: the parameter redraw, the
-    RBNS flows and the IBNR arrivals, match and pair uniforms."""
+    RBNS flows (one Poisson count per type and period bucket) and the IBNR
+    arrivals, match and pair uniforms."""
     rng = np.random.default_rng(seed_child)
-    model, prep, starts = sc.model, sc.prep, sc.starts
+    model, starts = sc.model, sc.starts
     if sc.parameter_risk:
         model = _perturb_model(model, rng)
-        prep = _rbns_intensities(model, prep)
         starts = _ibnr_start_days(model, sc.window.a_day)
-    rbns_flows = _rbns_scenario(model, prep, sc.window, sc.edges, rng)
+    rbns_flows = _rbns_scenario(model, sc.prep, sc.window, sc.edges, rng)
     draw = _draw_arrivals(model, starts, sc.window.a_day, rng)
     return model, rng, rbns_flows, draw
 

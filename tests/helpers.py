@@ -21,6 +21,6 @@ def payment_taus(intensity, horizons, rng):
     hz = (cut - r) / DAYS_PER_YEAR
     lam = np.asarray(intensity.cumulative(hz), dtype=float)
     n = rng.poisson(lam)
-    idx, days = _place_payments(CountProcess(intensity), n, r, 0.0, lam, 0, cut, rng)
+    idx, days = _place_payments(CountProcess(intensity), n, r, lam, cut, rng)
     taus = (days - r[idx]) / DAYS_PER_YEAR
     return taus, hz

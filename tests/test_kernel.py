@@ -39,10 +39,10 @@ SYNTH = {
 }
 IBNR_ARCHIMEDEAN = "1eea2aa9d49930ad07485c736d23d73b7601504348bb93fd8c448215368cf5ae"
 RESERVES = {
-    "independence": "7ad830e2a1d897f72a20df9b807ef2ed3b94468e9ef3d87dca41e9b1fb4ce533",
-    "archimedean": "169cc0c322dbccc751b1a87429ad439bc1d76654f1a29b9e738219bd445cf25c",
-    "archimedean_parameter_risk": "f6fe8002c3f6ffef9bd018d25ad9868f998e33faf3a6cc0f9d04d8eed3e14c8b",
-    "order_ar_parameter_risk": "42a0cb17bf9871e7eb7767e1de4c2218d84046730346f9f062b587d166599111",
+    "independence": "d237a39b43f763b014cdb0284089ce30a11029d4aeae21e637507e27bf78eae6",
+    "archimedean": "45f675c30da2c27149429100c2689756fa9a51dadef53c73c1d6f27558acd431",
+    "archimedean_parameter_risk": "9427154b5ae5acc822febc4c0ffde4e93b22cf2efbaf74e18b65c4cd1a80dffe",
+    "order_ar_parameter_risk": "9402520eb010a57d03bf606c5cde37af787cd4dd38246c9e857690c6e2c9b7f9",
 }
 # parameter-risk draws around fitted estimates: every component family with
 # its fitted standard errors, and the counts' joint covariance. The digests

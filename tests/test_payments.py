@@ -77,27 +77,28 @@ def test_placed_payments_have_poisson_counts():
 
 
 def test_placed_payments_respect_window():
-    # RBNS geometry: claims reported by a continue their payments on (a, b]
+    # IBNR geometry: claims reported in (a, b] pay on (r, b], times on (0, h]
     proc = CountProcess(ExponentialDecay(2.0, 1.0))
-    r = np.array([0, 100, 200, 365], dtype=np.int64)
     a, b = 365, 1095
-    lam_lo = proc.intensity.cumulative((a - r) / DAYS_PER_YEAR)
+    r = np.array([366, 500, 800, 1094, 1095], dtype=np.int64)
     lam_hi = proc.intensity.cumulative((b - r) / DAYS_PER_YEAR)
     rng = np.random.default_rng(5)
-    n = rng.poisson(50.0 * (lam_hi - lam_lo))
-    idx, days = _place_payments(proc, n, r, lam_lo, lam_hi, a, b, rng)
+    n = rng.poisson(50.0 * lam_hi)
+    n[-2] = 3  # one day left: every payment lands on b
+    assert np.all(n[:-1] > 0) and n[-1] == 0  # reported on b: no time left
+    idx, days = _place_payments(proc, n, r, lam_hi, b, rng)
     assert np.array_equal(idx, np.repeat(np.arange(r.size), n))
-    assert np.all((days > a) & (days <= b))
+    assert np.all((days > r[idx]) & (days <= b))
     taus = (days - r[idx]) / DAYS_PER_YEAR
-    assert np.all(taus > ((a - r) / DAYS_PER_YEAR)[idx])
     assert np.all(taus <= ((b - r) / DAYS_PER_YEAR)[idx])
     for i in range(r.size):
         assert np.all(np.diff(days[idx == i]) >= 0)  # claim-major, sorted
-    none = _place_payments(proc, np.zeros(4, dtype=int), r, lam_hi, lam_hi, a, b, rng)
+    assert np.all(days[idx == r.size - 2] == b)
+    none = _place_payments(proc, np.zeros(5, dtype=int), r, lam_hi, b, rng)
     assert none[0].size == 0 and none[1].size == 0
-    # times at the interval's lower edge still land after a
-    _, edge = _place_payments(proc, np.ones(4, dtype=int), r, lam_lo, lam_lo, a, b, rng)
-    assert np.all(edge == a + 1)
+    # times at the interval's lower edge still land after the reporting day
+    _, edge = _place_payments(proc, np.ones(4, dtype=int), r[:-1], np.zeros(4), b, rng)
+    assert np.all(edge == r[:-1] + 1)
 
 
 def test_exponential_fit_recovers_truth():

@@ -193,15 +193,14 @@ class _RecordedIntensity:
         return self.inner.cumulative_inv(x)
 
 
-def _place_reference(intensity, n, u, r, lam_lo, lam_hi, after_day, last_day):
+def _place_reference(intensity, n, u, r, lam_hi, last_day):
     """_place_payments with each claim's uniforms sorted on their own."""
     idx = np.repeat(np.arange(n.size), n)
     ends = np.cumsum(n)
     u = np.concatenate([np.sort(u[e - k : e]) for e, k in zip(ends, n)])
-    lam_lo = np.broadcast_to(lam_lo, lam_hi.shape)
-    x = lam_lo[idx] + u * (lam_hi - lam_lo)[idx]
+    x = u * lam_hi[idx]
     days = r[idx] + np.ceil(intensity.cumulative_inv(x) * DAYS_PER_YEAR).astype(np.int64)
-    return idx, x, np.clip(days, np.maximum(r[idx], after_day) + 1, last_day)
+    return idx, x, np.clip(days, r[idx] + 1, last_day)
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,28 +210,24 @@ def _place_reference(intensity, n, u, r, lam_lo, lam_hi, after_day, last_day):
     st.sampled_from([0, 1, 250, 700]),
     st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
     st.booleans(),
-    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-def test_place_payments_sorts_each_claims_uniforms(
-    counts, at, big, pool, repeat, scalar_lo, seed
-):
+def test_place_payments_sorts_each_claims_uniforms(counts, at, big, pool, repeat, seed):
     """Zero counts, one claim with hundreds of payments, and repeated u."""
     n = np.array(counts[:at] + [big] + counts[at:], dtype=np.int64)
     rng = np.random.default_rng(seed)
     total = int(n.sum())
     u = rng.choice(np.array(pool), total) if repeat else rng.random(total)
     a, b = 365, 1095
-    r = rng.integers(0, a + 1, n.size)
+    r = rng.integers(a + 1, b + 1, n.size)
     inner = ExponentialDecay(2.0, 1.0)
-    lam_lo = 0.0 if scalar_lo else inner.cumulative((a - r) / DAYS_PER_YEAR)
     lam_hi = inner.cumulative((b - r) / DAYS_PER_YEAR)
     counts_law = SimpleNamespace(intensity=_RecordedIntensity(inner))
-    idx, days = _place_payments(counts_law, n, r, lam_lo, lam_hi, a, b, _GivenDraws(u))
+    idx, days = _place_payments(counts_law, n, r, lam_hi, b, _GivenDraws(u))
     if total == 0:
         assert idx.size == 0 and days.size == 0
         return
-    want_idx, want_x, want_days = _place_reference(inner, n, u, r, lam_lo, lam_hi, a, b)
+    want_idx, want_x, want_days = _place_reference(inner, n, u, r, lam_hi, b)
     assert_array_equal(idx, want_idx)
     assert counts_law.intensity.seen.tobytes() == want_x.tobytes()
     assert_array_equal(days, want_days)

@@ -42,7 +42,15 @@ from granres import reserving
 from granres.copulas import HacSpec, family
 from granres.copulas.dynamics import TimeVaryingParam
 from granres.delays import EmpiricalDelayModel, delay_quantile
-from granres.reserving import _finish_claims, _perturb_model
+from granres.reserving import (
+    _bucket_means,
+    _finish_claims,
+    _period_edges,
+    _perturb_model,
+    _place_payments,
+    _prepare_rbns,
+    _rbns_scenario,
+)
 from granres.severity import LogNormalSeverity, OrderARSeverity
 
 WIN = ValuationWindow(6209, 6574)  # 2016-12-31 to 2017-12-31
@@ -194,6 +202,175 @@ def test_rbns_continues_the_observed_payment_chain():
     m = -np.log2(1.0 - dist.rbns / 100.0)
     assert_allclose(m, np.round(m), atol=1e-9)
     assert np.all(np.round(m) >= 0) and np.any(np.round(m) > 0)
+
+
+YEAR_RBNS = ValuationWindow(6209, parse_iso("2018-12-31"))  # periods 2017, 2018
+
+
+def _rbns_flows(model, port, window, seeds):
+    """Each seed's RBNS flows per type, from _rbns_scenario alone."""
+    prep = _prepare_rbns(model, port, window)
+    edges, _ = _period_edges(window)
+    return [
+        _rbns_scenario(model, prep, window, edges, np.random.default_rng(s)) for s in seeds
+    ]
+
+
+def test_rbns_chain_takes_its_links_in_bucket_order():
+    # the halving chain of test_rbns_continues_the_observed_payment_chain on two
+    # periods: 2017 takes the chain's first m1 links, 2018 the next ones
+    claims = [
+        ClaimRecord(
+            "x1",
+            "material_damage",
+            6000,
+            6050,
+            (PaymentEvent(6100, 100.0), PaymentEvent(6300, 7.0)),
+        ),
+        ClaimRecord("x2", "material_damage", 6150, 6300),
+    ]
+    halving = OrderARSeverity(LogNormalSeverity(3.0, 0.4), (0.5,), 0.0)
+    model = GranularModel(types={"material_damage": replace(TM, severity=halving)})
+    port = Portfolio(claims, 6400)
+    flows = np.array(
+        [f["material_damage"] for f in _rbns_flows(model, port, YEAR_RBNS, range(200))]
+    )
+    m1 = -np.log2(1.0 - flows[:, 0] / 100.0)
+    m = -np.log2(1.0 - flows.sum(axis=1) / 100.0)
+    assert_allclose(m1, np.round(m1), atol=1e-9)
+    assert_allclose(m, np.round(m), atol=1e-9)
+    assert np.all(np.round(m1) <= np.round(m))
+    assert np.any((np.round(m1) > 0) & (np.round(m) > np.round(m1)))
+
+
+class _PoissonTally:
+    """A Generator stand-in that forwards every draw and records the total of
+    each poisson call, as bench/tracing.py counts RBNS payments."""
+
+    def __init__(self, rng, totals):
+        self._rng, self._totals = rng, totals
+
+    def poisson(self, *args, **kwargs):
+        m = self._rng.poisson(*args, **kwargs)
+        self._totals.append(int(np.sum(m)))
+        return m
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("chained", [False, True])
+def test_rbns_draws_one_poisson_count_per_type(monkeypatch, chained):
+    """One rng.poisson call per type and scenario, its draws summing to the
+    type's RBNS payments; an order-AR split draws uniforms, not counts."""
+    severity = OrderARSeverity(TM.severity, (0.5,), 2.0) if chained else TM.severity
+    tm = replace(TM, severity=severity)
+    model = GranularModel(types={"bodily_injury": tm, "material_damage": tm})
+    claims = [
+        ClaimRecord(f"{t}{i}", t, 6000 + i, 6050 + i, (PaymentEvent(6100 + i, 50.0),))
+        for t in model.type_names()
+        for i in range(40)
+    ]
+    port = Portfolio(claims, 6209)
+    prep = _prepare_rbns(model, port, YEAR_RBNS)
+    edges, _ = _period_edges(YEAR_RBNS)
+    paid = []
+    continue_flat = type(severity).continue_flat
+
+    def counted(self, counts, *args):
+        paid.append(int(np.sum(counts)))
+        return continue_flat(self, counts, *args)
+
+    monkeypatch.setattr(type(severity), "continue_flat", counted)
+    for seed in range(5):
+        plain = _rbns_scenario(model, prep, YEAR_RBNS, edges, np.random.default_rng(seed))
+        totals, paid[:] = [], []
+        tally = _PoissonTally(np.random.default_rng(seed), totals)
+        tallied = _rbns_scenario(model, prep, YEAR_RBNS, edges, tally)
+        for t in model.type_names():
+            assert_array_equal(tallied[t], plain[t])  # the stand-in keeps the stream
+        assert len(totals) == 2
+        assert totals == paid and sum(totals) > 0
+
+
+def _moment_portfolio(a_day):
+    """60 open claims reported over the year to a, on a year's first day, a
+    Dec 31 and a leap day among them, with one payment each."""
+    days = np.linspace(a_day - 365, a_day, 57).astype(np.int64).tolist()
+    days += [parse_iso(d) for d in ("2020-01-01", "2019-12-31", "2020-02-29")]
+    claims = [
+        ClaimRecord(f"m{i}", "material_damage", r - 20, r, (PaymentEvent(r, 40.0),))
+        for i, r in enumerate(days)
+    ]
+    return Portfolio(claims, a_day), np.array(days)
+
+
+@pytest.mark.parametrize("horizon", ["mid_year", "ultimate"])
+def test_rbns_period_moments_are_compound_poisson(horizon):
+    """Each period's simulated RBNS mean is sum(dLambda) E[X] and its variance
+    sum(dLambda) E[X^2], dLambda the claim's payment mass on the period's days
+    under the ceiling-day rule, within 4 standard errors."""
+    a = parse_iso("2020-07-01")
+    if horizon == "mid_year":
+        window = ValuationWindow(a, parse_iso("2022-06-30"))
+    else:
+        window = ValuationWindow.ultimate(a)
+    tm = replace(TM, counts=CountProcess(PowerDecay(3.0, 2.5)))
+    model = GranularModel(types={"material_damage": tm})
+    port, r = _moment_portfolio(a)
+    flows = np.array(
+        [f["material_damage"] for f in _rbns_flows(model, port, window, range(4000))]
+    )
+    _, years = _period_edges(window)
+    mass = []
+    for y in years:
+        # a payment on day D has claim time in ((D - 1 - r) / year, (D - r) / year]
+        first = max(window.a_day + 1, parse_iso(f"{y}-01-01"))
+        last = min(window.b_day, parse_iso(f"{y}-12-31"))
+        lam = tm.counts.intensity.cumulative
+        mass.append(np.sum(lam((last - r) / 365.25) - lam((first - 1 - r) / 365.25)))
+    mass = np.array(mass)
+    sev = tm.severity
+    ex, ex2 = sev.mean(), math.exp(2 * sev.mu + 2 * sev.sigma**2)
+    n = flows.shape[0]
+    assert flows.shape[1] == len(years) == (3 if horizon == "mid_year" else 16)
+    z_mean = (flows.mean(axis=0) - mass * ex) / (flows.std(axis=0, ddof=1) / math.sqrt(n))
+    dev = flows - flows.mean(axis=0)
+    var, m4 = (dev**2).mean(axis=0), (dev**4).mean(axis=0)
+    z_var = (flows.var(axis=0, ddof=1) - mass * ex2) / np.sqrt((m4 - var**2) / n)
+    assert np.all(np.abs(z_mean) < 4.0), z_mean
+    assert np.all(np.abs(z_var) < 4.0), z_var
+
+
+@pytest.mark.parametrize(
+    "report, valuation, beta",
+    [
+        # reported at a: the first bucket is one day, and a steep intensity
+        # makes the first days after reporting weigh
+        ("2020-12-30", "2020-12-30", 20.0),
+        ("2020-12-31", "2020-12-31", 20.0),  # a Dec 31 report, buckets from Jan 1
+        ("2020-01-01", "2020-12-30", 3.0),  # reported on a bucket year's first day
+        ("2020-02-29", "2020-12-30", 3.0),  # a leap-day report
+    ],
+)
+def test_rbns_bucket_means_follow_the_placement_days(report, valuation, beta):
+    """RBNS and IBNR share one ceiling-day convention: a claim reported on d
+    and paid on (0, (b - d) / year] by _place_payments lands in bucket j with
+    probability dLambda_{d,j} / Lambda((b - d) / year), dLambda the RBNS
+    bucket means."""
+    d, a, b = parse_iso(report), parse_iso(valuation), parse_iso("2022-01-01")
+    edges, _ = _period_edges(ValuationWindow(a, b))
+    counts = CountProcess(PowerDecay(6.0, beta))
+    lam_hi = counts.intensity.cumulative(np.array([(b - d) / 365.25]))
+    share = _bucket_means(counts.intensity, np.array([d]), edges)[:, 0] / lam_hi
+    n = 400_000
+    rng = np.random.default_rng(31)
+    _, days = _place_payments(counts, np.array([n]), np.array([d]), lam_hi, b, rng)
+    days = days[days > a]
+    seen = np.bincount(np.searchsorted(edges, days, side="right") - 1, minlength=share.size)
+    assert share.size >= 2 and np.all(share > 0.0) and days.size > 50_000
+    z = (seen / n - share) / np.sqrt(share * (1.0 - share) / n)
+    assert np.all(np.abs(z) < 4.5), z
 
 
 def test_model_rejects_unknown_claim_types():
