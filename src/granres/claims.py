@@ -4,11 +4,13 @@ The CSV schema is one payment per row::
 
     claim_id,claim_type,accident_date,reporting_date,payment_date,amount
 
-Dates are ISO (YYYY-MM-DD) and amounts use a dot decimal separator with up to
-two decimal places; an amount must be finite and nonzero. A claim with no
-payments is a single row with empty payment_date and amount fields. Rows that
-fail validation are rejected and reported as line-oriented text on the
-diagnostic stream; they never reach the data model.
+Files are UTF-8, with or without a byte-order mark. Dates are YYYY-MM-DD.
+Ingest reads an amount in Python's float syntax (a dot decimal separator, any
+number of decimals) and requires it to be finite and nonzero; write_csv writes
+two decimals. Fields are stripped of edge whitespace. A claim with no payments
+is a single row with empty payment_date and amount fields. Rows that fail
+validation are rejected and reported as line-oriented text on the diagnostic
+stream; they never reach the data model.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -27,8 +31,8 @@ import numpy as np
 from .daycount import iso, parse_iso, year_of
 
 CLAIM_TYPES = ("bodily_injury", "material_damage")
-# each type's name, also without its underscore
-_TYPE_ALIASES = {a: t for t in CLAIM_TYPES for a in (t, t.replace("_", ""))}
+# each type's code under its name, also without its underscore
+_TYPE_CODES = {a: k for k, t in enumerate(CLAIM_TYPES) for a in (t, t.replace("_", ""))}
 _HEADER = ["claim_id", "claim_type", "accident_date", "reporting_date", "payment_date", "amount"]
 
 
@@ -249,10 +253,12 @@ class IngestReport:
 
 @contextlib.contextmanager
 def _text_stream(target, mode):
-    """Open a path (str or os.PathLike) for the block and close it after it;
-    any other target is taken as an open text stream and left open."""
+    """Open a path (str or os.PathLike) as UTF-8 for the block and close it
+    after it, reading past a byte-order mark; any other target is taken as
+    an open text stream and left open."""
     if isinstance(target, (str, os.PathLike)):
-        with open(target, mode, newline="") as stream:
+        encoding = "utf-8-sig" if mode == "r" else "utf-8"
+        with open(target, mode, newline="", encoding=encoding) as stream:
             yield stream
     else:
         yield target
@@ -275,23 +281,61 @@ def ingest_csv(source, cutoff=None, diagnostics=None) -> Portfolio:
     return p
 
 
+# why a row is rejected, by rule code in order of precedence; code 0 keeps it
+_REJECT = ("", "empty claim_id", "unknown claim_type {raw_type!r}", "malformed date",
+           "reporting_date {rep} before accident_date {acc}", "malformed payment fields",
+           "payment_date {pay} before reporting_date {rep}", "zero amount")
+_NO_DAY = np.iinfo(np.int64).min
+_CHUNK = 4096  # rows read before they are coded
+# the table that codes each of the six fields: ids, types, dates, amounts
+_TABLE = (0, 1, 2, 2, 2, 3)
+
+
+def _read_coded(reader):
+    """Each row's field count, 0 for a blank or whitespace-only row; four
+    tables, each mapping a distinct stripped string to its code, the count of
+    the table's fields read before it first appeared; and the six fields of
+    the rows with six, coded. Only the distinct strings outlive their chunk.
+    """
+    width, tables, columns = [], ({}, {}, {}, {}), [[np.zeros(0, np.int64)] for _ in _HEADER]
+    counters = [itertools.count() for _ in tables]
+    while rows := list(itertools.islice(reader, _CHUNK)):
+        full = map(bool, map(str.strip, map("".join, rows)))
+        fields = list(map(operator.mul, map(len, rows), full))
+        width += fields
+        rows = list(itertools.compress(rows, map((6).__eq__, fields)))
+        for column, t, values in zip(columns, _TABLE, zip(*rows)):
+            codes = map(tables[t].setdefault, map(str.strip, values), counters[t])
+            column.append(np.fromiter(codes, np.int64, len(values)))
+    return np.array(width, np.int64), tables, [np.concatenate(c) for c in columns]
+
+
+def _decoded(table, parse=None, bad=None, dtype=object) -> np.ndarray:
+    """Each string of a _read_coded table, or parse of it (bad where parse
+    raises ValueError), at the string's code: index it by the codes."""
+
+    def one(text):
+        try:
+            return parse(text)
+        except ValueError:
+            return bad
+
+    values = np.full(max(table.values(), default=-1) + 1, bad, dtype)
+    parsed = list(table) if parse is None else np.fromiter(map(one, table), dtype, len(table))
+    values[list(table.values())] = parsed
+    return values
+
+
 def ingest_csv_report(source, cutoff=None, diagnostics=None):
-    """Like ingest_csv but also returns the IngestReport."""
+    """Like ingest_csv but also returns the IngestReport.
+
+    The rows are read once, coded a chunk at a time, and checked as columns.
+    """
     if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
+        source = io.StringIO(source.decode("utf-8-sig"))
     elif isinstance(source, str) and "\n" in source:
         source = io.StringIO(source)
     diag = diagnostics if diagnostics is not None else sys.stderr
-    report = IngestReport()
-
-    def note(msg):
-        report.messages.append(msg)
-        print(msg, file=diag)
-
-    def reject(msg):
-        note(f"line {lineno}: {msg} (row rejected)")
-        report.rejected_rows += 1
-
     with _text_stream(source, "r") as stream:
         reader = csv.reader(stream)
         try:
@@ -300,109 +344,98 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
             raise ValueError("empty input: missing CSV header")
         if [h.strip() for h in header] != _HEADER:
             raise ValueError(f"unexpected CSV header {header!r}; expected {_HEADER!r}")
+        claims, report = _checked(*_read_coded(reader), cutoff)
+    for msg in report.messages:
+        print(msg, file=diag)
+    return Portfolio._from_columns(*claims), report
 
-        # claim_id -> dict(type, accident, reporting, payments list)
-        pending: dict[str, dict] = {}
-        bad_claims: set[str] = set()
-        seen_rows: set[tuple] = set()
-        max_day = None
-        # a claim's dates repeat on each of its rows: parse each string once
-        days: dict[str, int] = {}
 
-        def day_of(text):
-            day = days.get(text)
-            if day is None:
-                day = days[text] = parse_iso(text)
-            return day
+def _checked(width, tables, columns, cutoff):
+    """The arguments of Portfolio._from_columns and the IngestReport, from
+    what _read_coded returns; each rule of _REJECT is a boolean array over
+    the rows. README's Ingest step states the rules. The arrays here are
+    freed before the Portfolio's are allocated, so they leave no hole that
+    the Portfolio pins in the heap.
+    """
+    ids, types, dates, amounts = tables
+    id_k, type_k, acc_k, rep_k, pay_k, amt_k = columns
+    misfit = np.flatnonzero((width > 0) & (width != 6))
+    line = np.flatnonzero(width == 6) + 2  # the header is line 1
+    m = line.size
+    type_of = _decoded(types, lambda t: _TYPE_CODES.get(t.replace(" ", "_").lower(), -1), -1, int)
+    ctype = type_of[type_k]
+    day = _decoded(dates, parse_iso, _NO_DAY, np.int64)
+    acc, rep, pay = day[acc_k], day[rep_k], day[pay_k]
+    amt = _decoded(amounts, float, math.nan, float)[amt_k]
+    no_pay = (pay_k == dates.get("", -1)) & (amt_k == amounts.get("", -1))
 
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            report.rows += 1
-            if len(row) != 6:
-                reject(f"expected 6 fields, got {len(row)}")
-                continue
-            cid, ctype_raw, acc_s, rep_s, pay_s, amt_s = map(str.strip, row)
-            ctype = _TYPE_ALIASES.get(ctype_raw.replace(" ", "_").lower())
-            if not cid:
-                reject("empty claim_id")
-                continue
-            if ctype is None:
-                reject(f"unknown claim_type {ctype_raw!r}")
-                continue
-            try:
-                acc = day_of(acc_s)
-                rep = day_of(rep_s)
-            except ValueError:
-                reject("malformed date")
-                continue
-            if rep < acc:
-                reject(f"reporting_date {rep_s} before accident_date {acc_s}")
-                continue
-
-            key = (cid, ctype, acc, rep, pay_s, amt_s)
-            if key in seen_rows:
-                note(f"line {lineno}: duplicate row for claim {cid} (kept)")
-                report.duplicate_rows += 1
-            seen_rows.add(key)
-
-            # payment fields validated before the claim is registered, so a
-            # rejected row cannot leave behind a phantom paymentless claim
-            event = None
-            if not (pay_s == "" and amt_s == ""):
-                try:
-                    pay = day_of(pay_s)
-                    amt = float(amt_s)
-                except ValueError:
-                    amt = math.nan  # rejected below with the non-finite amounts
-                if not math.isfinite(amt):
-                    reject("malformed payment fields")
-                    continue
-                if pay < rep:
-                    reject(f"payment_date {pay_s} before reporting_date {rep_s}")
-                    continue
-                if amt == 0.0:
-                    reject("zero amount")
-                    continue
-                if amt < 0.0:
-                    note(f"line {lineno}: negative amount {amt_s} for claim {cid} (kept, flagged)")
-                    report.negative_amounts += 1
-                event = (pay, amt)
-
-            rec = pending.setdefault(
-                cid, {"type": ctype, "acc": acc, "rep": rep, "pays": []}
-            )
-            if (rec["type"], rec["acc"], rec["rep"]) != (ctype, acc, rep):
-                note(
-                    f"line {lineno}: claim {cid} has inconsistent type or dates "
-                    f"across rows (claim rejected)"
-                )
-                bad_claims.add(cid)
-                report.rejected_rows += 1
-                continue
-
-            if event is not None:
-                rec["pays"].append(event)
-                max_day = pay if max_day is None else max(max_day, pay)
-            max_day = rep if max_day is None else max(max_day, rep)
-
-    report.rejected_claims = len(bad_claims)
-    kept = [(cid, rec) for cid, rec in pending.items() if cid not in bad_claims]
-    report.claims = len(kept)
-    pays = [e for _, rec in kept for e in rec["pays"]]
-    if cutoff is None:
-        cutoff = max_day if max_day is not None else 0
-    portfolio = Portfolio._from_columns(
-        [cid for cid, _ in kept],
-        [rec["type"] for _, rec in kept],
-        [rec["acc"] for _, rec in kept],
-        [rec["rep"] for _, rec in kept],
-        [len(rec["pays"]) for _, rec in kept],
-        [day for day, _ in pays],
-        [amount for _, amount in pays],
-        cutoff,
+    rule = np.select(
+        [
+            id_k == ids.get("", -1),
+            ctype < 0,
+            (acc == _NO_DAY) | (rep == _NO_DAY),
+            rep < acc,
+            no_pay,  # a claim without payments: codes 5-7 do not apply
+            (pay == _NO_DAY) | ~np.isfinite(amt),
+            pay < rep,
+            amt == 0.0,
+        ],
+        [1, 2, 3, 4, 0, 5, 6, 7],
     )
-    return portfolio, report
+    # duplicates among the rows past codes 1-4, by one stable sort on their keys
+    live = np.flatnonzero((rule == 0) | (rule > 4))
+    key = [k[live] for k in (amt_k, pay_k, rep, acc, ctype, id_k)]
+    order = np.lexsort(key)
+    dup = live[order[1:][np.all([k[order[1:]] == k[order[:-1]] for k in key], axis=0)]]
+    # a claim registers at its first row past every rule; its later rows
+    # must agree with that row
+    reg = np.flatnonzero(rule == 0)
+    first = np.full(m, m)
+    np.minimum.at(first, id_k[reg], reg)
+    head = first[id_k[reg]]
+    agree = (ctype[head] == ctype[reg]) & (acc[head] == acc[reg]) & (rep[head] == rep[reg])
+    odd, good = reg[~agree], reg[agree]
+    bad = np.zeros(m, bool)
+    bad[id_k[odd]] = True
+    kept = np.flatnonzero((first < m) & ~bad)
+    negative = reg[amt[reg] < 0.0]
+
+    # a line's notes sort by step: duplicate 0, payment rule or negative
+    # amount 1, inconsistent claim 2
+    cid, raw_type, date, amount = map(_decoded, tables)
+    notes = [(i + 2, 0, f"expected 6 fields, got {width[i]} (row rejected)") for i in misfit]
+    for i in np.flatnonzero(rule):
+        why = _REJECT[rule[i]].format(
+            raw_type=raw_type[type_k[i]], acc=date[acc_k[i]], rep=date[rep_k[i]], pay=date[pay_k[i]]
+        )
+        notes.append((line[i], int(rule[i] > 4), f"{why} (row rejected)"))
+    for step, rows, text in (
+        (0, dup, "duplicate row for claim {cid} (kept)"),
+        (1, negative, "negative amount {amount} for claim {cid} (kept, flagged)"),
+        (2, odd, "claim {cid} has inconsistent type or dates across rows (claim rejected)"),
+    ):
+        notes += [
+            (line[i], step, text.format(cid=cid[id_k[i]], amount=amount[amt_k[i]])) for i in rows
+        ]
+    report = IngestReport(
+        rows=int(np.count_nonzero(width)),
+        claims=kept.size,
+        rejected_rows=int(misfit.size + np.count_nonzero(rule) + odd.size),
+        rejected_claims=int(np.count_nonzero(bad)),
+        negative_amounts=negative.size,
+        duplicate_rows=dup.size,
+        messages=[f"line {n}: {text}" for n, _, text in sorted(notes)],
+    )
+    if cutoff is None:
+        # the agreeing rows of a rejected claim count towards the latest date
+        seen = np.concatenate((rep[good], pay[good[~no_pay[good]]]))
+        cutoff = seen.max() if seen.size else 0
+    paid = good[~no_pay[good] & ~bad[id_k[good]]]
+    paid = paid[np.argsort(id_k[paid], kind="stable")]
+    head = first[kept]
+    counts = np.bincount(id_k[paid], minlength=m)[kept]
+    claims = (cid[kept], ctype[head], acc[head], rep[head], counts, pay[paid], amt[paid], cutoff)
+    return claims, report
 
 
 def write_csv(portfolio: Portfolio, dest) -> None:

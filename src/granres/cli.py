@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .claims import Portfolio, aggregate_triangle, ingest_csv_report, write_csv
+from .claims import Portfolio, aggregate_triangle, censor, ingest_csv_report, write_csv
 from .daycount import iso, parse_iso
 from .reserving import (
     GranularModel,
@@ -117,7 +117,12 @@ def _read_portfolio(cfg) -> Portfolio:
         cut_day = parse_iso(str(cut)) if cut else None
     except ValueError as e:
         raise ConfigError(f"cutoff must be an ISO date: {cut!r}") from e
-    portfolio, report = ingest_csv_report(path, cutoff=cut_day)
+    portfolio, report = ingest_csv_report(path)
+    if cut_day is not None:
+        if cut_day < portfolio.data_cutoff:
+            latest = iso(portfolio.data_cutoff)
+            raise ConfigError(f"cutoff {cut} falls before {latest}, the latest date in {path}")
+        portfolio = censor(portfolio, cut_day)
     keep_types = cfg.get("claim_types")
     if keep_types:
         if isinstance(keep_types, str):

@@ -8,12 +8,14 @@ Continuous durations (delay scales, claim time) are measured in years of
 from __future__ import annotations
 
 import datetime as dt
+import re
 
 import numpy as np
 
 EPOCH = dt.date(2000, 1, 1)
 _EPOCH64 = np.datetime64(EPOCH, "D")
 DAYS_PER_YEAR = 365.25
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def to_day(date: dt.date) -> int:
@@ -25,6 +27,10 @@ def to_date(day: int) -> dt.date:
 
 
 def parse_iso(text: str) -> int:
+    """Day number of a YYYY-MM-DD date; any other form raises ValueError,
+    though date.fromisoformat takes more forms on Python 3.11 and later."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
     return to_day(dt.date.fromisoformat(text))
 
 

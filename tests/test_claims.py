@@ -19,6 +19,7 @@ from granres import (
     parse_iso,
     write_csv,
 )
+from helpers import ingest_csv_report_loop
 
 
 def _claim(cid, ctype, acc, rep, pays=()):
@@ -171,16 +172,21 @@ def test_ingest_rejects_bad_rows():
         "b7,bodily_injury,2018-01-01,2018-01-05,2018-02-01,nan",  # not finite
         "b8,bodily_injury,2018-01-01,2018-01-05,2018-02-01,inf",
         "b9,bodily_injury,2018-01-01,2018-01-05,2018-02-01,-inf",
+        "b10,bodily_injury,20180101,2018-01-05,2018-02-01,100.00",  # not YYYY-MM-DD
+        "b11,bodily_injury,2018-01-01,2018-W01-5,2018-02-01,100.00",
+        "b12,bodily_injury,2018-01-01,2018-01-05,20180201,100.00",
     ]
     diag = io.StringIO()
     p, report = ingest_csv_report(header + "\n".join(rows) + "\n", diagnostics=diag)
     assert {c.claim_id for c in p.claims} == {"g1", "g2"}
-    assert report.rejected_rows == 9
+    assert report.rejected_rows == 12
     assert report.negative_amounts == 1
     assert report.duplicate_rows == 1
-    assert len(diag.getvalue().splitlines()) == 11
-    for line in (11, 12, 13):
+    assert len(diag.getvalue().splitlines()) == 14
+    for line in (11, 12, 13, 16):
         assert f"line {line}: malformed payment fields (row rejected)" in report.messages
+    for line in (14, 15):
+        assert f"line {line}: malformed date (row rejected)" in report.messages
     g1 = next(c for c in p.claims if c.claim_id == "g1")
     assert len(g1.payments) == 2  # duplicate row kept
 
@@ -216,6 +222,76 @@ def test_ingest_rejects_claim_with_inconsistent_header_rows():
     p, report = ingest_csv_report(text, diagnostics=io.StringIO())
     assert len(p.claims) == 0
     assert report.rejected_claims == 1
+
+
+def test_parse_iso_takes_only_yyyy_mm_dd():
+    assert parse_iso("2018-01-01") == 6575
+    for text in ("20180101", "2018-W01-1", "2018-001", "2018-1-01", " 2018-01-01",
+                 "2018-01-01T00:00", "\uff12\uff10\uff11\uff18-01-01", "2018-02-30"):
+        with pytest.raises(ValueError):
+            parse_iso(text)
+
+
+def test_ingest_reads_utf8_with_a_byte_order_mark(small_portfolio, tmp_path):
+    # as a spreadsheet saves it; paths are written as UTF-8 whatever the locale
+    named = Portfolio((*small_portfolio.claims, _claim("d\u00e9j\u00e0", "bodily_injury",
+                                                      "2019-01-01", "2019-01-02")),
+                      small_portfolio.data_cutoff)
+    path = tmp_path / "portfolio.csv"
+    write_csv(named, path)
+    data = path.read_bytes()
+    assert "d\u00e9j\u00e0".encode("utf-8") in data and not data.startswith(b"\xef\xbb\xbf")
+    path.write_bytes(b"\xef\xbb\xbf" + data)
+    for source in (path, b"\xef\xbb\xbf" + data):
+        back, report = ingest_csv_report(source, cutoff=named.data_cutoff)
+        assert back == named and report.rejected_rows == 0
+
+
+def test_ingest_matches_the_row_loop_on_every_rule():
+    text = "\n".join([
+        "claim_id,claim_type,accident_date,reporting_date,payment_date,amount",
+        "d1,bodily_injury,2018-01-01,2018-01-05,2018-01-02,10.00",
+        "d1,bodily_injury,2018-01-01,2018-01-05,2018-01-02,10.00",  # duplicate, rejected
+        "e1,material_damage,2018-01-01,2018-01-05,2018-02-01,10.00",
+        "e1,material_damage,2018-01-02,2018-01-05,2018-02-01,-5",  # negative, inconsistent
+        "e1,material_damage,2018-01-02,2018-01-05,2018-02-01,-5",  # and a duplicate
+        "f1,bodily_injury,2018-01-01,2018-01-05,2018-02-01,0",  # rejected first row
+        "f1,bodily_injury,2018-01-03,2018-01-05,2018-02-01,7.5",  # registers f1
+        "g1,bodily_injury,2018-01-01,2018-01-05,2019-06-01,1.00",  # the latest date
+        "g1,material_damage,2018-01-01,2018-01-05,2018-02-01,1.00",  # rejects g1
+        "",  # blank rows at any field count are skipped, not counted
+        "   ",
+        " , ,\t,,, ",
+        ",,",
+        '"h,1",bodily_injury,2018-01-01,2018-01-05,2018-02-01,3.00',
+        '"h""2",Bodily Injury,2018-01-01,2018-01-05,,',
+        "h3,bodily_injury,20180101,2018-01-05,2018-02-01,1.00",
+    ]) + "\n"
+    diag, loop_diag = io.StringIO(), io.StringIO()
+    p, report = ingest_csv_report(text, diagnostics=diag)
+    q, loop_report = ingest_csv_report_loop(text, diagnostics=loop_diag)
+    assert p == q and report == loop_report and diag.getvalue() == loop_diag.getvalue()
+    assert report.messages == [
+        "line 2: payment_date 2018-01-02 before reporting_date 2018-01-05 (row rejected)",
+        "line 3: duplicate row for claim d1 (kept)",
+        "line 3: payment_date 2018-01-02 before reporting_date 2018-01-05 (row rejected)",
+        "line 5: negative amount -5 for claim e1 (kept, flagged)",
+        "line 5: claim e1 has inconsistent type or dates across rows (claim rejected)",
+        "line 6: duplicate row for claim e1 (kept)",
+        "line 6: negative amount -5 for claim e1 (kept, flagged)",
+        "line 6: claim e1 has inconsistent type or dates across rows (claim rejected)",
+        "line 7: zero amount (row rejected)",
+        "line 10: claim g1 has inconsistent type or dates across rows (claim rejected)",
+        "line 17: malformed date (row rejected)",
+    ]
+    counts = ("rows", "claims", "rejected_rows", "rejected_claims", "negative_amounts",
+              "duplicate_rows")
+    assert [getattr(report, k) for k in counts] == [12, 3, 7, 2, 2, 2]
+    assert {type(getattr(report, k)) for k in counts} == {int}
+    assert sorted(p.claim_ids.tolist()) == ["f1", 'h"2', "h,1"]
+    assert p.accident_days[p.claim_ids == "f1"].tolist() == [parse_iso("2018-01-03")]
+    # the rejected claim g1's consistent row still sets the inferred cutoff
+    assert p.data_cutoff == parse_iso("2019-06-01")
 
 
 def test_ingest_requires_exact_header():

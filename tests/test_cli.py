@@ -202,11 +202,27 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
         ("reserve", ultimate, {"runoff_years": -1}, "runoff_years must give a horizon"),
         ("reserve", ultimate, {"runoff_years": 1e308}, "runoff_years must give a horizon"),
         ("backtest", ultimate, {"runoff_years": -1}, "runoff_years must give a horizon"),
+        # only YYYY-MM-DD dates, whichever forms the interpreter's parser takes
+        ("reserve", ["--valuation-date", "20191231"], {}, "valuation_date must be an ISO date"),
+        ("backtest", ["--valuation-date", "2018-12-31", "--horizon", "2019-W52-1"], {},
+         "horizon must be one-year, ultimate, or an ISO date"),
     )):
         (tmp_path / "window.json").write_text(json.dumps(cfg))
         out = tmp_path / f"window{i}"
         assert main([command, "--config", str(tmp_path / "window.json"), "--input", port,
                      *flags, "--scenarios", "5", "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
+
+    # a config cutoff must be a YYYY-MM-DD date on or after every date read
+    for i, (cutoff, message) in enumerate((
+        ("20191231", "cutoff must be an ISO date: '20191231'"),
+        ("2019-06-30", "cutoff 2019-06-30 falls before 2019-12-"),
+    )):
+        (tmp_path / "cutoff.json").write_text(json.dumps({"cutoff": cutoff}))
+        out = tmp_path / f"cutoff{i}"
+        assert main(["fit", "--config", str(tmp_path / "cutoff.json"), "--input", port,
+                     "--out", str(out)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (out / "fit_report.json").exists()
 

@@ -1,8 +1,10 @@
 """Property tests for the copula inversions the samplers rely on, for the
 nested draw's rows not depending on which rows are solved with them, for the
-count searches and payment placement against plain references, and for the
-claim data's CSV round trip and sub-portfolios."""
+count searches and payment placement against plain references, for the
+claim data's CSV round trip and sub-portfolios, and for the columnar CSV
+ingest against the row-by-row one."""
 
+import csv
 import io
 from types import SimpleNamespace
 
@@ -19,6 +21,7 @@ from granres import (
     PaymentEvent,
     Portfolio,
     ingest_csv,
+    ingest_csv_report,
     write_csv,
 )
 from granres.claims import _COLUMNS, _PAYMENTS, CLAIM_TYPES, censor
@@ -29,6 +32,7 @@ from granres.copulas.hac import hac_uniforms
 from granres.copulas.mixed import conditional_count_quantile, count_quantile
 from granres.daycount import DAYS_PER_YEAR
 from granres.reserving import _place_payments
+from helpers import ingest_csv_report_loop
 
 UNIT = st.floats(0.01, 0.99)
 
@@ -157,6 +161,84 @@ def test_csv_round_trip_is_the_identity(portfolio):
     back = ingest_csv(buf.getvalue(), cutoff=portfolio.data_cutoff, diagnostics=io.StringIO())
     assert back == portfolio
     assert back.claims == portfolio.claims
+
+
+# small pools, so that claims repeat and rows collide: ids that need quoting
+# or stripping, type aliases, padded fields; DIRTY adds a value that breaks
+# each rule, including dates that are not YYYY-MM-DD
+VALID = (
+    ("c1", "c2", " c1 ", "a,b", 'q"x', "x\ny"),
+    ("bodily_injury", "material_damage", "bodilyinjury", "Material Damage", " BODILY_INJURY "),
+    ("2018-01-01", " 2018-01-05 "),
+    ("2018-01-05", "2018-02-01"),
+    ("2018-02-01", "2019-06-01"),
+    ("100.00", "100.0", " 5 ", "1.234", "-25", "-0.5"),
+)
+DIRTY = (
+    ("", " "),
+    ("hail", ""),
+    ("2018-13-01", "20180101", "2018-W01-1", "", "2018-03-01"),
+    ("2017-12-31", "2018-13-01", ""),
+    ("2017-12-31", "2018-W01-1", ""),
+    ("0", "-0.0", "nan", "inf", "-inf", "1e400", "abc", ""),
+)
+BLANK = st.lists(st.sampled_from(("", " ", "\t")), max_size=8)
+
+
+@st.composite
+def dirty_csv(draw):
+    """CSV text with every kind of row ingest tells apart: blank at any field
+    count, the wrong field count, paymentless rows, repeats of earlier rows,
+    and rows, new or copied from earlier ones, with one field changed to any
+    value, which breaks a rule or makes the claim inconsistent."""
+    rows, six = [], []
+    # row kinds, weighted: r valid, p paymentless, d a repeat of a recent
+    # row, v one field changed, b blank, w the wrong field count
+    for kind in draw(st.lists(st.sampled_from("rrppdddvvvvbw"), max_size=24)):
+        if kind == "b":
+            rows.append(draw(BLANK))
+        elif kind == "w":
+            field = st.sampled_from(VALID[0] + VALID[2] + DIRTY[2])
+            fields = st.lists(field, min_size=1, max_size=8).filter(lambda r: len(r) != 6)
+            rows.append(draw(fields))
+        elif kind == "d" and rows:
+            rows.append(draw(st.sampled_from(rows[-3:])))
+        else:
+            row = [draw(st.sampled_from(pool)) for pool in VALID]
+            if kind == "v":
+                if six and draw(st.booleans()):
+                    row = list(draw(st.sampled_from(six[-3:])))
+                i = draw(st.integers(0, 5))
+                row[i] = draw(st.sampled_from(VALID[i] + DIRTY[i]))
+            six.append(row[:4] + ["", ""] if kind == "p" else row)
+            rows.append(six[-1])
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["claim_id", "claim_type", "accident_date", "reporting_date", "payment_date",
+                "amount"])
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _ingest_outcome(ingest, text, cutoff):
+    diag = io.StringIO()
+    try:
+        portfolio, report = ingest(text, cutoff=cutoff, diagnostics=diag)
+    except ValueError as e:
+        return ("raised", str(e)), None, diag.getvalue()
+    return portfolio, report, diag.getvalue()
+
+
+# no cutoff, or one that some dates pass: 2018-01-31 or 2019-03-02
+@settings(max_examples=200, deadline=None)
+@given(dirty_csv(), st.sampled_from((None, None, 6605, 7000)))
+def test_columnar_ingest_matches_the_row_loop(text, cutoff):
+    # the same Portfolio, every IngestReport field, and the same diagnostic text
+    new = _ingest_outcome(ingest_csv_report, text, cutoff)
+    old = _ingest_outcome(ingest_csv_report_loop, text, cutoff)
+    assert new[0] == old[0]
+    assert new[1] == old[1]
+    assert new[2] == old[2]
 
 
 @settings(max_examples=300, deadline=None)
