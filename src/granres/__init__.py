@@ -16,7 +16,6 @@ from .claims import (
     RunOffTriangle,
     aggregate_triangle,
     censor,
-    ingest_csv,
     ingest_csv_report,
     write_csv,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "RunOffTriangle",
     "aggregate_triangle",
     "censor",
-    "ingest_csv",
     "ingest_csv_report",
     "write_csv",
     "parse_iso",

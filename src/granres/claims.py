@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import itertools
 import math
 import operator
@@ -36,42 +35,24 @@ _TYPE_CODES = {a: k for k, t in enumerate(CLAIM_TYPES) for a in (t, t.replace("_
 _HEADER = ["claim_id", "claim_type", "accident_date", "reporting_date", "payment_date", "amount"]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class PaymentEvent:
-    """One paid amount on one day. Zero and non-finite amounts are not
-    representable."""
+    """One paid amount on one day: a row of Portfolio.claims."""
 
     day: int
     amount: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.amount):
-            raise ValueError("payment amount must be finite")
-        if self.amount == 0.0:
-            raise ValueError("payment amount must be nonzero")
-
 
 @dataclass(frozen=True)
 class ClaimRecord:
+    """One claim and its payments in day order: a row of Portfolio.claims,
+    built from the checked columns."""
+
     claim_id: str
     claim_type: str
     accident_day: int
     reporting_day: int
     payments: tuple[PaymentEvent, ...] = ()
-
-    def __post_init__(self):
-        if self.claim_type not in CLAIM_TYPES:
-            raise ValueError(f"unknown claim_type {self.claim_type!r}")
-        if self.reporting_day < self.accident_day:
-            raise ValueError(
-                f"claim {self.claim_id}: reporting day {self.reporting_day} "
-                f"before accident day {self.accident_day}"
-            )
-        days = [p.day for p in self.payments]
-        if any(d < self.reporting_day for d in days):
-            raise ValueError(f"claim {self.claim_id}: payment before reporting day")
-        if days != sorted(days):
-            object.__setattr__(self, "payments", tuple(sorted(self.payments)))
 
     def delay_days(self) -> int:
         return self.reporting_day - self.accident_day
@@ -81,20 +62,9 @@ _COLUMNS = ("claim_ids", "type_codes", "accident_days", "reporting_days")
 _PAYMENTS = ("pay_ptr", "pay_days", "pay_amounts")
 
 
-def _type_codes(claim_types) -> np.ndarray:
-    """Codes into CLAIM_TYPES from type names or from codes; unknown ones raise."""
-    values = np.asarray(claim_types).reshape(-1)
-    known = np.arange(len(CLAIM_TYPES)) if values.dtype.kind in "iu" else CLAIM_TYPES
-    match = values[:, None] == np.asarray(known)
-    bad = ~match.any(axis=1)
-    if bad.any():
-        raise ValueError(f"unknown claim_type {values[bad][0].item()!r}")
-    return match.argmax(axis=1).astype(np.int8)
-
-
 def records_from_columns(ids, codes, accident, reporting, counts, days, amounts) -> list:
-    """ClaimRecords, in column order, from claim columns and the payments
-    listed claim by claim, counts[i] of them for claim i."""
+    """ClaimRecords, in column order, from checked claim columns and the
+    payments listed claim by claim, counts[i] of them for claim i."""
     days, amounts = np.asarray(days).tolist(), np.asarray(amounts).tolist()
     bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64))).tolist()
     rows = (np.asarray(x).tolist() for x in (ids, codes, accident, reporting))
@@ -117,33 +87,21 @@ class Portfolio:
 
     Claims are ordered by (accident_day, claim_id) so that downstream output
     is reproducible regardless of input row order; a claim whose payment
-    days step back has its payments sorted by (day, amount), as ClaimRecord
-    sorts them. `claims` is a ClaimRecord view built on first use.
+    days step back has its payments sorted by (day, amount). `claims` is a
+    read-only ClaimRecord view built on first use.
     """
 
-    def __init__(self, claims, data_cutoff):
-        claims = tuple(claims)
-        fields = ("claim_id", "claim_type", "accident_day", "reporting_day")
-        columns = [[getattr(c, name) for c in claims] for name in fields]
-        pays = [p for c in claims for p in c.payments]
-        counts = [len(c.payments) for c in claims]
-        days, amounts = [p.day for p in pays], [p.amount for p in pays]
-        self._fill(*columns, counts, days, amounts, data_cutoff)
-
-    @classmethod
-    def _from_columns(cls, *columns) -> "Portfolio":
-        """The one constructor from arrays; takes the arguments of _fill."""
-        self = cls.__new__(cls)
-        self._fill(*columns)
-        return self
-
-    def _fill(self, ids, claim_types, accident, reporting, counts, days, amounts, cutoff):
-        """Sort, check and store the columns; claim_types are names or codes,
+    def __init__(self, ids, type_codes, accident, reporting, counts, days, amounts, cutoff):
+        """Sort, check and store the columns: type_codes index CLAIM_TYPES,
         counts[i] is the number of claim i's payments in days and amounts."""
-        ids, codes = np.asarray(ids, dtype=str), _type_codes(claim_types)
+        ids, codes = np.asarray(ids, dtype=str), np.asarray(type_codes, np.int64)
         acc, rep = np.asarray(accident, np.int64), np.asarray(reporting, np.int64)
         counts = np.asarray(counts, np.int64)
         days, amounts = np.asarray(days, np.int64), np.asarray(amounts, float)
+        unknown = (codes < 0) | (codes >= len(CLAIM_TYPES))
+        if unknown.any():
+            raise ValueError(f"unknown claim_type {codes[unknown][0]}")
+        codes = codes.astype(np.int8)
         step = np.diff(acc)
         if not np.all((step > 0) | ((step == 0) & (ids[1:] >= ids[:-1]))):
             order = np.lexsort((ids, acc))
@@ -151,7 +109,7 @@ class Portfolio:
             ids, codes, acc, rep, counts = (x[order] for x in (ids, codes, acc, rep, counts))
             days, amounts = days[take], amounts[take]
         owner = np.repeat(np.arange(ids.size), counts)
-        # ClaimRecord's rule: only a claim whose days step back is re-sorted
+        # only a claim whose days step back is re-sorted
         back = owner[1:][(days[1:] < days[:-1]) & (owner[1:] == owner[:-1])]
         if back.size:
             sel = np.flatnonzero(np.isin(owner, back))
@@ -199,8 +157,8 @@ class Portfolio:
         """The claims where keep holds, with their payments where pay_keep holds.
 
         A subset of sorted, checked columns is sorted and valid itself, so it
-        is stored without _fill's sort and checks; a data_cutoff given must
-        not fall before any date kept.
+        is stored without the constructor's sort and checks; a data_cutoff
+        given must not fall before any date kept.
         """
         pays = keep[self.pay_owner] & pay_keep
         counts = np.bincount(self.pay_owner[pays], minlength=len(self))[keep]
@@ -264,23 +222,6 @@ def _text_stream(target, mode):
         yield target
 
 
-def ingest_csv(source, cutoff=None, diagnostics=None) -> Portfolio:
-    """Parse a payments CSV into a Portfolio.
-
-    Parameters
-    ----------
-    source : path, text, bytes, or text stream
-    cutoff : int or None
-        Data cutoff day; defaults to the latest date seen in the file.
-    diagnostics : text stream or None
-        Receives one line per rejected row / flagged condition
-        (default sys.stderr). Use ingest_csv_report to also get the
-        structured counts.
-    """
-    p, _ = ingest_csv_report(source, cutoff=cutoff, diagnostics=diagnostics)
-    return p
-
-
 # why a row is rejected, by rule code in order of precedence; code 0 keeps it
 _REJECT = ("", "empty claim_id", "unknown claim_type {raw_type!r}", "malformed date",
            "reporting_date {rep} before accident_date {acc}", "malformed payment fields",
@@ -292,14 +233,24 @@ _TABLE = (0, 1, 2, 2, 2, 3)
 
 
 def _read_coded(reader):
-    """Each row's field count, 0 for a blank or whitespace-only row; four
-    tables, each mapping a distinct stripped string to its code, the count of
-    the table's fields read before it first appeared; and the six fields of
-    the rows with six, coded. Only the distinct strings outlive their chunk.
+    """Each row's field count, 0 for a blank or whitespace-only row; each
+    row's first line in the input; four tables, each mapping a distinct
+    stripped string to its code, the count of the table's fields read before
+    it first appeared; and the six fields of the rows with six, coded. Only
+    the distinct strings outlive their chunk.
     """
     width, tables, columns = [], ({}, {}, {}, {}), [[np.zeros(0, np.int64)] for _ in _HEADER]
+    first, seen = [np.zeros(0, np.int64)], reader.line_num
     counters = [itertools.count() for _ in tables]
     while rows := list(itertools.islice(reader, _CHUNK)):
+        if reader.line_num - seen == len(rows):
+            first.append(np.arange(seen + 1, reader.line_num + 1))
+        else:
+            # some quoted field holds a line break: \n, \r\n or a lone \r
+            text = list(map(",".join, rows))
+            span = [1 + t.count("\n") + t.count("\r") - t.count("\r\n") for t in text]
+            first.append(seen + 1 + np.cumsum([0] + span[:-1]))
+        seen = reader.line_num
         full = map(bool, map(str.strip, map("".join, rows)))
         fields = list(map(operator.mul, map(len, rows), full))
         width += fields
@@ -307,7 +258,8 @@ def _read_coded(reader):
         for column, t, values in zip(columns, _TABLE, zip(*rows)):
             codes = map(tables[t].setdefault, map(str.strip, values), counters[t])
             column.append(np.fromiter(codes, np.int64, len(values)))
-    return np.array(width, np.int64), tables, [np.concatenate(c) for c in columns]
+    width = np.array(width, np.int64)
+    return width, np.concatenate(first), tables, [np.concatenate(c) for c in columns]
 
 
 def _decoded(table, parse=None, bad=None, dtype=object) -> np.ndarray:
@@ -327,14 +279,19 @@ def _decoded(table, parse=None, bad=None, dtype=object) -> np.ndarray:
 
 
 def ingest_csv_report(source, cutoff=None, diagnostics=None):
-    """Like ingest_csv but also returns the IngestReport.
+    """Parse a payments CSV into a Portfolio and the IngestReport.
+
+    Parameters
+    ----------
+    source : path (str or os.PathLike) or open text stream
+    cutoff : int or None
+        Data cutoff day; defaults to the latest date seen in the file.
+    diagnostics : text stream or None
+        Receives one line per rejected row / flagged condition
+        (default sys.stderr), numbered by the row's first line in the input.
 
     The rows are read once, coded a chunk at a time, and checked as columns.
     """
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8-sig"))
-    elif isinstance(source, str) and "\n" in source:
-        source = io.StringIO(source)
     diag = diagnostics if diagnostics is not None else sys.stderr
     with _text_stream(source, "r") as stream:
         reader = csv.reader(stream)
@@ -347,11 +304,11 @@ def ingest_csv_report(source, cutoff=None, diagnostics=None):
         claims, report = _checked(*_read_coded(reader), cutoff)
     for msg in report.messages:
         print(msg, file=diag)
-    return Portfolio._from_columns(*claims), report
+    return Portfolio(*claims), report
 
 
-def _checked(width, tables, columns, cutoff):
-    """The arguments of Portfolio._from_columns and the IngestReport, from
+def _checked(width, start, tables, columns, cutoff):
+    """The arguments of the Portfolio constructor and the IngestReport, from
     what _read_coded returns; each rule of _REJECT is a boolean array over
     the rows. README's Ingest step states the rules. The arrays here are
     freed before the Portfolio's are allocated, so they leave no hole that
@@ -360,7 +317,7 @@ def _checked(width, tables, columns, cutoff):
     ids, types, dates, amounts = tables
     id_k, type_k, acc_k, rep_k, pay_k, amt_k = columns
     misfit = np.flatnonzero((width > 0) & (width != 6))
-    line = np.flatnonzero(width == 6) + 2  # the header is line 1
+    line = start[width == 6]  # the first line of each row with six fields
     m = line.size
     type_of = _decoded(types, lambda t: _TYPE_CODES.get(t.replace(" ", "_").lower(), -1), -1, int)
     ctype = type_of[type_k]
@@ -403,7 +360,7 @@ def _checked(width, tables, columns, cutoff):
     # a line's notes sort by step: duplicate 0, payment rule or negative
     # amount 1, inconsistent claim 2
     cid, raw_type, date, amount = map(_decoded, tables)
-    notes = [(i + 2, 0, f"expected 6 fields, got {width[i]} (row rejected)") for i in misfit]
+    notes = [(start[i], 0, f"expected 6 fields, got {width[i]} (row rejected)") for i in misfit]
     for i in np.flatnonzero(rule):
         why = _REJECT[rule[i]].format(
             raw_type=raw_type[type_k[i]], acc=date[acc_k[i]], rep=date[rep_k[i]], pay=date[pay_k[i]]
@@ -439,7 +396,7 @@ def _checked(width, tables, columns, cutoff):
 
 
 def write_csv(portfolio: Portfolio, dest) -> None:
-    """Inverse of ingest_csv: one row per payment, a marker row for paymentless claims."""
+    """Inverse of ingest_csv_report: one row per payment, a marker row for paymentless claims."""
     n_pays = np.diff(portfolio.pay_ptr)
     owner = np.repeat(np.arange(len(portfolio)), np.maximum(n_pays, 1))
     paid = n_pays[owner] > 0

@@ -27,7 +27,7 @@ from .reserving import (
     reserve_summary,
     simulate_reserves,
 )
-from .synth import synth_portfolio
+from .synth import default_model, synthesize
 
 EXIT_OK = 0
 EXIT_MODEL = 1
@@ -106,6 +106,13 @@ def _require(cfg, key, hint) -> object:
     return cfg[key]
 
 
+def _iso_day(key, text) -> int:
+    try:
+        return parse_iso(text)
+    except ValueError as e:
+        raise ConfigError(f"{key} must be an ISO date: {text!r}") from e
+
+
 def _read_portfolio(cfg) -> Portfolio:
     path = _require(cfg, "input", "input portfolio CSV")
     if not os.path.exists(path):
@@ -113,10 +120,7 @@ def _read_portfolio(cfg) -> Portfolio:
     # the CSV carries no observation-end marker, so a config "cutoff" (ISO
     # date) can assert it; default is the latest date seen in the file
     cut = cfg.get("cutoff")
-    try:
-        cut_day = parse_iso(str(cut)) if cut else None
-    except ValueError as e:
-        raise ConfigError(f"cutoff must be an ISO date: {cut!r}") from e
+    cut_day = _iso_day("cutoff", str(cut)) if cut else None
     portfolio, report = ingest_csv_report(path)
     if cut_day is not None:
         if cut_day < portfolio.data_cutoff:
@@ -139,10 +143,7 @@ def _window(cfg) -> ValuationWindow:
     """The valuation window (a, b]; a window that cannot be built is a config
     error, raised before any portfolio is read or fitted."""
     text = str(_require(cfg, "valuation_date", "valuation date (ISO)"))
-    try:
-        a = parse_iso(text)
-    except ValueError as e:
-        raise ConfigError(f"valuation_date must be an ISO date: {text!r} ({e})") from e
+    a = _iso_day("valuation_date", text)
     choice = str(cfg.get("horizon", "one-year"))
     if choice == "one-year":
         try:
@@ -166,6 +167,28 @@ def _window(cfg) -> ValuationWindow:
     if b <= a:
         raise ConfigError(f"horizon {choice} must fall after valuation_date {text}")
     return ValuationWindow(a, b)
+
+
+def synth_portfolio(cfg, rng) -> tuple:
+    """Portfolio plus its generator truth from a synth config.
+
+    Keys: n_claims (default 5000), start/end (ISO dates), dependence preset,
+    or a full "model" dict overriding the preset entirely. A value that
+    none of them can take is a config error, raised before any draw.
+    """
+    start = _iso_day("start", str(cfg.get("start", "2016-01-01")))
+    end = _iso_day("end", str(cfg.get("end", "2021-12-31")))
+    if end <= start:
+        raise ConfigError(f"end {iso(end)} must fall after start {iso(start)}")
+    if "model" in cfg:
+        model = GranularModel.from_dict(cfg["model"])
+    else:
+        n_claims = int(cfg.get("n_claims", 5000))
+        try:
+            model = default_model(n_claims, start, end, cfg.get("dependence", "independence"))
+        except ValueError as e:  # the message names the n_claims or dependence key
+            raise ConfigError(str(e)) from e
+    return synthesize(model, start, end, rng), model
 
 
 def cmd_synth(cfg) -> int:

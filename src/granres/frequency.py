@@ -218,12 +218,11 @@ def _fit_negbin(obs, truncated=False):
 def _fit_truncated_poisson(obs):
     """MLE of a zero-truncated Poisson (positive observations only)."""
     m = float(np.mean(obs))
-
-    def score(mu):
-        return mu / (1.0 - np.exp(-mu)) - m
-
-    lo, hi = 1e-8, max(m, 1e-6)
-    mu = optimize.brentq(score, lo, hi) if score(lo) * score(hi) < 0 else m
+    if m == 1.0:
+        # the likelihood rises as mu falls to 0: no maximum to report
+        raise ValueError("zero-truncated Poisson has no MLE: every positive gap is 1")
+    # the score equation mu / (1 - exp(-mu)) = m has one root in (0, m)
+    mu = optimize.brentq(lambda mu: mu / (1.0 - np.exp(-mu)) - m, 1e-8, m)
     nll = lambda x: -float(
         np.sum(Poisson(x[0]).logpmf(obs)) - obs.size * np.log1p(-np.exp(-x[0]))
     )

@@ -123,15 +123,14 @@ def fit_gamma(amounts) -> GammaSeverity:
     s = float(np.log(m) - np.mean(np.log(x)))
     for _ in range(60):
         num = np.log(k) - special.digamma(k) - s
-        den = 1.0 / k - special.polygamma(1, k)
-        step = num / den
-        k_new = k - step
-        if k_new <= 0:
-            k_new = k / 2.0
-        if abs(k_new - k) < 1e-12 * max(1.0, k):
-            k = k_new
-            break
+        k_new = k - num / (1.0 / k - special.polygamma(1, k))
+        k_new = k_new if k_new > 0 else k / 2.0
+        settled = abs(k_new - k) < 1e-12 * max(1.0, k)
         k = k_new
+        if settled:
+            break
+    else:
+        raise ValueError("gamma shape Newton did not settle in 60 steps")
     scale = m / k
     n = x.size
 

@@ -17,7 +17,7 @@ import numpy as np
 from .claims import CLAIM_TYPES, Portfolio
 from .copulas import CopulaSpec, HacSpec
 from .copulas import hac_sample  # noqa: F401  bench/tracing.py patches this name
-from .daycount import parse_iso, year_of
+from .daycount import year_of
 from .delays import WeibullDelayModel
 from .frequency import OccurrenceModel, Poisson
 from .payments import CountProcess, ExponentialDecay, PowerDecay
@@ -38,11 +38,11 @@ def default_model(
     and the cross-type nesting.
     """
     if n_claims < 2:
-        raise ValueError("need at least two claims")
+        raise ValueError(f"n_claims must be at least 2, got {n_claims}")
     if end_day <= start_day:
-        raise ValueError("need end after start")
+        raise ValueError("end_day must fall after start_day")
     if dependence not in ("independence", "archimedean"):
-        raise ValueError(f"unknown dependence preset: {dependence}")
+        raise ValueError(f"dependence must be independence or archimedean, got {dependence!r}")
     period = end_day - start_day
     shares = {"bodily_injury": 0.4, "material_damage": 0.6}
     years = range(year_of(start_day), year_of(end_day) + 1)
@@ -109,22 +109,4 @@ def synthesize(model: GranularModel, start_day: int, end_day: int, rng) -> Portf
         for k in ("t", "r", "n", "pay_day", "pay_amount")
     )
     amounts = np.maximum(np.round(amounts, 2), 0.01)
-    return Portfolio._from_columns(ids, codes, t, r, n, days, amounts, end_day)
-
-
-def synth_portfolio(config: dict, rng) -> tuple:
-    """Portfolio plus its generator truth from a plain config dict.
-
-    Keys: n_claims (default 5000), start/end (ISO dates), dependence preset,
-    or a full "model" dict overriding the preset entirely.
-    """
-    n_claims = int(config.get("n_claims", 5000))
-    start = parse_iso(config.get("start", "2016-01-01"))
-    end = parse_iso(config.get("end", "2021-12-31"))
-    if "model" in config:
-        model = GranularModel.from_dict(config["model"])
-    else:
-        model = default_model(
-            n_claims, start, end, config.get("dependence", "independence")
-        )
-    return synthesize(model, start, end, rng), model
+    return Portfolio(ids, codes, t, r, n, days, amounts, end_day)

@@ -1,8 +1,8 @@
-"""Test data drawn through the engine's own samplers, and the row-by-row
-CSV ingest kept as the reference for the columnar one."""
+"""Test data drawn through the engine's own samplers, portfolios built from
+hand-written claim records, and the row-by-row CSV ingest kept as the
+reference for the columnar one."""
 
 import csv
-import io
 import math
 import sys
 
@@ -33,17 +33,30 @@ def payment_taus(intensity, horizons, rng):
     return taus, hz
 
 
-# each type's name, also without its underscore
-_TYPE_ALIASES = {a: t for t in CLAIM_TYPES for a in (t, t.replace("_", ""))}
+def records_portfolio(claims, cutoff) -> Portfolio:
+    """The Portfolio of the given ClaimRecords, through the column constructor."""
+    claims = tuple(claims)
+    pays = [p for c in claims for p in c.payments]
+    return Portfolio(
+        [c.claim_id for c in claims],
+        [CLAIM_TYPES.index(c.claim_type) for c in claims],
+        [c.accident_day for c in claims],
+        [c.reporting_day for c in claims],
+        [len(c.payments) for c in claims],
+        [p.day for p in pays],
+        [p.amount for p in pays],
+        cutoff,
+    )
+
+
+# each type's code under its name, also without its underscore
+_TYPE_CODES = {a: k for k, t in enumerate(CLAIM_TYPES) for a in (t, t.replace("_", ""))}
 
 
 def ingest_csv_report_loop(source, cutoff=None, diagnostics=None):
     """The row-by-row ingest that `ingest_csv_report` replaced, kept as its
-    reference: the same Portfolio, IngestReport and diagnostic text."""
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
-    elif isinstance(source, str) and "\n" in source:
-        source = io.StringIO(source)
+    reference: the same Portfolio, IngestReport and diagnostic text. A row's
+    line is the csv reader's line count before the row, plus one."""
     diag = diagnostics if diagnostics is not None else sys.stderr
     report = IngestReport()
 
@@ -78,7 +91,9 @@ def ingest_csv_report_loop(source, cutoff=None, diagnostics=None):
                 day = days[text] = parse_iso(text)
             return day
 
-        for lineno, row in enumerate(reader, start=2):
+        end = reader.line_num
+        for row in reader:
+            lineno, end = end + 1, reader.line_num
             if not "".join(row).strip():
                 continue
             report.rows += 1
@@ -86,7 +101,7 @@ def ingest_csv_report_loop(source, cutoff=None, diagnostics=None):
                 reject(f"expected 6 fields, got {len(row)}")
                 continue
             cid, ctype_raw, acc_s, rep_s, pay_s, amt_s = map(str.strip, row)
-            ctype = _TYPE_ALIASES.get(ctype_raw.replace(" ", "_").lower())
+            ctype = _TYPE_CODES.get(ctype_raw.replace(" ", "_").lower())
             if not cid:
                 reject("empty claim_id")
                 continue
@@ -155,7 +170,7 @@ def ingest_csv_report_loop(source, cutoff=None, diagnostics=None):
     pays = [e for _, rec in kept for e in rec["pays"]]
     if cutoff is None:
         cutoff = max_day if max_day is not None else 0
-    portfolio = Portfolio._from_columns(
+    portfolio = Portfolio(
         [cid for cid, _ in kept],
         [rec["type"] for _, rec in kept],
         [rec["acc"] for _, rec in kept],

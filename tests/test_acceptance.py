@@ -21,7 +21,6 @@ from granres import (
     NegativeBinomial,
     OccurrenceModel,
     Poisson,
-    Portfolio,
     PowerDecay,
     RunOffTriangle,
     TypeModel,
@@ -51,7 +50,7 @@ from granres.severity import (
     simulate_amounts,
 )
 
-from helpers import payment_taus
+from helpers import payment_taus, records_portfolio
 
 DELAY = WeibullDelayModel(1.5, math.log(30.0), 0.0)
 PROC = CountProcess(ExponentialDecay(3.0, 1.2))
@@ -145,7 +144,7 @@ def _refit_weibull_tv(rng):
         ClaimRecord(f"c{i}", "material_damage", int(a), int(a + math.floor(w)))
         for i, (a, w) in enumerate(zip(acc, delays))
     ]
-    fit = fit_delay(Portfolio(claims, max(c.reporting_day for c in claims)))
+    fit = fit_delay(records_portfolio(claims, max(c.reporting_day for c in claims)))
     return [
         (fit.shape, 1.5, fit.se["shape"]),
         (fit.c0, 3.0, fit.se["c0"]),

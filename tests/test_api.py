@@ -24,7 +24,6 @@ GRANRES_ALL = [
     "RunOffTriangle",
     "aggregate_triangle",
     "censor",
-    "ingest_csv",
     "ingest_csv_report",
     "write_csv",
     "parse_iso",

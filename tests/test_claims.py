@@ -14,12 +14,11 @@ from granres import (
     Portfolio,
     aggregate_triangle,
     censor,
-    ingest_csv,
     ingest_csv_report,
     parse_iso,
     write_csv,
 )
-from helpers import ingest_csv_report_loop
+from helpers import ingest_csv_report_loop, records_portfolio
 
 
 def _claim(cid, ctype, acc, rep, pays=()):
@@ -45,61 +44,41 @@ def small_portfolio():
         _claim("c2", "material_damage", "2019-05-01", "2019-05-02", [("2019-07-01", 80.0)]),
         _claim("c3", "bodily_injury", "2019-08-15", "2019-11-20"),
     )
-    return Portfolio(claims, parse_iso("2019-12-31"))
+    return records_portfolio(claims, parse_iso("2019-12-31"))
 
 
-def test_payment_event_rejects_zero_amount():
-    with pytest.raises(ValueError):
-        PaymentEvent(10, 0.0)
-
-
-def _from_records(cid, ctype, acc, rep, pays, cutoff):
-    payments = tuple(PaymentEvent(d, a) for d, a in pays)
-    return Portfolio((ClaimRecord(cid, ctype, acc, rep, payments),), cutoff)
-
-
-def _from_columns(cid, ctype, acc, rep, pays, cutoff):
-    return Portfolio._from_columns(
-        [cid],
-        [ctype],
-        [acc],
-        [rep],
-        [len(pays)],
-        [d for d, _ in pays],
-        [a for _, a in pays],
+def _one_claim(cid, code, acc, rep, pays, cutoff):
+    return Portfolio(
+        [cid], [code], [acc], [rep], [len(pays)], [d for d, _ in pays], [a for _, a in pays],
         cutoff,
     )
 
 
-@pytest.mark.parametrize("build", [_from_records, _from_columns], ids=["records", "columns"])
-def test_claim_record_validation(build):
-    # the same checks and messages whether the claims arrive as ClaimRecords
-    # or as the columns that ingest and synthesis build
+def test_claim_record_validation():
+    # the checks and messages of the one constructor, which ingest and
+    # synthesis call; type codes index CLAIM_TYPES
     cases = [
-        (("x", "hail", 0, 1, ()), "unknown claim_type 'hail'"),
-        (("x", "bodily_injury", 10, 5, ()), "claim x: reporting day 5 before accident day 10"),
-        (("x", "bodily_injury", 0, 10, ((5, 1.0),)), "claim x: payment before reporting day"),
-        (("x", "bodily_injury", 0, 1, ((5, 0.0),)), "payment amount must be nonzero"),
-        (("x", "bodily_injury", 0, 1, ((5, math.nan),)), "payment amount must be finite"),
-        (("x", "bodily_injury", 0, 1, ((5, -math.inf),)), "payment amount must be finite"),
-        (("z", "bodily_injury", 5, 20, ()), "claim z: date 20 beyond data cutoff 10"),
-        (("z", "bodily_injury", 5, 6, ((11, 1.0),)), "claim z: date 11 beyond data cutoff 10"),
+        (("x", 2, 0, 1, ()), "unknown claim_type 2"),
+        (("x", -1, 0, 1, ()), "unknown claim_type -1"),
+        (("x", 0, 10, 5, ()), "claim x: reporting day 5 before accident day 10"),
+        (("x", 0, 0, 10, ((5, 1.0),)), "claim x: payment before reporting day"),
+        (("x", 0, 0, 1, ((5, 0.0),)), "payment amount must be nonzero"),
+        (("x", 0, 0, 1, ((5, math.nan),)), "payment amount must be finite"),
+        (("x", 0, 0, 1, ((5, -math.inf),)), "payment amount must be finite"),
+        (("z", 0, 5, 20, ()), "claim z: date 20 beyond data cutoff 10"),
+        (("z", 0, 5, 6, ((11, 1.0),)), "claim z: date 11 beyond data cutoff 10"),
     ]
     for claim, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            build(*claim, 10)
-    assert len(build("x", "bodily_injury", 0, 1, ((5, -1.0),), 10)) == 1
+            _one_claim(*claim, 10)
+    assert len(_one_claim("x", 0, 0, 1, ((5, -1.0),), 10)) == 1
 
 
-def test_claim_record_sorts_payments_and_sums_paid():
-    c = ClaimRecord(
-        "x",
-        "bodily_injury",
-        0,
-        1,
-        (PaymentEvent(9, 2.0), PaymentEvent(3, 1.0)),
-    )
-    assert [p.day for p in c.payments] == [3, 9]
+def test_portfolio_sorts_payments_in_the_record_view():
+    p = _one_claim("x", 0, 0, 1, ((9, 2.0), (3, 1.0)), 10)
+    (c,) = p.claims
+    pays = (PaymentEvent(3, 1.0), PaymentEvent(9, 2.0))
+    assert c == ClaimRecord("x", "bodily_injury", 0, 1, pays)
     assert sum(p.amount for p in c.payments) == 3.0
     assert c.delay_days() == 1
 
@@ -108,19 +87,23 @@ def test_portfolio_orders_claims_and_checks_cutoff():
     a = ClaimRecord("b", "bodily_injury", 5, 6)
     b = ClaimRecord("a", "bodily_injury", 5, 6)
     c = ClaimRecord("c", "material_damage", 2, 3)
-    p = Portfolio((a, b, c), 10)
+    p = records_portfolio((a, b, c), 10)
     assert [x.claim_id for x in p.claims] == ["c", "a", "b"]
     assert p.claim_types == ("bodily_injury", "material_damage")
     assert len(p.by_type("material_damage")) == 1
     assert p.by_type("material_damage").claims == (c,)
     with pytest.raises(ValueError, match="beyond data cutoff"):
-        Portfolio((ClaimRecord("z", "bodily_injury", 5, 20),), 10)
+        records_portfolio((ClaimRecord("z", "bodily_injury", 5, 20),), 10)
+
+
+def _ingest(text, **kwargs):
+    return ingest_csv_report(io.StringIO(text), **kwargs)
 
 
 def test_csv_round_trip(small_portfolio):
     buf = io.StringIO()
     write_csv(small_portfolio, buf)
-    back = ingest_csv(buf.getvalue(), cutoff=small_portfolio.data_cutoff)
+    back, _ = _ingest(buf.getvalue(), cutoff=small_portfolio.data_cutoff)
     assert back.claims == small_portfolio.claims
     assert back.data_cutoff == small_portfolio.data_cutoff
 
@@ -130,7 +113,7 @@ def test_csv_round_trip_through_path_objects(small_portfolio, tmp_path):
     path = tmp_path / "portfolio.csv"
     write_csv(small_portfolio, path)
     for source in (path, str(path)):
-        back = ingest_csv(source, cutoff=small_portfolio.data_cutoff)
+        back, _ = ingest_csv_report(source, cutoff=small_portfolio.data_cutoff)
         assert back.claims == small_portfolio.claims
         again, report = ingest_csv_report(source)
         assert again.claims == small_portfolio.claims and report.rejected_rows == 0
@@ -145,7 +128,7 @@ def test_paymentless_claim_survives_round_trip(small_portfolio):
     text = buf.getvalue()
     marker_rows = [ln for ln in text.splitlines() if ln.endswith(",,")]
     assert len(marker_rows) == 1
-    back = ingest_csv(text)
+    back, _ = _ingest(text)
     c3 = next(c for c in back.claims if c.claim_id == "c3")
     assert c3.payments == ()
 
@@ -153,7 +136,7 @@ def test_paymentless_claim_survives_round_trip(small_portfolio):
 def test_ingest_infers_cutoff_from_latest_date(small_portfolio):
     buf = io.StringIO()
     write_csv(small_portfolio, buf)
-    back = ingest_csv(buf.getvalue())
+    back, _ = _ingest(buf.getvalue())
     assert back.data_cutoff == parse_iso("2019-11-20")
 
 
@@ -177,7 +160,7 @@ def test_ingest_rejects_bad_rows():
         "b12,bodily_injury,2018-01-01,2018-01-05,20180201,100.00",
     ]
     diag = io.StringIO()
-    p, report = ingest_csv_report(header + "\n".join(rows) + "\n", diagnostics=diag)
+    p, report = _ingest(header + "\n".join(rows) + "\n", diagnostics=diag)
     assert {c.claim_id for c in p.claims} == {"g1", "g2"}
     assert report.rejected_rows == 12
     assert report.negative_amounts == 1
@@ -202,15 +185,15 @@ def test_ingest_orders_claims_and_payments():
         "a,material_damage,2018-01-01,2018-01-02,,",
         "z,material_damage,2017-12-31,2018-01-02,2018-01-03,5.00",
     ]
-    p = ingest_csv(header + "\n".join(rows) + "\n")
+    p, _ = _ingest(header + "\n".join(rows) + "\n")
     assert [c.claim_id for c in p.claims] == ["z", "a", "b", "s"]
     # a claim whose days step back is sorted by (day, amount), as
-    # ClaimRecord sorts it; same-day rows of an ordered claim keep file order
+    # the constructor sorts it; same-day rows of an ordered claim keep file order
     assert p.pay_ptr.tolist() == [0, 1, 1, 4, 6]
     assert p.pay_amounts.tolist() == [5.0, 10.0, 20.0, 30.0, 20.0, 10.0]
     feb, mar = parse_iso("2018-02-01"), parse_iso("2018-03-01")
     assert p.pay_days.tolist()[1:] == [feb, feb, mar, feb, feb]
-    assert Portfolio(p.claims, p.data_cutoff) == p
+    assert records_portfolio(p.claims, p.data_cutoff) == p
 
 
 def test_ingest_rejects_claim_with_inconsistent_header_rows():
@@ -219,7 +202,7 @@ def test_ingest_rejects_claim_with_inconsistent_header_rows():
         "c1,bodily_injury,2018-01-01,2018-01-05,2018-02-01,10.00\n"
         "c1,bodily_injury,2018-01-02,2018-01-05,2018-03-01,10.00\n"
     )
-    p, report = ingest_csv_report(text, diagnostics=io.StringIO())
+    p, report = _ingest(text, diagnostics=io.StringIO())
     assert len(p.claims) == 0
     assert report.rejected_claims == 1
 
@@ -234,17 +217,18 @@ def test_parse_iso_takes_only_yyyy_mm_dd():
 
 def test_ingest_reads_utf8_with_a_byte_order_mark(small_portfolio, tmp_path):
     # as a spreadsheet saves it; paths are written as UTF-8 whatever the locale
-    named = Portfolio((*small_portfolio.claims, _claim("d\u00e9j\u00e0", "bodily_injury",
-                                                      "2019-01-01", "2019-01-02")),
-                      small_portfolio.data_cutoff)
+    named = records_portfolio(
+        (*small_portfolio.claims, _claim("d\u00e9j\u00e0", "bodily_injury", "2019-01-01",
+                                         "2019-01-02")),
+        small_portfolio.data_cutoff,
+    )
     path = tmp_path / "portfolio.csv"
     write_csv(named, path)
     data = path.read_bytes()
     assert "d\u00e9j\u00e0".encode("utf-8") in data and not data.startswith(b"\xef\xbb\xbf")
     path.write_bytes(b"\xef\xbb\xbf" + data)
-    for source in (path, b"\xef\xbb\xbf" + data):
-        back, report = ingest_csv_report(source, cutoff=named.data_cutoff)
-        assert back == named and report.rejected_rows == 0
+    back, report = ingest_csv_report(path, cutoff=named.data_cutoff)
+    assert back == named and report.rejected_rows == 0
 
 
 def test_ingest_matches_the_row_loop_on_every_rule():
@@ -268,8 +252,8 @@ def test_ingest_matches_the_row_loop_on_every_rule():
         "h3,bodily_injury,20180101,2018-01-05,2018-02-01,1.00",
     ]) + "\n"
     diag, loop_diag = io.StringIO(), io.StringIO()
-    p, report = ingest_csv_report(text, diagnostics=diag)
-    q, loop_report = ingest_csv_report_loop(text, diagnostics=loop_diag)
+    p, report = _ingest(text, diagnostics=diag)
+    q, loop_report = ingest_csv_report_loop(io.StringIO(text), diagnostics=loop_diag)
     assert p == q and report == loop_report and diag.getvalue() == loop_diag.getvalue()
     assert report.messages == [
         "line 2: payment_date 2018-01-02 before reporting_date 2018-01-05 (row rejected)",
@@ -294,11 +278,32 @@ def test_ingest_matches_the_row_loop_on_every_rule():
     assert p.data_cutoff == parse_iso("2019-06-01")
 
 
+def test_ingest_numbers_a_row_by_its_first_line_in_the_input(tmp_path):
+    # quoted ids that hold a line break, \n or \r\n, one in each chunk of rows
+    filler = [f"g{i},bodily_injury,2018-01-01,2018-01-05,," for i in range(4100)]
+    text = "\n".join([
+        "claim_id,claim_type,accident_date,reporting_date,payment_date,amount",
+        '"x\ny",bodily_injury,2018-01-01,2018-01-05,2018-02-01,10.00',  # lines 2-3
+        "h1,hail,2018-01-01,2018-01-05,2018-02-01,10.00",
+        *filler,  # lines 5 to 4104
+        '"p\r\nq",material_damage,2018-01-01,2018-01-05,,',  # lines 4105-4106
+        "h2,hail,2018-01-01,2018-01-05,2018-02-01,10.00",
+    ]) + "\n"
+    want = [f"line {n}: unknown claim_type 'hail' (row rejected)" for n in (4, 4107)]
+    path = tmp_path / "portfolio.csv"
+    path.write_bytes(text.encode())
+    for ingest in (ingest_csv_report, ingest_csv_report_loop):
+        for source in (path, io.StringIO(text)):
+            p, report = ingest(source, diagnostics=io.StringIO())
+            assert report.messages == want
+            assert {"x\ny", "p\r\nq"} <= set(p.claim_ids.tolist()) and len(p) == 4102
+
+
 def test_ingest_requires_exact_header():
     with pytest.raises(ValueError, match="unexpected CSV header"):
-        ingest_csv(io.StringIO("id,b,c,d,e,f\n"), diagnostics=io.StringIO())
+        _ingest("id,b,c,d,e,f\n", diagnostics=io.StringIO())
     with pytest.raises(ValueError, match="missing CSV header"):
-        ingest_csv(io.StringIO(""), diagnostics=io.StringIO())
+        _ingest("", diagnostics=io.StringIO())
 
 
 def test_censor_keeps_the_claims_reported_by_the_day(small_portfolio):
@@ -348,4 +353,4 @@ def test_triangle_rejects_bad_inputs(small_portfolio):
     with pytest.raises(ValueError, match="granularity"):
         aggregate_triangle(small_portfolio, granularity=0)
     with pytest.raises(ValueError, match="empty portfolio"):
-        aggregate_triangle(Portfolio((), 10))
+        aggregate_triangle(records_portfolio((), 10))

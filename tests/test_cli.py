@@ -226,6 +226,21 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (out / "fit_report.json").exists()
 
+    # a synth config value that no portfolio can be drawn from names its key
+    for i, (cfg, message) in enumerate((
+        ({"start": "20160101"}, "start must be an ISO date: '20160101'"),
+        ({"start": "2018-01-01", "end": "2017-12-31"},
+         "end 2017-12-31 must fall after start 2018-01-01"),
+        ({"n_claims": 1}, "n_claims must be at least 2, got 1"),
+        ({"dependence": "gaussian"},
+         "dependence must be independence or archimedean, got 'gaussian'"),
+    )):
+        (tmp_path / "synth.json").write_text(json.dumps(cfg))
+        out = tmp_path / f"synth{i}"
+        assert main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (out / "portfolio.csv").exists()
+
 
 def test_model_errors_exit_1(workdir, tmp_path, capsys):
     rc = main(["reserve", "--config", str(workdir / "res.json"),

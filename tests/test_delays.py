@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from granres import ClaimRecord, Portfolio, WeibullDelayModel
+from granres import ClaimRecord, WeibullDelayModel
 from granres.daycount import year_start
 from granres.delays import (
     EmpiricalDelayModel,
@@ -17,6 +17,7 @@ from granres.delays import (
     delay_quantile,
     fit_delay,
 )
+from helpers import records_portfolio
 
 
 def test_weibull_cdf_closed_form_and_quantile_roundtrip():
@@ -61,7 +62,7 @@ def test_weibull_fit_recovers_truth_from_day_censored_delays():
         ClaimRecord(f"c{i}", "material_damage", int(a), int(r))
         for i, (a, r) in enumerate(zip(acc, rep))
     ]
-    fit = fit_delay(Portfolio(claims, int(rep.max())), "weibull_tv")
+    fit = fit_delay(records_portfolio(claims, int(rep.max())), "weibull_tv")
     assert abs(fit.shape - 1.5) < 3 * fit.se["shape"]
     assert abs(fit.c0 - 3.0) < 3 * fit.se["c0"]
     assert abs(fit.c1 + 0.05) < 3 * fit.se["c1"]
@@ -70,10 +71,10 @@ def test_weibull_fit_recovers_truth_from_day_censored_delays():
 def test_fit_delay_input_validation():
     claims = [ClaimRecord(f"c{i}", "material_damage", i, i + 1) for i in range(99)]
     with pytest.raises(ValueError, match="at least 100"):
-        fit_delay(Portfolio(claims, 200))
+        fit_delay(records_portfolio(claims, 200))
     claims = [ClaimRecord(f"c{i}", "material_damage", i, i + 1) for i in range(150)]
     with pytest.raises(ValueError, match="unknown delay variant"):
-        fit_delay(Portfolio(claims, 200), "lognormal")
+        fit_delay(records_portfolio(claims, 200), "lognormal")
 
 
 def test_single_accident_year_pins_trend_to_zero():
@@ -85,7 +86,7 @@ def test_single_accident_year_pins_trend_to_zero():
         for i, (a, r) in enumerate(zip(acc, rep))
     ]
     with pytest.warns(UserWarning, match="single accident year"):
-        fit = fit_delay(Portfolio(claims, 400), "weibull_tv")
+        fit = fit_delay(records_portfolio(claims, 400), "weibull_tv")
     assert fit.c1 == 0.0
     assert "c1" not in fit.se
 
@@ -127,7 +128,7 @@ def test_fit_empirical_merges_thin_cohorts():
         for i, (a, r) in enumerate(zip(acc, rep))
     ]
     with pytest.warns(UserWarning, match="merged into previous year"):
-        m = fit_delay(Portfolio(claims, int(rep.max())), "empirical_cohort")
+        m = fit_delay(records_portfolio(claims, int(rep.max())), "empirical_cohort")
     assert sorted(m.cohorts) == [2000, 2001]
     assert m.cohorts[2000].size == 115
     assert_array_equal(m.cohorts[2000], m.cohorts[2001])
@@ -144,7 +145,7 @@ def test_fit_empirical_merges_short_tail_into_the_whole_group():
         for i, (a, r) in enumerate(zip(acc, rep))
     ]
     with pytest.warns(UserWarning, match="merged"):
-        m = fit_delay(Portfolio(claims, int(rep.max())), "empirical_cohort")
+        m = fit_delay(records_portfolio(claims, int(rep.max())), "empirical_cohort")
     # 2016 merges forward into 2017; the short 2018 tail joins that group
     assert [m.cohorts[y].size for y in (2016, 2017, 2018)] == [120, 120, 120]
     assert_array_equal(m.cohorts[2016], m.cohorts[2018])
@@ -162,7 +163,7 @@ def test_fit_empirical_merges_thin_leading_cohort():
         for i, (a, r) in enumerate(zip(acc, rep))
     ]
     with pytest.warns(UserWarning, match="merged"):
-        m = fit_delay(Portfolio(claims, int(rep.max())), "empirical_cohort")
+        m = fit_delay(records_portfolio(claims, int(rep.max())), "empirical_cohort")
     assert m.cohorts[2000].size == 115
     assert_array_equal(m.cohorts[2000], m.cohorts[2001])
 

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from granres import ClaimRecord, NegativeBinomial, OccurrenceModel, Poisson, Portfolio
+from granres import (
+    ClaimRecord,
+    NegativeBinomial,
+    OccurrenceModel,
+    PhaseError,
+    Poisson,
+    fit_model,
+)
 from granres.frequency import (
     ZeroModified,
     date_differences,
@@ -15,6 +22,7 @@ from granres.frequency import (
     fit_occurrence,
     simulate_arrivals,
 )
+from helpers import records_portfolio
 
 
 def test_poisson_pmf_closed_form():
@@ -123,6 +131,17 @@ def test_zm_poisson_fit_recovers_truth():
     assert abs(fit.dist.base.mu - 3.0) < 3 * fit.se["mu"]
 
 
+def test_zm_poisson_fit_fails_when_every_positive_gap_is_one():
+    # the zero-truncated likelihood then rises as mu falls to 0: no maximum
+    with pytest.raises(ValueError, match="every positive gap is 1"):
+        fit_count_mle([0] * 30 + [1] * 20, "zm_poisson")
+    # as for a type with claims on every day, two a day here
+    days = np.repeat(np.arange(6000, 6050), 2).tolist()
+    claims = [ClaimRecord(f"c{i}", "material_damage", d, d) for i, d in enumerate(days)]
+    with pytest.raises(PhaseError, match=r"phase 1 \(occurrence\) failed: .*positive gap is 1"):
+        fit_model(records_portfolio(claims, 6100), {"occurrence_family": "zm_poisson"})
+
+
 def test_zm_negbin_fit_recovers_truth():
     rng = np.random.default_rng(9)
     obs = ZeroModified(NegativeBinomial(2.0, 0.5), 0.3).sample(rng, size=20_000)
@@ -139,7 +158,7 @@ def test_date_differences_anchors_first_gap_at_origin():
         ClaimRecord("c", "material_damage", 8, 8),
         ClaimRecord("d", "bodily_injury", 3, 4),
     ]
-    port = Portfolio(claims, 10)
+    port = records_portfolio(claims, 10)
     years, gaps = date_differences(port.by_type("material_damage"))
     assert_array_equal(gaps, [5, 0, 3])
     assert_array_equal(years, [2000, 2000, 2000])
@@ -216,7 +235,7 @@ def test_fit_occurrence_recovers_single_year_mean():
         ClaimRecord(f"c{i}", "bodily_injury", int(d), int(d))
         for i, d in enumerate(days)
     ]
-    occ = fit_occurrence(Portfolio(claims, int(days[-1]) + 1), "poisson")
+    occ = fit_occurrence(records_portfolio(claims, int(days[-1]) + 1), "poisson")
     mu = occ.by_year[2000].mu
     assert abs(mu - 3.0) < 4 * np.sqrt(3.0 / 59)
 
@@ -231,6 +250,6 @@ def test_fit_occurrence_merges_thin_trailing_year():
         ClaimRecord("m17", "material_damage", 380, 380),
     ]
     with pytest.warns(UserWarning, match="material_damage: occurrence years .* merged"):
-        om = fit_occurrence(Portfolio(claims, 400), "poisson")
+        om = fit_occurrence(records_portfolio(claims, 400), "poisson")
     assert sorted(om.by_year) == [2000, 2001]
     assert om.by_year[2001] is om.by_year[2000]

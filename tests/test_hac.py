@@ -11,7 +11,6 @@ from granres import (
     ClaimRecord,
     CopulaSpec,
     HacSpec,
-    Portfolio,
     WeibullDelayModel,
     default_model,
     hac_sample,
@@ -29,6 +28,7 @@ from granres.copulas.hac import (
     match_days,
     matched_delay_scores,
 )
+from helpers import records_portfolio
 
 CLAY2 = CopulaSpec("clayton", theta=2.0)
 GUM2 = CopulaSpec("gumbel", theta=2.0)
@@ -177,7 +177,7 @@ def test_matched_delay_scores_hand_case():
         ClaimRecord("b1", "material_damage", 12, 20),
         ClaimRecord("b2", "material_damage", 300, 301),
     ]
-    port = Portfolio(claims, 400)
+    port = records_portfolio(claims, 400)
     sa, sb = matched_delay_scores(
         port.by_type("bodily_injury"), port.by_type("material_damage"), dm, dm
     )

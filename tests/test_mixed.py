@@ -14,7 +14,6 @@ from granres import (
     CountProcess,
     ExponentialDecay,
     PaymentEvent,
-    Portfolio,
     WeibullDelayModel,
 )
 from granres.copulas.dynamics import TimeVaryingParam
@@ -28,6 +27,7 @@ from granres.copulas.mixed import (
     sklar_joint_cdf,
 )
 from granres.delays import delay_density, delay_quantile
+from helpers import records_portfolio
 
 DELAY = WeibullDelayModel(1.5, math.log(30.0), 0.0)
 PROC = CountProcess(ExponentialDecay(3.0, 1.2))
@@ -171,7 +171,7 @@ def test_copula_pairs_hand_case():
         ClaimRecord("c2", "bodily_injury", 150, 475),  # reported on the cutoff
         ClaimRecord("c3", "bodily_injury", 200, 220),
     ]
-    (t, w, horizon, n), taus = copula_pairs(Portfolio(claims, 475))
+    (t, w, horizon, n), taus = copula_pairs(records_portfolio(claims, 475))
     assert_array_equal(t, [100, 200])
     assert_array_equal(w, [10, 20])
     assert_allclose(horizon, [(475 - 110) / 365.25, (475 - 220) / 365.25])

@@ -20,7 +20,6 @@ from granres import (
     ExponentialDecay,
     PaymentEvent,
     Portfolio,
-    ingest_csv,
     ingest_csv_report,
     write_csv,
 )
@@ -32,7 +31,7 @@ from granres.copulas.hac import hac_uniforms
 from granres.copulas.mixed import conditional_count_quantile, count_quantile
 from granres.daycount import DAYS_PER_YEAR
 from granres.reserving import _place_payments
-from helpers import ingest_csv_report_loop
+from helpers import ingest_csv_report_loop, records_portfolio
 
 UNIT = st.floats(0.01, 0.99)
 
@@ -150,7 +149,7 @@ def portfolios(draw):
         payments = tuple(PaymentEvent(rep + d, c / 100) for d, c in pays)
         claims.append(ClaimRecord(cid, draw(st.sampled_from(CLAIM_TYPES)), acc, rep, payments))
     days = [c.reporting_day for c in claims] + [p.day for c in claims for p in c.payments]
-    return Portfolio(claims, max(days, default=0) + draw(st.integers(0, 30)))
+    return records_portfolio(claims, max(days, default=0) + draw(st.integers(0, 30)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,7 +157,8 @@ def portfolios(draw):
 def test_csv_round_trip_is_the_identity(portfolio):
     buf = io.StringIO()
     write_csv(portfolio, buf)
-    back = ingest_csv(buf.getvalue(), cutoff=portfolio.data_cutoff, diagnostics=io.StringIO())
+    buf.seek(0)
+    back, _ = ingest_csv_report(buf, cutoff=portfolio.data_cutoff, diagnostics=io.StringIO())
     assert back == portfolio
     assert back.claims == portfolio.claims
 
@@ -167,7 +167,7 @@ def test_csv_round_trip_is_the_identity(portfolio):
 # or stripping, type aliases, padded fields; DIRTY adds a value that breaks
 # each rule, including dates that are not YYYY-MM-DD
 VALID = (
-    ("c1", "c2", " c1 ", "a,b", 'q"x', "x\ny"),
+    ("c1", "c2", " c1 ", "a,b", 'q"x', "x\ny", "x\r\ny"),
     ("bodily_injury", "material_damage", "bodilyinjury", "Material Damage", " BODILY_INJURY "),
     ("2018-01-01", " 2018-01-05 "),
     ("2018-01-05", "2018-02-01"),
@@ -223,7 +223,7 @@ def dirty_csv(draw):
 def _ingest_outcome(ingest, text, cutoff):
     diag = io.StringIO()
     try:
-        portfolio, report = ingest(text, cutoff=cutoff, diagnostics=diag)
+        portfolio, report = ingest(io.StringIO(text), cutoff=cutoff, diagnostics=diag)
     except ValueError as e:
         return ("raised", str(e)), None, diag.getvalue()
     return portfolio, report, diag.getvalue()
@@ -392,7 +392,7 @@ def test_conditional_count_quantile_equals_the_full_matrix_search(spec, rows):
 
 def _shuffled_columns(portfolio, rng):
     """The portfolio's columns with the claims and each claim's payments in
-    random order, as _from_columns takes them."""
+    random order, as the Portfolio constructor takes them."""
     order = rng.permutation(len(portfolio))
     counts = np.diff(portfolio.pay_ptr)[order]
     spans = [rng.permutation(np.arange(*portfolio.pay_ptr[i : i + 2])) for i in order]
@@ -405,8 +405,8 @@ def _shuffled_columns(portfolio, rng):
 @given(portfolios(), st.integers(0, 2**32 - 1))
 def test_select_equals_a_rebuild_from_the_same_columns(portfolio, seed):
     rng = np.random.default_rng(seed)
-    # _fill sorts the claims and the payments that step back
-    p = Portfolio._from_columns(*_shuffled_columns(portfolio, rng), portfolio.data_cutoff)
+    # the constructor sorts the claims and the payments that step back
+    p = Portfolio(*_shuffled_columns(portfolio, rng), portfolio.data_cutoff)
     keep = rng.random(len(p)) < 0.6
     pay_keep = rng.random(p.pay_days.size) < 0.7
     a = int(rng.integers(-2000, p.data_cutoff + 1))
@@ -417,7 +417,7 @@ def test_select_equals_a_rebuild_from_the_same_columns(portfolio, seed):
     ]
     for sub, keep, pay_keep, cutoff in cases:
         pays = keep[p.pay_owner] & pay_keep
-        rebuilt = Portfolio._from_columns(
+        rebuilt = Portfolio(
             *(getattr(p, k)[keep] for k in _COLUMNS),
             np.bincount(p.pay_owner[pays], minlength=len(p))[keep],
             p.pay_days[pays],

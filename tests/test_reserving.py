@@ -52,6 +52,7 @@ from granres.reserving import (
     _rbns_scenario,
 )
 from granres.severity import LogNormalSeverity, OrderARSeverity
+from helpers import records_portfolio
 
 WIN = ValuationWindow(6209, 6574)  # 2016-12-31 to 2017-12-31
 
@@ -86,7 +87,7 @@ def _rbns_portfolio(cutoff=6209):
         ClaimRecord(f"r{i}", "material_damage", 6150, 6160, (PaymentEvent(6180, 50.0),))
         for i in range(30)
     ]
-    return Portfolio(claims, cutoff)
+    return records_portfolio(claims, cutoff)
 
 
 def test_valuation_window():
@@ -120,7 +121,7 @@ def test_fit_error_names_the_failing_stage():
     claims = [
         ClaimRecord(f"c{i}", "material_damage", 5844 + 3 * i, 6209) for i in range(120)
     ]
-    port = Portfolio(claims, 6209)
+    port = records_portfolio(claims, 6209)
     with pytest.raises(PhaseError, match=r"phase 3 \(payment counts"):
         fit_model(port, {"copula_family": "independence", "hac_outer": None})
 
@@ -197,7 +198,7 @@ def test_rbns_continues_the_observed_payment_chain():
     ]
     halving = OrderARSeverity(LogNormalSeverity(3.0, 0.4), (0.5,), 0.0)
     model = GranularModel(types={"material_damage": replace(TM, severity=halving)})
-    dist = simulate_reserves(model, Portfolio(claims, 6400), WIN, 20, seed=5)
+    dist = simulate_reserves(model, records_portfolio(claims, 6400), WIN, 20, seed=5)
     # the noiseless chain halves from 100.0, so m payments total 100 (1 - 0.5^m)
     m = -np.log2(1.0 - dist.rbns / 100.0)
     assert_allclose(m, np.round(m), atol=1e-9)
@@ -231,7 +232,7 @@ def test_rbns_chain_takes_its_links_in_bucket_order():
     ]
     halving = OrderARSeverity(LogNormalSeverity(3.0, 0.4), (0.5,), 0.0)
     model = GranularModel(types={"material_damage": replace(TM, severity=halving)})
-    port = Portfolio(claims, 6400)
+    port = records_portfolio(claims, 6400)
     flows = np.array(
         [f["material_damage"] for f in _rbns_flows(model, port, YEAR_RBNS, range(200))]
     )
@@ -271,7 +272,7 @@ def test_rbns_draws_one_poisson_count_per_type(monkeypatch, chained):
         for t in model.type_names()
         for i in range(40)
     ]
-    port = Portfolio(claims, 6209)
+    port = records_portfolio(claims, 6209)
     prep = _prepare_rbns(model, port, YEAR_RBNS)
     edges, _ = _period_edges(YEAR_RBNS)
     paid = []
@@ -302,7 +303,7 @@ def _moment_portfolio(a_day):
         ClaimRecord(f"m{i}", "material_damage", r - 20, r, (PaymentEvent(r, 40.0),))
         for i, r in enumerate(days)
     ]
-    return Portfolio(claims, a_day), np.array(days)
+    return records_portfolio(claims, a_day), np.array(days)
 
 
 @pytest.mark.parametrize("horizon", ["mid_year", "ultimate"])

@@ -1,9 +1,11 @@
 """Severity models: iid families and the order-autoregressive payment chain."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import stats
+from scipy import special, stats
 
 from granres import (
     ClaimRecord,
@@ -11,8 +13,8 @@ from granres import (
     LogNormalSeverity,
     OrderARSeverity,
     PaymentEvent,
-    Portfolio,
 )
+from granres import severity
 from granres.severity import (
     fit_gamma,
     fit_lognormal,
@@ -21,6 +23,7 @@ from granres.severity import (
     severity_from_dict,
     simulate_amounts,
 )
+from helpers import records_portfolio
 
 
 def test_lognormal_logpdf_matches_scipy():
@@ -61,6 +64,21 @@ def test_fit_gamma_recovers_truth():
     fit = fit_gamma(x)
     assert abs(fit.shape - 2.0) < 3 * fit.se["shape"]
     assert abs(fit.scale - 3.0) < 3 * fit.se["scale"]
+
+
+def test_fit_gamma_raises_when_newton_does_not_settle(monkeypatch):
+    x = np.random.default_rng(50).gamma(2.0, 3.0, 100)
+    s = np.log(np.mean(x)) - np.mean(np.log(x))
+    k0 = np.mean(x) ** 2 / np.var(x)
+    # a digamma under which Newton hops between the moment start k0 and k0 + 1
+    stub = SimpleNamespace(
+        digamma=lambda k: np.log(k) - s - (1.0 if k < k0 + 0.5 else -1.0),
+        polygamma=lambda n, k: 1.0 / k + 1.0,
+        gammaln=special.gammaln,
+    )
+    monkeypatch.setattr(severity, "special", stub)
+    with pytest.raises(ValueError, match="did not settle in 60 steps"):
+        fit_gamma(x)
 
 
 def test_fit_input_guards():
@@ -168,7 +186,7 @@ def _two_payment_portfolio(n=80, seed=7):
                 (PaymentEvent(acc + 30, float(amounts[0])), PaymentEvent(acc + 90, float(amounts[1]))),
             )
         )
-    return Portfolio(claims, 600)
+    return records_portfolio(claims, 600)
 
 
 def test_fit_severity_structures():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from granres import default_model, parse_iso, synthesize, write_csv
-from granres.synth import synth_portfolio
+from granres.cli import synth_portfolio
 
 START, END = parse_iso("2016-01-01"), parse_iso("2018-12-31")
 
@@ -18,11 +18,11 @@ def synth1k():
 
 
 def test_default_model_validation():
-    with pytest.raises(ValueError, match="at least two claims"):
+    with pytest.raises(ValueError, match="n_claims must be at least 2, got 1"):
         default_model(1, START, END)
-    with pytest.raises(ValueError, match="end after start"):
+    with pytest.raises(ValueError, match="end_day must fall after start_day"):
         default_model(100, END, START)
-    with pytest.raises(ValueError, match="unknown dependence preset"):
+    with pytest.raises(ValueError, match="dependence must be independence or archimedean"):
         default_model(100, START, END, dependence="comonotone")
     assert default_model(100, START, END).hac is None
     arch = default_model(100, START, END, dependence="archimedean")
