@@ -34,12 +34,16 @@ def payment_taus(intensity, horizons, rng):
 
 
 def records_portfolio(claims, cutoff) -> Portfolio:
-    """The Portfolio of the given ClaimRecords, through the column constructor."""
+    """The Portfolio of the given ClaimRecords, through the column constructor.
+
+    A claim_type that is not a name in CLAIM_TYPES is passed on as the
+    claim's type code, for the constructor to check."""
     claims = tuple(claims)
     pays = [p for c in claims for p in c.payments]
+    codes = {t: k for k, t in enumerate(CLAIM_TYPES)}
     return Portfolio(
         [c.claim_id for c in claims],
-        [CLAIM_TYPES.index(c.claim_type) for c in claims],
+        [codes.get(c.claim_type, c.claim_type) for c in claims],
         [c.accident_day for c in claims],
         [c.reporting_day for c in claims],
         [len(c.payments) for c in claims],

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from granres import (
+    CLAIM_TYPES,
     ClaimRecord,
     PaymentEvent,
     Portfolio,
@@ -54,9 +55,19 @@ def _one_claim(cid, code, acc, rep, pays, cutoff):
     )
 
 
-def test_claim_record_validation():
+def _from_records(cid, code, acc, rep, pays, cutoff):
+    # the same claim as a ClaimRecord; a code outside CLAIM_TYPES has no
+    # name and stays a code
+    ctype = CLAIM_TYPES[code] if 0 <= code < len(CLAIM_TYPES) else code
+    payments = tuple(PaymentEvent(d, a) for d, a in pays)
+    return records_portfolio((ClaimRecord(cid, ctype, acc, rep, payments),), cutoff)
+
+
+@pytest.mark.parametrize("build", [_from_records, _one_claim], ids=["records", "columns"])
+def test_claim_record_validation(build):
     # the checks and messages of the one constructor, which ingest and
-    # synthesis call; type codes index CLAIM_TYPES
+    # synthesis call, whether the claim is written as columns or as a
+    # ClaimRecord; type codes index CLAIM_TYPES
     cases = [
         (("x", 2, 0, 1, ()), "unknown claim_type 2"),
         (("x", -1, 0, 1, ()), "unknown claim_type -1"),
@@ -70,8 +81,8 @@ def test_claim_record_validation():
     ]
     for claim, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            _one_claim(*claim, 10)
-    assert len(_one_claim("x", 0, 0, 1, ((5, -1.0),), 10)) == 1
+            build(*claim, 10)
+    assert len(build("x", 0, 0, 1, ((5, -1.0),), 10)) == 1
 
 
 def test_portfolio_sorts_payments_in_the_record_view():
