@@ -19,7 +19,6 @@ print(f"fitting on {len(portfolio.claims)} censored claims")
 # the recipe is plain data; anything not listed keeps its default
 recipe = {
     "occurrence_family": "poisson",
-    "delay_variant": "weibull_tv",
     "intensity_family": {
         "bodily_injury": "exponential",
         "material_damage": "power",

@@ -169,6 +169,16 @@ def _window(cfg) -> ValuationWindow:
     return ValuationWindow(a, b)
 
 
+def _model_from(source, read, arg):
+    """read(arg) as a GranularModel; a model it cannot build is a config error
+    that names its source."""
+    try:
+        return read(arg)
+    except (KeyError, ValueError, TypeError) as e:
+        why = f"missing key {e}" if isinstance(e, KeyError) else str(e)
+        raise ConfigError(f"{source} is not a readable model: {why}") from e
+
+
 def synth_portfolio(cfg, rng) -> tuple:
     """Portfolio plus its generator truth from a synth config.
 
@@ -181,7 +191,7 @@ def synth_portfolio(cfg, rng) -> tuple:
     if end <= start:
         raise ConfigError(f"end {iso(end)} must fall after start {iso(start)}")
     if "model" in cfg:
-        model = GranularModel.from_dict(cfg["model"])
+        model = _model_from("config key model", GranularModel.from_dict, cfg["model"])
     else:
         n_claims = int(cfg.get("n_claims", 5000))
         try:
@@ -248,7 +258,7 @@ def cmd_reserve(cfg) -> int:
     if cfg.get("model"):
         if not os.path.exists(cfg["model"]):
             raise ConfigError(f"model file not found: {cfg['model']}")
-        model = GranularModel.load(cfg["model"])
+        model = _model_from(f"model file {cfg['model']}", GranularModel.load, cfg["model"])
     else:
         model, report = fit_model(portfolio, cfg.get("recipe"))
         _write_json(os.path.join(out, "fit_report.json"), report)

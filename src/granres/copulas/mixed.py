@@ -20,7 +20,7 @@ import numpy as np
 from scipy import optimize, special
 
 from ..daycount import DAYS_PER_YEAR
-from ..delays import delay_cdf, delay_density, delay_score
+from ..delays import delay_score
 from ..fitutil import observed_info_se
 from .dynamics import CopulaSpec, TimeVaryingParam
 from .families import FAMILIES, family
@@ -31,7 +31,7 @@ _FLOOR = 1e-300
 def sklar_joint_cdf(delay_model, count_process, spec, t, w, horizon, n):
     """P[W <= w, N(horizon) <= n] for a claim from accident day t."""
     n = np.asarray(n)
-    u = np.asarray(delay_cdf(delay_model, t, w), dtype=float)
+    u = delay_model.cdf(t, w)
     q = count_process.count_cdf(horizon, np.maximum(n, 0))
     fam = family(spec.family)
     theta = spec.theta_at(np.asarray(horizon, dtype=float))
@@ -43,13 +43,13 @@ def mixed_density(delay_model, count_process, spec, t, w, horizon, n):
     """Joint density in w with the count fixed at n (see module docstring)."""
     w = np.asarray(w, dtype=float)
     n = np.asarray(n)
-    u = np.asarray(delay_cdf(delay_model, t, w), dtype=float)
+    u = delay_model.cdf(t, w)
     q_hi = count_process.count_cdf(horizon, n)
     q_lo = count_process.count_cdf(horizon, n - 1)
     fam = family(spec.family)
     theta = spec.theta_at(np.asarray(horizon, dtype=float))
     bracket = fam.h(u, q_hi, theta) - fam.h(u, q_lo, theta)
-    dens = np.asarray(delay_density(delay_model, t, w), dtype=float)
+    dens = delay_model.density(t, w)
     return dens * np.clip(bracket, 0.0, None)
 
 

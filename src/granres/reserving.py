@@ -57,7 +57,7 @@ from .copulas.hac import MATCH_GAP_DAYS, hac_uniforms, match_days
 # bench/tracing.py patches this name to count the matched pairs kept
 from .copulas.mixed import count_quantile as _count_marginal_quantile
 from .daycount import DAYS_PER_YEAR, to_date, to_day, year_of, year_start
-from .delays import delay_model_from_dict, delay_quantile, fit_delay
+from .delays import WeibullDelayModel, delay_model_from_dict, delay_quantile, fit_delay
 from .frequency import OccurrenceModel, fit_occurrence, simulate_arrivals
 from .payments import CountProcess, fit_intensity
 from .severity import OrderARSeverity, fit_severity, severity_from_dict, simulate_amounts
@@ -91,7 +91,7 @@ class TypeModel:
     """All fitted components for one claim type."""
 
     occurrence: OccurrenceModel
-    delay: object
+    delay: WeibullDelayModel
     counts: CountProcess
     severity: object
     copula: CopulaSpec
@@ -159,7 +159,6 @@ class GranularModel:
 
 DEFAULT_RECIPE = {
     "occurrence_family": "poisson",
-    "delay_variant": "weibull_tv",
     "intensity_family": "exponential",
     "severity_family": "lognormal",
     "severity_structure": "iid",
@@ -217,12 +216,7 @@ def fit_model(portfolio, recipe=None):
         }
         types = {}
         for ctype, sub in subs.items():
-            delay = _phase(
-                f"phase 2 (reporting delay, {ctype}) failed",
-                fit_delay,
-                sub,
-                cfg["delay_variant"],
-            )
+            delay = _phase(f"phase 2 (reporting delay, {ctype}) failed", fit_delay, sub)
             pairs, taus = copula_pairs(sub)
             counts = _phase(
                 f"phase 3 (payment counts, {ctype}) failed",
@@ -259,7 +253,7 @@ def fit_model(portfolio, recipe=None):
                 "copula_loglik": cop.loglik,
                 "copula_aic": dict(cop.aic_table),
                 "intensity": counts.to_dict(),
-                "delay_se": dict(getattr(delay, "se", {})),
+                "delay_se": dict(delay.se),
             }
 
         hac = None

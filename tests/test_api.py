@@ -5,6 +5,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import granres
 import granres.copulas
+from granres.reserving import DEFAULT_RECIPE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -161,6 +163,14 @@ def test_tracer_targets_exist():
         assert hasattr(importlib.import_module(modname), attr), (modname, attr)
     for name, _label in _tuple_table(tree, "API"):
         assert name in granres.__all__, name
+
+
+def test_readme_recipe_lists_the_default_recipe_keys():
+    # each bullet of README's "Fit recipe" section opens with its key
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Fit recipe\n", 1)[1].split("\n#", 1)[0]
+    keys = re.findall(r"^- `(\w+)`", section, flags=re.M)
+    assert sorted(keys) == sorted(DEFAULT_RECIPE)
 
 
 def _uses(node, method):

@@ -234,12 +234,31 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
         ({"n_claims": 1}, "n_claims must be at least 2, got 1"),
         ({"dependence": "gaussian"},
          "dependence must be independence or archimedean, got 'gaussian'"),
+        ({"model": {"types": {"bodily_injury": {}}}},
+         "config key model is not a readable model: missing key 'occurrence'"),
+        ({"model": {"types": {}}},
+         "config key model is not a readable model: model needs at least one claim type"),
     )):
         (tmp_path / "synth.json").write_text(json.dumps(cfg))
         out = tmp_path / f"synth{i}"
         assert main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(out)]) == 2
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (out / "portfolio.csv").exists()
+
+    # a model file that no longer loads is a config error naming the file
+    fitted = json.loads((workdir / "f" / "model.json").read_text())
+    fitted["types"]["bodily_injury"]["delay"] = {
+        "variant": "empirical_cohort", "cohorts": {"2017": [1.0, 2.0]}
+    }
+    old_model = tmp_path / "old_model.json"
+    old_model.write_text(json.dumps(fitted))
+    (tmp_path / "old.json").write_text(json.dumps({"model": str(old_model)}))
+    out = tmp_path / "old"
+    assert main(["reserve", "--config", str(tmp_path / "old.json"), "--input", port,
+                 "--valuation-date", "2019-12-31", "--scenarios", "5", "--out", str(out)]) == 2
+    assert (f"config error: model file {old_model} is not a readable model: "
+            "unknown delay variant 'empirical_cohort'") in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
 
 
 def test_model_errors_exit_1(workdir, tmp_path, capsys):

@@ -1,22 +1,14 @@
-"""Reporting-delay models: smooth time-varying Weibull and empirical cohorts."""
+"""The reporting-delay model: a Weibull with a time-varying scale."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
+from scipy import optimize
 
-from granres import ClaimRecord, WeibullDelayModel
-from granres.daycount import year_start
-from granres.delays import (
-    EmpiricalDelayModel,
-    delay_cdf,
-    delay_density,
-    delay_model_from_dict,
-    delay_quantile,
-    fit_delay,
-)
+from granres import ClaimRecord, WeibullDelayModel, fit_model
+from granres.delays import delay_model_from_dict, delay_quantile, delay_score, fit_delay
 from helpers import records_portfolio
 
 
@@ -62,7 +54,7 @@ def test_weibull_fit_recovers_truth_from_day_censored_delays():
         ClaimRecord(f"c{i}", "material_damage", int(a), int(r))
         for i, (a, r) in enumerate(zip(acc, rep))
     ]
-    fit = fit_delay(records_portfolio(claims, int(rep.max())), "weibull_tv")
+    fit = fit_delay(records_portfolio(claims, int(rep.max())))
     assert abs(fit.shape - 1.5) < 3 * fit.se["shape"]
     assert abs(fit.c0 - 3.0) < 3 * fit.se["c0"]
     assert abs(fit.c1 + 0.05) < 3 * fit.se["c1"]
@@ -73,8 +65,29 @@ def test_fit_delay_input_validation():
     with pytest.raises(ValueError, match="at least 100"):
         fit_delay(records_portfolio(claims, 200))
     claims = [ClaimRecord(f"c{i}", "material_damage", i, i + 1) for i in range(150)]
-    with pytest.raises(ValueError, match="unknown delay variant"):
-        fit_delay(records_portfolio(claims, 200), "lognormal")
+    # the Weibull is the only delay law: a model file or recipe naming
+    # another is refused
+    with pytest.raises(ValueError, match="unknown delay variant 'empirical_cohort'"):
+        delay_model_from_dict({"variant": "empirical_cohort", "cohorts": {"2000": [1.0, 2.0]}})
+    with pytest.raises(ValueError, match="unknown recipe keys: \\['delay_variant'\\]"):
+        fit_model(records_portfolio(claims, 200), {"delay_variant": "weibull_tv"})
+
+
+def test_fit_delay_raises_when_the_optimizer_fails(monkeypatch):
+    rng = np.random.default_rng(4)
+    acc = rng.integers(0, 1000, 200)
+    claims = [
+        ClaimRecord(f"c{i}", "bodily_injury", int(a), int(a) + 5) for i, a in enumerate(acc)
+    ]
+
+    def failed(fun, x0, **kwargs):
+        return optimize.OptimizeResult(
+            x=np.asarray(x0), success=False, message="ABNORMAL_TERMINATION_IN_LNSRCH"
+        )
+
+    monkeypatch.setattr("granres.delays.optimize.minimize", failed)
+    with pytest.raises(ValueError, match="did not converge: ABNORMAL_TERMINATION_IN_LNSRCH"):
+        fit_delay(records_portfolio(claims, 1100))
 
 
 def test_single_accident_year_pins_trend_to_zero():
@@ -86,104 +99,21 @@ def test_single_accident_year_pins_trend_to_zero():
         for i, (a, r) in enumerate(zip(acc, rep))
     ]
     with pytest.warns(UserWarning, match="single accident year"):
-        fit = fit_delay(records_portfolio(claims, 400), "weibull_tv")
+        fit = fit_delay(records_portfolio(claims, 400))
     assert fit.c1 == 0.0
     assert "c1" not in fit.se
 
 
-def test_empirical_cohort_lookup_and_quantiles():
-    y1 = year_start(2001)
-    m = EmpiricalDelayModel(
-        {2000: np.array([1.0, 2.0, 3.0, 4.0]), 2001: np.array([10.0, 20.0])}
-    )
-    assert m.cdf(5, 2.5) == 0.5
-    assert m.quantile(5, 0.5) == 3.0
-    assert_array_equal(m.quantile(y1 + 3, np.array([0.0, 0.9])), [10.0, 20.0])
-    assert m.mean(y1 + 3) == 15.0
-    # years beyond the fitted range clamp to the nearest cohort
-    assert m.cdf(year_start(2005) + 10, 15.0) == 0.5
-    with pytest.raises(ValueError, match="no density"):
-        m.density(5, 1.0)
-    with pytest.raises(ValueError, match="at least one cohort"):
-        EmpiricalDelayModel({})
-
-
-def test_empirical_cohort_gap_year_warns_and_borrows():
-    m = EmpiricalDelayModel(
-        {2000: np.array([1.0, 2.0]), 2002: np.array([5.0, 6.0])}
-    )
-    with pytest.warns(UserWarning, match="no delay cohort"):
-        val = m.mean(year_start(2001) + 7)
-    assert val in (1.5, 5.5)
-
-
-def test_fit_empirical_merges_thin_cohorts():
-    rng = np.random.default_rng(12)
-    acc0 = rng.integers(0, 360, 100)
-    acc1 = year_start(2001) + rng.integers(0, 100, 15)
-    acc = np.concatenate([acc0, acc1])
-    rep = acc + rng.integers(0, 30, acc.size)
-    claims = [
-        ClaimRecord(f"c{i}", "material_damage", int(a), int(r))
-        for i, (a, r) in enumerate(zip(acc, rep))
-    ]
-    with pytest.warns(UserWarning, match="merged into previous year"):
-        m = fit_delay(records_portfolio(claims, int(rep.max())), "empirical_cohort")
-    assert sorted(m.cohorts) == [2000, 2001]
-    assert m.cohorts[2000].size == 115
-    assert_array_equal(m.cohorts[2000], m.cohorts[2001])
-
-
-def test_fit_empirical_merges_short_tail_into_the_whole_group():
-    rng = np.random.default_rng(14)
-    acc = np.concatenate(
-        [year_start(y) + rng.integers(0, 360, n) for y, n in ((2016, 20), (2017, 90), (2018, 10))]
-    )
-    rep = acc + rng.integers(0, 30, acc.size)
-    claims = [
-        ClaimRecord(f"c{i}", "material_damage", int(a), int(r))
-        for i, (a, r) in enumerate(zip(acc, rep))
-    ]
-    with pytest.warns(UserWarning, match="merged"):
-        m = fit_delay(records_portfolio(claims, int(rep.max())), "empirical_cohort")
-    # 2016 merges forward into 2017; the short 2018 tail joins that group
-    assert [m.cohorts[y].size for y in (2016, 2017, 2018)] == [120, 120, 120]
-    assert_array_equal(m.cohorts[2016], m.cohorts[2018])
-    assert_array_equal(np.sort(rep - acc), m.cohorts[2017])
-
-
-def test_fit_empirical_merges_thin_leading_cohort():
-    rng = np.random.default_rng(13)
-    acc0 = rng.integers(0, 360, 5)
-    acc1 = year_start(2001) + rng.integers(0, 100, 110)
-    acc = np.concatenate([acc0, acc1])
-    rep = acc + rng.integers(0, 30, acc.size)
-    claims = [
-        ClaimRecord(f"c{i}", "material_damage", int(a), int(r))
-        for i, (a, r) in enumerate(zip(acc, rep))
-    ]
-    with pytest.warns(UserWarning, match="merged"):
-        m = fit_delay(records_portfolio(claims, int(rep.max())), "empirical_cohort")
-    assert m.cohorts[2000].size == 115
-    assert_array_equal(m.cohorts[2000], m.cohorts[2001])
-
-
 def test_vectorized_helpers_dispatch_per_year():
+    # accident days in two years give each claim its own year's values
     wb = WeibullDelayModel(1.5, math.log(30.0), -0.01)
     t = np.array([10, 400])
     w = np.array([5.0, 25.0])
-    assert_allclose(delay_cdf(wb, t, w), wb.cdf(t, w), rtol=1e-14)
-    assert_allclose(delay_quantile(wb, t, [0.3, 0.7]), wb.quantile(t, [0.3, 0.7]), rtol=1e-14)
-    assert_allclose(delay_density(wb, 10, 5.0), wb.density(10, 5.0), rtol=1e-14)
-
-    emp = EmpiricalDelayModel(
-        {2000: np.array([1.0, 2.0, 3.0, 4.0]), 2001: np.array([10.0, 20.0])}
-    )
-    te = np.array([5, year_start(2001) + 3])
-    assert_array_equal(delay_cdf(emp, te, np.array([2.5, 15.0])), [0.5, 0.5])
-    assert_array_equal(delay_quantile(emp, te, np.array([0.5, 0.0])), [3.0, 10.0])
-    with pytest.raises(ValueError, match="no density"):
-        delay_density(emp, te, np.array([1.0, 1.0]))
+    u = np.array([0.3, 0.7])
+    assert_allclose(delay_quantile(wb, t, u), [wb.quantile(10, 0.3), wb.quantile(400, 0.7)],
+                    rtol=1e-14)
+    assert_allclose(delay_score(wb, t, w), [wb.cdf(10, 5.5), wb.cdf(400, 25.5)], rtol=1e-14)
+    assert_allclose(wb.density(t, w), [wb.density(10, 5.0), wb.density(400, 25.0)], rtol=1e-14)
 
 
 def test_simulate_delay_shapes_and_determinism():
@@ -197,18 +127,10 @@ def test_simulate_delay_shapes_and_determinism():
     assert arr.shape == (50,) and np.all(arr >= 0)
     assert arr[0] == a
 
-    emp = EmpiricalDelayModel({2000: np.array([3.0, 7.0])})
-    many = delay_quantile(emp, np.full(200, 10), np.random.default_rng(1).random(200))
-    assert many.dtype == float and set(np.unique(many)) == {3.0, 7.0}
-
 
 def test_delay_dict_round_trips():
     wb = WeibullDelayModel(1.4, 2.0, -0.03, {"shape": 0.1, "c0": 0.2, "c1": 0.01})
     rt = delay_model_from_dict(wb.to_dict())
     assert rt == wb
-    emp = EmpiricalDelayModel({2000: np.array([2.0, 5.0, 9.0])})
-    rt = delay_model_from_dict(emp.to_dict())
-    assert sorted(rt.cohorts) == [2000]
-    assert_array_equal(rt.cohorts[2000], emp.cohorts[2000])
     with pytest.raises(ValueError, match="unknown delay variant"):
         delay_model_from_dict({"variant": "gamma"})

@@ -52,8 +52,7 @@ PERTURB_RECIPES = {
         "intensity_family": {"bodily_injury": "exponential", "material_damage": "power"},
         "severity_family": {"bodily_injury": "lognormal", "material_damage": "gamma"},
     },
-    "empirical_order_ar": {
-        "delay_variant": "empirical_cohort",
+    "weibull_order_ar": {
         "intensity_family": {"bodily_injury": "power", "material_damage": "exponential"},
         "severity_family": {"bodily_injury": "gamma", "material_damage": "lognormal"},
         "severity_structure": "order_ar",
@@ -61,7 +60,7 @@ PERTURB_RECIPES = {
 }
 PERTURB = {
     "weibull": "61c0a5471a7731b39de441e85a422c03fa38ddcb475657ade62538bfc5b88ca7",
-    "empirical_order_ar": "a6c940f749f2211336f21eacda0d4160b7df2afdbb053841c5a69bb37dbc9574",
+    "weibull_order_ar": "ac2d8b18d648f0e29e2de41035f2f34327e5368ff9addd441fad28049ed24c13",
 }
 
 

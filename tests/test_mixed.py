@@ -26,7 +26,7 @@ from granres.copulas.mixed import (
     mixed_density,
     sklar_joint_cdf,
 )
-from granres.delays import delay_density, delay_quantile
+from granres.delays import delay_quantile
 from helpers import records_portfolio
 
 DELAY = WeibullDelayModel(1.5, math.log(30.0), 0.0)
@@ -57,7 +57,7 @@ def test_mixed_density_nonnegative_and_sums_to_delay_margin():
             f = mixed_density(DELAY, PROC, spec, t, w, x, n)
             assert np.all(f >= 0.0)
             total += f
-        assert_allclose(total, delay_density(DELAY, t, w), rtol=1e-9)
+        assert_allclose(total, DELAY.density(t, w), rtol=1e-9)
 
 
 def test_conditional_quantile_reduces_to_poisson_under_independence():

@@ -41,7 +41,7 @@ from granres import (
 from granres import reserving
 from granres.copulas import HacSpec, family
 from granres.copulas.dynamics import TimeVaryingParam
-from granres.delays import EmpiricalDelayModel, delay_quantile
+from granres.delays import delay_quantile
 from granres.reserving import (
     _bucket_means,
     _finish_claims,
@@ -179,8 +179,6 @@ def test_default_lookback():
     # stationary weibull: the high quantile in closed form, plus one day
     q = 30.0 * math.log(1e4) ** (1 / 1.5)
     assert default_lookback(TM.delay, 6209) == int(math.ceil(q)) + 1 == 133
-    emp = EmpiricalDelayModel({2016: np.array([1.0, 2.0, 3.0])})
-    assert default_lookback(emp, 6209) == 4
 
 
 def test_rbns_continues_the_observed_payment_chain():
