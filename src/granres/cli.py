@@ -256,6 +256,8 @@ def cmd_reserve(cfg) -> int:
     window = _window(cfg)
     portfolio = _read_portfolio(cfg)
     if cfg.get("model"):
+        if not isinstance(cfg["model"], str):
+            raise ConfigError("model must be a model.json path for reserve")
         if not os.path.exists(cfg["model"]):
             raise ConfigError(f"model file not found: {cfg['model']}")
         model = _model_from(f"model file {cfg['model']}", GranularModel.load, cfg["model"])

@@ -11,8 +11,8 @@ product forms.
 
 For Clayton, Gumbel and Frank the additive generator phi and its inverse psi
 are exposed together with the derivatives needed by the nested (hierarchical)
-machinery: phi', phi'', psi', psi'', psi'''. Independence needs none: the
-nested draw treats an independence outer copula on its own.
+machinery: phi', phi'', psi', psi'', psi'''. These three are the
+outer families of a nesting; an independent outer copula is no nesting.
 """
 
 from __future__ import annotations
@@ -477,7 +477,7 @@ GAUSSIAN = Gaussian()
 FAMILIES = {
     f.name: f for f in (INDEPENDENCE, CLAYTON, GUMBEL, FRANK, GAUSSIAN)
 }
-ARCHIMEDEAN = ("independence", "clayton", "gumbel", "frank")
+ARCHIMEDEAN = ("clayton", "gumbel", "frank")
 
 
 def family(name: str) -> _Family:

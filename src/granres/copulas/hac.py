@@ -7,9 +7,10 @@ score); an outer Archimedean copula D joins the two inner pairs:
                       = psi( phi(C_A(u1, u2)) + phi(C_B(u3, u4)) )
 
 Validity requires the outer dependence not to exceed either inner dependence
-(compared on the Kendall's tau scale); HacSpec enforces that at construction,
+(compared on the Kendall's tau scale). The inner copulas are the claim types'
+own, so GranularModel, which holds both, enforces that at construction,
 using each inner spec's long-run minimum when its parameter is time-varying.
-An independence outer copula nests any inner pair.
+An independent outer copula is no nesting at all: the model has no HacSpec.
 
 Sampling is exact conditional inversion in the order u1, u2, u3, u4,
 vectorized over rows: each conditional cdf is inverted for all rows at once,
@@ -33,10 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..delays import delay_score
-from .dynamics import CopulaSpec, copula_from_dict
 from .families import ARCHIMEDEAN, FAMILIES, bisect, family
 
-_TOL = 1e-9
 _LO, _HI = 1e-9, 1.0 - 1e-9
 # the widest accident-day gap of a cross-type pair, in fit and simulation alike
 MATCH_GAP_DAYS = 7
@@ -44,66 +43,35 @@ MATCH_GAP_DAYS = 7
 
 @dataclass(frozen=True)
 class HacSpec:
+    """The outer copula D of the nesting; the inner copulas are the types'."""
+
     outer_family: str
-    outer_theta: float | None
-    inner_a: CopulaSpec
-    inner_b: CopulaSpec
+    outer_theta: float
 
     def __post_init__(self):
         if self.outer_family not in ARCHIMEDEAN:
             raise ValueError(
-                f"outer family must be Archimedean, got {self.outer_family!r}"
+                f"outer family must be Archimedean {ARCHIMEDEAN}, got {self.outer_family!r}"
             )
-        if self.outer_family == "independence":
-            # independent pairs are a valid nesting for any inner copulas,
-            # negatively dependent ones included
-            if self.outer_theta is not None:
-                raise ValueError("independence outer copula takes no parameter")
-            return
         if self.outer_theta is None:
             raise ValueError(f"{self.outer_family} outer copula needs a parameter")
-        outer_tau = self.outer_tau()
-        for label, inner in (("first", self.inner_a), ("second", self.inner_b)):
-            if outer_tau > inner.min_tau() + _TOL:
-                raise ValueError(
-                    "nesting violated: outer tau "
-                    f"{outer_tau:.4f} exceeds the {label} inner copula's "
-                    f"minimum tau {inner.min_tau():.4f}"
-                )
 
     def outer_tau(self) -> float:
-        if self.outer_family == "independence":
-            return 0.0
         return float(FAMILIES[self.outer_family].tau(self.outer_theta))
 
     def to_dict(self) -> dict:
-        out = {
-            "outer_family": self.outer_family,
-            "inner_a": self.inner_a.to_dict(),
-            "inner_b": self.inner_b.to_dict(),
-        }
-        if self.outer_theta is not None:
-            out["outer_theta"] = float(self.outer_theta)
-        return out
+        return {"outer_family": self.outer_family, "outer_theta": float(self.outer_theta)}
 
 
 def hac_from_dict(d: dict) -> HacSpec:
-    return HacSpec(
-        outer_family=d["outer_family"],
-        outer_theta=d.get("outer_theta"),
-        inner_a=copula_from_dict(d["inner_a"]),
-        inner_b=copula_from_dict(d["inner_b"]),
-    )
+    return HacSpec(outer_family=d["outer_family"], outer_theta=d.get("outer_theta"))
 
 
-def hac_cdf(spec, u1, u2, u3, u4):
+def hac_cdf(spec, inner_a, inner_b, u1, u2, u3, u4):
     """Four-dimensional cdf, the inner parameters read at development time 0."""
-    fam_a = family(spec.inner_a.family)
-    fam_b = family(spec.inner_b.family)
-    s = fam_a.cdf(u1, u2, spec.inner_a.theta_at(0.0))
-    t = fam_b.cdf(u3, u4, spec.inner_b.theta_at(0.0))
-    outer = family(spec.outer_family)
-    return outer.cdf(s, t, spec.outer_theta)
+    s = family(inner_a.family).cdf(u1, u2, inner_a.theta_at(0.0))
+    t = family(inner_b.family).cdf(u3, u4, inner_b.theta_at(0.0))
+    return family(spec.outer_family).cdf(s, t, spec.outer_theta)
 
 
 def hac_uniforms(rng, size):
@@ -111,10 +79,12 @@ def hac_uniforms(rng, size):
     return rng.uniform(_LO, _HI, size=(size, 4))
 
 
-def hac_sample(spec, uniforms, theta_a_fn=None, theta_b_fn=None):
+def hac_sample(spec, inner_a, inner_b, uniforms, theta_a_fn=None, theta_b_fn=None):
     """Draw (u1, u2, u3, u4) rows from the nested copula, all rows at once.
 
-    Each row solves one row of uniforms, as drawn by hac_uniforms.
+    spec is the outer copula, inner_a and inner_b the CopulaSpecs of the two
+    inner pairs. Each row solves one row of uniforms, as drawn by
+    hac_uniforms.
     theta_a_fn / theta_b_fn, when given, map the array of an inner pair's
     first components to that pair's dependence parameters, one per row;
     without them each inner parameter is read at development time 0, as in
@@ -124,16 +94,11 @@ def hac_sample(spec, uniforms, theta_a_fn=None, theta_b_fn=None):
     bit for bit the rows of solving each block alone, as long as the theta
     maps treat each block as its own.
     """
-    fam_a = family(spec.inner_a.family)
-    fam_b = family(spec.inner_b.family)
+    fam_a = family(inner_a.family)
+    fam_b = family(inner_b.family)
     u1, p2, p3, p4 = uniforms.T
-    th_a = theta_a_fn(u1) if theta_a_fn else spec.inner_a.theta_at(0.0)
+    th_a = theta_a_fn(u1) if theta_a_fn else inner_a.theta_at(0.0)
     u2 = np.clip(fam_a.hinv(u1, p2, th_a), _LO, _HI)
-
-    if spec.outer_family == "independence":
-        th_b = theta_b_fn(p3) if theta_b_fn else spec.inner_b.theta_at(0.0)
-        u4 = np.clip(fam_b.hinv(p3, p4, th_b), _LO, _HI)
-        return np.column_stack([u1, u2, p3, u4])
 
     outer = family(spec.outer_family)
     th0 = spec.outer_theta
@@ -158,7 +123,7 @@ def hac_sample(spec, uniforms, theta_a_fn=None, theta_b_fn=None):
         return (d_ss * s1 * s2 + d1 * dphi_s * s12) / den
 
     u3 = bisect(g3, p3, _LO, _HI)
-    th_b = theta_b_fn(u3) if theta_b_fn else spec.inner_b.theta_at(0.0)
+    th_b = theta_b_fn(u3) if theta_b_fn else inner_b.theta_at(0.0)
 
     def third_mixed(t, t3):
         x = phi_s + outer.gen(t, th0)
@@ -303,17 +268,18 @@ def fit_hac_outer(scores_a, scores_b, inner_a, inner_b, outer_family="gumbel"):
 
     The empirical tau of the cross-type pairs identifies the outer parameter
     because every cross-type bivariate margin of the nested copula equals the
-    outer copula itself. Negative estimates and estimates above an inner
-    copula's minimum tau collapse to the nearest admissible value.
+    outer copula itself. Estimates above an inner copula's minimum tau
+    collapse onto it; a non-positive admissible tau means independent types,
+    returned as None (no nesting).
     """
     if outer_family not in ARCHIMEDEAN:
-        raise ValueError("outer family must be Archimedean")
+        raise ValueError(f"outer family must be Archimedean {ARCHIMEDEAN}, got {outer_family!r}")
     if len(scores_a) < 20:
         raise ValueError("need at least 20 matched pairs")
     tau_hat = kendall_tau_b(scores_a, scores_b)
     cap = min(inner_a.min_tau(), inner_b.min_tau())
     tau_use = min(max(tau_hat, 0.0), cap)
-    independent = outer_family == "independence" or tau_use < 1e-6
+    independent = tau_use < 1e-6
     if tau_hat > cap + 1e-6:
         warnings.warn(
             f"outer tau estimate {tau_hat:.4f} exceeds inner minimum {cap:.4f}; "
@@ -324,9 +290,9 @@ def fit_hac_outer(scores_a, scores_b, inner_a, inner_b, outer_family="gumbel"):
             )
         )
     if independent:
-        return HacSpec("independence", None, inner_a, inner_b)
+        return None
     fam = FAMILIES[outer_family]
     theta = float(fam.theta_from_tau(tau_use))
     lo, hi = fam.theta_bounds
     theta = min(max(theta, lo), hi)
-    return HacSpec(outer_family, theta, inner_a, inner_b)
+    return HacSpec(outer_family, theta)

@@ -121,7 +121,7 @@ def fit_delay(portfolio):
     t_days = portfolio.accident_days.astype(float)
     w_days = (portfolio.reporting_days - portfolio.accident_days).astype(float)
     years = year_of(portfolio.accident_days)
-    t_years = t_days / 365.25
+    t_years = years_since_epoch(t_days)
     single_year = np.unique(years).size == 1
     if single_year:
         warnings.warn(

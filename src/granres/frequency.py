@@ -39,9 +39,6 @@ class Poisson:
     def mean(self):
         return self.mu
 
-    def var(self):
-        return self.mu
-
     def sample(self, rng, size):
         return rng.poisson(self.mu, size=size)
 
@@ -81,9 +78,6 @@ class NegativeBinomial:
 
     def mean(self):
         return self.r * (1.0 - self.p) / self.p
-
-    def var(self):
-        return self.r * (1.0 - self.p) / self.p**2
 
     def sample(self, rng, size):
         return rng.negative_binomial(self.r, self.p, size=size)
@@ -135,13 +129,6 @@ class ZeroModified:
     def mean(self):
         b0 = self._base_p0()
         return (1.0 - self.p0) / (1.0 - b0) * self.base.mean()
-
-    def var(self):
-        b0 = self._base_p0()
-        scale = (1.0 - self.p0) / (1.0 - b0)
-        m2_base = self.base.var() + self.base.mean() ** 2
-        m = self.mean()
-        return scale * m2_base - m**2
 
     def sample(self, rng, size):
         out = np.zeros(int(size), dtype=np.int64)

@@ -116,9 +116,18 @@ class TypeModel:
         )
 
 
+# the slack of the nesting rule's tau comparison
+_NESTING_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class GranularModel:
-    """Per-type component bundles plus the optional cross-type coupling."""
+    """Per-type component bundles plus the optional cross-type coupling.
+
+    hac, when set, is the outer copula of a nesting whose inner copulas are
+    the two types' own copulas, in type_names() order; None means the types
+    are independent.
+    """
 
     types: dict  # claim type -> TypeModel
     hac: HacSpec | None = None
@@ -129,6 +138,19 @@ class GranularModel:
         unknown = sorted(set(self.types) - set(CLAIM_TYPES))
         if unknown:
             raise ValueError(f"unknown claim types {unknown}; known: {list(CLAIM_TYPES)}")
+        if self.hac is None:
+            return
+        if len(self.types) != 2:
+            raise ValueError("a nested copula needs exactly two claim types")
+        outer_tau = self.hac.outer_tau()
+        for label, name in zip(("first", "second"), self.type_names()):
+            inner_tau = self.types[name].copula.min_tau()
+            if outer_tau > inner_tau + _NESTING_TOL:
+                raise ValueError(
+                    "nesting violated: outer tau "
+                    f"{outer_tau:.4f} exceeds the {label} inner copula's "
+                    f"minimum tau {inner_tau:.4f}"
+                )
 
     def type_names(self) -> list:
         return [t for t in CLAIM_TYPES if t in self.types]
@@ -273,8 +295,8 @@ def fit_model(portfolio, recipe=None):
                     outer_family=cfg["hac_outer"],
                 )
                 report["hac"] = {
-                    "outer_family": hac.outer_family,
-                    "outer_theta": hac.outer_theta,
+                    "outer_family": hac.outer_family if hac else "independence",
+                    "outer_theta": hac.outer_theta if hac else None,
                     "matched_pairs": int(sa.size),
                 }
             else:
@@ -344,12 +366,6 @@ def _inner_theta(tm, t_days, horizon_end: int):
     return theta_fn
 
 
-def _coupled(model) -> bool:
-    """Whether the nested copula joins the model's two claim types."""
-    hac = model.hac
-    return hac is not None and hac.outer_family != "independence" and len(model.types) >= 2
-
-
 def _draw_arrivals(model, from_day_by_type, to_day, rng):
     """Stage 1 of the claim law: accident days, and for a coupled model the
     cross-type match and each matched pair's four copula uniforms.
@@ -363,7 +379,7 @@ def _draw_arrivals(model, from_day_by_type, to_day, rng):
         t: simulate_arrivals(model.types[t].occurrence, from_day_by_type[t], to_day, rng)
         for t in names
     }
-    if not _coupled(model):
+    if model.hac is None:
         return arrivals, None, None
     match = match_days(arrivals[names[0]], arrivals[names[1]], MATCH_GAP_DAYS)
     return arrivals, match, hac_uniforms(rng, match[0].size)
@@ -374,12 +390,14 @@ def _solve_pairs(drawn, horizon_end):
 
     drawn lists (model, stage-1 draw) for draws of one coupled model that may
     differ only in their redrawn margins. A single hac_sample solves every
-    pair at once; each draw's inner parameters come from its own model. The
-    solve is elementwise, so each draw's rows are bit for bit those of
-    solving it alone. Returns one (pairs, 4) row array per draw, or one None
-    per draw when the model is not coupled.
+    pair at once, its inner families the types' copulas; each draw's inner
+    parameters come from its own model. The solve is elementwise, so each
+    draw's rows are bit for bit those of solving it alone. Returns one
+    (pairs, 4) row array per draw, or one None per draw when the model is
+    not coupled.
     """
-    if not _coupled(drawn[0][0]):
+    model = drawn[0][0]
+    if model.hac is None:
         return [None] * len(drawn)
     ends = np.cumsum([draw[2].shape[0] for _, draw in drawn]).tolist()
     spans = list(zip([0] + ends[:-1], ends))
@@ -387,10 +405,10 @@ def _solve_pairs(drawn, horizon_end):
     def segmented(k):
         # inner pair k's theta map: each draw's rows through its own model
         maps = []
-        for model, (arrivals, match, _) in drawn:
-            name = model.type_names()[k]
+        for m, (arrivals, match, _) in drawn:
+            name = m.type_names()[k]
             days = arrivals[name][match[k]]
-            maps.append(_inner_theta(model.types[name], days, horizon_end))
+            maps.append(_inner_theta(m.types[name], days, horizon_end))
 
         def theta_fn(u):
             return np.concatenate([f(u[lo:hi]) for f, (lo, hi) in zip(maps, spans)])
@@ -398,7 +416,8 @@ def _solve_pairs(drawn, horizon_end):
         return theta_fn
 
     rows = hac_sample(
-        drawn[0][0].hac,
+        model.hac,
+        *(model.types[name].copula for name in model.type_names()),
         uniforms=np.concatenate([draw[2] for _, draw in drawn]),
         theta_a_fn=segmented(0),
         theta_b_fn=segmented(1),
@@ -480,13 +499,9 @@ def _draw_claims(model, from_day_by_type, to_day, report_after, horizon_end, rng
     return _finish_claims(model, draw, rows, report_after, horizon_end, rng)
 
 
-def _ibnr_start_days(model, a_day, lookback=None):
-    """Each type's first IBNR accident day: a - lookback, or a less the type's
-    default_lookback when lookback is None."""
-    return {
-        t: a_day - (lookback if lookback is not None else default_lookback(tm.delay, a_day))
-        for t, tm in model.types.items()
-    }
+def _ibnr_start_days(model, a_day):
+    """Each type's first IBNR accident day: a less the type's default_lookback."""
+    return {t: a_day - default_lookback(tm.delay, a_day) for t, tm in model.types.items()}
 
 
 def _ibnr_draw(model, window, draw, rows, rng):
@@ -499,17 +514,17 @@ def _ibnr_draw(model, window, draw, rows, rng):
     return _finish_claims(model, draw, rows, window.a_day, window.b_day, rng)
 
 
-def ibnr_simulate(model, window, rng, lookback=None) -> list:
+def ibnr_simulate(model, window, rng) -> list:
     """One scenario of IBNR claims as ClaimRecord objects.
 
-    Occurrences are continued over (a - lookback, a]; each draws a delay and
-    survives only if it reports inside (a, b]. Counts come from the copula
-    conditional given the drawn delay (or the coupled nested draw for
-    cross-type matched pairs), times from the count-conditional placement,
-    amounts from the severity model.
+    Occurrences are continued over (a - lookback, a], lookback each type's
+    default_lookback; each draws a delay and survives only if it reports
+    inside (a, b]. Counts come from the copula conditional given the drawn
+    delay (or the coupled nested draw for cross-type matched pairs), times
+    from the count-conditional placement, amounts from the severity model.
     """
     a = window.a_day
-    starts = _ibnr_start_days(model, a, lookback)
+    starts = _ibnr_start_days(model, a)
     draw = _draw_claims(model, starts, a, a, window.b_day, rng)
     records = []
     for ctype, d in draw.items():

@@ -159,20 +159,18 @@ def _positive(amounts, label):
 _IID_FITTERS = {"lognormal": fit_lognormal, "gamma": fit_gamma}
 
 
+# the smallest amount a chained payment can take
+_AR_FLOOR = 0.01
+
+
 @dataclass(frozen=True)
 class OrderARSeverity:
-    """First payment from ``base``; later payments damped plus additive noise.
-
-    With innovation="base" the additive term is drawn from the first-payment
-    law instead of a centered normal; all-zero coefficients then reproduce
-    the iid model exactly.
-    """
+    """First payment from ``base``; later payments damped plus centered normal
+    noise of scale sigma_eps, floored at _AR_FLOOR."""
 
     base: LogNormalSeverity | GammaSeverity
     alphas: tuple
     sigma_eps: float
-    floor: float = 0.01
-    innovation: str = "normal"
     se: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -180,14 +178,8 @@ class OrderARSeverity:
             raise ValueError("need at least one autoregressive coefficient")
         if self.sigma_eps < 0:
             raise ValueError("sigma_eps must be >= 0")
-        if self.floor <= 0:
-            raise ValueError("floor must be positive")
-        if self.innovation not in ("normal", "base"):
-            raise ValueError("innovation must be 'normal' or 'base'")
 
     def _innov(self, k: int, rng) -> np.ndarray:
-        if self.innovation == "base":
-            return self.base.sample(k, rng)
         if self.sigma_eps > 0:
             return rng.normal(0.0, self.sigma_eps, k)
         return np.zeros(k)
@@ -227,7 +219,7 @@ class OrderARSeverity:
                 order = k_obs[cont] + j - 1  # global order of the predecessor
                 a = alpha_arr[np.minimum(order, alpha_arr.size) - 1]
                 nxt = a * cur[cont] + self._innov(int(cont.sum()), rng)
-                cur[cont] = np.maximum(nxt, self.floor)
+                cur[cont] = np.maximum(nxt, _AR_FLOOR)
             flat[offsets[active] + (j - 1)] = cur[active]
         return flat
 
@@ -237,8 +229,6 @@ class OrderARSeverity:
             "base": self.base.to_dict(),
             "alphas": [float(a) for a in self.alphas],
             "sigma_eps": float(self.sigma_eps),
-            "floor": float(self.floor),
-            "innovation": self.innovation,
             "se": dict(self.se),
         }
 
@@ -335,8 +325,6 @@ def severity_from_dict(d: dict):
             base=severity_from_dict(d["base"]),
             alphas=tuple(d["alphas"]),
             sigma_eps=d["sigma_eps"],
-            floor=d.get("floor", 0.01),
-            innovation=d.get("innovation", "normal"),
             se=d.get("se", {}),
         )
     raise ValueError(f"unknown severity family {fam!r}")

@@ -74,14 +74,7 @@ def default_model(
             else CopulaSpec("independence"),
         ),
     }
-    hac = None
-    if dep:
-        hac = HacSpec(
-            outer_family="gumbel",
-            outer_theta=1.2,
-            inner_a=types["bodily_injury"].copula,
-            inner_b=types["material_damage"].copula,
-        )
+    hac = HacSpec(outer_family="gumbel", outer_theta=1.2) if dep else None
     return GranularModel(types=types, hac=hac)
 
 

@@ -173,13 +173,40 @@ def test_readme_recipe_lists_the_default_recipe_keys():
     assert sorted(keys) == sorted(DEFAULT_RECIPE)
 
 
-def _uses(node, method):
-    """Counts of the names used under node. A method is reached only as an
-    attribute or by a string (getattr), so for methods only those count."""
+def _is_module(name):
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ImportError:  # name's parent is a module, not a package
+        return False
+
+
+def _foreign_modules(tree):
+    """The names a file binds to modules outside granres, such as np, math
+    and special: their attributes are never granres functions or methods."""
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names |= {
+                a.asname or a.name.split(".")[0]
+                for a in n.names
+                if a.name.split(".")[0] != "granres"
+            }
+        elif isinstance(n, ast.ImportFrom) and n.level == 0 and n.module != "granres":
+            names |= {
+                a.asname or a.name for a in n.names if _is_module(f"{n.module}.{a.name}")
+            }
+    return names
+
+
+def _uses(node, method, modules):
+    """Counts of the names used under node, leaving out the attributes of the
+    modules named in modules. A method is reached only as an attribute or by
+    a string (getattr), so for methods only those count."""
     out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Attribute):
-            out[n.attr] += 1
+            if not (isinstance(n.value, ast.Name) and n.value.id in modules):
+                out[n.attr] += 1
         elif method and isinstance(n, ast.Constant) and isinstance(n.value, str):
             out[n.value] += 1
         elif not method and isinstance(n, ast.Name):
@@ -195,6 +222,7 @@ def test_every_function_has_a_production_caller():
     # definition
     files = [p for d in ("src", "bench", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
     trees = [(path, ast.parse(path.read_text())) for path in files]
+    modules = {path: _foreign_modules(tree) for path, tree in trees}
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     defs = []  # (path, definition, is a method)
     for path, tree in trees:
@@ -209,11 +237,14 @@ def test_every_function_has_a_production_caller():
                     for m in node.body
                     if isinstance(m, funcs) and not m.name.startswith("__")
                 ]
-    uses = {m: sum((_uses(tree, m) for _, tree in trees), Counter()) for m in (False, True)}
+    uses = {
+        m: sum((_uses(tree, m, modules[path]) for path, tree in trees), Counter())
+        for m in (False, True)
+    }
     unused = [
         f"{path.relative_to(ROOT)}:{node.name}"
         for path, node, method in defs
         if node.name not in REFERENCE_LAWS
-        and uses[method][node.name] <= _uses(node, method)[node.name]
+        and uses[method][node.name] <= _uses(node, method, modules[path])[node.name]
     ]
     assert unused == []

@@ -260,6 +260,24 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
             "unknown delay variant 'empirical_cohort'") in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
+    # so is a saved independence outer copula: independent types have no hac
+    fitted = json.loads((workdir / "f" / "model.json").read_text())
+    fitted["hac"] = {"outer_family": "independence"}
+    old_model.write_text(json.dumps(fitted))
+    assert main(["reserve", "--config", str(tmp_path / "old.json"), "--input", port,
+                 "--valuation-date", "2019-12-31", "--scenarios", "5", "--out", str(out)]) == 2
+    assert (f"config error: model file {old_model} is not a readable model: "
+            "outer family must be Archimedean") in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+    # reserve reads its model from a file; a model dict is synth's form
+    (tmp_path / "dict.json").write_text(json.dumps({"model": {"types": {}}}))
+    assert main(["reserve", "--config", str(tmp_path / "dict.json"), "--input", port,
+                 "--valuation-date", "2019-12-31", "--scenarios", "5", "--out", str(out)]) == 2
+    assert ("config error: model must be a model.json path for reserve"
+            in capsys.readouterr().err)
+    assert not (out / "summary.json").exists()
+
 
 def test_model_errors_exit_1(workdir, tmp_path, capsys):
     rc = main(["reserve", "--config", str(workdir / "res.json"),

@@ -30,14 +30,13 @@ def test_poisson_pmf_closed_form():
     assert_allclose(d.pmf(0), np.exp(-1.0), rtol=1e-14)
     assert_allclose(d.pmf(1), np.exp(-1.0), rtol=1e-14)
     assert_allclose(d.pmf(2), np.exp(-1.0) / 2.0, rtol=1e-14)
-    assert d.mean() == 1.0 and d.var() == 1.0
+    assert d.mean() == 1.0
 
 
 def test_negbin_pmf_is_geometric_at_unit_size():
     d = NegativeBinomial(1.0, 0.5)
     assert_allclose(d.pmf([0, 1, 2, 3]), [0.5, 0.25, 0.125, 0.0625], rtol=1e-13)
     assert_allclose(d.mean(), 1.0)
-    assert_allclose(d.var(), 2.0)
 
 
 def test_count_validation_errors():
@@ -61,7 +60,6 @@ def test_zero_modified_mass_and_normalization():
     k = np.arange(0, 80)
     assert_allclose(zm.pmf(k).sum(), 1.0, atol=1e-12)
     assert_allclose(zm.mean(), np.sum(k * zm.pmf(k)), atol=1e-10)
-    assert_allclose(zm.var(), np.sum(k**2 * zm.pmf(k)) - zm.mean() ** 2, atol=1e-8)
 
 
 def test_zero_modified_reduces_to_base_at_natural_mass():
@@ -70,7 +68,6 @@ def test_zero_modified_reduces_to_base_at_natural_mass():
     k = np.arange(0, 26)
     assert_allclose(zm.pmf(k), base.pmf(k), atol=1e-14)
     assert_allclose(zm.mean(), base.mean(), atol=1e-12)
-    assert_allclose(zm.var(), base.var(), atol=1e-12)
 
 
 def test_zero_modified_sampling_moments():
@@ -78,7 +75,9 @@ def test_zero_modified_sampling_moments():
     rng = np.random.default_rng(7)
     x = zm.sample(rng, size=200_000)
     assert_allclose(np.mean(x == 0), 0.4, atol=4 * np.sqrt(0.4 * 0.6 / x.size))
-    assert_allclose(np.mean(x), zm.mean(), atol=4 * np.sqrt(zm.var() / x.size))
+    k = np.arange(80)
+    var = np.sum(k**2 * zm.pmf(k)) - zm.mean() ** 2
+    assert_allclose(np.mean(x), zm.mean(), atol=4 * np.sqrt(var / x.size))
 
 
 def test_dist_dict_round_trips():

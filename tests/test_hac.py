@@ -1,6 +1,7 @@
 """Nested two-level cross-type dependence: validity, sampling, estimation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,15 +11,17 @@ from scipy import stats
 from granres import (
     ClaimRecord,
     CopulaSpec,
+    GranularModel,
     HacSpec,
     WeibullDelayModel,
     default_model,
     hac_sample,
     parse_iso,
+    reserving,
     synthesize,
 )
 from granres.copulas.dynamics import TimeVaryingParam
-from granres.copulas.families import GUMBEL
+from granres.copulas.families import CLAYTON, GUMBEL
 from granres.copulas.hac import (
     MATCH_GAP_DAYS,
     fit_hac_outer,
@@ -32,43 +35,54 @@ from helpers import records_portfolio
 
 CLAY2 = CopulaSpec("clayton", theta=2.0)
 GUM2 = CopulaSpec("gumbel", theta=2.0)
+INNER = (CLAY2, GUM2)
+
+
+def _nested_model(hac, *copulas):
+    """The archimedean generator with its two type copulas replaced."""
+    truth = default_model(1000, parse_iso("2016-01-01"), parse_iso("2017-12-31"), "archimedean")
+    names = truth.type_names()[: len(copulas)]
+    types = {t: replace(truth.types[t], copula=c) for t, c in zip(names, copulas)}
+    return GranularModel(types=types, hac=hac)
 
 
 def test_independence_outer_factorizes():
-    spec = HacSpec("independence", None, CLAY2, GUM2)
+    # a Gumbel outer copula at theta 1 (tau 0) is the independence copula
+    spec = HacSpec("gumbel", 1.0)
     u = np.array([0.3, 0.6, 0.2, 0.8])
-    prod = float(
-        hac_cdf(HacSpec("independence", None, CLAY2, GUM2), u[0], u[1], 1.0, 1.0)
-    ) * float(hac_cdf(spec, 1.0, 1.0, u[2], u[3]))
-    assert_allclose(float(hac_cdf(spec, *u)), prod, rtol=1e-12)
+    prod = float(hac_cdf(spec, *INNER, u[0], u[1], 1.0, 1.0)) * float(
+        hac_cdf(spec, *INNER, 1.0, 1.0, u[2], u[3])
+    )
+    assert_allclose(float(hac_cdf(spec, *INNER, *u)), prod, rtol=1e-12)
 
 
 def test_equal_parameters_collapse_to_exchangeable():
     th = 2.0
-    eq = HacSpec("gumbel", th, CopulaSpec("gumbel", theta=th), CopulaSpec("gumbel", theta=th))
+    eq = HacSpec("gumbel", th)
+    inner = CopulaSpec("gumbel", theta=th)
     for p in [(0.2, 0.5, 0.7, 0.9), (0.1, 0.1, 0.1, 0.1), (0.9, 0.4, 0.6, 0.3)]:
         direct = GUMBEL.gen_inv(sum(GUMBEL.gen(x, th) for x in p), th)
-        assert_allclose(float(hac_cdf(eq, *p)), float(direct), atol=1e-12)
+        assert_allclose(float(hac_cdf(eq, inner, inner, *p)), float(direct), atol=1e-12)
 
 
 def test_cdf_is_symmetric_within_pairs():
-    spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
+    spec = HacSpec("gumbel", 1.2)
     assert_allclose(
-        float(hac_cdf(spec, 0.3, 0.7, 0.5, 0.9)),
-        float(hac_cdf(spec, 0.7, 0.3, 0.5, 0.9)),
+        float(hac_cdf(spec, *INNER, 0.3, 0.7, 0.5, 0.9)),
+        float(hac_cdf(spec, *INNER, 0.7, 0.3, 0.5, 0.9)),
         rtol=1e-12,
     )
     assert_allclose(
-        float(hac_cdf(spec, 0.3, 0.7, 0.5, 0.9)),
-        float(hac_cdf(spec, 0.3, 0.7, 0.9, 0.5)),
+        float(hac_cdf(spec, *INNER, 0.3, 0.7, 0.5, 0.9)),
+        float(hac_cdf(spec, *INNER, 0.3, 0.7, 0.9, 0.5)),
         rtol=1e-12,
     )
 
 
 def test_sample_pairwise_kendall_taus():
-    spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
+    spec = HacSpec("gumbel", 1.2)
     rng = np.random.default_rng(33)
-    u = hac_sample(spec, hac_uniforms(rng, 4000))
+    u = hac_sample(spec, *INNER, hac_uniforms(rng, 4000))
     assert u.shape == (4000, 4)
     assert np.all((u > 0) & (u < 1))
     tau = lambda i, j: stats.kendalltau(u[:, i], u[:, j]).statistic
@@ -80,36 +94,69 @@ def test_sample_pairwise_kendall_taus():
 
 
 def test_nesting_validity_enforced():
-    with pytest.raises(ValueError, match="nesting violated"):
-        HacSpec("gumbel", 2.0, CopulaSpec("clayton", theta=1.0), GUM2)
+    with pytest.raises(ValueError, match="nesting violated: .* the first inner"):
+        _nested_model(HacSpec("gumbel", 2.0), CopulaSpec("clayton", theta=1.0), GUM2)
+    with pytest.raises(ValueError, match="nesting violated: .* the second inner"):
+        _nested_model(HacSpec("gumbel", 2.0), GUM2, CopulaSpec("clayton", theta=1.0))
     # time-varying inner is judged by its long-run minimum, tau 1/3 here
     dyn = CopulaSpec(
         "clayton", dynamics=TimeVaryingParam(math.log(2.0), math.log(1.0), 0.5)
     )
     with pytest.raises(ValueError, match="nesting violated"):
-        HacSpec("gumbel", 1.6, dyn, GUM2)  # outer tau 0.375 > 1/3
-    HacSpec("gumbel", 1.4, dyn, GUM2)  # outer tau 0.286 <= 1/3 is fine
-    # an independence outer copula nests any inner pair, negative tau too
+        _nested_model(HacSpec("gumbel", 1.6), dyn, GUM2)  # outer tau 0.375 > 1/3
+    _nested_model(HacSpec("gumbel", 1.4), dyn, GUM2)  # outer tau 0.286 <= 1/3 is fine
+    # a nesting joins exactly two claim types
+    with pytest.raises(ValueError, match="exactly two claim types"):
+        _nested_model(HacSpec("gumbel", 1.2), CLAY2)
+    # independent types (no nesting) take any inner pair, negative tau too
     neg = CopulaSpec("frank", theta=-0.1)
-    spec = HacSpec("independence", None, neg, CopulaSpec("independence"))
-    assert spec.outer_tau() == 0.0 > neg.min_tau()
+    assert _nested_model(None, neg, CopulaSpec("independence")).hac is None
 
 
 def test_hac_spec_validation_and_round_trip():
     with pytest.raises(ValueError, match="must be Archimedean"):
-        HacSpec("gaussian", 0.5, CLAY2, GUM2)
-    with pytest.raises(ValueError, match="takes no parameter"):
-        HacSpec("independence", 1.5, CLAY2, GUM2)
+        HacSpec("gaussian", 0.5)
+    # an independent outer copula is no nesting: the model's hac is None
+    for theta in (None, 1.5):
+        with pytest.raises(ValueError, match="must be Archimedean"):
+            HacSpec("independence", theta)
     with pytest.raises(ValueError, match="needs a parameter"):
-        HacSpec("gumbel", None, CLAY2, GUM2)
-    spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
+        HacSpec("gumbel", None)
+    spec = HacSpec("gumbel", 1.2)
+    assert spec.to_dict() == {"outer_family": "gumbel", "outer_theta": 1.2}
     assert hac_from_dict(spec.to_dict()) == spec
-    indep = HacSpec("independence", None, CLAY2, GUM2)
-    assert hac_from_dict(indep.to_dict()) == indep
+
+
+def test_saved_inner_copies_are_ignored():
+    """A model.json that still carries inner_a/inner_b in its hac block loads
+    to the same model; one with an independence outer does not load."""
+    model = default_model(1000, parse_iso("2016-01-01"), parse_iso("2017-12-31"), "archimedean")
+    d = model.to_dict()
+    copies = {k: d["types"][t]["copula"] for k, t in zip(("inner_a", "inner_b"), d["types"])}
+    assert GranularModel.from_dict(dict(d, hac=dict(d["hac"], **copies))) == model
+    with pytest.raises(ValueError, match="must be Archimedean"):
+        GranularModel.from_dict(dict(d, hac={"outer_family": "independence", **copies}))
+
+
+def test_inner_family_is_the_type_copula():
+    """The paired claims of a nested model draw inner pair A from the first
+    type's own copula: u2 solves the Clayton h-function, whatever a Gumbel
+    copula of the same parameter would give."""
+    model = _nested_model(HacSpec("gumbel", 1.2), CopulaSpec("clayton", theta=1.5), GUM2)
+    start, end = parse_iso("2016-01-01"), parse_iso("2017-12-31")
+    days = dict.fromkeys(model.type_names(), start)
+    draw = reserving._draw_arrivals(model, days, end, np.random.default_rng(3))
+    rows = reserving._solve_pairs([(model, draw)], end)[0]
+    uniforms = draw[2]
+    assert rows.shape[0] > 100
+    clayton = np.clip(CLAYTON.hinv(uniforms[:, 0], uniforms[:, 1], 1.5), 1e-9, 1.0 - 1e-9)
+    gumbel = np.clip(GUMBEL.hinv(uniforms[:, 0], uniforms[:, 1], 1.5), 1e-9, 1.0 - 1e-9)
+    assert rows[:, 1].tobytes() == clayton.tobytes()
+    assert not np.allclose(rows[:, 1], gumbel)
 
 
 def test_sample_with_parameter_callbacks():
-    spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
+    spec = HacSpec("gumbel", 1.2)
     rng = np.random.default_rng(2)
     seen = []
 
@@ -117,46 +164,47 @@ def test_sample_with_parameter_callbacks():
         seen.append(u1.shape)
         return np.full(u1.shape, 2.0)
 
-    u = hac_sample(spec, hac_uniforms(rng, 25), theta_a_fn=theta_a, theta_b_fn=lambda u3: 2.0)
+    u = hac_sample(
+        spec, *INNER, hac_uniforms(rng, 25), theta_a_fn=theta_a, theta_b_fn=lambda u3: 2.0
+    )
     assert u.shape == (25, 4) and np.all((u > 0) & (u < 1))
     assert seen == [(25,)]  # one call with every row's first component
 
 
 def test_sample_consumes_four_uniforms_per_row():
-    spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
+    spec = HacSpec("gumbel", 1.2)
     for m in (0, 1, 7):
         rng = np.random.default_rng(5)
-        hac_sample(spec, hac_uniforms(rng, m))
+        hac_sample(spec, *INNER, hac_uniforms(rng, m))
         ref = np.random.default_rng(5)
         ref.uniform(size=4 * m)
         assert rng.random() == ref.random()
 
 
 def test_sample_solves_each_row_of_given_uniforms():
-    # each row solves its own uniforms: the first passes through, and under
-    # an independence outer copula the third does too
+    # each row solves its own uniforms: the first passes through
     uniforms = hac_uniforms(np.random.default_rng(5), 7)
-    for outer in (("gumbel", 1.2), ("independence", None)):
-        rows = hac_sample(HacSpec(*outer, CLAY2, GUM2), uniforms)
+    for outer in (("gumbel", 1.2), ("frank", 2.0)):
+        rows = hac_sample(HacSpec(*outer), *INNER, uniforms)
         assert rows[:, 0].tobytes() == uniforms[:, 0].tobytes()
-    assert rows[:, 2].tobytes() == uniforms[:, 2].tobytes()
 
 
-@pytest.mark.parametrize("outer", [("gumbel", 1.2), ("independence", None)])
+@pytest.mark.parametrize("outer", [("gumbel", 1.2), ("frank", 2.0)])
 def test_sample_rows_match_one_row_calls(outer):
-    spec = HacSpec(*outer, CLAY2, GUM2)
-    many = hac_sample(spec, hac_uniforms(np.random.default_rng(9), 12))
+    spec = HacSpec(*outer)
+    many = hac_sample(spec, *INNER, hac_uniforms(np.random.default_rng(9), 12))
     rng = np.random.default_rng(9)
-    one_by_one = np.vstack([hac_sample(spec, hac_uniforms(rng, 1)) for _ in range(12)])
+    one_by_one = np.vstack([hac_sample(spec, *INNER, hac_uniforms(rng, 1)) for _ in range(12)])
     assert_allclose(many, one_by_one, rtol=0, atol=1e-12)
 
 
 def test_sample_theta_callback_is_per_row():
     # inner A's parameter follows u1: weak dependence below 0.5, strong
     # dependence above; each row must match a one-row draw at its own value
-    spec = HacSpec("gumbel", 1.2, CLAY2, GUM2)
+    spec = HacSpec("gumbel", 1.2)
     u = hac_sample(
         spec,
+        *INNER,
         hac_uniforms(np.random.default_rng(4), 40),
         theta_a_fn=lambda u1: np.where(u1 < 0.5, 0.5, 8.0),
     )
@@ -165,7 +213,7 @@ def test_sample_theta_callback_is_per_row():
     rng = np.random.default_rng(4)
     for i in range(u.shape[0]):
         th = 0.5 if low[i] else 8.0
-        row = hac_sample(spec, hac_uniforms(rng, 1), theta_a_fn=lambda u1, th=th: th)
+        row = hac_sample(spec, *INNER, hac_uniforms(rng, 1), theta_a_fn=lambda u1, th=th: th)
         assert_allclose(row[0], u[i], rtol=0, atol=1e-12)
 
 
@@ -269,8 +317,8 @@ def test_fit_hac_outer_recovers_tau():
 def test_fit_hac_outer_projections_and_errors():
     rng = np.random.default_rng(10)
     x = rng.random(500)
-    fit0 = fit_hac_outer(x, 1.0 - x, CLAY2, CLAY2, "gumbel")
-    assert fit0.outer_family == "independence"  # negative dependence floors at 0
+    # negative dependence floors at 0: independent types, no nesting
+    assert fit_hac_outer(x, 1.0 - x, CLAY2, CLAY2, "gumbel") is None
 
     rng = np.random.default_rng(11)
     a = rng.random(2000)
@@ -282,10 +330,10 @@ def test_fit_hac_outer_projections_and_errors():
     # a negative-tau inner copula caps the outer at independence
     neg = CopulaSpec("frank", theta=-0.1)
     with pytest.warns(UserWarning, match="outer copula set to independence"):
-        fitn = fit_hac_outer(a, b, neg, CLAY2, "gumbel")
-    assert fitn.outer_family == "independence" and fitn.inner_a == neg
+        assert fit_hac_outer(a, b, neg, CLAY2, "gumbel") is None
 
     with pytest.raises(ValueError, match="at least 20 matched pairs"):
         fit_hac_outer(x[:10], x[:10], CLAY2, CLAY2, "gumbel")
-    with pytest.raises(ValueError, match="must be Archimedean"):
-        fit_hac_outer(a, b, CLAY2, CLAY2, "gaussian")
+    for outer in ("gaussian", "independence"):
+        with pytest.raises(ValueError, match="must be Archimedean"):
+            fit_hac_outer(a, b, CLAY2, CLAY2, outer)

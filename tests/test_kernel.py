@@ -16,7 +16,6 @@ import pytest
 from granres import (
     CopulaSpec,
     GranularModel,
-    HacSpec,
     OrderARSeverity,
     ValuationWindow,
     default_model,
@@ -60,7 +59,7 @@ PERTURB_RECIPES = {
 }
 PERTURB = {
     "weibull": "61c0a5471a7731b39de441e85a422c03fa38ddcb475657ade62538bfc5b88ca7",
-    "weibull_order_ar": "ac2d8b18d648f0e29e2de41035f2f34327e5368ff9addd441fad28049ed24c13",
+    "weibull_order_ar": "46ddd02ef24dbf9b0f51af6e5ed386c5694e2a77c82d9220a0058220c3424138",
 }
 
 
@@ -122,14 +121,7 @@ def _reserve_case(drawn, case):
             t: replace(tm, delay=replace(tm.delay, se=se), copula=_decaying(tm.copula))
             for t, tm in truth.types.items()
         }
-        names = truth.type_names()
-        hac = HacSpec(
-            truth.hac.outer_family,
-            truth.hac.outer_theta,
-            types[names[0]].copula,
-            types[names[1]].copula,
-        )
-        return GranularModel(types=types, hac=hac), portfolio, True
+        return GranularModel(types=types, hac=truth.hac), portfolio, True
     if case != "order_ar_parameter_risk":
         return (*drawn[case], False)
     # chained amounts continue from the observed history; parameters redrawn

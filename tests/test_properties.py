@@ -84,14 +84,15 @@ NESTING = ("clayton", "gumbel", "frank")
 
 @st.composite
 def nested_specs(draw):
-    """A valid nested copula: outer tau at most either inner tau."""
+    """A valid nested copula: the outer spec and its two inner copulas, outer
+    tau at most either inner tau."""
     outer_tau = draw(st.floats(0.05, 0.3))
     inner = [
         CopulaSpec(name, theta=FAMILIES[name].theta_from_tau(draw(st.floats(outer_tau, 0.7))))
         for name in (draw(st.sampled_from(NESTING)), draw(st.sampled_from(NESTING)))
     ]
     outer = draw(st.sampled_from(NESTING))
-    return HacSpec(outer, FAMILIES[outer].theta_from_tau(outer_tau), *inner)
+    return HacSpec(outer, FAMILIES[outer].theta_from_tau(outer_tau)), inner
 
 
 @settings(max_examples=100, deadline=None)
@@ -100,9 +101,10 @@ def nested_specs(draw):
     st.lists(st.tuples(st.integers(0, 6), st.floats(0.0, 1.0)), min_size=1, max_size=4),
     st.integers(0, 2**32 - 1),
 )
-def test_hac_sample_on_stacked_blocks_equals_each_block_alone(spec, blocks, seed):
+def test_hac_sample_on_stacked_blocks_equals_each_block_alone(nested, blocks, seed):
     """Stacking blocks of uniforms into one solve changes no row, bit for bit,
     when each block's inner parameters come from its own per-row map."""
+    spec, inner = nested
     rng = np.random.default_rng(seed)
     uniforms = [hac_uniforms(rng, size) for size, _ in blocks]
 
@@ -110,11 +112,11 @@ def test_hac_sample_on_stacked_blocks_equals_each_block_alone(spec, blocks, seed
         return lambda u: spec_theta * (1.0 + slope * u)
 
     def maps(k):
-        theta = (spec.inner_a, spec.inner_b)[k].theta
+        theta = inner[k].theta
         return [inner_map(theta, slope) for _, slope in blocks]
 
     alone = [
-        hac_sample(spec, uniforms=u, theta_a_fn=fa, theta_b_fn=fb)
+        hac_sample(spec, *inner, uniforms=u, theta_a_fn=fa, theta_b_fn=fb)
         for u, fa, fb in zip(uniforms, maps(0), maps(1))
     ]
     ends = np.cumsum([size for size, _ in blocks])
@@ -125,6 +127,7 @@ def test_hac_sample_on_stacked_blocks_equals_each_block_alone(spec, blocks, seed
 
     stacked = hac_sample(
         spec,
+        *inner,
         uniforms=np.concatenate(uniforms),
         theta_a_fn=stacked_map(maps(0)),
         theta_b_fn=stacked_map(maps(1)),

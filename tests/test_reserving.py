@@ -39,7 +39,7 @@ from granres import (
     synthesize,
 )
 from granres import reserving
-from granres.copulas import HacSpec, family
+from granres.copulas import family
 from granres.copulas.dynamics import TimeVaryingParam
 from granres.delays import delay_quantile
 from granres.reserving import (
@@ -142,6 +142,20 @@ def test_fit_model_selects_each_claim_type_once(monkeypatch):
     # every phase reads the one selection, the cross-type nesting too
     assert calls == [("bodily_injury",), ("material_damage",)]
     assert report["hac"]["outer_family"] == "gumbel"
+
+
+def test_nested_model_round_trips(tmp_path):
+    """A fitted nested model saves its outer copula alone and loads back equal;
+    the inner copulas are the types' own."""
+    start, end = parse_iso("2016-01-01"), parse_iso("2018-12-31")
+    truth = default_model(1500, start, end, dependence="archimedean")
+    port = synthesize(truth, start, end, np.random.default_rng(3))
+    model, _ = fit_model(port)
+    assert model.hac is not None
+    assert set(model.to_dict()["hac"]) == {"outer_family", "outer_theta"}
+    assert GranularModel.from_dict(model.to_dict()) == model
+    model.save(tmp_path / "model.json")
+    assert GranularModel.load(tmp_path / "model.json") == model
 
 
 def test_ibnr_count_conditional_normalizes_under_coupling():
@@ -436,15 +450,7 @@ def test_nested_scenarios_repeat_bitwise_for_any_batching(monkeypatch, preset):
             eta = float(family(copula.family).link(copula.theta))
             copula = CopulaSpec(copula.family, dynamics=TimeVaryingParam(eta + 1.0, eta, 1.0))
         types[t] = replace(tm, delay=replace(tm.delay, se=se), copula=copula)
-    hac = None
-    if truth.hac is not None:
-        hac = HacSpec(
-            truth.hac.outer_family,
-            truth.hac.outer_theta,
-            types["bodily_injury"].copula,
-            types["material_damage"].copula,
-        )
-    model = GranularModel(types=types, hac=hac)
+    model = GranularModel(types=types, hac=truth.hac)
     window = ValuationWindow.one_year(parse_iso("2016-12-31"))
     port = censor(synthesize(truth, start, end, np.random.default_rng(5)), window.a_day)
     dists = [

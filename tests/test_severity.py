@@ -102,8 +102,6 @@ def test_alpha_order_mapping():
     assert_allclose(out, [50.0, 15.0, 4.5, 3.0, 0.9], rtol=1e-12)
     with pytest.raises(ValueError, match="at least one"):
         OrderARSeverity(LogNormalSeverity(1.0, 0.5), (), 0.0)
-    with pytest.raises(ValueError, match="innovation"):
-        OrderARSeverity(LogNormalSeverity(1.0, 0.5), (0.5,), 0.0, innovation="uniform")
 
 
 def test_noiseless_chain_is_geometric():
@@ -111,7 +109,7 @@ def test_noiseless_chain_is_geometric():
     chain = simulate_amounts(m, np.array([4]), np.random.default_rng(3))
     assert_allclose(chain[1:], chain[0] * np.array([0.5, 0.25, 0.125]), rtol=1e-12)
     # zero coefficient with zero noise lands on the floor
-    z = OrderARSeverity(LogNormalSeverity(4.0, 0.3), (0.0,), 0.0, floor=0.01)
+    z = OrderARSeverity(LogNormalSeverity(4.0, 0.3), (0.0,), 0.0)
     chain = simulate_amounts(z, np.array([3]), np.random.default_rng(3))
     assert_array_equal(chain[1:], [0.01, 0.01])
 
@@ -136,20 +134,6 @@ def test_continue_flat_deterministic_history():
     fresh = m.continue_flat(np.array([1]), np.array([0]), np.array([0.0]), rng)
     expect = LogNormalSeverity(2.0, 0.4).sample(1, np.random.default_rng(11))
     assert_allclose(fresh, expect)
-
-
-def test_base_innovation_reduces_to_iid():
-    red = OrderARSeverity(LogNormalSeverity(1.0, 0.5), (0.0,), 0.0, innovation="base")
-    rng = np.random.default_rng(42)
-    counts = rng.integers(1, 5, 2000)
-    flat = simulate_amounts(red, counts, rng)
-    p = stats.kstest(flat, "lognorm", args=(0.5, 0, np.exp(1.0))).pvalue
-    assert p > 0.01
-
-    rng = np.random.default_rng(43)
-    cont = red.continue_flat(np.full(500, 3), np.full(500, 2), np.full(500, 7.0), rng)
-    p = stats.kstest(cont, "lognorm", args=(0.5, 0, np.exp(1.0))).pvalue
-    assert p > 0.01
 
 
 def test_fit_order_ar_recovers_coefficients():
@@ -213,7 +197,7 @@ def test_severity_dict_round_trips():
     for m in (
         LogNormalSeverity(1.2, 0.4),
         GammaSeverity(2.0, 1.5),
-        OrderARSeverity(GammaSeverity(2.0, 1.5), (0.7, 0.2), 1.0, floor=0.05, innovation="base"),
+        OrderARSeverity(GammaSeverity(2.0, 1.5), (0.7, 0.2), 1.0),
     ):
         assert severity_from_dict(m.to_dict()) == m
     with pytest.raises(ValueError, match="unknown severity family"):
