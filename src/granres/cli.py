@@ -20,6 +20,7 @@ from .claims import Portfolio, aggregate_triangle, censor, ingest_csv_report, wr
 from .daycount import iso, parse_iso
 from .reserving import (
     GranularModel,
+    RecipeError,
     ValuationWindow,
     backtest,
     chain_ladder_reserve,
@@ -373,7 +374,7 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args)
         return args.func(cfg)
-    except ConfigError as e:
+    except (ConfigError, RecipeError) as e:  # a recipe is configuration
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_IO
     except OSError as e:

@@ -22,7 +22,12 @@ from .fitutil import observed_info_se, redraw
 
 @dataclass(frozen=True)
 class WeibullDelayModel:
-    """shape > 0; scale(t) = exp(c0 + c1 * years_since_epoch(t)), c1 <= 0."""
+    """shape > 0; scale(t) = exp(c0 + c1 * years_since_epoch(t)), c1 <= 0.
+
+    The parameters may also be arrays that broadcast against t and u, one
+    value per row: the reserve engine evaluates the redrawn models of a
+    batch of scenarios that way.
+    """
 
     shape: float
     c0: float
@@ -33,9 +38,9 @@ class WeibullDelayModel:
                      "c1": (-math.inf, 0.0)}
 
     def __post_init__(self):
-        if not self.shape > 0:
+        if not np.all(self.shape > 0):
             raise ValueError("Weibull shape must be positive")
-        if self.c1 > 0:
+        if np.any(self.c1 > 0):
             raise ValueError("scale trend c1 must be <= 0 (delays cannot lengthen)")
 
     def scale(self, t):

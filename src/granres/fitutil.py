@@ -4,7 +4,6 @@ and the parameter-risk redraw of a fitted component."""
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -64,25 +63,39 @@ def observed_info_se(negloglik, x):
     return np.sqrt(np.diag(cov))
 
 
-def redraw(component, rng, se, cov=()):
+def cov_factor(cov, label):
+    """The factor u * sqrt(s) of numpy's svd draw, (u, s, vh) = svd(cov).
+
+    z @ factor.T + mean, z standard normal, is bit for bit what
+    rng.multivariate_normal(mean, cov, method="svd") returns for the same z.
+    numpy's positive-semidefinite check runs here, once; a cov that fails it
+    raises a ValueError naming label.
+    """
+    cov = np.asarray(cov, dtype=float)
+    u, s, vh = np.linalg.svd(cov)
+    if not np.allclose(np.dot(vh.T * s, vh), cov, rtol=1e-8, atol=1e-8):
+        raise ValueError(f"{label} covariance is not symmetric positive-semidefinite")
+    return u * np.sqrt(s)
+
+
+def redraw(component, rng, se, factor=None):
     """A copy of a fitted component with its parameters drawn around the estimate.
 
     The component's class lists its parameters in REDRAW_BOUNDS, an ordered
-    map from name to (lo, hi). A finite cov gives one joint normal draw in
-    that order; otherwise each parameter draws alone from se[name], with a
-    missing or non-finite standard error counting as 0. Each value is then
-    clipped into its bounds.
+    map from name to (lo, hi). A covariance factor (cov_factor) gives one
+    joint normal draw in that order; otherwise each parameter draws alone
+    from se[name], with a missing or non-finite standard error counting as 0.
+    Either way one standard_normal call draws every parameter's variate.
+    Each value is then clipped into its bounds.
     """
     bounds = type(component).REDRAW_BOUNDS
-    est = [getattr(component, name) for name in bounds]
-    cov = np.asarray(cov, dtype=float)
-    if cov.size and np.all(np.isfinite(cov)):
-        values = rng.multivariate_normal(est, cov, method="svd").tolist()
+    est = np.array([getattr(component, name) for name in bounds], dtype=float)
+    z = rng.standard_normal(est.size)
+    if factor is not None:
+        values = (z @ factor.T + est).tolist()
     else:
-        values = []
-        for name, x in zip(bounds, est):
-            s = float(se.get(name, 0.0))
-            values.append(float(x) + (s if math.isfinite(s) else 0.0) * rng.standard_normal())
+        s = np.array([float(se.get(name, 0.0)) for name in bounds])
+        values = (est + np.where(np.isfinite(s), s, 0.0) * z).tolist()
     return dataclasses.replace(
         component,
         **{name: min(max(x, lo), hi) for x, (name, (lo, hi)) in zip(values, bounds.items())},

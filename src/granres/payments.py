@@ -6,7 +6,9 @@ families decay monotonically, payments thin out as the claim ages:
 * exponential: rate(tau) = lam0 * exp(-beta * tau)
 * power:       rate(tau) = lam0 * (1 + tau)^(-beta), beta > 1
 
-Both have closed-form cumulative intensities with closed-form inverses. The
+Both have closed-form cumulative intensities with closed-form inverses, and
+both take parameter arrays that broadcast against tau, one value per row, as
+the reserve engine's batches of redrawn models use them. The
 simulation engine places a new claim's payment times given its count through
 the inverse (reserving._place_payments), and reads the RBNS means of each
 calendar period off the cumulative at the period's edges
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import optimize, special
 
-from .fitutil import observed_info_cov, redraw
+from .fitutil import cov_factor, observed_info_cov, redraw
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,7 @@ class ExponentialDecay:
     REDRAW_BOUNDS = {"lam0": (1e-6, math.inf), "beta": (1e-6, math.inf)}
 
     def __post_init__(self):
-        if not (self.lam0 > 0 and self.beta > 0):
+        if not (np.all(self.lam0 > 0) and np.all(self.beta > 0)):
             raise ValueError("exponential decay needs lam0 > 0 and beta > 0")
 
     def rate(self, tau):
@@ -63,7 +65,7 @@ class PowerDecay:
     REDRAW_BOUNDS = {"lam0": (1e-6, math.inf), "beta": (1.0 + 1e-6, math.inf)}
 
     def __post_init__(self):
-        if not (self.lam0 > 0 and self.beta > 1):
+        if not (np.all(self.lam0 > 0) and np.all(self.beta > 1)):
             raise ValueError("power decay needs lam0 > 0 and beta > 1 (finite total)")
 
     def rate(self, tau):
@@ -102,6 +104,14 @@ class CountProcess:
     intensity: object
     se: dict = field(default_factory=dict)
     cov: tuple = ()  # (lam0, beta) covariance rows from the observed information
+    # cov's redraw factor (fitutil.cov_factor), built once with the process;
+    # None when cov is empty or not finite, and the redraw uses se
+    factor: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.factor is None and self.cov and np.all(np.isfinite(self.cov)):
+            label = f"{type(self.intensity).__name__} (lam0, beta)"
+            object.__setattr__(self, "factor", cov_factor(self.cov, label))
 
     def count_logpmf(self, tau, n):
         lam = self.intensity.cumulative(tau)
@@ -120,7 +130,7 @@ class CountProcess:
 
     def perturbed(self, rng):
         """The intensity redrawn from the joint covariance, or from se without one."""
-        return replace(self, intensity=redraw(self.intensity, rng, self.se, self.cov))
+        return replace(self, intensity=redraw(self.intensity, rng, self.se, self.factor))
 
     def count_pmf(self, tau, n):
         return np.exp(self.count_logpmf(tau, n))

@@ -4,8 +4,9 @@ One kernel draws the claim law claim by claim, in three stages: arrivals
 from the day-gap model and cross-type matching by accident day, with four
 copula uniforms per matched pair (_draw_arrivals); the nested copula solve
 for the matched pairs (_solve_pairs); the reporting delay, the payment count
-at the claim's horizon, payment placement and amounts (_finish_claims).
-_draw_claims runs the three in turn for one draw. The kernel has two views:
+at the claim's horizon, payment placement and amounts (_finish_claims). The
+last two take a batch of draws; _draw_claims runs the three on a batch of
+one. The kernel has two views:
 
 * synth.synthesize: arrivals on [start, end], every claim that reports by
   end kept, horizon end; the observed history.
@@ -19,24 +20,28 @@ period's count over all claims is one Poisson draw (superposition), its mean
 read at the period edges by the ceiling-day rule of _place_payments.
 
 Scenario i draws from a generator seeded with the i-th child of
-SeedSequence(master). A worker runs its chunk of scenarios in batches of up
-to _BATCH_SCENARIOS, stage by stage: each scenario's parameter redraw, RBNS
-flows and IBNR arrivals; then a single nested copula solve over the matched
-pairs of the whole batch, each scenario's inner parameters set by its own
-model; then each scenario's delays, counts, placement and amounts. Every
-draw comes from its scenario's own generator in the same order as running
-the scenario alone, and the solve is elementwise, so output is bitwise the
-same for any batch size and worker count, and merges by scenario index.
-Without the nested copula the batch skips the joint solve.
+SeedSequence(master). A worker runs its chunk of scenarios scenario-major,
+in batches of up to _BATCH_SCENARIOS (_run_batch). Every draw is a phase:
+each scenario of the batch makes one draw call on its own generator, in the
+order of running the scenario alone (its parameter redraw, RBNS counts and
+amounts, arrivals and pair uniforms, then per type its delay scores, count
+scores, placement uniforms and amounts). Between the phases each
+deterministic transform runs once over the whole batch, its rows tagged by
+scenario: the lookbacks, the RBNS bucket means under parameter risk, the
+nested copula solve, the delay quantile and window filter, both count
+quantiles, the placement sort and the period-bucket sums. A row takes its
+scenario's parameters from the delay and intensity stacked over the batch
+(_stacked), or from the point model's own. Every transform is elementwise
+or keeps each scenario's rows apart, so output is bitwise the same for any
+batch size and worker count, and merges by scenario index.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,14 +58,23 @@ from .copulas import (
     hac_sample,
     matched_delay_scores,
 )
+from .copulas.families import ARCHIMEDEAN
+from .copulas.families import FAMILIES as COPULA_FAMILIES
 from .copulas.hac import MATCH_GAP_DAYS, hac_uniforms, match_days
 # bench/tracing.py patches this name to count the matched pairs kept
 from .copulas.mixed import count_quantile as _count_marginal_quantile
 from .daycount import DAYS_PER_YEAR, to_date, to_day, year_of, year_start
 from .delays import WeibullDelayModel, delay_model_from_dict, delay_quantile, fit_delay
+from .frequency import FAMILIES as OCCURRENCE_FAMILIES
 from .frequency import OccurrenceModel, fit_occurrence, simulate_arrivals
-from .payments import CountProcess, fit_intensity
-from .severity import OrderARSeverity, fit_severity, severity_from_dict, simulate_amounts
+from .payments import INTENSITY_FAMILIES, CountProcess, fit_intensity
+from .severity import (
+    IID_SEVERITIES,
+    OrderARSeverity,
+    fit_severity,
+    severity_from_dict,
+    simulate_amounts,
+)
 
 
 @dataclass(frozen=True)
@@ -194,14 +208,55 @@ class PhaseError(RuntimeError):
     """A stage of the multistage fit failed; the message names the phase."""
 
 
+class RecipeError(ValueError):
+    """A fit recipe key or value that fit_model does not take."""
+
+
+# every value each recipe key takes; the _PER_TYPE_KEYS also take a
+# {claim_type: value} map
+_RECIPE_VALUES = {
+    "occurrence_family": OCCURRENCE_FAMILIES,
+    "intensity_family": tuple(INTENSITY_FAMILIES),
+    "severity_family": tuple(IID_SEVERITIES),
+    "severity_structure": ("iid", "order_ar"),
+    "copula_family": ("auto", *COPULA_FAMILIES),
+    "copula_time_varying": (False, True),
+    "hac_outer": (None, *ARCHIMEDEAN),
+}
+_PER_TYPE_KEYS = ("intensity_family", "severity_family", "severity_structure", "copula_family")
+
+
+def _checked_recipe(recipe, claim_types):
+    """DEFAULT_RECIPE updated by recipe, every value checked before any phase
+    runs: a per-type map must name each of claim_types, and only those of
+    CLAIM_TYPES. A value must equal an allowed one of the same type, so 1 is
+    not True."""
+    cfg = dict(DEFAULT_RECIPE)
+    if recipe:
+        unknown = set(recipe) - set(DEFAULT_RECIPE)
+        if unknown:
+            raise RecipeError(f"unknown recipe keys: {sorted(unknown)}")
+        cfg.update(recipe)
+    for key, allowed in _RECIPE_VALUES.items():
+        values = [cfg[key]]
+        if key in _PER_TYPE_KEYS and isinstance(cfg[key], dict):
+            missing = [t for t in claim_types if t not in cfg[key]]
+            if missing:
+                raise RecipeError(f"recipe {key} has no entry for claim type {missing[0]!r}")
+            unknown = sorted(set(cfg[key]) - set(CLAIM_TYPES))
+            if unknown:
+                raise RecipeError(f"recipe {key} names unknown claim types {unknown}")
+            values = list(cfg[key].values())
+        for v in values:
+            if not any(type(v) is type(a) and v == a for a in allowed):
+                raise RecipeError(f"recipe {key} must be one of {list(allowed)}, got {v!r}")
+    return cfg
+
+
 def _per_type(cfg, key, ctype):
     """Recipe values may be a single setting or a {claim_type: setting} map."""
     val = cfg[key]
-    if isinstance(val, dict):
-        if ctype not in val:
-            raise ValueError(f"recipe {key} has no entry for claim type {ctype!r}")
-        return val[ctype]
-    return val
+    return val[ctype] if isinstance(val, dict) else val
 
 
 def _phase(label, fn, *args, **kwargs):
@@ -217,15 +272,10 @@ def fit_model(portfolio, recipe=None):
     """Multistage fit: margins phase by phase, then copulas, then the nesting.
 
     Returns (GranularModel, report). The report carries per-type likelihood
-    and selection details plus any warnings raised during fitting.
+    and selection details plus any warnings raised during fitting. A recipe
+    key or value it does not take raises RecipeError before phase 1.
     """
-    cfg = dict(DEFAULT_RECIPE)
-    if recipe:
-        unknown = set(recipe) - set(DEFAULT_RECIPE)
-        if unknown:
-            raise ValueError(f"unknown recipe keys: {sorted(unknown)}")
-        cfg.update(recipe)
-
+    cfg = _checked_recipe(recipe, portfolio.claim_types)
     report = {"types": {}, "warnings": []}
     subs = {ctype: portfolio.by_type(ctype) for ctype in portfolio.claim_types}
     with warnings.catch_warnings(record=True) as caught:
@@ -311,26 +361,88 @@ def fit_model(portfolio, recipe=None):
 _LOOKBACK_TAIL = 1e-4
 
 
-def default_lookback(delay_model, a_day: int) -> int:
+def default_lookback(delay_model, a_day: int):
     """Days of pre-valuation occurrence history worth simulating.
 
     Two passes of the 1 - _LOOKBACK_TAIL delay quantile: delays may lengthen
     for older accident dates, so the quantile is re-evaluated at the start of
-    the first guess's window.
+    the first guess's window. A delay model stacked over scenarios
+    (_stacked) gives one lookback per scenario.
     """
     top = 1.0 - _LOOKBACK_TAIL
-    q1 = float(np.max(delay_quantile(delay_model, a_day, top)))
-    q2 = float(np.max(delay_quantile(delay_model, a_day - int(math.ceil(q1)), top)))
-    return int(math.ceil(max(q1, q2))) + 1
+    q1 = delay_quantile(delay_model, a_day, top)
+    q2 = delay_quantile(delay_model, a_day - np.ceil(q1), top)
+    return np.ceil(np.maximum(q1, q2)).astype(np.int64) + 1
 
 
-def _place_payments(counts, n_vec, r_vec, lam_hi, last_day, rng):
+def _stacked(components):
+    """One component standing for a batch's scenarios, components[s] being
+    scenario s's: components[0] itself when every scenario shares it (the
+    point model), otherwise a copy whose REDRAW_BOUNDS parameters are arrays,
+    entry s holding scenario s's value."""
+    first = components[0]
+    if all(c is first for c in components):
+        return first
+    return replace(
+        first,
+        **{
+            name: np.array([getattr(c, name) for c in components])
+            for name in type(first).REDRAW_BOUNDS
+        },
+    )
+
+
+def _take(component, rows):
+    """A stacked component with its parameter arrays indexed by rows; a
+    component of scalar parameters as it is.
+
+    The laws are elementwise in their parameters, so each row's value is bit
+    for bit what its scenario's own component gives.
+    """
+    names = type(component).REDRAW_BOUNDS
+    if np.ndim(getattr(component, next(iter(names)))) == 0:
+        return component
+    return replace(component, **{name: getattr(component, name)[rows] for name in names})
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """Scenarios drawn together, in order: each one's model and generator,
+    and per claim type the delay and payment intensity stacked over them
+    (_stacked). The models differ only in their redrawn margins."""
+
+    models: list
+    rngs: list
+    delay: dict  # claim type -> stacked WeibullDelayModel
+    intensity: dict  # claim type -> stacked payment intensity
+
+
+def _batch(models, rngs):
+    names = models[0].type_names()
+    return _Batch(
+        models,
+        rngs,
+        {t: _stacked([m.types[t].delay for m in models]) for t in names},
+        {t: _stacked([m.types[t].counts.intensity for m in models]) for t in names},
+    )
+
+
+def _uniforms(rngs, sizes):
+    """One phase of draws: sizes[s] uniforms from scenario s's generator, the
+    scenarios in order, concatenated."""
+    return np.concatenate([rng.random(k) for rng, k in zip(rngs, sizes)])
+
+
+def _place_payments(intensity, n_vec, r_vec, lam_hi, last_day, u):
     """Payment days for n_vec[i] payments of claim i, claim-major and sorted.
 
-    Given the count, claim i's payment times are Lambda-inverse transformed
-    order statistics on the cumulative-intensity interval (0, lam_hi[i]];
-    days use the ceiling convention, r + ceil(tau * year), and are clipped
-    into (r_vec[i], last_day].
+    u holds the n_vec.sum() placement uniforms, claim i's block after claim
+    i - 1's. Given the count, claim i's payment times are Lambda-inverse
+    transformed order statistics of its block on the cumulative-intensity
+    interval (0, lam_hi[i]]; days use the ceiling convention,
+    r + ceil(tau * year), and are clipped into (r_vec[i], last_day].
+    intensity is one law, or one stacked over a batch's scenarios and taken
+    per claim (_take).
 
     The order statistics come from one int64 sort of the keys
     claim * total + rank, rank being each uniform's place in sorted order;
@@ -341,29 +453,13 @@ def _place_payments(counts, n_vec, r_vec, lam_hi, last_day, rng):
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     idx = np.repeat(np.arange(n_vec.size), n_vec)
-    u = rng.random(total)
     order = np.argsort(u)
     key = np.sort(idx[order] * total + np.arange(total))
     u = u[order][key % total]
-    taus = counts.intensity.cumulative_inv(u * lam_hi[idx])
+    taus = _take(intensity, idx).cumulative_inv(u * lam_hi[idx])
     r = r_vec[idx]
     days = r + np.ceil(taus * DAYS_PER_YEAR).astype(np.int64)
     return idx, np.clip(days, r + 1, last_day)
-
-
-def _inner_theta(tm, t_days, horizon_end: int):
-    """The inner copula parameters as a function of the pairs' delay scores.
-
-    A claim's dependence parameter is read at its own horizon: horizon_end
-    less the reporting day that its delay score u1 implies.
-    """
-
-    def theta_fn(u1):
-        w = np.floor(np.asarray(delay_quantile(tm.delay, t_days, u1), dtype=float))
-        h = np.maximum((horizon_end - t_days - w) / DAYS_PER_YEAR, 0.0)
-        return tm.copula.theta_at(h)
-
-    return theta_fn
 
 
 def _draw_arrivals(model, from_day_by_type, to_day, rng):
@@ -385,108 +481,150 @@ def _draw_arrivals(model, from_day_by_type, to_day, rng):
     return arrivals, match, hac_uniforms(rng, match[0].size)
 
 
-def _solve_pairs(drawn, horizon_end):
+def _solve_pairs(batch, draws, horizon_end):
     """Stage 2: the nested copula rows of every matched pair of a batch.
 
-    drawn lists (model, stage-1 draw) for draws of one coupled model that may
-    differ only in their redrawn margins. A single hac_sample solves every
-    pair at once, its inner families the types' copulas; each draw's inner
-    parameters come from its own model. The solve is elementwise, so each
-    draw's rows are bit for bit those of solving it alone. Returns one
-    (pairs, 4) row array per draw, or one None per draw when the model is
-    not coupled.
+    draws[s] is scenario s's stage-1 draw. A single hac_sample solves every
+    pair at once, its inner families the types' copulas. An inner pair's
+    parameter is read at its claim's horizon: horizon_end less the reporting
+    day that its delay score u1 implies under the scenario's own delay, taken
+    per pair from the stacked delay. The solve is elementwise, so each
+    scenario's rows are bit for bit those of solving it alone. Returns one
+    (pairs, 4) row array per scenario, or one None per scenario when the
+    model is not coupled.
     """
-    model = drawn[0][0]
+    model = batch.models[0]
     if model.hac is None:
-        return [None] * len(drawn)
-    ends = np.cumsum([draw[2].shape[0] for _, draw in drawn]).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
+        return [None] * len(draws)
+    names = model.type_names()
+    sizes = [uniforms.shape[0] for _, _, uniforms in draws]
+    scen = np.repeat(np.arange(len(draws)), sizes)
 
-    def segmented(k):
-        # inner pair k's theta map: each draw's rows through its own model
-        maps = []
-        for m, (arrivals, match, _) in drawn:
-            name = m.type_names()[k]
-            days = arrivals[name][match[k]]
-            maps.append(_inner_theta(m.types[name], days, horizon_end))
+    def theta_fn(k):
+        days = np.concatenate([arrivals[names[k]][match[k]] for arrivals, match, _ in draws])
+        delay = _take(batch.delay[names[k]], scen)
+        copula = model.types[names[k]].copula
 
-        def theta_fn(u):
-            return np.concatenate([f(u[lo:hi]) for f, (lo, hi) in zip(maps, spans)])
+        def fn(u1):
+            w = np.floor(np.asarray(delay_quantile(delay, days, u1), dtype=float))
+            return copula.theta_at(np.maximum((horizon_end - days - w) / DAYS_PER_YEAR, 0.0))
 
-        return theta_fn
+        return fn
 
     rows = hac_sample(
         model.hac,
-        *(model.types[name].copula for name in model.type_names()),
-        uniforms=np.concatenate([draw[2] for _, draw in drawn]),
-        theta_a_fn=segmented(0),
-        theta_b_fn=segmented(1),
+        *(model.types[name].copula for name in names),
+        uniforms=np.concatenate([uniforms for _, _, uniforms in draws]),
+        theta_a_fn=theta_fn(0),
+        theta_b_fn=theta_fn(1),
     )
-    return [rows[lo:hi] for lo, hi in spans]
+    return np.split(rows, np.cumsum(sizes)[:-1])
 
 
-def _finish_claims(model, draw, rows, report_after, horizon_end, rng):
-    """Stage 3 of the claim law, given stage 1's draw and the pairs' rows.
+def _split_pairs(names, draw, rows):
+    """{claim type: (matched accident days, their (u1, u2) copula rows, free
+    accident days)} of one scenario's stage-1 draw and pair rows."""
+    arrivals, match, _ = draw
+    if match is None:
+        return {t: (arrivals[t][:0], np.empty((0, 2)), arrivals[t]) for t in names}
+    na, nb = names
+    ia, ib, rest_a, rest_b = match
+    return {
+        na: (arrivals[na][ia], rows[:, :2], arrivals[na][rest_a]),
+        nb: (arrivals[nb][ib], rows[:, 2:], arrivals[nb][rest_b]),
+    }
+
+
+def _finish_claims(batch, draws, rows, report_after, horizon_end):
+    """Stage 3 of the claim law for a batch, given each scenario's stage-1
+    draw and pair rows.
 
     A claim is kept if it reports in (report_after, horizon_end]. Its
     payment count over (0, horizon_end - r] comes from the count margin at
     u2 (matched) or the copula conditional given u1 (free); payments are
     placed in (r, horizon_end] and amounts drawn per claim.
 
-    Returns {claim_type: dict of arrays}: accident days t, reporting days r,
-    counts n, plus flat claim-major payment (idx, day, amount) arrays.
-    """
-    names = model.type_names()
-    arrivals, match, _ = draw
-    pairs = {t: (np.empty(0, dtype=np.int64), np.empty((0, 2))) for t in names}
-    free = arrivals
-    if match is not None:
-        na, nb = names
-        ta, tb = arrivals[na], arrivals[nb]
-        ia, ib, rest_a, rest_b = match
-        pairs = {na: (ta[ia], rows[:, :2]), nb: (tb[ib], rows[:, 2:])}
-        free = {na: ta[rest_a], nb: tb[rest_b]}
+    Type by type, each draw is a phase: every scenario draws in turn from
+    its own generator (the free claims' delay scores u1, the conditional
+    count scores v, the placement uniforms, the amounts), so each generator
+    sees the draws of running its scenario alone, in the same order. Between
+    the phases the delay quantile, the window filter, both count quantiles
+    and the placement run once over the batch's claims, scenario-major, each
+    row with its scenario's parameters (_take).
 
+    Returns {claim_type: dict of arrays}: accident days t, reporting days r,
+    counts n and scenarios scen per claim, plus flat claim-major payment
+    (idx, day, amount) arrays, idx numbering the batch's claims of the type.
+    """
+    names = batch.models[0].type_names()
+    split = [_split_pairs(names, draw, r) for draw, r in zip(draws, rows)]
+    size = len(draws)
     out = {}
     for ctype in names:
-        tm = model.types[ctype]
-        t_pair, u_pair = pairs[ctype]
-        t_free = free[ctype]
-        t_all = np.concatenate([t_pair, t_free]).astype(np.int64)
-        u1 = np.concatenate([u_pair[:, 0], rng.random(t_free.size)])
-        w = np.floor(np.asarray(delay_quantile(tm.delay, t_all, u1), dtype=float))
+        t_parts, u1_parts, u2_parts, paired_parts, n_all = [], [], [], [], []
+        for rng, parts in zip(batch.rngs, split):
+            t_pair, u_pair, t_free = parts[ctype]
+            t_parts += [t_pair, t_free]
+            u1_parts += [u_pair[:, 0], rng.random(t_free.size)]
+            u2_parts.append(u_pair[:, 1])
+            paired_parts += [np.ones(t_pair.size, bool), np.zeros(t_free.size, bool)]
+            n_all.append(t_pair.size + t_free.size)
+        t_all = np.concatenate(t_parts).astype(np.int64)
+        u1 = np.concatenate(u1_parts)
+        paired = np.concatenate(paired_parts)
+        scen = np.repeat(np.arange(size), n_all)
+
+        w = np.floor(
+            np.asarray(delay_quantile(_take(batch.delay[ctype], scen), t_all, u1), dtype=float)
+        )
         r = t_all + w.astype(np.int64)
         keep = (r > report_after) & (r <= horizon_end)
-        paired = (np.arange(t_all.size) < t_pair.size)[keep]
-        u2 = u_pair[keep[: t_pair.size], 1]
-        t, r, u1 = t_all[keep], r[keep], u1[keep]
+        u2 = np.concatenate(u2_parts)[keep[paired]]
+        t, r, u1, scen, paired = t_all[keep], r[keep], u1[keep], scen[keep], paired[keep]
         horizon = (horizon_end - r) / DAYS_PER_YEAR
+        intensity = _take(batch.intensity[ctype], scen)
 
         n = np.zeros(t.size, dtype=np.int64)
         if paired.any():
-            n[paired] = _count_marginal_quantile(u2, horizon[paired], tm.counts)
+            n[paired] = _count_marginal_quantile(
+                u2, horizon[paired], CountProcess(_take(intensity, paired))
+            )
         alone = ~paired
+        v = _uniforms(batch.rngs, np.bincount(scen[alone], minlength=size))
         if alone.any():
-            v = rng.random(int(alone.sum()))
             n[alone] = conditional_count_quantile(
-                u1[alone], v, horizon[alone], tm.counts, tm.copula
+                u1[alone],
+                v,
+                horizon[alone],
+                CountProcess(_take(intensity, alone)),
+                batch.models[0].types[ctype].copula,
             )
 
-        lam_hi = np.asarray(tm.counts.intensity.cumulative(horizon), dtype=float)
-        idx, days = _place_payments(tm.counts, n, r, lam_hi, horizon_end, rng)
+        lam_hi = np.asarray(intensity.cumulative(horizon), dtype=float)
+        pays = np.bincount(scen, weights=n, minlength=size).astype(np.int64)
+        idx, days = _place_payments(
+            intensity, n, r, lam_hi, horizon_end, _uniforms(batch.rngs, pays)
+        )
+        per_scenario = np.split(n, np.cumsum(np.bincount(scen, minlength=size))[:-1])
+        amounts = [
+            simulate_amounts(m.types[ctype].severity, n_s, rng)
+            for m, rng, n_s in zip(batch.models, batch.rngs, per_scenario)
+        ]
         out[ctype] = {
             "t": t,
             "r": r,
             "n": n,
+            "scen": scen,
             "pay_idx": idx,
             "pay_day": days,
-            "pay_amount": simulate_amounts(tm.severity, n, rng),
+            "pay_amount": np.concatenate(amounts),
         }
     return out
 
 
 def _draw_claims(model, from_day_by_type, to_day, report_after, horizon_end, rng):
-    """One draw of the claim law, vectorized per type: the three stages in turn.
+    """One draw of the claim law, vectorized per type: the three stages in
+    turn on a batch of one.
 
     Accident days come from each type's arrival process started at
     from_day_by_type[type] and run to to_day. When the model couples the two
@@ -494,24 +632,26 @@ def _draw_claims(model, from_day_by_type, to_day, report_after, horizon_end, rng
     (u1, u2, u3, u4) from the nested copula; other claims draw their delay
     score alone. Stage 3 (_finish_claims) keeps, counts and pays the claims.
     """
-    draw = _draw_arrivals(model, from_day_by_type, to_day, rng)
-    rows = _solve_pairs([(model, draw)], horizon_end)[0]
-    return _finish_claims(model, draw, rows, report_after, horizon_end, rng)
+    batch = _batch([model], [rng])
+    draws = [_draw_arrivals(model, from_day_by_type, to_day, rng)]
+    rows = _solve_pairs(batch, draws, horizon_end)
+    return _finish_claims(batch, draws, rows, report_after, horizon_end)
 
 
-def _ibnr_start_days(model, a_day):
-    """Each type's first IBNR accident day: a less the type's default_lookback."""
-    return {t: a_day - default_lookback(tm.delay, a_day) for t, tm in model.types.items()}
+def _ibnr_start_days(delays, a_day):
+    """Each type's first IBNR accident day, a less its delay's
+    default_lookback: one per scenario for a stacked delay."""
+    return {t: a_day - default_lookback(d, a_day) for t, d in delays.items()}
 
 
-def _ibnr_draw(model, window, draw, rows, rng):
-    """Stage 3 of one IBNR scenario: of the accidents drawn over the lookback
-    (a - lookback, a], keep those reporting inside (a, b], horizon b.
+def _ibnr_draw(batch, window, draws, rows):
+    """Stage 3 of a batch of IBNR scenarios: of the accidents drawn over the
+    lookback (a - lookback, a], keep those reporting inside (a, b], horizon
+    b.
 
-    bench/tracing.py patches this name to time and count each scenario's
-    IBNR claims.
+    bench/tracing.py patches this name to time and count the IBNR claims.
     """
-    return _finish_claims(model, draw, rows, window.a_day, window.b_day, rng)
+    return _finish_claims(batch, draws, rows, window.a_day, window.b_day)
 
 
 def ibnr_simulate(model, window, rng) -> list:
@@ -524,7 +664,7 @@ def ibnr_simulate(model, window, rng) -> list:
     from the count-conditional placement, amounts from the severity model.
     """
     a = window.a_day
-    starts = _ibnr_start_days(model, a)
+    starts = _ibnr_start_days({t: tm.delay for t, tm in model.types.items()}, a)
     draw = _draw_claims(model, starts, a, a, window.b_day, rng)
     records = []
     for ctype, d in draw.items():
@@ -609,10 +749,21 @@ def _bucket_means(intensity, days, edges):
     rule of _place_payments, day r + ceil(tau * year), those are the claim
     times (tau_{d,j}, tau_{d,j+1}], tau_{d,j} = (edges[j] - d - 1) / year.
     For d <= a the buckets cover (tau_a, tau_b], payment days (a, b].
+    Parameters of shape (S, 1, 1) give (S, P, days), one block per scenario.
     """
     taus = (edges[:, None] - days - 1) / DAYS_PER_YEAR
     lam = np.asarray(intensity.cumulative(taus), dtype=float)
-    return np.maximum(np.diff(lam, axis=0), 0.0)
+    return np.maximum(np.diff(lam, axis=-2), 0.0)
+
+
+def _rbns_means(intensities, prep, edges):
+    """{claim type: expected payments per bucket and reporting-day group},
+    the group's claims together: (P, days) for one intensity per type, and
+    (S, P, days) for one stacked over S scenarios."""
+    return {
+        t: _bucket_means(_take(intensities[t], (..., None, None)), p.days, edges) * p.n_claims
+        for t, p in prep.items()
+    }
 
 
 def _split_over_claims(p, means, m, rng):
@@ -643,16 +794,16 @@ def _split_over_claims(p, means, m, rng):
     return owners, counts, key % n_periods
 
 
-def _rbns_scenario(model, prep, window, edges, rng):
+def _rbns_scenario(model, prep, means, n_periods, rng):
     """One scenario of RBNS payments; returns per-type period flows.
 
-    Claims pay independent Poisson counts per bucket (_bucket_means), so a
-    bucket's count over all claims is one Poisson draw at their sum (Norberg
-    1993): one rng.poisson call per type. An iid severity needs only that
-    count. An order-AR severity reads each claim's history: the counts are
-    split over the claims, and earlier buckets take a chain's earlier links.
+    Claims pay independent Poisson counts per bucket, means[type] their
+    (P, days) bucket means (_rbns_means), so a bucket's count over all
+    claims is one Poisson draw at their sum (Norberg 1993): one rng.poisson
+    call per type. An iid severity needs only that count. An order-AR
+    severity reads each claim's history: the counts are split over the
+    claims, and earlier buckets take a chain's earlier links.
     """
-    n_periods = edges.size - 1
     flows = {}
     for ctype in model.type_names():
         tm = model.types[ctype]
@@ -660,13 +811,12 @@ def _rbns_scenario(model, prep, window, edges, rng):
         if p.days.size == 0:
             flows[ctype] = np.zeros(n_periods)
             continue
-        means = _bucket_means(tm.counts.intensity, p.days, edges) * p.n_claims
-        m = rng.poisson(means.sum(axis=1))
+        m = rng.poisson(means[ctype].sum(axis=1))
         if p.k_obs is None:
             bucket = np.repeat(np.arange(n_periods), m)
             amounts = tm.severity.continue_flat(m, 0, 0.0, rng)
         else:
-            owners, counts, bucket = _split_over_claims(p, means, m, rng)
+            owners, counts, bucket = _split_over_claims(p, means[ctype], m, rng)
             amounts = tm.severity.continue_flat(
                 counts, p.k_obs[owners], p.last_amt[owners], rng
             )
@@ -678,69 +828,71 @@ def _rbns_scenario(model, prep, window, edges, rng):
 class _Scenarios:
     """What every scenario of one simulate_reserves call shares.
 
-    prep holds no model parameter. starts (each type's first IBNR accident
-    day) holds the point model's values; with parameter_risk a scenario
-    recomputes them from its redrawn model.
+    prep holds no model parameter. means holds the point model's RBNS bucket
+    means (_rbns_means); with parameter_risk it is None, and each batch
+    reads them from its scenarios' redrawn intensities.
     """
 
     model: GranularModel
     prep: dict
-    starts: dict
+    means: dict | None
     window: ValuationWindow
     edges: np.ndarray
     parameter_risk: bool
 
 
-def _start_scenario(sc, seed_child):
-    """Stage 1 of a scenario, on its own generator: the parameter redraw, the
-    RBNS flows (one Poisson count per type and period bucket) and the IBNR
-    arrivals, match and pair uniforms."""
-    rng = np.random.default_rng(seed_child)
-    model, starts = sc.model, sc.starts
-    if sc.parameter_risk:
-        model = _perturb_model(model, rng)
-        starts = _ibnr_start_days(model, sc.window.a_day)
-    rbns_flows = _rbns_scenario(model, sc.prep, sc.window, sc.edges, rng)
-    draw = _draw_arrivals(model, starts, sc.window.a_day, rng)
-    return model, rng, rbns_flows, draw
-
-
-def _finish_scenario(sc, started, rows):
-    """Stage 3 of a scenario: its IBNR claims, then both flows per type."""
-    model, rng, rbns_flows, draw = started
-    ibnr = _ibnr_draw(model, sc.window, draw, rows, rng)
-    n_periods = sc.edges.size - 1
-    row = {}
-    for ctype in model.type_names():
-        d = ibnr[ctype]
-        buckets = np.searchsorted(sc.edges, d["pay_day"], side="right") - 1
-        ibnr_flow = np.bincount(
-            buckets, weights=d["pay_amount"], minlength=n_periods
-        )
-        row[ctype] = (rbns_flows[ctype], ibnr_flow)
-    return row
-
-
-# Scenarios per batch, and so per joint nested-copula solve: enough to spread
-# numpy's per-call cost over many pairs, few enough that a long run holds a
-# bounded number of half-drawn scenarios. Output does not depend on it.
+# Scenarios per batch, and so per joint nested-copula solve and per pass of
+# each stage-3 transform: enough to spread numpy's per-call cost over many
+# claims, few enough that a long run holds a bounded number of half-drawn
+# scenarios. Output does not depend on it.
 _BATCH_SCENARIOS = 64
 
 
-def _scenario_batch(sc, children):
-    """The rows of the scenarios seeded by children, in order, stage by stage.
+def _run_batch(sc, children):
+    """The rows of the scenarios seeded by children, in order.
 
-    Every scenario of a batch runs stage 1 on its own generator; one
-    hac_sample then solves the nested copula for the matched pairs of all of
-    them (stage 2, skipped without the nested copula); every scenario
-    finishes on its own generator (stage 3).
+    Stage 1 runs scenario by scenario, each on its own generator: the
+    parameter redraw; then, once the batch's IBNR lookbacks (and with
+    parameter risk its RBNS bucket means) are read off the stacked margins,
+    the RBNS flows and the IBNR arrivals, match and pair uniforms. One
+    hac_sample solves the matched pairs of the whole batch (stage 2), and
+    one pass of stage 3 keeps, counts and pays its IBNR claims.
     """
+    rngs = [np.random.default_rng(c) for c in children]
+    size = len(rngs)
+    models = [sc.model] * size
+    if sc.parameter_risk:
+        models = [_perturb_model(sc.model, rng) for rng in rngs]
+    batch = _batch(models, rngs)
+    a = sc.window.a_day
+    means = sc.means if sc.means is not None else _rbns_means(batch.intensity, sc.prep, sc.edges)
+    means = {t: np.broadcast_to(m, (size,) + m.shape[-2:]) for t, m in means.items()}
+    starts = {t: np.broadcast_to(d, size) for t, d in _ibnr_start_days(batch.delay, a).items()}
+    n_periods = sc.edges.size - 1
+    rbns, draws = [], []
+    for s, (model, rng) in enumerate(zip(models, rngs)):
+        rbns.append(
+            _rbns_scenario(model, sc.prep, {t: m[s] for t, m in means.items()}, n_periods, rng)
+        )
+        draws.append(_draw_arrivals(model, {t: int(d[s]) for t, d in starts.items()}, a, rng))
+    ibnr = _ibnr_draw(batch, sc.window, draws, _solve_pairs(batch, draws, sc.window.b_day))
+    flows = {}
+    for ctype, d in ibnr.items():
+        bucket = np.searchsorted(sc.edges, d["pay_day"], side="right") - 1
+        flows[ctype] = np.bincount(
+            d["scen"][d["pay_idx"]] * n_periods + bucket,
+            weights=d["pay_amount"],
+            minlength=size * n_periods,
+        ).reshape(size, n_periods)
+    return [{t: (rbns[s][t], flows[t][s]) for t in ibnr} for s in range(size)]
+
+
+def _scenario_batch(sc, children):
+    """The rows of the scenarios seeded by children, in order, in batches of
+    up to _BATCH_SCENARIOS (_run_batch)."""
     rows = []
     for k in range(0, len(children), _BATCH_SCENARIOS):
-        started = [_start_scenario(sc, c) for c in children[k : k + _BATCH_SCENARIOS]]
-        drawn = [(model, draw) for model, _, _, draw in started]
-        solved = _solve_pairs(drawn, sc.window.b_day)
-        rows += [_finish_scenario(sc, s, r) for s, r in zip(started, solved)]
+        rows += _run_batch(sc, children[k : k + _BATCH_SCENARIOS])
     return rows
 
 
@@ -786,10 +938,12 @@ def simulate_reserves(
         raise ValueError("valuation date is past the data cutoff")
     names = model.type_names()
     edges, years = _period_edges(window)
+    prep = _prepare_rbns(model, portfolio, window)
+    intensities = {t: tm.counts.intensity for t, tm in model.types.items()}
     sc = _Scenarios(
         model=model,
-        prep=_prepare_rbns(model, portfolio, window),
-        starts=_ibnr_start_days(model, window.a_day),
+        prep=prep,
+        means=None if parameter_risk else _rbns_means(intensities, prep, edges),
         window=window,
         edges=edges,
         parameter_risk=parameter_risk,

@@ -156,7 +156,7 @@ def _positive(amounts, label):
     return x
 
 
-_IID_FITTERS = {"lognormal": fit_lognormal, "gamma": fit_gamma}
+IID_SEVERITIES = {"lognormal": fit_lognormal, "gamma": fit_gamma}
 
 
 # the smallest amount a chained payment can take
@@ -258,7 +258,7 @@ def fit_order_ar(amounts, counts, base_family: str = "lognormal") -> OrderARSeve
     flat = np.asarray(amounts, dtype=float)
     # order[k] = j for the payment j places after its claim's first
     order = np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    base = _IID_FITTERS[base_family](flat[order == 0])
+    base = IID_SEVERITIES[base_family](flat[order == 0])
     later = np.flatnonzero(order > 0)
     if not later.size:
         raise ValueError("no multi-payment claims; cannot fit the chain")
@@ -308,7 +308,7 @@ def fit_order_ar(amounts, counts, base_family: str = "lognormal") -> OrderARSeve
 def fit_severity(sub, family: str, structure: str):
     """Fit a severity model to the payments of one claim type's claims."""
     if structure == "iid":
-        return _IID_FITTERS[family](sub.pay_amounts)
+        return IID_SEVERITIES[family](sub.pay_amounts)
     if structure == "order_ar":
         return fit_order_ar(sub.pay_amounts, np.diff(sub.pay_ptr), base_family=family)
     raise ValueError(f"unknown severity structure {structure!r}")

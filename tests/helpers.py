@@ -8,7 +8,6 @@ import sys
 
 import numpy as np
 
-from granres import CountProcess
 from granres.claims import _HEADER, CLAIM_TYPES, IngestReport, Portfolio, _text_stream
 from granres.daycount import DAYS_PER_YEAR, parse_iso
 from granres.reserving import _place_payments
@@ -28,7 +27,7 @@ def payment_taus(intensity, horizons, rng):
     hz = (cut - r) / DAYS_PER_YEAR
     lam = np.asarray(intensity.cumulative(hz), dtype=float)
     n = rng.poisson(lam)
-    idx, days = _place_payments(CountProcess(intensity), n, r, lam, cut, rng)
+    idx, days = _place_payments(intensity, n, r, lam, cut, rng.random(n.sum()))
     taus = (days - r[idx]) / DAYS_PER_YEAR
     return taus, hz
 

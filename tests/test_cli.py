@@ -279,6 +279,23 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def test_recipe_errors_exit_2(workdir, tmp_path, capsys):
+    # fit_model checks the recipe before fitting: a bad key or value is
+    # configuration, for fit and backtest alike
+    for cmd, recipe, message in (
+        ("fit", {"bogus": 1}, "unknown recipe keys: ['bogus']"),
+        ("fit", {"hac_outer": "independence"}, "recipe hac_outer must be one of"),
+        ("backtest", {"intensity_family": "weibull"}, "recipe intensity_family must be"),
+    ):
+        cfg = {"cutoff": "2019-12-31", "recipe": recipe}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main([cmd, "--config", str(tmp_path / "cfg.json"),
+                     "--input", str(workdir / "s" / "portfolio.csv"),
+                     "--valuation-date", "2018-12-31", "--horizon", "2019-12-31",
+                     "--out", str(tmp_path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+
 def test_model_errors_exit_1(workdir, tmp_path, capsys):
     rc = main(["reserve", "--config", str(workdir / "res.json"),
                "--input", str(workdir / "s" / "portfolio.csv"),

@@ -146,7 +146,8 @@ def test_inner_family_is_the_type_copula():
     start, end = parse_iso("2016-01-01"), parse_iso("2017-12-31")
     days = dict.fromkeys(model.type_names(), start)
     draw = reserving._draw_arrivals(model, days, end, np.random.default_rng(3))
-    rows = reserving._solve_pairs([(model, draw)], end)[0]
+    batch = reserving._batch([model], [np.random.default_rng(3)])
+    rows = reserving._solve_pairs(batch, [draw], end)[0]
     uniforms = draw[2]
     assert rows.shape[0] > 100
     clayton = np.clip(CLAYTON.hinv(uniforms[:, 0], uniforms[:, 1], 1.5), 1e-9, 1.0 - 1e-9)

@@ -86,7 +86,7 @@ def test_placed_payments_respect_window():
     n = rng.poisson(50.0 * lam_hi)
     n[-2] = 3  # one day left: every payment lands on b
     assert np.all(n[:-1] > 0) and n[-1] == 0  # reported on b: no time left
-    idx, days = _place_payments(proc, n, r, lam_hi, b, rng)
+    idx, days = _place_payments(proc.intensity, n, r, lam_hi, b, rng.random(n.sum()))
     assert np.array_equal(idx, np.repeat(np.arange(r.size), n))
     assert np.all((days > r[idx]) & (days <= b))
     taus = (days - r[idx]) / DAYS_PER_YEAR
@@ -94,11 +94,37 @@ def test_placed_payments_respect_window():
     for i in range(r.size):
         assert np.all(np.diff(days[idx == i]) >= 0)  # claim-major, sorted
     assert np.all(days[idx == r.size - 2] == b)
-    none = _place_payments(proc, np.zeros(5, dtype=int), r, lam_hi, b, rng)
+    none = _place_payments(proc.intensity, np.zeros(5, dtype=int), r, lam_hi, b, np.empty(0))
     assert none[0].size == 0 and none[1].size == 0
     # times at the interval's lower edge still land after the reporting day
-    _, edge = _place_payments(proc, np.ones(4, dtype=int), r[:-1], np.zeros(4), b, rng)
+    _, edge = _place_payments(
+        proc.intensity, np.ones(4, dtype=int), r[:-1], np.zeros(4), b, rng.random(4)
+    )
     assert np.all(edge == r[:-1] + 1)
+
+
+def test_stored_factor_draw_is_numpys_svd_draw():
+    """CountProcess factors its covariance once and redraws from the factor:
+    bit for bit rng.multivariate_normal(estimate, cov, method="svd")."""
+    rs = np.random.default_rng(0)
+    for law in (ExponentialDecay(2.5, 1.1), PowerDecay(3.0, 2.5)):
+        for _ in range(10):
+            a = rs.normal(size=(2, 2)) * rs.uniform(1e-3, 0.1, size=2)
+            cov = a @ a.T
+            proc = CountProcess(law, cov=tuple(map(tuple, cov.tolist())))
+            for seed in range(40):
+                got = proc.perturbed(np.random.default_rng(seed)).intensity
+                want = np.random.default_rng(seed).multivariate_normal(
+                    [law.lam0, law.beta], cov, method="svd"
+                )
+                assert [got.lam0, got.beta] == want.tolist()
+
+
+def test_covariance_that_is_not_psd_is_refused():
+    d = CountProcess(ExponentialDecay(2.5, 1.1)).to_dict()
+    d["cov"] = [[1.0, 2.0], [2.0, 1.0]]
+    with pytest.raises(ValueError, match=r"ExponentialDecay \(lam0, beta\) covariance is not"):
+        CountProcess.from_dict(d)
 
 
 def test_exponential_fit_recovers_truth():

@@ -6,7 +6,6 @@ ingest against the row-by-row one."""
 
 import csv
 import io
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -254,24 +253,17 @@ def test_copula_cdf_gives_every_rectangle_nonnegative_mass(fam_theta, a, b, c, d
     assert float(mass) >= -1e-12
 
 
-class _GivenDraws:
-    """A generator stand-in whose random(size) returns fixed values, so that
-    the placement's uniforms can repeat."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def random(self, size):
-        assert size == self.values.size
-        return self.values.copy()
-
-
 class _RecordedIntensity:
     """An intensity that keeps the cumulative values it is asked to invert."""
+
+    REDRAW_BOUNDS = ExponentialDecay.REDRAW_BOUNDS
 
     def __init__(self, inner):
         self.inner = inner
         self.seen = None
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
     def cumulative_inv(self, x):
         self.seen = np.array(x)
@@ -307,14 +299,14 @@ def test_place_payments_sorts_each_claims_uniforms(counts, at, big, pool, repeat
     r = rng.integers(a + 1, b + 1, n.size)
     inner = ExponentialDecay(2.0, 1.0)
     lam_hi = inner.cumulative((b - r) / DAYS_PER_YEAR)
-    counts_law = SimpleNamespace(intensity=_RecordedIntensity(inner))
-    idx, days = _place_payments(counts_law, n, r, lam_hi, b, _GivenDraws(u))
+    recorded = _RecordedIntensity(inner)
+    idx, days = _place_payments(recorded, n, r, lam_hi, b, u)
     if total == 0:
         assert idx.size == 0 and days.size == 0
         return
     want_idx, want_x, want_days = _place_reference(inner, n, u, r, lam_hi, b)
     assert_array_equal(idx, want_idx)
-    assert counts_law.intensity.seen.tobytes() == want_x.tobytes()
+    assert recorded.seen.tobytes() == want_x.tobytes()
     assert_array_equal(days, want_days)
 
 

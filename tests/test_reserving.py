@@ -43,12 +43,15 @@ from granres.copulas import family
 from granres.copulas.dynamics import TimeVaryingParam
 from granres.delays import delay_quantile
 from granres.reserving import (
+    RecipeError,
+    _batch,
     _bucket_means,
     _finish_claims,
     _period_edges,
     _perturb_model,
     _place_payments,
     _prepare_rbns,
+    _rbns_means,
     _rbns_scenario,
 )
 from granres.severity import LogNormalSeverity, OrderARSeverity
@@ -116,6 +119,31 @@ def test_fit_model_rejects_unknown_recipe_keys():
         fit_model(_rbns_portfolio(), {"match_gap_days": 7})
 
 
+def test_fit_model_checks_the_recipe_before_fitting(monkeypatch):
+    """A recipe value that no phase takes fails before phase 1, on a coupled
+    portfolio and on one claim type alike, where the nesting phase never
+    runs."""
+    start, end = parse_iso("2016-01-01"), parse_iso("2018-12-31")
+    truth = default_model(1500, start, end, dependence="archimedean")
+    port = synthesize(truth, start, end, np.random.default_rng(3))
+    fitted = []
+    monkeypatch.setattr(reserving, "fit_occurrence", lambda *args: fitted.append(args))
+    for p in (port, port.by_type("bodily_injury")):
+        with pytest.raises(RecipeError, match="recipe hac_outer must be one of"):
+            fit_model(p, {"hac_outer": "independence"})
+    bad = {"bodily_injury": "exponential", "material_damage": "weibull"}
+    for recipe, message in (
+        ({"intensity_family": "weibull"}, "recipe intensity_family must be one of"),
+        ({"intensity_family": bad}, "recipe intensity_family .* got 'weibull'"),
+        ({"intensity_family": {"bodily_injury": "power"}}, "no entry for claim type"),
+        ({"severity_structure": {**bad, "liability": "iid"}}, "unknown claim types"),
+        ({"copula_time_varying": 1}, "recipe copula_time_varying must be one of"),
+    ):
+        with pytest.raises(RecipeError, match=message):
+            fit_model(port, recipe)
+    assert fitted == []
+
+
 def test_fit_error_names_the_failing_stage():
     # every claim reported exactly at the cutoff: zero payment exposure
     claims = [
@@ -180,7 +208,7 @@ def test_ibnr_count_conditional_normalizes_under_coupling():
 
     rng = np.random.default_rng(8)
     draw = ({"material_damage": np.full(20_000, t)}, None, None)
-    claims = _finish_claims(model, draw, None, WIN.a_day, WIN.b_day, rng)
+    claims = _finish_claims(_batch([model], [rng]), [draw], [None], WIN.a_day, WIN.b_day)
     drawn = claims["material_damage"]["n"]
     assert drawn.size > 15_000
     se = drawn.std(ddof=1) / np.sqrt(drawn.size)
@@ -220,12 +248,18 @@ def test_rbns_continues_the_observed_payment_chain():
 YEAR_RBNS = ValuationWindow(6209, parse_iso("2018-12-31"))  # periods 2017, 2018
 
 
+def _intensities(model):
+    return {t: tm.counts.intensity for t, tm in model.types.items()}
+
+
 def _rbns_flows(model, port, window, seeds):
     """Each seed's RBNS flows per type, from _rbns_scenario alone."""
     prep = _prepare_rbns(model, port, window)
     edges, _ = _period_edges(window)
+    means = _rbns_means(_intensities(model), prep, edges)
     return [
-        _rbns_scenario(model, prep, window, edges, np.random.default_rng(s)) for s in seeds
+        _rbns_scenario(model, prep, means, edges.size - 1, np.random.default_rng(s))
+        for s in seeds
     ]
 
 
@@ -287,6 +321,7 @@ def test_rbns_draws_one_poisson_count_per_type(monkeypatch, chained):
     port = records_portfolio(claims, 6209)
     prep = _prepare_rbns(model, port, YEAR_RBNS)
     edges, _ = _period_edges(YEAR_RBNS)
+    means = _rbns_means(_intensities(model), prep, edges)
     paid = []
     continue_flat = type(severity).continue_flat
 
@@ -296,10 +331,10 @@ def test_rbns_draws_one_poisson_count_per_type(monkeypatch, chained):
 
     monkeypatch.setattr(type(severity), "continue_flat", counted)
     for seed in range(5):
-        plain = _rbns_scenario(model, prep, YEAR_RBNS, edges, np.random.default_rng(seed))
+        plain = _rbns_scenario(model, prep, means, edges.size - 1, np.random.default_rng(seed))
         totals, paid[:] = [], []
         tally = _PoissonTally(np.random.default_rng(seed), totals)
-        tallied = _rbns_scenario(model, prep, YEAR_RBNS, edges, tally)
+        tallied = _rbns_scenario(model, prep, means, edges.size - 1, tally)
         for t in model.type_names():
             assert_array_equal(tallied[t], plain[t])  # the stand-in keeps the stream
         assert len(totals) == 2
@@ -378,7 +413,8 @@ def test_rbns_bucket_means_follow_the_placement_days(report, valuation, beta):
     share = _bucket_means(counts.intensity, np.array([d]), edges)[:, 0] / lam_hi
     n = 400_000
     rng = np.random.default_rng(31)
-    _, days = _place_payments(counts, np.array([n]), np.array([d]), lam_hi, b, rng)
+    u = rng.random(n)
+    _, days = _place_payments(counts.intensity, np.array([n]), np.array([d]), lam_hi, b, u)
     days = days[days > a]
     seen = np.bincount(np.searchsorted(edges, days, side="right") - 1, minlength=share.size)
     assert share.size >= 2 and np.all(share > 0.0) and days.size > 50_000
@@ -433,15 +469,20 @@ def test_reserve_determinism_across_workers():
         simulate_reserves(MODEL, port, ValuationWindow(9000, 9365), 4, seed=1)
 
 
-@pytest.mark.parametrize("preset", ["archimedean", "independence"])
+@pytest.mark.parametrize(
+    "preset", ["archimedean", "independence", "order_ar", "archimedean_point"]
+)
 def test_nested_scenarios_repeat_bitwise_for_any_batching(monkeypatch, preset):
-    """One nested-copula solve spans a batch's scenarios, while each scenario's
-    redrawn delays set its own pairs' time-varying inner parameters: 13
-    scenarios in one batch (1 worker), in uneven chunks (2 and 3 workers) or
-    in batches of 4 draw the same reserves. An uncoupled model runs the same
-    batches without the solve."""
+    """One nested-copula solve and one pass of each stage-3 transform span a
+    batch's scenarios, while each scenario's redrawn delays set its own pairs'
+    time-varying inner parameters: 13 scenarios in one batch (1 worker), in
+    uneven chunks (2 and 3 workers) or in batches of 4 or 1 draw the same
+    reserves. An uncoupled model runs the same batches without the solve, an
+    order-AR severity chains each scenario's amounts on its own generator,
+    and the point model runs them with no redraw."""
     start, end = parse_iso("2016-01-01"), parse_iso("2017-12-31")
-    truth = default_model(1000, start, end, dependence=preset)
+    dependence = "independence" if preset in ("independence", "order_ar") else "archimedean"
+    truth = default_model(1000, start, end, dependence=dependence)
     se = {"shape": 0.15, "c0": 0.3, "c1": 0.015}
     types = {}
     for t, tm in truth.types.items():
@@ -449,21 +490,61 @@ def test_nested_scenarios_repeat_bitwise_for_any_batching(monkeypatch, preset):
         if truth.hac is not None:
             eta = float(family(copula.family).link(copula.theta))
             copula = CopulaSpec(copula.family, dynamics=TimeVaryingParam(eta + 1.0, eta, 1.0))
-        types[t] = replace(tm, delay=replace(tm.delay, se=se), copula=copula)
+        severity = tm.severity
+        if preset == "order_ar":
+            severity = OrderARSeverity(replace(severity, se={"mu": 0.2}), (0.6, 0.4), 30.0)
+        types[t] = replace(tm, delay=replace(tm.delay, se=se), copula=copula, severity=severity)
     model = GranularModel(types=types, hac=truth.hac)
-    window = ValuationWindow.one_year(parse_iso("2016-12-31"))
+    # two calendar periods, so each payment's placement decides its period
+    window = ValuationWindow.one_year(parse_iso("2016-06-30"))
     port = censor(synthesize(truth, start, end, np.random.default_rng(5)), window.a_day)
+    risk = preset != "archimedean_point"
     dists = [
-        simulate_reserves(model, port, window, 13, seed=4, workers=w, parameter_risk=True)
+        simulate_reserves(model, port, window, 13, seed=4, workers=w, parameter_risk=risk)
         for w in (1, 2, 3)
     ]
-    monkeypatch.setattr(reserving, "_BATCH_SCENARIOS", 4)
-    dists.append(simulate_reserves(model, port, window, 13, seed=4, parameter_risk=True))
-    assert np.all(dists[0].ibnr > 0)
+    for batch in (4, 1):
+        monkeypatch.setattr(reserving, "_BATCH_SCENARIOS", batch)
+        dists.append(simulate_reserves(model, port, window, 13, seed=4, parameter_risk=risk))
+    assert np.all(dists[0].ibnr > 0) and np.all(dists[0].by_period > 0)
     for other in dists[1:]:
         assert_array_equal(dists[0].rbns, other.rbns)
         assert_array_equal(dists[0].ibnr, other.ibnr)
         assert_array_equal(dists[0].by_period, other.by_period)
+
+
+def test_engine_entry_points_keep_the_tracer_contract(monkeypatch):
+    """bench/tracing.py wraps engine internals from outside the program:
+    _rbns_scenario runs once per scenario, with five positional arguments,
+    the last the scenario's own generator, and _ibnr_draw returns
+    {claim_type: {"t", "n", ...}}, one accident day and count per claim."""
+    generators, drawn = [], []
+    rbns, ibnr = reserving._rbns_scenario, reserving._ibnr_draw
+
+    def rbns_spy(*args, **kwargs):
+        assert len(args) == 5 and not kwargs
+        generators.append(args[-1])
+        return rbns(*args)
+
+    def ibnr_spy(*args, **kwargs):
+        out = ibnr(*args, **kwargs)
+        drawn.append(out)
+        return out
+
+    monkeypatch.setattr(reserving, "_rbns_scenario", rbns_spy)
+    monkeypatch.setattr(reserving, "_ibnr_draw", ibnr_spy)
+    monkeypatch.setattr(reserving, "_BATCH_SCENARIOS", 4)
+    simulate_reserves(MODEL, _rbns_portfolio(), WIN, 6, seed=3)
+    children = np.random.SeedSequence(3).spawn(6)
+    assert [g.bit_generator.seed_seq.spawn_key for g in generators] == [
+        c.spawn_key for c in children
+    ]
+    assert len(drawn) == 2  # batches of 4 and 2
+    for out in drawn:
+        assert list(out) == MODEL.type_names()
+        for d in out.values():
+            assert {"t", "n"} <= set(d) and d["t"].size == d["n"].size
+    assert sum(d["t"].size for out in drawn for d in out.values()) > 0
 
 
 def test_parameter_risk_widens_the_predictive():
