@@ -188,6 +188,9 @@ class Portfolio:
 
     def by_type(self, *claim_types: str) -> "Portfolio":
         """The sub-portfolio of the claims of the given types."""
+        unknown = [t for t in claim_types if t not in CLAIM_TYPES]
+        if unknown:
+            raise ValueError(f"unknown claim types {unknown}; known: {list(CLAIM_TYPES)}")
         codes = [k for k, name in enumerate(CLAIM_TYPES) if name in claim_types]
         return self._select(np.isin(self.type_codes, codes))
 

@@ -60,17 +60,6 @@ def _load_config(path) -> dict:
     return cfg
 
 
-_FLAG_KEYS = (
-    "input",
-    "seed",
-    "scenarios",
-    "valuation_date",
-    "horizon",
-    "workers",
-    "out",
-)
-
-
 # config keys the commands read as numbers, with the conversion each takes
 _NUMBER_KEYS = {"seed": int, "scenarios": int, "workers": int, "n_claims": int,
                 "granularity": int, "runoff_years": float}
@@ -78,9 +67,8 @@ _NUMBER_KEYS = {"seed": int, "scenarios": int, "workers": int, "n_claims": int,
 
 def _effective_config(args) -> dict:
     cfg = _load_config(args.config)
-    for key in _FLAG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
+    for key, val in vars(args).items():
+        if val is not None and key not in ("command", "config", "func"):
             cfg[key] = val
     cfg.setdefault("seed", 0)
     cfg.setdefault("out", ".")
@@ -132,7 +120,10 @@ def _read_portfolio(cfg) -> Portfolio:
     if keep_types:
         if isinstance(keep_types, str):
             keep_types = [keep_types]
-        portfolio = portfolio.by_type(*keep_types)
+        try:
+            portfolio = portfolio.by_type(*keep_types)
+        except ValueError as e:
+            raise ConfigError(f"claim_types: {e}") from e
         if not len(portfolio):
             raise ConfigError(f"no claims left after claim_types={keep_types}")
     if report.rejected_rows:

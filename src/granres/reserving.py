@@ -27,13 +27,14 @@ order of running the scenario alone (its parameter redraw, RBNS counts and
 amounts, arrivals and pair uniforms, then per type its delay scores, count
 scores, placement uniforms and amounts). Between the phases each
 deterministic transform runs once over the whole batch, its rows tagged by
-scenario: the lookbacks, the RBNS bucket means under parameter risk, the
-nested copula solve, the delay quantile and window filter, both count
-quantiles, the placement sort and the period-bucket sums. A row takes its
-scenario's parameters from the delay and intensity stacked over the batch
-(_stacked), or from the point model's own. Every transform is elementwise
-or keeps each scenario's rows apart, so output is bitwise the same for any
-batch size and worker count, and merges by scenario index.
+scenario: the lookbacks, the RBNS bucket means, the nested copula solve,
+the delay quantile and window filter, both count quantiles, the placement
+sort and the period-bucket sums. A row takes its scenario's parameters from
+the delay and intensity stacked over the batch (_stacked), which for the
+point model are its own. Every transform is elementwise or keeps each
+scenario's rows apart, so output is bitwise the same for any batch size and
+worker count. A batch returns its (scenarios, periods) flow arrays per type,
+and simulate_reserves concatenates them in scenario order.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -463,12 +465,12 @@ def _place_payments(intensity, n_vec, r_vec, lam_hi, last_day, u):
 
 
 def _draw_arrivals(model, from_day_by_type, to_day, rng):
-    """Stage 1 of the claim law: accident days, and for a coupled model the
-    cross-type match and each matched pair's four copula uniforms.
+    """Stage 1 of the claim law: accident days, matched across the two types
+    by day for a coupled model, and each matched pair's four copula uniforms.
 
-    Returns (arrivals, match, uniforms): arrivals per type, and match_days'
-    output and the (pairs, 4) uniforms, both None when the model is not
-    coupled.
+    Returns (days, uniforms): days[type] is (the matched accident days in
+    match order, the free accident days), and uniforms the (pairs, 4) copula
+    uniforms. An uncoupled model has zero matched pairs.
     """
     names = model.type_names()
     arrivals = {
@@ -476,9 +478,14 @@ def _draw_arrivals(model, from_day_by_type, to_day, rng):
         for t in names
     }
     if model.hac is None:
-        return arrivals, None, None
-    match = match_days(arrivals[names[0]], arrivals[names[1]], MATCH_GAP_DAYS)
-    return arrivals, match, hac_uniforms(rng, match[0].size)
+        return {t: (a[:0], a) for t, a in arrivals.items()}, np.empty((0, 4))
+    na, nb = names
+    ia, ib, rest_a, rest_b = match_days(arrivals[na], arrivals[nb], MATCH_GAP_DAYS)
+    days = {
+        na: (arrivals[na][ia], arrivals[na][rest_a]),
+        nb: (arrivals[nb][ib], arrivals[nb][rest_b]),
+    }
+    return days, hac_uniforms(rng, ia.size)
 
 
 def _solve_pairs(batch, draws, horizon_end):
@@ -490,18 +497,18 @@ def _solve_pairs(batch, draws, horizon_end):
     day that its delay score u1 implies under the scenario's own delay, taken
     per pair from the stacked delay. The solve is elementwise, so each
     scenario's rows are bit for bit those of solving it alone. Returns one
-    (pairs, 4) row array per scenario, or one None per scenario when the
-    model is not coupled.
+    (pairs, 4) row array per scenario; an uncoupled model's are its empty
+    uniforms.
     """
     model = batch.models[0]
     if model.hac is None:
-        return [None] * len(draws)
+        return [uniforms for _, uniforms in draws]
     names = model.type_names()
-    sizes = [uniforms.shape[0] for _, _, uniforms in draws]
+    sizes = [uniforms.shape[0] for _, uniforms in draws]
     scen = np.repeat(np.arange(len(draws)), sizes)
 
     def theta_fn(k):
-        days = np.concatenate([arrivals[names[k]][match[k]] for arrivals, match, _ in draws])
+        days = np.concatenate([d[names[k]][0] for d, _ in draws])
         delay = _take(batch.delay[names[k]], scen)
         copula = model.types[names[k]].copula
 
@@ -514,30 +521,16 @@ def _solve_pairs(batch, draws, horizon_end):
     rows = hac_sample(
         model.hac,
         *(model.types[name].copula for name in names),
-        uniforms=np.concatenate([uniforms for _, _, uniforms in draws]),
+        uniforms=np.concatenate([uniforms for _, uniforms in draws]),
         theta_a_fn=theta_fn(0),
         theta_b_fn=theta_fn(1),
     )
     return np.split(rows, np.cumsum(sizes)[:-1])
 
 
-def _split_pairs(names, draw, rows):
-    """{claim type: (matched accident days, their (u1, u2) copula rows, free
-    accident days)} of one scenario's stage-1 draw and pair rows."""
-    arrivals, match, _ = draw
-    if match is None:
-        return {t: (arrivals[t][:0], np.empty((0, 2)), arrivals[t]) for t in names}
-    na, nb = names
-    ia, ib, rest_a, rest_b = match
-    return {
-        na: (arrivals[na][ia], rows[:, :2], arrivals[na][rest_a]),
-        nb: (arrivals[nb][ib], rows[:, 2:], arrivals[nb][rest_b]),
-    }
-
-
 def _finish_claims(batch, draws, rows, report_after, horizon_end):
     """Stage 3 of the claim law for a batch, given each scenario's stage-1
-    draw and pair rows.
+    draw and pair rows, type k's pair columns being rows[:, 2k:2k+2].
 
     A claim is kept if it reports in (report_after, horizon_end]. Its
     payment count over (0, horizon_end - r] comes from the count margin at
@@ -556,14 +549,12 @@ def _finish_claims(batch, draws, rows, report_after, horizon_end):
     counts n and scenarios scen per claim, plus flat claim-major payment
     (idx, day, amount) arrays, idx numbering the batch's claims of the type.
     """
-    names = batch.models[0].type_names()
-    split = [_split_pairs(names, draw, r) for draw, r in zip(draws, rows)]
     size = len(draws)
     out = {}
-    for ctype in names:
+    for k, ctype in enumerate(batch.models[0].type_names()):
         t_parts, u1_parts, u2_parts, paired_parts, n_all = [], [], [], [], []
-        for rng, parts in zip(batch.rngs, split):
-            t_pair, u_pair, t_free = parts[ctype]
+        for rng, (days, _), pair_rows in zip(batch.rngs, draws, rows):
+            (t_pair, t_free), u_pair = days[ctype], pair_rows[:, 2 * k : 2 * k + 2]
             t_parts += [t_pair, t_free]
             u1_parts += [u_pair[:, 0], rng.random(t_free.size)]
             u2_parts.append(u_pair[:, 1])
@@ -824,23 +815,6 @@ def _rbns_scenario(model, prep, means, n_periods, rng):
     return flows
 
 
-@dataclass(frozen=True)
-class _Scenarios:
-    """What every scenario of one simulate_reserves call shares.
-
-    prep holds no model parameter. means holds the point model's RBNS bucket
-    means (_rbns_means); with parameter_risk it is None, and each batch
-    reads them from its scenarios' redrawn intensities.
-    """
-
-    model: GranularModel
-    prep: dict
-    means: dict | None
-    window: ValuationWindow
-    edges: np.ndarray
-    parameter_risk: bool
-
-
 # Scenarios per batch, and so per joint nested-copula solve and per pass of
 # each stage-3 transform: enough to spread numpy's per-call cost over many
 # claims, few enough that a long run holds a bounded number of half-drawn
@@ -848,52 +822,55 @@ class _Scenarios:
 _BATCH_SCENARIOS = 64
 
 
-def _run_batch(sc, children):
-    """The rows of the scenarios seeded by children, in order.
+def _run_batch(model, prep, window, parameter_risk, children):
+    """{claim type: (RBNS flows, IBNR flows)} of the scenarios seeded by
+    children, each an (S, P) array with one row per scenario, in order.
 
     Stage 1 runs scenario by scenario, each on its own generator: the
-    parameter redraw; then, once the batch's IBNR lookbacks (and with
-    parameter risk its RBNS bucket means) are read off the stacked margins,
-    the RBNS flows and the IBNR arrivals, match and pair uniforms. One
-    hac_sample solves the matched pairs of the whole batch (stage 2), and
-    one pass of stage 3 keeps, counts and pays its IBNR claims.
+    parameter redraw; then, once the batch's IBNR lookbacks and RBNS bucket
+    means are read off the stacked margins, the RBNS flows and the IBNR
+    arrivals, match and pair uniforms. One hac_sample solves the matched
+    pairs of the whole batch (stage 2), and one pass of stage 3 keeps,
+    counts and pays its IBNR claims.
     """
     rngs = [np.random.default_rng(c) for c in children]
     size = len(rngs)
-    models = [sc.model] * size
-    if sc.parameter_risk:
-        models = [_perturb_model(sc.model, rng) for rng in rngs]
+    models = [model] * size
+    if parameter_risk:
+        models = [_perturb_model(model, rng) for rng in rngs]
     batch = _batch(models, rngs)
-    a = sc.window.a_day
-    means = sc.means if sc.means is not None else _rbns_means(batch.intensity, sc.prep, sc.edges)
-    means = {t: np.broadcast_to(m, (size,) + m.shape[-2:]) for t, m in means.items()}
+    a = window.a_day
+    edges, _ = _period_edges(window)
+    n_periods = edges.size - 1
+    means = {
+        t: np.broadcast_to(m, (size,) + m.shape[-2:])
+        for t, m in _rbns_means(batch.intensity, prep, edges).items()
+    }
     starts = {t: np.broadcast_to(d, size) for t, d in _ibnr_start_days(batch.delay, a).items()}
-    n_periods = sc.edges.size - 1
     rbns, draws = [], []
-    for s, (model, rng) in enumerate(zip(models, rngs)):
-        rbns.append(
-            _rbns_scenario(model, sc.prep, {t: m[s] for t, m in means.items()}, n_periods, rng)
-        )
-        draws.append(_draw_arrivals(model, {t: int(d[s]) for t, d in starts.items()}, a, rng))
-    ibnr = _ibnr_draw(batch, sc.window, draws, _solve_pairs(batch, draws, sc.window.b_day))
+    for s, (m, rng) in enumerate(zip(models, rngs)):
+        rbns.append(_rbns_scenario(m, prep, {t: x[s] for t, x in means.items()}, n_periods, rng))
+        draws.append(_draw_arrivals(m, {t: int(d[s]) for t, d in starts.items()}, a, rng))
+    ibnr = _ibnr_draw(batch, window, draws, _solve_pairs(batch, draws, window.b_day))
     flows = {}
     for ctype, d in ibnr.items():
-        bucket = np.searchsorted(sc.edges, d["pay_day"], side="right") - 1
-        flows[ctype] = np.bincount(
+        bucket = np.searchsorted(edges, d["pay_day"], side="right") - 1
+        ibnr_flows = np.bincount(
             d["scen"][d["pay_idx"]] * n_periods + bucket,
             weights=d["pay_amount"],
             minlength=size * n_periods,
         ).reshape(size, n_periods)
-    return [{t: (rbns[s][t], flows[t][s]) for t in ibnr} for s in range(size)]
+        flows[ctype] = (np.stack([r[ctype] for r in rbns]), ibnr_flows)
+    return flows
 
 
-def _scenario_batch(sc, children):
-    """The rows of the scenarios seeded by children, in order, in batches of
-    up to _BATCH_SCENARIOS (_run_batch)."""
-    rows = []
-    for k in range(0, len(children), _BATCH_SCENARIOS):
-        rows += _run_batch(sc, children[k : k + _BATCH_SCENARIOS])
-    return rows
+def _scenario_batch(model, prep, window, parameter_risk, children):
+    """_run_batch's flows of the scenarios seeded by children, in order, one
+    entry per batch of up to _BATCH_SCENARIOS."""
+    return [
+        _run_batch(model, prep, window, parameter_risk, children[k : k + _BATCH_SCENARIOS])
+        for k in range(0, len(children), _BATCH_SCENARIOS)
+    ]
 
 
 @dataclass(frozen=True)
@@ -930,28 +907,24 @@ def simulate_reserves(
     SeedSequence(seed), so output is identical for any worker count. With
     parameter_risk, each scenario first redraws fitted parameters from their
     reported standard errors, widening the predictive to include estimation
-    uncertainty.
+    uncertainty. A portfolio claim of a type the model has no law for raises
+    ValueError.
     """
     if n_scenarios < 1:
         raise ValueError("need at least one scenario")
     if window.a_day > portfolio.data_cutoff:
         raise ValueError("valuation date is past the data cutoff")
     names = model.type_names()
-    edges, years = _period_edges(window)
+    unmodelled = [t for t in portfolio.claim_types if t not in names]
+    if unmodelled:
+        raise ValueError(f"the model has no law for the portfolio's claim types {unmodelled}")
+    _, years = _period_edges(window)
     prep = _prepare_rbns(model, portfolio, window)
-    intensities = {t: tm.counts.intensity for t, tm in model.types.items()}
-    sc = _Scenarios(
-        model=model,
-        prep=prep,
-        means=None if parameter_risk else _rbns_means(intensities, prep, edges),
-        window=window,
-        edges=edges,
-        parameter_risk=parameter_risk,
-    )
+    run = partial(_scenario_batch, model, prep, window, parameter_risk)
     children = np.random.SeedSequence(seed).spawn(n_scenarios)
 
     if workers <= 1 or n_scenarios < 4:
-        rows = _scenario_batch(sc, children)
+        batches = run(children)
     else:
         chunks = [
             [children[i] for i in chunk]
@@ -959,29 +932,19 @@ def simulate_reserves(
             if chunk.size
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_scenario_batch, [sc] * len(chunks), chunks)
-            rows = [row for part in parts for row in part]
+            batches = [b for part in pool.map(run, chunks) for b in part]
 
-    n_periods = edges.size - 1
-    rbns = np.zeros(n_scenarios)
-    ibnr = np.zeros(n_scenarios)
-    by_type = {t: np.zeros(n_scenarios) for t in names}
-    by_period = np.zeros((n_scenarios, n_periods))
-    for i, row in enumerate(rows):
-        for ctype in names:
-            rb, ib = row[ctype]
-            rbns[i] += rb.sum()
-            ibnr[i] += ib.sum()
-            by_type[ctype][i] = rb.sum() + ib.sum()
-            by_period[i] += rb + ib
+    rb = {t: np.concatenate([b[t][0] for b in batches]) for t in names}
+    ib = {t: np.concatenate([b[t][1] for b in batches]) for t in names}
+    # each scenario's totals summed from 0 in type order
     return ReserveDistribution(
         window=window,
         claim_types=tuple(names),
         period_years=tuple(years),
-        rbns=rbns,
-        ibnr=ibnr,
-        by_type=by_type,
-        by_period=by_period,
+        rbns=sum(rb[t].sum(axis=1) for t in names),
+        ibnr=sum(ib[t].sum(axis=1) for t in names),
+        by_type={t: rb[t].sum(axis=1) + ib[t].sum(axis=1) for t in names},
+        by_period=sum(rb[t] + ib[t] for t in names),
         master_seed=int(seed),
     )
 

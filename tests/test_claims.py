@@ -103,6 +103,8 @@ def test_portfolio_orders_claims_and_checks_cutoff():
     assert p.claim_types == ("bodily_injury", "material_damage")
     assert len(p.by_type("material_damage")) == 1
     assert p.by_type("material_damage").claims == (c,)
+    with pytest.raises(ValueError, match="unknown claim types \\['materal_damage'\\]"):
+        p.by_type("bodily_injury", "materal_damage")
     with pytest.raises(ValueError, match="beyond data cutoff"):
         records_portfolio((ClaimRecord("z", "bodily_injury", 5, 20),), 10)
 

@@ -278,6 +278,16 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
             in capsys.readouterr().err)
     assert not (out / "summary.json").exists()
 
+    # a misspelt claim type selects nothing: it is refused, not skipped
+    (tmp_path / "types.json").write_text(
+        json.dumps({"claim_types": ["bodily_injury", "materal_damage"]})
+    )
+    assert main(["fit", "--config", str(tmp_path / "types.json"), "--input", port,
+                 "--out", str(tmp_path / "types")]) == 2
+    assert ("config error: claim_types: unknown claim types ['materal_damage']"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "types" / "model.json").exists()
+
 
 def test_recipe_errors_exit_2(workdir, tmp_path, capsys):
     # fit_model checks the recipe before fitting: a bad key or value is
@@ -303,3 +313,18 @@ def test_model_errors_exit_1(workdir, tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 1
     assert "model error: valuation date is past the data cutoff" in capsys.readouterr().err
+
+    # a model with no law for some of the portfolio's claims cannot reserve them
+    fitted = json.loads((workdir / "f" / "model.json").read_text())
+    del fitted["types"]["material_damage"]
+    fitted.pop("hac", None)
+    (tmp_path / "bi_model.json").write_text(json.dumps(fitted))
+    (tmp_path / "bi.json").write_text(json.dumps({"model": str(tmp_path / "bi_model.json")}))
+    rc = main(["reserve", "--config", str(tmp_path / "bi.json"),
+               "--input", str(workdir / "s" / "portfolio.csv"),
+               "--valuation-date", "2019-06-30", "--scenarios", "5",
+               "--out", str(tmp_path / "bi")])
+    assert rc == 1
+    assert ("model error: the model has no law for the portfolio's claim types "
+            "['material_damage']") in capsys.readouterr().err
+    assert not (tmp_path / "bi" / "summary.json").exists()

@@ -148,7 +148,7 @@ def test_inner_family_is_the_type_copula():
     draw = reserving._draw_arrivals(model, days, end, np.random.default_rng(3))
     batch = reserving._batch([model], [np.random.default_rng(3)])
     rows = reserving._solve_pairs(batch, [draw], end)[0]
-    uniforms = draw[2]
+    uniforms = draw[1]
     assert rows.shape[0] > 100
     clayton = np.clip(CLAYTON.hinv(uniforms[:, 0], uniforms[:, 1], 1.5), 1e-9, 1.0 - 1e-9)
     gumbel = np.clip(GUMBEL.hinv(uniforms[:, 0], uniforms[:, 1], 1.5), 1e-9, 1.0 - 1e-9)

@@ -207,8 +207,9 @@ def test_ibnr_count_conditional_normalizes_under_coupling():
     poisson = float(np.mean(tm.counts.intensity.cumulative(horizon)))
 
     rng = np.random.default_rng(8)
-    draw = ({"material_damage": np.full(20_000, t)}, None, None)
-    claims = _finish_claims(_batch([model], [rng]), [draw], [None], WIN.a_day, WIN.b_day)
+    days = np.full(20_000, t)
+    draw = ({"material_damage": (days[:0], days)}, np.empty((0, 4)))
+    claims = _finish_claims(_batch([model], [rng]), [draw], [draw[1]], WIN.a_day, WIN.b_day)
     drawn = claims["material_damage"]["n"]
     assert drawn.size > 15_000
     se = drawn.std(ddof=1) / np.sqrt(drawn.size)
@@ -444,12 +445,34 @@ def test_ibnr_simulate_containment():
 
 
 def test_reserve_conservation():
-    dist = simulate_reserves(MODEL, _rbns_portfolio(), WIN, 16, seed=11)
-    assert_allclose(dist.totals, dist.rbns + dist.ibnr, rtol=1e-12)
-    assert_allclose(sum(dist.by_type.values()), dist.totals, rtol=1e-12)
-    assert_allclose(dist.by_period.sum(axis=1), dist.totals, rtol=1e-12)
-    assert dist.period_years == (2017,)
-    assert np.all(dist.rbns > 0)  # 30 open claims with 1.8 expected payments each
+    """The blocks, types and periods add up to each scenario's total, for
+    one claim type and for two coupled ones valued over two periods."""
+    start, end = parse_iso("2016-01-01"), parse_iso("2017-12-31")
+    nested = default_model(1000, start, end, dependence="archimedean")
+    mid = ValuationWindow.one_year(parse_iso("2016-06-30"))
+    history = censor(synthesize(nested, start, end, np.random.default_rng(5)), mid.a_day)
+    assert nested.hac is not None
+    for model, port, window, years in (
+        (MODEL, _rbns_portfolio(), WIN, (2017,)),  # 30 claims, 1.8 payments each
+        (nested, history, mid, (2016, 2017)),
+    ):
+        dist = simulate_reserves(model, port, window, 16, seed=11)
+        assert dist.claim_types == tuple(model.type_names()) == tuple(dist.by_type)
+        assert_allclose(dist.totals, dist.rbns + dist.ibnr, rtol=1e-12)
+        assert_allclose(sum(dist.by_type.values()), dist.totals, rtol=1e-12)
+        assert_allclose(dist.by_period.sum(axis=1), dist.totals, rtol=1e-12)
+        assert dist.period_years == years
+        assert np.all(dist.rbns > 0)
+
+
+def test_reserve_refuses_claims_of_an_unmodelled_type(port1500):
+    """Claims of a type the model has no law for fail the call, named,
+    rather than leave the reserve without them."""
+    window = ValuationWindow.one_year(parse_iso("2017-12-31"))
+    with pytest.raises(ValueError, match="no law for the portfolio's claim types \\['bodily_in"):
+        simulate_reserves(MODEL, port1500, window, 4, seed=1)
+    dist = simulate_reserves(MODEL, port1500.by_type("material_damage"), window, 4, seed=1)
+    assert np.all(dist.rbns > 0)
 
 
 def test_reserve_determinism_across_workers():
@@ -511,6 +534,8 @@ def test_nested_scenarios_repeat_bitwise_for_any_batching(monkeypatch, preset):
         assert_array_equal(dists[0].rbns, other.rbns)
         assert_array_equal(dists[0].ibnr, other.ibnr)
         assert_array_equal(dists[0].by_period, other.by_period)
+        for t in model.type_names():
+            assert_array_equal(dists[0].by_type[t], other.by_type[t])
 
 
 def test_engine_entry_points_keep_the_tracer_contract(monkeypatch):
