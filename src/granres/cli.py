@@ -117,9 +117,11 @@ def _read_portfolio(cfg) -> Portfolio:
             raise ConfigError(f"cutoff {cut} falls before {latest}, the latest date in {path}")
         portfolio = censor(portfolio, cut_day)
     keep_types = cfg.get("claim_types")
+    if isinstance(keep_types, str):
+        keep_types = [keep_types]
+    if not isinstance(keep_types, (list, type(None))):
+        raise ConfigError(f"claim_types must be a claim type or a list of them, got {keep_types!r}")
     if keep_types:
-        if isinstance(keep_types, str):
-            keep_types = [keep_types]
         try:
             portfolio = portfolio.by_type(*keep_types)
         except ValueError as e:

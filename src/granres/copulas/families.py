@@ -151,12 +151,6 @@ class Independence(_Family):
     def tau(self, theta=None):
         return 0.0
 
-    def link(self, theta):
-        return 0.0
-
-    def link_inv(self, eta):
-        return None
-
 
 class Clayton(_Family):
     """theta > 0 (positive lower-tail dependence)."""

@@ -13,15 +13,14 @@ the w-margin is recovered exactly whatever the copula.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from ..daycount import DAYS_PER_YEAR
 from ..delays import delay_score
-from ..fitutil import observed_info_se
+from ..fitutil import mle, standard_errors, warn_unconverged
 from .dynamics import CopulaSpec, TimeVaryingParam
 from .families import FAMILIES, family
 
@@ -213,22 +212,16 @@ def fit_copula(
                 return np.inf
             return -_pair_loglik(u, q_hi, q_lo, fam, th)
 
-        best = None
-        for s in starts:
-            res = optimize.minimize(
-                nll, np.array([s]), method="L-BFGS-B", bounds=[(lo, hi)]
-            )
-            if best is None or res.fun < best.fun:
-                best = res
-        ll = -float(best.fun)
-        spec = CopulaSpec(name, theta=float(best.x[0]))
-        return CopulaFit(spec, ll, 2.0 - 2.0 * ll, u.size), nll
+        opt = mle(nll, [[s] for s in starts], [(lo, hi)])
+        warn_unconverged(opt, f"{name} copula fit")
+        spec = CopulaSpec(name, theta=float(opt.x[0]))
+        return CopulaFit(spec, opt.loglik, 2.0 - 2.0 * opt.loglik, u.size), nll
 
     names = FAMILIES if family_name == "auto" else (family_name,)
     fits = {nm: static_fit(nm) for nm in names}
     table = {nm: f.aic for nm, (f, _) in fits.items()}
     base, nll = fits[min(table, key=table.get)]
-    se = {} if nll is None else {"theta": float(observed_info_se(nll, [base.spec.theta])[0])}
+    se = {} if nll is None else standard_errors(nll, [base.spec.theta], ("theta",))[1]
     base = replace(base, se=se, aic_table=table)
 
     if not time_varying or base.spec.family == "independence":
@@ -252,31 +245,17 @@ def fit_copula(
 
     span = link_hi - link_lo
     x0 = np.array([eta_hat, min(0.25 * span, 0.5), 1.0])
-    res = optimize.minimize(
-        tv_nll,
-        x0,
-        method="L-BFGS-B",
-        bounds=[(link_lo, link_hi), (0.0, span), (0.0, 20.0)],
-    )
-    ll_tv = -float(res.fun)
-    aic_tv = 6.0 - 2.0 * ll_tv
+    opt = mle(tv_nll, [x0], [(link_lo, link_hi), (0.0, span), (0.0, 20.0)])
+    warn_unconverged(opt, f"time-varying {base.spec.family} copula fit")
+    aic_tv = 6.0 - 2.0 * opt.loglik
     if aic_tv >= base.aic:
         return base
-    eta_inf, delta, kappa = (float(v) for v in res.x)
-    se_vec = observed_info_se(tv_nll, res.x)
-    if np.any(np.isnan(se_vec)):
-        warnings.warn("time-varying copula information matrix not positive definite")
+    eta_inf, delta, kappa = (float(v) for v in opt.x)
+    _, se = standard_errors(tv_nll, opt.x, ("eta_inf", "delta", "kappa"))
     dyn = TimeVaryingParam(
         eta0=min(eta_inf + delta, link_hi), eta_inf=eta_inf, kappa=kappa
     )
     spec = CopulaSpec(base.spec.family, dynamics=dyn)
     table = dict(base.aic_table)
     table[base.spec.family + "_tv"] = aic_tv
-    return CopulaFit(
-        spec,
-        ll_tv,
-        aic_tv,
-        u.size,
-        se={"eta_inf": float(se_vec[0]), "delta": float(se_vec[1]), "kappa": float(se_vec[2])},
-        aic_table=table,
-    )
+    return CopulaFit(spec, opt.loglik, aic_tv, u.size, se=se, aic_table=table)

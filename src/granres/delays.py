@@ -14,10 +14,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .daycount import year_of, years_since_epoch
-from .fitutil import observed_info_se, redraw
+from .fitutil import mle, redraw, standard_errors
 
 
 @dataclass(frozen=True)
@@ -142,13 +141,10 @@ def fit_delay(portfolio):
         bounds.append((-5.0, 0.0))
 
     nll = lambda x: _interval_negloglik(x, t_years, w_days, single_year)
-    res = optimize.minimize(nll, x0=x0, method="L-BFGS-B", bounds=bounds)
-    if not res.success:
-        raise ValueError(f"Weibull delay fit did not converge: {res.message}")
-    k, c0 = float(res.x[0]), float(res.x[1])
-    c1 = 0.0 if single_year else float(res.x[2])
-    se_vals = observed_info_se(nll, res.x)
-    se = {"shape": float(se_vals[0]), "c0": float(se_vals[1])}
-    if not single_year:
-        se["c1"] = float(se_vals[2])
+    opt = mle(nll, [x0], bounds)
+    if not opt.success:
+        raise ValueError(f"Weibull delay fit did not converge: {opt.message}")
+    k, c0 = float(opt.x[0]), float(opt.x[1])
+    c1 = 0.0 if single_year else float(opt.x[2])
+    _, se = standard_errors(nll, opt.x, ("shape", "c0", "c1")[: opt.x.size])
     return WeibullDelayModel(k, c0, c1, se)

@@ -1,5 +1,10 @@
-"""Shared fitting utilities: numeric observed information, standard errors,
-and the parameter-risk redraw of a fitted component."""
+"""The one maximum-likelihood core of the fitters, and the parameter-risk
+redraw of a fitted component.
+
+Every numeric fit minimizes its negative log-likelihood through mle, and
+every standard error comes from standard_errors, the inverted numeric
+observed information at the estimate.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ import dataclasses
 import warnings
 
 import numpy as np
+from scipy import optimize
 
 # central-difference step, relative to max(1, |x|) per coordinate
 _REL_STEP = 1e-4
@@ -33,34 +39,49 @@ def numeric_hessian(f, x):
     return hess
 
 
-def observed_info_cov(negloglik, x):
-    """Covariance matrix from the observed information, or None if singular."""
-    hess = numeric_hessian(negloglik, x)
-    try:
-        cov = np.linalg.inv(hess)
-        diag = np.diag(cov)
-        if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-            return None
-        return cov
-    except np.linalg.LinAlgError:
-        return None
+def standard_errors(negloglik, x, names):
+    """(cov, {name: se}) from the observed information at the estimate x.
 
-
-def observed_info_se(negloglik, x):
-    """Standard errors from the observed information of a negative log-likelihood.
-
-    Returns an array of per-parameter standard errors; entries are NaN when the
-    information matrix is not positive definite (boundary solutions and the
-    like), with a warning.
+    When the information is not positive definite (boundary solutions and
+    the like), cov is None and every se NaN, with a warning.
     """
-    cov = observed_info_cov(negloglik, x)
-    if cov is None:
+    try:
+        cov = np.linalg.inv(numeric_hessian(negloglik, x))
+    except np.linalg.LinAlgError:  # singular: fails the check below
+        cov = np.full((len(names), len(names)), np.nan)
+    diag = np.diag(cov)
+    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
         warnings.warn(
             "observed information not positive definite; standard errors unavailable",
             stacklevel=2,
         )
-        return np.full(np.asarray(x).size, np.nan)
-    return np.sqrt(np.diag(cov))
+        return None, {name: float("nan") for name in names}
+    return cov, {name: float(np.sqrt(cov[i, i])) for i, name in enumerate(names)}
+
+
+def mle(negloglik, starts, bounds):
+    """Minimize a negative log-likelihood by L-BFGS-B from each start in order.
+
+    Returns the lowest optimum, the first one on ties: scipy's result, whose
+    success and message are the optimizer's convergence flag and message,
+    with its log-likelihood as loglik and which coordinates sit on a bound
+    as at_bound.
+    """
+    best = None
+    for x0 in starts:
+        res = optimize.minimize(negloglik, x0, method="L-BFGS-B", bounds=bounds)
+        if best is None or res.fun < best.fun:
+            best = res
+    lo, hi = np.array(bounds, dtype=float).T
+    best.loglik = -float(best.fun)
+    best.at_bound = np.isclose(best.x, lo) | np.isclose(best.x, hi)
+    return best
+
+
+def warn_unconverged(opt, label):
+    """Warn '<label> did not converge: <message>' for an mle result that did not."""
+    if not opt.success:
+        warnings.warn(f"{label} did not converge: {opt.message}", stacklevel=2)
 
 
 def cov_factor(cov, label):

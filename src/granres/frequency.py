@@ -15,7 +15,7 @@ import numpy as np
 from scipy import optimize, special
 
 from .daycount import year_of, year_start
-from .fitutil import observed_info_se
+from .fitutil import mle, standard_errors, warn_unconverged
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,6 @@ class ZeroModified:
         vals = np.where(k == 0, self.p0, scale * self.base.pmf(k))
         return vals if vals.shape else float(vals)
 
-    def logpmf(self, k):
-        with np.errstate(divide="ignore"):
-            return np.log(self.pmf(k))
-
     def mean(self):
         b0 = self._base_p0()
         return (1.0 - self.p0) / (1.0 - b0) * self.base.mean()
@@ -196,10 +192,10 @@ def _fit_negbin(obs, truncated=False):
         nll = lambda x: _truncated_negloglik_negbin(x, obs)
     else:
         nll = lambda x: -float(np.sum(NegativeBinomial(*x).logpmf(obs)))
-    res = optimize.minimize(nll, x0=[r0, p0], method="L-BFGS-B", bounds=bounds)
-    r, p = res.x
-    se = observed_info_se(nll, res.x)
-    return NegativeBinomial(float(r), float(p)), -float(res.fun), {"r": float(se[0]), "p": float(se[1])}
+    opt = mle(nll, [[r0, p0]], bounds)
+    warn_unconverged(opt, "negative binomial fit")
+    _, se = standard_errors(nll, opt.x, ("r", "p"))
+    return NegativeBinomial(float(opt.x[0]), float(opt.x[1])), opt.loglik, se
 
 
 def _fit_truncated_poisson(obs):
@@ -213,8 +209,8 @@ def _fit_truncated_poisson(obs):
     nll = lambda x: -float(
         np.sum(Poisson(x[0]).logpmf(obs)) - obs.size * np.log1p(-np.exp(-x[0]))
     )
-    se = observed_info_se(nll, [mu])
-    return Poisson(float(mu)), -nll([mu]), {"mu": float(se[0])}
+    _, se = standard_errors(nll, [mu], ("mu",))
+    return Poisson(float(mu)), -nll([mu]), se
 
 
 def fit_count_mle(obs, family: str) -> CountFit:

@@ -22,9 +22,9 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
-from .fitutil import cov_factor, observed_info_cov, redraw
+from .fitutil import cov_factor, mle, redraw, standard_errors, warn_unconverged
 
 
 @dataclass(frozen=True)
@@ -198,22 +198,18 @@ def fit_intensity(events, horizons, family: str = "exponential"):
             - np.sum(inten.cumulative(horizons))
         )
 
-    res = optimize.minimize(nll, x0=x0, method="L-BFGS-B", bounds=bounds)
-    x = res.x
-    at_bound = any(
-        np.isclose(xi, lo) or np.isclose(xi, hi) for xi, (lo, hi) in zip(x, bounds)
-    )
-    if at_bound:
+    opt = mle(nll, [x0], bounds)
+    warn_unconverged(opt, "intensity fit")
+    x = opt.x
+    if opt.at_bound.any():
         warnings.warn(
             f"intensity fit at parameter bound (lam0={x[0]:.4g}, beta={x[1]:.4g}); "
             "estimates flagged, standard errors unreliable",
             stacklevel=2,
         )
-    cov = None if at_bound else observed_info_cov(nll, x)
-    if cov is None:
-        se, cov_t = {"lam0": float("nan"), "beta": float("nan")}, ()
+        cov, se = None, {"lam0": float("nan"), "beta": float("nan")}
     else:
-        se = {"lam0": float(np.sqrt(cov[0, 0])), "beta": float(np.sqrt(cov[1, 1]))}
-        cov_t = tuple(tuple(float(v) for v in row) for row in cov)
+        cov, se = standard_errors(nll, x, ("lam0", "beta"))
+    cov_t = () if cov is None else tuple(tuple(float(v) for v in row) for row in cov)
     return CountProcess(cls(float(x[0]), float(x[1])), se, cov_t)
 

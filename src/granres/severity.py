@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import special
 
-from .fitutil import observed_info_se, redraw
+from .fitutil import redraw, standard_errors
 
 
 class _IidSeverity:
@@ -132,15 +132,12 @@ def fit_gamma(amounts) -> GammaSeverity:
     else:
         raise ValueError("gamma shape Newton did not settle in 60 steps")
     scale = m / k
-    n = x.size
 
     def nll(p):
         return -float(np.sum(GammaSeverity(p[0], p[1]).logpdf(x)))
 
-    se_vec = observed_info_se(nll, np.array([k, scale]))
-    return GammaSeverity(
-        float(k), float(scale), se={"shape": float(se_vec[0]), "scale": float(se_vec[1])}
-    )
+    _, se = standard_errors(nll, [k, scale], ("shape", "scale"))
+    return GammaSeverity(float(k), float(scale), se=se)
 
 
 def _positive(amounts, label):

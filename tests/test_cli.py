@@ -288,6 +288,16 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
             in capsys.readouterr().err)
     assert not (tmp_path / "types" / "model.json").exists()
 
+    # claim_types is a name or a list of names: a number or a map is refused
+    for i, value in enumerate((5, {"bodily_injury": 1})):
+        (tmp_path / "types.json").write_text(json.dumps({"claim_types": value}))
+        out = tmp_path / f"types{i}"
+        assert main(["fit", "--config", str(tmp_path / "types.json"), "--input", port,
+                     "--out", str(out)]) == 2
+        assert ("config error: claim_types must be a claim type or a list of them, got "
+                f"{value!r}") in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
 
 def test_recipe_errors_exit_2(workdir, tmp_path, capsys):
     # fit_model checks the recipe before fitting: a bad key or value is

@@ -9,6 +9,7 @@ from scipy import optimize
 
 from granres import ClaimRecord, WeibullDelayModel, fit_model
 from granres.delays import delay_model_from_dict, delay_quantile, delay_score, fit_delay
+from granres.frequency import NegativeBinomial, fit_count_mle
 from helpers import records_portfolio
 
 
@@ -73,21 +74,36 @@ def test_fit_delay_input_validation():
         fit_model(records_portfolio(claims, 200), {"delay_variant": "weibull_tv"})
 
 
+def _failed_minimize(fun, x0, **kwargs):
+    """An optimizer that stops at its start without converging."""
+    x = np.asarray(x0, dtype=float)
+    return optimize.OptimizeResult(
+        x=x, fun=fun(x), success=False, message="ABNORMAL_TERMINATION_IN_LNSRCH"
+    )
+
+
 def test_fit_delay_raises_when_the_optimizer_fails(monkeypatch):
     rng = np.random.default_rng(4)
     acc = rng.integers(0, 1000, 200)
     claims = [
         ClaimRecord(f"c{i}", "bodily_injury", int(a), int(a) + 5) for i, a in enumerate(acc)
     ]
-
-    def failed(fun, x0, **kwargs):
-        return optimize.OptimizeResult(
-            x=np.asarray(x0), success=False, message="ABNORMAL_TERMINATION_IN_LNSRCH"
-        )
-
-    monkeypatch.setattr("granres.delays.optimize.minimize", failed)
+    monkeypatch.setattr("granres.fitutil.optimize.minimize", _failed_minimize)
     with pytest.raises(ValueError, match="did not converge: ABNORMAL_TERMINATION_IN_LNSRCH"):
         fit_delay(records_portfolio(claims, 1100))
+
+
+def test_count_fit_warns_when_the_optimizer_fails(monkeypatch):
+    # unlike the delay fit, a count fit that did not converge warns and returns
+    obs = np.random.default_rng(5).negative_binomial(3, 0.5, 200)
+    monkeypatch.setattr("granres.fitutil.optimize.minimize", _failed_minimize)
+    with pytest.warns(UserWarning) as caught:
+        fit = fit_count_mle(obs, "negbin")
+    assert [str(w.message) for w in caught] == [
+        "negative binomial fit did not converge: ABNORMAL_TERMINATION_IN_LNSRCH"
+    ]
+    assert isinstance(fit.dist, NegativeBinomial)
+    assert np.isfinite(fit.loglik)
 
 
 def test_single_accident_year_pins_trend_to_zero():

@@ -180,10 +180,10 @@ def test_copula_pairs_hand_case():
     assert_allclose(taus, [(200 - 110) / 365.25, (300 - 110) / 365.25])
 
 
-def _coupled_pairs(spec, seed, m=2000):
+def _coupled_pairs(spec, seed, m=2000, horizons=(1.0, 3.0)):
     rng = np.random.default_rng(seed)
     t = rng.integers(0, 2000, m)
-    horizon = rng.uniform(1.0, 3.0, m)
+    horizon = rng.uniform(*horizons, m)
     u = rng.random(m)
     w = np.floor(delay_quantile(DELAY, t, u)).astype(int)
     n = conditional_count_quantile(u, rng.random(m), horizon, PROC, spec)
@@ -210,10 +210,17 @@ def test_fit_copula_auto_selection():
     # the pick, so their missing standard errors are not reported
     assert [str(w.message) for w in caught] == []
 
-    # a pick at its upper bound keeps its warning
+    # a pick at its upper bound keeps its warning; Gumbel's lowest optimum
+    # here stopped without converging, which is reported too
     bound_pairs = _coupled_pairs(CopulaSpec("clayton", theta=28.0), seed=15)
-    with pytest.warns(UserWarning, match="standard errors unavailable"):
+    with pytest.warns(UserWarning) as caught:
         fit_bound = fit_copula(bound_pairs, DELAY, PROC, "auto")
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert messages[0].startswith("gumbel copula fit did not converge: ")
+    assert messages[1] == (
+        "observed information not positive definite; standard errors unavailable"
+    )
     assert fit_bound.spec.family == "clayton"
     assert fit_bound.spec.theta == FAMILIES["clayton"].theta_bounds[1]
     assert np.isnan(fit_bound.se["theta"])
@@ -232,6 +239,23 @@ def test_time_varying_refit_never_hurts_aic():
     assert tv.aic <= base.aic + 1e-9
     if tv.spec.dynamics is not None:
         assert "clayton_tv" in tv.aic_table
+
+
+def test_time_varying_refit_recovers_a_decaying_clayton():
+    # horizons from 0 identify theta(0); from 1 year on, eta0 runs to its bound
+    eta0, eta_inf, kappa = math.log(6.0), math.log(0.5), 1.0
+    truth = CopulaSpec("clayton", dynamics=TimeVaryingParam(eta0, eta_inf, kappa))
+    pairs = _coupled_pairs(truth, seed=0, horizons=(0.0, 3.0))
+    fit = fit_copula(pairs, DELAY, PROC, "clayton", time_varying=True)
+    assert fit.spec.family == "clayton"
+    assert fit.spec.dynamics is not None
+    assert fit.aic == fit.aic_table["clayton_tv"] < fit.aic_table["clayton"] - 50.0
+    assert_allclose(fit.aic, 6.0 - 2.0 * fit.loglik, rtol=1e-13)
+    dyn = fit.spec.dynamics
+    estimates = {"eta_inf": dyn.eta_inf, "delta": dyn.eta0 - dyn.eta_inf, "kappa": dyn.kappa}
+    for name, true in (("eta_inf", eta_inf), ("delta", eta0 - eta_inf), ("kappa", kappa)):
+        assert 0.0 < fit.se[name] < 1.0
+        assert abs(estimates[name] - true) < 3.0 * fit.se[name], name
 
 
 def test_fit_copula_needs_enough_pairs():

@@ -475,6 +475,31 @@ def test_reserve_refuses_claims_of_an_unmodelled_type(port1500):
     assert np.all(dist.rbns > 0)
 
 
+def test_a_modelled_type_with_no_reported_claims_has_only_ibnr():
+    """A modelled claim type with no claims reported by a pays no RBNS, yet
+    its IBNR claims are still drawn, coupled to the other type's."""
+    start, end = parse_iso("2016-01-01"), parse_iso("2017-12-31")
+    nested = default_model(1000, start, end, dependence="archimedean")
+    window = ValuationWindow.one_year(parse_iso("2016-06-30"))
+    history = censor(synthesize(nested, start, end, np.random.default_rng(5)), window.a_day)
+    md_only = history.by_type("material_damage")
+    assert md_only.claim_types == ("material_damage",)
+    prep = _prepare_rbns(nested, md_only, window)
+    assert prep["bodily_injury"].days.size == 0
+    children = np.random.SeedSequence(11).spawn(16)
+    (flows,) = reserving._scenario_batch(nested, prep, window, False, children)
+    rbns_bi, ibnr_bi = flows["bodily_injury"]
+    assert rbns_bi.shape == ibnr_bi.shape == (16, 2)
+    assert np.all(rbns_bi == 0.0)
+    assert np.all(ibnr_bi.sum(axis=1) > 0)
+    assert np.all(flows["material_damage"][0].sum(axis=1) > 0)
+
+    dist = simulate_reserves(nested, md_only, window, 16, seed=11)
+    assert_array_equal(dist.by_type["bodily_injury"], ibnr_bi.sum(axis=1))
+    assert_allclose(sum(dist.by_type.values()), dist.totals, rtol=1e-12)
+    assert_allclose(dist.rbns, flows["material_damage"][0].sum(axis=1), rtol=1e-12)
+
+
 def test_reserve_determinism_across_workers():
     port = _rbns_portfolio()
     d1 = simulate_reserves(MODEL, port, WIN, 16, seed=11)
