@@ -19,10 +19,7 @@ print(f"fitting on {len(portfolio.claims)} censored claims")
 # the recipe is plain data; anything not listed keeps its default
 recipe = {
     "occurrence_family": "poisson",
-    "intensity_family": {
-        "bodily_injury": "exponential",
-        "material_damage": "power",
-    },
+    "intensity_family": "auto",  # both families, the lower AIC kept
     "severity_family": "lognormal",
     "copula_family": "auto",
     "hac_outer": "gumbel",
@@ -41,9 +38,11 @@ for name, tm in model.types.items():
     print(f"  c0    {d.c0:6.3f} (true {dt.c0:.3f}),  se {d.se['c0']:.3f}")
     print(f"  c1    {d.c1:6.3f} (true {dt.c1}),  se {d.se['c1']:.3f}")
     lam, lamt = tm.counts.intensity, true_tm.counts.intensity
-    print(f"payment intensity {type(lam).__name__}:"
+    print(f"payment intensity {type(lam).__name__} (true {type(lamt).__name__}):"
           f" lam0 {lam.lam0:.3f} (true {lamt.lam0}),"
           f" beta {lam.beta:.3f} (true {lamt.beta})")
+    aics = report["types"][name]["intensity_aic"]
+    print("  aic " + ", ".join(f"{fam} {aic:.1f}" for fam, aic in aics.items()))
     s, st = tm.severity, true_tm.severity
     print(f"severity lognormal: mu {s.mu:.3f} (true {st.mu}),"
           f" sigma {s.sigma:.3f} (true {st.sigma})")
@@ -57,7 +56,10 @@ print("\n--- cross-type layer ---")
 print(f"outer copula: {model.hac.outer_family},"
       f" theta {model.hac.outer_theta:.3f} (true {truth.hac.outer_theta})")
 
-print(f"\nfit warnings: {report['warnings'] or 'none'}")
+# each warning says which phase and claim type raised it
+print(f"\nfit warnings: {len(report['warnings']) or 'none'}")
+for w in report["warnings"]:
+    print(f"  {w['phase']} ({w['claim_type'] or 'cross-type'}): {w['message']}")
 
 # the whole model is plain JSON, so it can be stored next to the reserve run
 blob = json.dumps(model.to_dict(), sort_keys=True)

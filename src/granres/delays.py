@@ -4,7 +4,8 @@ The model is a Weibull with constant shape and a log-linear scale in accident
 time, scale(t) = exp(c0 + c1 * t_years) with c1 <= 0 so the mean delay
 cannot grow over calendar time. Delays are continuous in days; observed
 delays are day-censored, so the fit likelihood uses interval masses
-H_t(w+1) - H_t(w).
+H_t(w+1) - H_t(w), and returns its closed-form score in (shape, c0, c1) with
+its value for the optimizer and the observed information.
 """
 
 from __future__ import annotations
@@ -98,19 +99,44 @@ def delay_model_from_dict(d):
     return WeibullDelayModel(d["shape"], d["c0"], d["c1"], d.get("se", {}))
 
 
-def _interval_negloglik(params, t_years, w_days, fix_c1):
+# interval masses are floored here; a floored mass adds nothing to the score
+_MASS_FLOOR = 1e-300
+# log z is capped here: exp(-z) is 0 long before, and z * log(z) stays finite
+_LOG_Z_CAP = 600.0
+
+
+def _interval_nll_score(params, t_years, log_w, log_w1):
+    """The negative log-likelihood of day-censored delays and its gradient in
+    (shape, c0[, c1]), in one pass; without c1 the trend is fixed to 0.
+
+    log_w and log_w1 are log(w) and log(w + 1) of the whole-day delays w
+    (log 0 = -inf). With z = (w / scale)^shape and d = z_hi - z_lo, each
+    claim's mass P[w <= W < w+1] = exp(-z_lo) - exp(-z_hi) is taken as
+    exp(-z_lo) * (1 - exp(-d)), which keeps its precision when both z are
+    small, and its log has the derivative -z_lo' + (z_hi' - z_lo') / expm1(d),
+    where z' = -shape * z in c0, -shape * z * t in c1 and z * log(w / scale)
+    in shape.
+    """
     k, c0 = params[0], params[1]
-    c1 = 0.0 if fix_c1 else params[2]
-    if k <= 0:
-        return np.inf
-    with np.errstate(over="ignore"):
-        lam = np.exp(c0 + c1 * t_years)
-        z_lo = (w_days / lam) ** k
-        z_hi = ((w_days + 1.0) / lam) ** k
-        # P[w <= W < w+1] = exp(-z_lo) - exp(-z_hi), in log space
-        mass = np.exp(-z_lo) - np.exp(-z_hi)
-    mass = np.maximum(mass, 1e-300)
-    return -float(np.sum(np.log(mass)))
+    c1 = params[2] if len(params) > 2 else 0.0
+    log_lam = c0 + c1 * t_years
+    x_lo, x_hi = log_w - log_lam, log_w1 - log_lam  # log(w / scale), log((w + 1) / scale)
+    z_lo = np.exp(np.minimum(k * x_lo, _LOG_Z_CAP))  # 0 at w = 0
+    z_hi = np.exp(np.minimum(k * x_hi, _LOG_Z_CAP))
+    d = z_hi - z_lo
+    mass = np.exp(-z_lo) * -np.expm1(-d)
+    live = mass > _MASS_FLOOR
+    with np.errstate(over="ignore"):  # expm1(d) = inf gives r = 0
+        r = np.where(live, 1.0 / np.where(live, np.expm1(d), 1.0), 0.0)
+    with np.errstate(invalid="ignore"):  # 0 * -inf at w = 0, dropped by the where
+        s_lo = np.where(z_lo > 0.0, z_lo * x_lo, 0.0)
+    s_hi = z_hi * x_hi
+    d_shape = np.where(live, (s_hi - s_lo) * r - s_lo, 0.0)
+    d_c0 = np.where(live, k * (z_lo - d * r), 0.0)
+    grad = [-float(np.sum(d_shape)), -float(np.sum(d_c0))]
+    if len(params) > 2:
+        grad.append(-float(np.sum(d_c0 * t_years)))
+    return -float(np.sum(np.log(np.maximum(mass, _MASS_FLOOR)))), np.array(grad)
 
 
 def fit_delay(portfolio):
@@ -140,11 +166,13 @@ def fit_delay(portfolio):
         x0.append(-1e-3)
         bounds.append((-5.0, 0.0))
 
-    nll = lambda x: _interval_negloglik(x, t_years, w_days, single_year)
-    opt = mle(nll, [x0], bounds)
+    log_w = np.log(w_days, out=np.full_like(w_days, -np.inf), where=w_days > 0)
+    log_w1 = np.log1p(w_days)
+    nll = lambda x: _interval_nll_score(x, t_years, log_w, log_w1)
+    opt = mle(nll, [x0], bounds, jac=True)
     if not opt.success:
         raise ValueError(f"Weibull delay fit did not converge: {opt.message}")
     k, c0 = float(opt.x[0]), float(opt.x[1])
     c1 = 0.0 if single_year else float(opt.x[2])
-    _, se = standard_errors(nll, opt.x, ("shape", "c0", "c1")[: opt.x.size])
+    _, se = standard_errors(nll, opt.x, ("shape", "c0", "c1")[: opt.x.size], jac=True)
     return WeibullDelayModel(k, c0, c1, se)

@@ -3,7 +3,9 @@ redraw of a fitted component.
 
 Every numeric fit minimizes its negative log-likelihood through mle, and
 every standard error comes from standard_errors, the inverted numeric
-observed information at the estimate.
+observed information at the estimate. A fit whose objective also returns its
+gradient (the score, negated; jac=True) hands it to the optimizer, and its
+observed information is the central difference of that gradient.
 """
 
 from __future__ import annotations
@@ -39,14 +41,30 @@ def numeric_hessian(f, x):
     return hess
 
 
-def standard_errors(negloglik, x, names):
+def gradient_hessian(grad, x):
+    """Symmetrized central difference of a gradient at x: 2k gradient calls."""
+    x = np.asarray(x, dtype=float)
+    h = _REL_STEP * np.maximum(1.0, np.abs(x))
+    cols = [(grad(x + step) - grad(x - step)) / (2.0 * hi) for hi, step in zip(h, np.diag(h))]
+    hess = np.column_stack(cols)
+    return 0.5 * (hess + hess.T)
+
+
+def standard_errors(negloglik, x, names, jac=False):
     """(cov, {name: se}) from the observed information at the estimate x.
 
-    When the information is not positive definite (boundary solutions and
-    the like), cov is None and every se NaN, with a warning.
+    With jac=True negloglik returns (value, gradient) and the information is
+    the difference of the gradient (gradient_hessian); otherwise it is the
+    k^2-call function difference (numeric_hessian). When the information is
+    not positive definite (boundary solutions and the like), cov is None and
+    every se NaN, with a warning.
     """
+    if jac:
+        hess = gradient_hessian(lambda y: negloglik(y)[1], x)
+    else:
+        hess = numeric_hessian(negloglik, x)
     try:
-        cov = np.linalg.inv(numeric_hessian(negloglik, x))
+        cov = np.linalg.inv(hess)
     except np.linalg.LinAlgError:  # singular: fails the check below
         cov = np.full((len(names), len(names)), np.nan)
     diag = np.diag(cov)
@@ -59,17 +77,18 @@ def standard_errors(negloglik, x, names):
     return cov, {name: float(np.sqrt(cov[i, i])) for i, name in enumerate(names)}
 
 
-def mle(negloglik, starts, bounds):
+def mle(negloglik, starts, bounds, jac=False):
     """Minimize a negative log-likelihood by L-BFGS-B from each start in order.
 
     Returns the lowest optimum, the first one on ties: scipy's result, whose
     success and message are the optimizer's convergence flag and message,
     with its log-likelihood as loglik and which coordinates sit on a bound
-    as at_bound.
+    as at_bound. With jac=True negloglik returns (value, gradient), and the
+    optimizer uses that gradient in place of finite differences.
     """
     best = None
     for x0 in starts:
-        res = optimize.minimize(negloglik, x0, method="L-BFGS-B", bounds=bounds)
+        res = optimize.minimize(negloglik, x0, method="L-BFGS-B", jac=jac, bounds=bounds)
         if best is None or res.fun < best.fun:
             best = res
     lo, hi = np.array(bounds, dtype=float).T

@@ -294,7 +294,8 @@ def fit_occurrence(sub, family: str) -> OccurrenceModel:
     The gap of the earliest claim is anchored at the time origin, not at an
     observed arrival, so it is excluded from fitting. Years with fewer than
     10 gap observations are merged into a neighboring year's cohort (warning);
-    the merged year inherits that fit.
+    the merged year inherits that fit. A warning of a year group's fit names
+    the group: "occurrence years (2019,): ...".
     """
     years, gaps = date_differences(sub)
     years, gaps = years[1:], gaps[1:]  # ascending years
@@ -315,7 +316,11 @@ def fit_occurrence(sub, family: str) -> OccurrenceModel:
                 "(fewer than 10 gaps)",
                 stacklevel=2,
             )
-        fit = fit_count_mle(gaps[np.isin(years, ys)], family)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_count_mle(gaps[np.isin(years, ys)], family)
+        for w in caught:
+            warnings.warn(f"occurrence years {ys}: {w.message}", w.category, stacklevel=2)
         for y in ys:
             by_year[y] = fit.dist
     return OccurrenceModel(family, by_year)

@@ -12,7 +12,9 @@ the reserve engine's batches of redrawn models use them. The
 simulation engine places a new claim's payment times given its count through
 the inverse (reserving._place_payments), and reads the RBNS means of each
 calendar period off the cumulative at the period's edges
-(reserving._bucket_means).
+(reserving._bucket_means). The fit (fit_intensity) reads the payment times
+only through two sufficient statistics of the rate, and optimizes with the
+likelihood's closed-form score.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ class ExponentialDecay:
     def __post_init__(self):
         if not (np.all(self.lam0 > 0) and np.all(self.beta > 0)):
             raise ValueError("exponential decay needs lam0 > 0 and beta > 0")
-
-    def rate(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        return self.lam0 * np.exp(-self.beta * tau)
 
     def cumulative(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -67,10 +65,6 @@ class PowerDecay:
     def __post_init__(self):
         if not (np.all(self.lam0 > 0) and np.all(self.beta > 1)):
             raise ValueError("power decay needs lam0 > 0 and beta > 1 (finite total)")
-
-    def rate(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        return self.lam0 * np.power(1.0 + tau, -self.beta)
 
     def cumulative(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -155,6 +149,39 @@ class CountProcess:
         return cls(intensity_from_dict(d["intensity"]), d.get("se", {}), cov)
 
 
+def _intensity_nll_score(params, n_events, event_stat, horizons, power):
+    """The negative log-likelihood of a payment intensity and its gradient in
+    (lam0, beta), in one pass over the horizons.
+
+    The event term sum(log rate(tau)) reduces to n_events * log(lam0) -
+    beta * event_stat, event_stat being sum(tau) for the exponential and
+    sum(log1p(tau)) for the power family. Both cumulatives are
+    lam0 * g(b, x) with g(b, x) = (1 - exp(-b x)) / b: b = beta and x the
+    horizon for the exponential, b = beta - 1 and x = log1p(horizon) for the
+    power family, so horizons are passed as x.
+    """
+    lam0, beta = params[0], params[1]
+    b = beta - 1.0 if power else beta
+    bx = b * horizons
+    e = np.exp(-bx)
+    g = -np.expm1(-bx) / b
+    cum = float(np.sum(g))
+    d_cum = float(np.sum(horizons * e - g)) / b  # sum of d g / d b
+    nll = -n_events * math.log(lam0) + beta * event_stat + lam0 * cum
+    return nll, np.array([cum - n_events / lam0, event_stat + lam0 * d_cum])
+
+
+def _intensity_optimum(n_events, event_stat, horizons, family, lam0_hint):
+    """The L-BFGS-B optimum of one family and its objective."""
+    power = family == "power"
+    x = np.log1p(horizons) if power else horizons
+    nll = lambda p: _intensity_nll_score(p, n_events, event_stat, x, power)
+    lo = 1.0 + 1e-6 if power else 1e-6
+    x0 = [lam0_hint * 2.0, 2.0 if power else 1.0]
+    opt = mle(nll, [x0], [(1e-8, 1e4), (lo, 60.0)], jac=True)
+    return opt, nll
+
+
 def fit_intensity(events, horizons, family: str = "exponential"):
     """ML fit of a decaying payment intensity.
 
@@ -164,12 +191,19 @@ def fit_intensity(events, horizons, family: str = "exponential"):
         Every claim's payment times in years since its reporting, flat.
     horizons : array
         Per-claim observation horizons (years from reporting to the cutoff).
-    family : "exponential" or "power"
+    family : "exponential", "power" or "auto"
 
-    The log-likelihood is sum(log rate(tau_event)) - sum(Lambda(horizon)),
-    which needs no grouping of events by claim. Returns a CountProcess with
-    observed-information standard errors; a boundary solution flags the fit
-    with se NaN and a warning.
+    The log-likelihood is sum(log rate(tau_event)) - sum(Lambda(horizon)).
+    Its event term depends on the events only through two sufficient
+    statistics, their count and sum(tau) (exponential) or sum(log1p(tau))
+    (power), taken once, so each evaluation reads only the horizons; the
+    optimizer gets the closed-form gradient. "auto" fits both families and
+    keeps the lower AIC (both have two parameters, so the higher
+    log-likelihood; the first family on a tie).
+
+    Returns (CountProcess, aic), aic mapping each family fitted to its AIC.
+    The process carries observed-information standard errors; a boundary
+    solution of the kept family flags the fit with se NaN and a warning.
     """
     events = np.asarray(events, dtype=float)
     horizons = np.asarray(horizons, dtype=float)
@@ -179,37 +213,30 @@ def fit_intensity(events, horizons, family: str = "exponential"):
         raise ValueError("no payment events: intensity not identifiable")
     if horizons.sum() <= 0:
         raise ValueError("zero total exposure: intensity not identifiable")
-    cls = INTENSITY_FAMILIES.get(family)
-    if cls is None:
+    if family != "auto" and family not in INTENSITY_FAMILIES:
         raise ValueError(f"unknown intensity family {family!r}")
 
     lam0_hint = max(events.size / horizons.sum(), 1e-6)
-    if family == "exponential":
-        bounds = [(1e-8, 1e4), (1e-6, 60.0)]
-        x0 = [lam0_hint * 2.0, 1.0]
-    else:
-        bounds = [(1e-8, 1e4), (1.0 + 1e-6, 60.0)]
-        x0 = [lam0_hint * 2.0, 2.0]
-
-    def nll(x):
-        inten = cls(x[0], x[1])
-        return -float(
-            np.sum(np.log(np.maximum(inten.rate(events), 1e-300)))
-            - np.sum(inten.cumulative(horizons))
-        )
-
-    opt = mle(nll, [x0], bounds)
-    warn_unconverged(opt, "intensity fit")
+    stats = {"exponential": np.sum(events), "power": np.sum(np.log1p(events))}
+    names = tuple(INTENSITY_FAMILIES) if family == "auto" else (family,)
+    fits = {}
+    for name in names:
+        opt, nll = _intensity_optimum(events.size, stats[name], horizons, name, lam0_hint)
+        warn_unconverged(opt, f"{name} intensity fit")
+        fits[name] = opt, nll
+    aic = {name: 4.0 - 2.0 * opt.loglik for name, (opt, _) in fits.items()}
+    family = min(aic, key=aic.get)
+    opt, nll = fits[family]
     x = opt.x
     if opt.at_bound.any():
         warnings.warn(
-            f"intensity fit at parameter bound (lam0={x[0]:.4g}, beta={x[1]:.4g}); "
+            f"{family} intensity fit at parameter bound (lam0={x[0]:.4g}, beta={x[1]:.4g}); "
             "estimates flagged, standard errors unreliable",
             stacklevel=2,
         )
         cov, se = None, {"lam0": float("nan"), "beta": float("nan")}
     else:
-        cov, se = standard_errors(nll, x, ("lam0", "beta"))
+        cov, se = standard_errors(nll, x, ("lam0", "beta"), jac=True)
     cov_t = () if cov is None else tuple(tuple(float(v) for v in row) for row in cov)
-    return CountProcess(cls(float(x[0]), float(x[1])), se, cov_t)
-
+    cls = INTENSITY_FAMILIES[family]
+    return CountProcess(cls(float(x[0]), float(x[1])), se, cov_t), aic

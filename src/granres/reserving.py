@@ -197,7 +197,7 @@ class GranularModel:
 
 DEFAULT_RECIPE = {
     "occurrence_family": "poisson",
-    "intensity_family": "exponential",
+    "intensity_family": "auto",
     "severity_family": "lognormal",
     "severity_structure": "iid",
     "copula_family": "auto",
@@ -218,7 +218,7 @@ class RecipeError(ValueError):
 # {claim_type: value} map
 _RECIPE_VALUES = {
     "occurrence_family": OCCURRENCE_FAMILIES,
-    "intensity_family": tuple(INTENSITY_FAMILIES),
+    "intensity_family": ("auto", *INTENSITY_FAMILIES),
     "severity_family": tuple(IID_SEVERITIES),
     "severity_structure": ("iid", "order_ar"),
     "copula_family": ("auto", *COPULA_FAMILIES),
@@ -261,101 +261,132 @@ def _per_type(cfg, key, ctype):
     return val[ctype] if isinstance(val, dict) else val
 
 
-def _phase(label, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except PhaseError:
-        raise
-    except Exception as e:
-        raise PhaseError(f"{label}: {e}") from e
+# each fit phase's number, by the name a PhaseError and report["warnings"] use
+_PHASES = {
+    "occurrence": 1,
+    "reporting delay": 2,
+    "payment counts": 3,
+    "severity": 4,
+    "dependence": 5,
+    "cross-type nesting": 5,
+}
+
+
+def _phase(warned, phase, ctype, fn, *args, **kwargs):
+    """fn(*args, **kwargs) run as one fit phase of claim type ctype (None for
+    the cross-type layer).
+
+    Each warning it raises is appended to warned as {phase, claim_type,
+    message}, in the order raised; a failure raises PhaseError naming the
+    phase and the type.
+    """
+    where = phase if ctype is None else f"{phase}, {ctype}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fn(*args, **kwargs)
+        except PhaseError:
+            raise
+        except Exception as e:
+            raise PhaseError(f"phase {_PHASES[phase]} ({where}) failed: {e}") from e
+    warned.extend({"phase": phase, "claim_type": ctype, "message": str(w.message)} for w in caught)
+    return out
 
 
 def fit_model(portfolio, recipe=None):
     """Multistage fit: margins phase by phase, then copulas, then the nesting.
 
     Returns (GranularModel, report). The report carries per-type likelihood
-    and selection details plus any warnings raised during fitting. A recipe
-    key or value it does not take raises RecipeError before phase 1.
+    and selection details, and report["warnings"] lists every warning raised
+    during fitting as {phase, claim_type, message}, in the order raised
+    (claim_type None for the cross-type nesting). A recipe key or value it
+    does not take raises RecipeError before phase 1.
     """
     cfg = _checked_recipe(recipe, portfolio.claim_types)
-    report = {"types": {}, "warnings": []}
+    warned = []
+    report = {"types": {}, "warnings": warned}
     subs = {ctype: portfolio.by_type(ctype) for ctype in portfolio.claim_types}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        occurrence = {
-            ctype: _phase(
-                "phase 1 (occurrence) failed", fit_occurrence, sub, cfg["occurrence_family"]
-            )
-            for ctype, sub in subs.items()
+    occurrence = {
+        ctype: _phase(warned, "occurrence", ctype, fit_occurrence, sub, cfg["occurrence_family"])
+        for ctype, sub in subs.items()
+    }
+    types = {}
+    for ctype, sub in subs.items():
+        delay = _phase(warned, "reporting delay", ctype, fit_delay, sub)
+        pairs, taus = copula_pairs(sub)
+        counts, intensity_aic = _phase(
+            warned,
+            "payment counts",
+            ctype,
+            fit_intensity,
+            taus,
+            pairs[2],  # the observation horizons
+            _per_type(cfg, "intensity_family", ctype),
+        )
+        severity = _phase(
+            warned,
+            "severity",
+            ctype,
+            fit_severity,
+            sub,
+            _per_type(cfg, "severity_family", ctype),
+            _per_type(cfg, "severity_structure", ctype),
+        )
+        cop = _phase(
+            warned,
+            "dependence",
+            ctype,
+            fit_copula,
+            pairs,
+            delay,
+            counts,
+            family_name=_per_type(cfg, "copula_family", ctype),
+            time_varying=cfg["copula_time_varying"],
+        )
+        types[ctype] = TypeModel(
+            occurrence=occurrence[ctype],
+            delay=delay,
+            counts=counts,
+            severity=severity,
+            copula=cop.spec,
+        )
+        report["types"][ctype] = {
+            "copula_family": cop.spec.family,
+            "copula_loglik": cop.loglik,
+            "copula_aic": dict(cop.aic_table),
+            "intensity_family": counts.intensity.to_dict()["family"],
+            "intensity_aic": intensity_aic,
+            "intensity": counts.to_dict(),
+            "delay_se": dict(delay.se),
         }
-        types = {}
-        for ctype, sub in subs.items():
-            delay = _phase(f"phase 2 (reporting delay, {ctype}) failed", fit_delay, sub)
-            pairs, taus = copula_pairs(sub)
-            counts = _phase(
-                f"phase 3 (payment counts, {ctype}) failed",
-                fit_intensity,
-                taus,
-                pairs[2],  # the observation horizons
-                _per_type(cfg, "intensity_family", ctype),
-            )
-            severity = _phase(
-                f"phase 4 (severity, {ctype}) failed",
-                fit_severity,
-                sub,
-                _per_type(cfg, "severity_family", ctype),
-                _per_type(cfg, "severity_structure", ctype),
-            )
-            cop = _phase(
-                f"phase 5 (dependence, {ctype}) failed",
-                fit_copula,
-                pairs,
-                delay,
-                counts,
-                family_name=_per_type(cfg, "copula_family", ctype),
-                time_varying=cfg["copula_time_varying"],
-            )
-            types[ctype] = TypeModel(
-                occurrence=occurrence[ctype],
-                delay=delay,
-                counts=counts,
-                severity=severity,
-                copula=cop.spec,
-            )
-            report["types"][ctype] = {
-                "copula_family": cop.spec.family,
-                "copula_loglik": cop.loglik,
-                "copula_aic": dict(cop.aic_table),
-                "intensity": counts.to_dict(),
-                "delay_se": dict(delay.se),
-            }
 
-        hac = None
-        names = list(types)  # in CLAIM_TYPES order, as portfolio.claim_types
-        if cfg["hac_outer"] and len(names) >= 2:
-            sa, sb = matched_delay_scores(
-                subs[names[0]], subs[names[1]], types[names[0]].delay, types[names[1]].delay
+    hac = None
+    names = list(types)  # in CLAIM_TYPES order, as portfolio.claim_types
+    if cfg["hac_outer"] and len(names) >= 2:
+        sa, sb = matched_delay_scores(
+            subs[names[0]], subs[names[1]], types[names[0]].delay, types[names[1]].delay
+        )
+        if sa.size >= 20:
+            hac = _phase(
+                warned,
+                "cross-type nesting",
+                None,
+                fit_hac_outer,
+                sa,
+                sb,
+                types[names[0]].copula,
+                types[names[1]].copula,
+                outer_family=cfg["hac_outer"],
             )
-            if sa.size >= 20:
-                hac = _phase(
-                    "phase 5 (cross-type nesting) failed",
-                    fit_hac_outer,
-                    sa,
-                    sb,
-                    types[names[0]].copula,
-                    types[names[1]].copula,
-                    outer_family=cfg["hac_outer"],
-                )
-                report["hac"] = {
-                    "outer_family": hac.outer_family if hac else "independence",
-                    "outer_theta": hac.outer_theta if hac else None,
-                    "matched_pairs": int(sa.size),
-                }
-            else:
-                report["hac"] = {"skipped": "fewer than 20 matched pairs"}
-        elif len(names) < 2:
-            report["hac"] = {"skipped": "fewer than two claim types"}
-        report["warnings"] = sorted({str(w.message) for w in caught})
+            report["hac"] = {
+                "outer_family": hac.outer_family if hac else "independence",
+                "outer_theta": hac.outer_theta if hac else None,
+                "matched_pairs": int(sa.size),
+            }
+        else:
+            report["hac"] = {"skipped": "fewer than 20 matched pairs"}
+    elif len(names) < 2:
+        report["hac"] = {"skipped": "fewer than two claim types"}
     return GranularModel(types=types, hac=hac), report
 
 

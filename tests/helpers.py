@@ -1,6 +1,7 @@
 """Test data drawn through the engine's own samplers, portfolios built from
-hand-written claim records, and the row-by-row CSV ingest kept as the
-reference for the columnar one."""
+hand-written claim records, the payment rates the intensity fit reduces to
+sufficient statistics, and the row-by-row CSV ingest kept as the reference
+for the columnar one."""
 
 import csv
 import math
@@ -11,6 +12,15 @@ import numpy as np
 from granres.claims import _HEADER, CLAIM_TYPES, IngestReport, Portfolio, _text_stream
 from granres.daycount import DAYS_PER_YEAR, parse_iso
 from granres.reserving import _place_payments
+
+
+def intensity_rate(intensity, tau):
+    """The payment rate of an intensity: lam0 * exp(-beta * tau) for the
+    exponential family, lam0 * (1 + tau)^(-beta) for the power family."""
+    tau = np.asarray(tau, dtype=float)
+    if intensity.to_dict()["family"] == "exponential":
+        return intensity.lam0 * np.exp(-intensity.beta * tau)
+    return intensity.lam0 * np.power(1.0 + tau, -intensity.beta)
 
 
 def payment_taus(intensity, horizons, rng):

@@ -27,9 +27,11 @@ from granres import (
     ValuationWindow,
     WeibullDelayModel,
     backtest,
+    censor,
     chain_ladder_reserve,
     default_lookback,
     default_model,
+    fit_model,
     ibnr_simulate,
     parse_iso,
     synthesize,
@@ -51,7 +53,7 @@ from granres.severity import (
     simulate_amounts,
 )
 
-from helpers import payment_taus, records_portfolio
+from helpers import intensity_rate, payment_taus, records_portfolio
 
 DELAY = WeibullDelayModel(1.5, math.log(30.0), 0.0)
 PROC = CountProcess(ExponentialDecay(3.0, 1.2))
@@ -80,7 +82,7 @@ def test_count_cdf_horizon_derivative_matches_finite_differences():
     ):
         for n in range(10):
             # dQ_tau(n)/dtau = -rate(tau) * P[N(tau) = n]
-            exact = -proc.intensity.rate(taus) * proc.count_pmf(taus, n)
+            exact = -intensity_rate(proc.intensity, taus) * proc.count_pmf(taus, n)
             fd = np.array(
                 [
                     (proc.count_cdf(t + h, n) - proc.count_cdf(t - h, n)) / (2.0 * h)
@@ -156,7 +158,7 @@ def _refit_weibull_tv(rng):
 def _refit_intensity(truth, lam0, beta, family):
     def run(rng):
         taus, horizons = payment_taus(truth, rng.uniform(0.5, 6.0, 5000), rng)
-        fit = fit_intensity(taus, horizons, family)
+        fit, _ = fit_intensity(taus, horizons, family)
         return [
             (fit.intensity.lam0, lam0, fit.se["lam0"]),
             (fit.intensity.beta, beta, fit.se["beta"]),
@@ -230,6 +232,33 @@ def test_refit_recovers_generating_parameters_within_three_se():
                 shortfalls[name] = hits
     assert not shortfalls, f"components under 95/100 seeds: {shortfalls}"
     assert time.perf_counter() - t0 < 300.0
+
+
+def test_default_recipe_picks_the_generating_intensity_family():
+    # intensity_family "auto" (the default) fits both families and keeps the
+    # lower AIC; the archimedean generator pays bodily injury at an
+    # exponential and material damage at a power intensity
+    t0 = time.perf_counter()
+    start, end, a = parse_iso("2016-01-01"), parse_iso("2021-12-31"), parse_iso("2020-12-31")
+    truth = default_model(5000, start, end, "archimedean")
+    generator = {t: tm.counts.intensity.to_dict()["family"] for t, tm in truth.types.items()}
+    assert generator == {"bodily_injury": "exponential", "material_damage": "power"}
+    right = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seed in range(20):
+            portfolio = censor(synthesize(truth, start, end, np.random.default_rng(seed)), a)
+            model, report = fit_model(portfolio)
+            chosen = {}
+            for t, r in report["types"].items():
+                aic = r["intensity_aic"]
+                assert sorted(aic) == ["exponential", "power"]
+                assert aic[r["intensity_family"]] == min(aic.values())
+                assert model.types[t].counts.intensity.to_dict()["family"] == r["intensity_family"]
+                chosen[t] = r["intensity_family"]
+            right += chosen == generator
+    assert right >= 19, f"generating families chosen on {right}/20 seeds"
+    assert time.perf_counter() - t0 < 120.0
 
 
 def test_simulated_kendall_tau_matches_closed_forms():

@@ -9,7 +9,7 @@ from scipy import optimize
 
 from granres import ClaimRecord, WeibullDelayModel, fit_model
 from granres.delays import delay_model_from_dict, delay_quantile, delay_score, fit_delay
-from granres.frequency import NegativeBinomial, fit_count_mle
+from granres.frequency import NegativeBinomial, fit_count_mle, fit_occurrence
 from helpers import records_portfolio
 
 
@@ -41,7 +41,8 @@ def test_weibull_density_integrates_to_cdf():
     m = WeibullDelayModel(2.0, math.log(20.0), -0.02)
     t = 900
     w = np.linspace(0.0, 200.0, 20_001)
-    num = np.trapezoid(m.density(t, w), w)
+    dens = m.density(t, w)
+    num = float(np.sum(0.5 * (dens[1:] + dens[:-1]) * np.diff(w)))  # trapezoid rule
     assert_allclose(num, m.cdf(t, 200.0), atol=1e-6)
 
 
@@ -74,11 +75,13 @@ def test_fit_delay_input_validation():
         fit_model(records_portfolio(claims, 200), {"delay_variant": "weibull_tv"})
 
 
-def _failed_minimize(fun, x0, **kwargs):
-    """An optimizer that stops at its start without converging."""
+def _failed_minimize(fun, x0, jac=False, **kwargs):
+    """An optimizer that stops at its start without converging; with jac=True
+    the objective returns (value, gradient)."""
     x = np.asarray(x0, dtype=float)
+    value = fun(x)[0] if jac else fun(x)
     return optimize.OptimizeResult(
-        x=x, fun=fun(x), success=False, message="ABNORMAL_TERMINATION_IN_LNSRCH"
+        x=x, fun=value, success=False, message="ABNORMAL_TERMINATION_IN_LNSRCH"
     )
 
 
@@ -104,6 +107,20 @@ def test_count_fit_warns_when_the_optimizer_fails(monkeypatch):
     ]
     assert isinstance(fit.dist, NegativeBinomial)
     assert np.isfinite(fit.loglik)
+
+
+def test_occurrence_fit_warnings_name_their_year_group(monkeypatch):
+    rng = np.random.default_rng(6)
+    days = np.cumsum(rng.negative_binomial(3, 0.5, 200)) + 1  # years 2000 and 2001
+    claims = [ClaimRecord(f"c{i}", "bodily_injury", int(d), int(d)) for i, d in enumerate(days)]
+    monkeypatch.setattr("granres.fitutil.optimize.minimize", _failed_minimize)
+    with pytest.warns(UserWarning) as caught:
+        fit_occurrence(records_portfolio(claims, int(days[-1]) + 1), "negbin")
+    assert [str(w.message) for w in caught] == [
+        f"occurrence years ({year},): negative binomial fit did not converge: "
+        "ABNORMAL_TERMINATION_IN_LNSRCH"
+        for year in (2000, 2001)
+    ]
 
 
 def test_single_accident_year_pins_trend_to_zero():

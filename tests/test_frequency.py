@@ -137,7 +137,8 @@ def test_zm_poisson_fit_fails_when_every_positive_gap_is_one():
     # as for a type with claims on every day, two a day here
     days = np.repeat(np.arange(6000, 6050), 2).tolist()
     claims = [ClaimRecord(f"c{i}", "material_damage", d, d) for i, d in enumerate(days)]
-    with pytest.raises(PhaseError, match=r"phase 1 \(occurrence\) failed: .*positive gap is 1"):
+    message = r"phase 1 \(occurrence, material_damage\) failed: .*positive gap is 1"
+    with pytest.raises(PhaseError, match=message):
         fit_model(records_portfolio(claims, 6100), {"occurrence_family": "zm_poisson"})
 
 

@@ -58,8 +58,8 @@ PERTURB_RECIPES = {
     },
 }
 PERTURB = {
-    "weibull": "61c0a5471a7731b39de441e85a422c03fa38ddcb475657ade62538bfc5b88ca7",
-    "weibull_order_ar": "46ddd02ef24dbf9b0f51af6e5ed386c5694e2a77c82d9220a0058220c3424138",
+    "weibull": "9b55a7ca43225b303cfa164393317b9149c4170d3a58b2c138dfc3c397f74f4a",
+    "weibull_order_ar": "40aa04a442bc1b0e683816fce0547ef806c5f1c2c9db7d09b714071f5fc66704",
 }
 
 

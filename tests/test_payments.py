@@ -9,7 +9,7 @@ from granres.daycount import DAYS_PER_YEAR
 from granres.payments import fit_intensity, intensity_from_dict
 from granres.reserving import _place_payments
 
-from helpers import payment_taus
+from helpers import intensity_rate, payment_taus
 
 
 def test_cumulative_intensity_closed_forms():
@@ -21,7 +21,7 @@ def test_cumulative_intensity_closed_forms():
     for inten in (ExponentialDecay(3.0, 1.2), PowerDecay(3.0, 2.5)):
         h = 1e-6
         fd = (inten.cumulative(0.8 + h) - inten.cumulative(0.8 - h)) / (2 * h)
-        assert_allclose(fd, inten.rate(0.8), rtol=1e-8)
+        assert_allclose(fd, intensity_rate(inten, 0.8), rtol=1e-8)
 
 
 def test_cumulative_inverse_round_trip():
@@ -60,7 +60,8 @@ def test_count_cdf_time_derivative_matches_finite_differences():
         for n in (0, 2, 4, 9):
             fd = (proc.count_cdf(tau + h, n) - proc.count_cdf(tau - h, n)) / (2 * h)
             # dQ_tau(n)/dtau = -rate(tau) * P[N(tau) = n]
-            assert_allclose(-proc.intensity.rate(tau) * proc.count_pmf(tau, n), fd, atol=1e-9)
+            exact = -intensity_rate(proc.intensity, tau) * proc.count_pmf(tau, n)
+            assert_allclose(exact, fd, atol=1e-9)
             assert fd <= 0.0
 
 
@@ -131,7 +132,7 @@ def test_exponential_fit_recovers_truth():
     truth = ExponentialDecay(3.0, 2.0)
     rng = np.random.default_rng(17)
     taus, hz = payment_taus(truth, rng.uniform(0.5, 6.0, 5000), rng)
-    fit = fit_intensity(taus, hz, "exponential")
+    fit, _ = fit_intensity(taus, hz, "exponential")
     assert abs(fit.intensity.lam0 - 3.0) < 3 * fit.se["lam0"]
     assert abs(fit.intensity.beta - 2.0) < 3 * fit.se["beta"]
     assert len(fit.cov) == 2 and np.all(np.isfinite(fit.cov))
@@ -141,7 +142,7 @@ def test_power_fit_recovers_truth():
     truth = PowerDecay(3.0, 2.2)
     rng = np.random.default_rng(19)
     taus, hz = payment_taus(truth, rng.uniform(0.5, 6.0, 5000), rng)
-    fit = fit_intensity(taus, hz, "power")
+    fit, _ = fit_intensity(taus, hz, "power")
     assert abs(fit.intensity.lam0 - 3.0) < 3 * fit.se["lam0"]
     assert abs(fit.intensity.beta - 2.2) < 3 * fit.se["beta"]
 
@@ -154,8 +155,8 @@ def test_longer_empty_exposure_lowers_expected_total():
     ):
         rng = np.random.default_rng(23)
         taus, hz = payment_taus(truth, np.full(800, 2.0), rng)
-        short = fit_intensity(taus, hz, fam)
-        long = fit_intensity(taus, hz * 2.0, fam)
+        short, _ = fit_intensity(taus, hz, fam)
+        long, _ = fit_intensity(taus, hz * 2.0, fam)
         assert long.intensity.total() < short.intensity.total()
 
 
@@ -172,7 +173,7 @@ def test_fit_intensity_input_validation():
 
 def test_fit_at_bound_warns_and_flags_se():
     with pytest.warns(UserWarning, match="parameter bound"):
-        fit = fit_intensity([1e-6] * 5, [10.0] * 5, "exponential")
+        fit, _ = fit_intensity([1e-6] * 5, [10.0] * 5, "exponential")
     assert np.isnan(fit.se["lam0"]) and np.isnan(fit.se["beta"])
     assert fit.cov == ()
 

@@ -683,6 +683,21 @@ def test_model_save_load_round_trip(tmp_path, port1500):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_fit_warnings_name_their_phase_and_claim_type():
+    # one accident year fixes each type's delay trend with the same warning:
+    # one entry per type, in the order raised
+    start, end = parse_iso("2016-01-01"), parse_iso("2016-12-31")
+    portfolio = synthesize(
+        default_model(3000, start, end, "independence"), start, end, np.random.default_rng(5)
+    )
+    _, report = fit_model(portfolio, {"copula_family": "independence", "hac_outer": None})
+    message = "single accident year: delay trend c1 not identifiable, fixed to 0"
+    assert report["warnings"] == [
+        {"phase": "reporting delay", "claim_type": t, "message": message}
+        for t in ("bodily_injury", "material_damage")
+    ]
+
+
 def test_model_json_round_trip_keeps_standard_errors(tmp_path, port1500):
     recipe = dict(
         RECIPE,
