@@ -23,7 +23,9 @@ drawn first).
 
 Claims of the two types are paired by accident day with match_days, within
 MATCH_GAP_DAYS, both when the outer parameter is estimated and when the
-claim law is simulated.
+claim law is simulated. Each claim is used at most once and takes the
+nearest unused day, the earlier on a tie, at any density: each day's used
+claims are a prefix in stable order, so a used count per day is the state.
 """
 
 from __future__ import annotations
@@ -144,44 +146,44 @@ def hac_sample(spec, inner_a, inner_b, uniforms, theta_a_fn=None, theta_b_fn=Non
 def match_days(days_a, days_b, max_gap: int):
     """Greedy nearest-day matching of two day arrays.
 
-    Days of a are visited in ascending order; each takes the nearest unused
-    day of b within max_gap (the earlier one on a tie), so every claim is
-    used at most once. Returns (idx_a, idx_b) of the matched pairs in that
-    visiting order, plus boolean masks of the unmatched days of a and b.
+    Days of a are visited in ascending order, stable among equal days; each
+    takes the nearest unused day of b within max_gap (the earlier one on a
+    tie), so every claim is used at most once. Returns (idx_a, idx_b) of the
+    matched pairs in that visiting order, plus boolean masks of the
+    unmatched days of a and b.
+
+    Within one day of b the first unused claim in stable order is always
+    taken first, so each day's used claims are a prefix: one (next unused,
+    end) pair per day of b is the whole state, at any density.
     """
-    ia, ib = [], []
+    order_a = np.argsort(days_a, kind="stable")
     order_b = np.argsort(days_b, kind="stable")
-    b_index = order_b.tolist()
-    sorted_b = days_b[order_b].tolist()
-    n_b = len(sorted_b)
-    used_b = [False] * n_b
-    day_a = days_a.tolist()
-    j = 0
-    for i in np.argsort(days_a, kind="stable").tolist():
-        d = day_a[i]
-        while j < n_b and (sorted_b[j] < d - max_gap or used_b[j]):
-            j += 1
-        best, best_gap = -1, max_gap + 1
-        for k in range(j, min(j + 64, n_b)):
-            b = sorted_b[k]
-            if b - d >= best_gap:
-                break  # days of b ascend, so none after this one is nearer
-            if not used_b[k] and abs(b - d) < best_gap:
-                best, best_gap = k, abs(b - d)
-        if best >= 0:
-            used_b[best] = True
-            ia.append(i)
-            ib.append(b_index[best])
-    rest_a = np.ones(days_a.size, dtype=bool)
-    rest_a[ia] = False
-    rest_b = np.ones(days_b.size, dtype=bool)
-    rest_b[order_b[np.asarray(used_b, dtype=bool)]] = False
-    return (
-        np.asarray(ia, dtype=np.int64),
-        np.asarray(ib, dtype=np.int64),
-        rest_a,
-        rest_b,
-    )
+    a_days, a_first, a_count = np.unique(days_a[order_a], return_index=True, return_counts=True)
+    b_days, b_first, b_count = np.unique(days_b[order_b], return_index=True, return_counts=True)
+    # day of b -> [next unused, end] positions in order_b
+    free = {d: [i, i + c] for d, i, c in zip(b_days.tolist(), b_first.tolist(), b_count.tolist())}
+    # a-days with no day of b within the gap would only fail every lookup
+    lo, hi = np.searchsorted(b_days, [a_days - max_gap, a_days + max_gap + 1])
+    offsets = sorted(range(-max_gap, max_gap + 1), key=abs)  # 0, -1, 1, -2, ...
+    pos_a, pos_b = [], []
+    for d, first, n in zip(*(x[hi > lo].tolist() for x in (a_days, a_first, a_count))):
+        want = n
+        for off in offsets:
+            span = free.get(d + off)
+            if span is None or span[0] == span[1]:
+                continue
+            take = min(want, span[1] - span[0])
+            pos_b.extend(range(span[0], span[0] + take))
+            span[0] += take
+            want -= take
+            if not want:
+                break
+        pos_a.extend(range(first, first + n - want))
+    ia = order_a[np.asarray(pos_a, dtype=np.int64)]
+    ib = order_b[np.asarray(pos_b, dtype=np.int64)]
+    rest_a = np.bincount(ia, minlength=days_a.size) == 0
+    rest_b = np.bincount(ib, minlength=days_b.size) == 0
+    return ia, ib, rest_a, rest_b
 
 
 def matched_delay_scores(sub_a, sub_b, delay_a, delay_b):

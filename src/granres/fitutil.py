@@ -27,11 +27,12 @@ def numeric_hessian(f, x):
     h = _REL_STEP * np.maximum(1.0, np.abs(x))
     steps = np.diag(h)  # row i steps coordinate i alone
     hess = np.empty((k, k))
+    f0 = f(x)
     for i in range(k):
         for j in range(i, k):
             ei, ej = steps[i], steps[j]
             if i == j:
-                d = (f(x + ei) - 2.0 * f(x) + f(x - ei)) / h[i] ** 2
+                d = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
             else:
                 d = (
                     f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)

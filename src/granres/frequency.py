@@ -360,10 +360,7 @@ def simulate_arrivals(model: OccurrenceModel, from_day: int, to_day: int, rng) -
             done = True
         else:
             out.append(prefix)
-            if cut < block:
-                t = int(days[cut - 1])  # first point of the next calendar year
-            else:
-                t = int(prefix[-1])  # block exhausted mid-segment; keep going
+            t = int(prefix[-1])
     return np.concatenate(out) if out else np.array([], dtype=np.int64)
 
 

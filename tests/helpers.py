@@ -1,7 +1,8 @@
 """Test data drawn through the engine's own samplers, portfolios built from
 hand-written claim records, the payment rates the intensity fit reduces to
-sufficient statistics, and the row-by-row CSV ingest kept as the reference
-for the columnar one."""
+sufficient statistics, the row-by-row CSV ingest kept as the reference
+for the columnar one, and the brute-force greedy that the cross-type day
+matching is checked against."""
 
 import csv
 import math
@@ -60,6 +61,29 @@ def records_portfolio(claims, cutoff) -> Portfolio:
         [p.amount for p in pays],
         cutoff,
     )
+
+
+def nearest_unused_pairs(days_a, days_b, max_gap):
+    """Brute-force reference for match_days: (idx_a, idx_b) of the pairs.
+
+    The days of a are visited in ascending order, stable among equal days.
+    Each scans every day of b and takes the nearest unused one within
+    max_gap; on a tie, the earlier day, then the first in stable order.
+    """
+    days_a, days_b = np.asarray(days_a), np.asarray(days_b)
+    order_b = np.argsort(days_b, kind="stable")
+    sorted_b = days_b[order_b]
+    used = np.zeros(sorted_b.size, dtype=bool)
+    ia, ib = [], []
+    for i in np.argsort(days_a, kind="stable"):
+        gap = np.abs(sorted_b - days_a[i])
+        free = np.flatnonzero(~used & (gap <= max_gap))
+        if free.size:
+            k = free[np.argmin(gap[free])]  # the first minimum: earliest day and position
+            used[k] = True
+            ia.append(i)
+            ib.append(order_b[k])
+    return np.asarray(ia, dtype=np.int64), np.asarray(ib, dtype=np.int64)
 
 
 # each type's code under its name, also without its underscore

@@ -31,7 +31,7 @@ from granres.copulas.hac import (
     match_days,
     matched_delay_scores,
 )
-from helpers import records_portfolio
+from helpers import nearest_unused_pairs, records_portfolio
 
 CLAY2 = CopulaSpec("clayton", theta=2.0)
 GUM2 = CopulaSpec("gumbel", theta=2.0)
@@ -251,28 +251,6 @@ def test_match_days_hand_case():
     assert ia.size == ib.size == 0 and rest_a.all() and rest_b.size == 0
 
 
-def _loop_matched_pairs(portfolio, max_gap):
-    """Claim-object loop reference for the cross-type matching."""
-    a = sorted(portfolio.by_type("bodily_injury").claims, key=lambda c: c.accident_day)
-    b = sorted(portfolio.by_type("material_damage").claims, key=lambda c: c.accident_day)
-    pairs, j, used = [], 0, [False] * len(b)
-    for c in a:
-        d = c.accident_day
-        while j < len(b) and (b[j].accident_day < d - max_gap or used[j]):
-            j += 1
-        best, best_gap = -1, max_gap + 1
-        for k in range(j, min(j + 64, len(b))):
-            gap = abs(b[k].accident_day - d)
-            if not used[k] and gap < best_gap:
-                best, best_gap = k, gap
-            if b[k].accident_day > d + max_gap:
-                break
-        if best >= 0:
-            used[best] = True
-            pairs.append((c, b[best]))
-    return pairs
-
-
 @pytest.fixture(scope="module")
 def matched():
     start, end = parse_iso("2016-01-01"), parse_iso("2018-12-31")
@@ -282,16 +260,15 @@ def matched():
 
 def test_matched_delay_scores_match_the_claim_loop(matched):
     truth, port = matched
-    dm = {t: truth.types[t].delay for t in truth.types}
     bi, md = "bodily_injury", "material_damage"
-    got = matched_delay_scores(port.by_type(bi), port.by_type(md), dm[bi], dm[md])
-    pairs = _loop_matched_pairs(port, MATCH_GAP_DAYS)
-    assert got[0].size == len(pairs) > 100
-    for side, x in enumerate(got):
-        y = [
-            dm[p[side].claim_type].cdf(p[side].accident_day, p[side].delay_days() + 0.5)
-            for p in pairs
-        ]
+    subs = [port.by_type(t) for t in (bi, md)]
+    dm = [truth.types[t].delay for t in (bi, md)]
+    got = matched_delay_scores(*subs, *dm)
+    pairs = nearest_unused_pairs(subs[0].accident_days, subs[1].accident_days, MATCH_GAP_DAYS)
+    assert got[0].size == pairs[0].size > 100
+    for x, sub, model, idx in zip(got, subs, dm, pairs):
+        acc, rep = sub.accident_days[idx].tolist(), sub.reporting_days[idx].tolist()
+        y = [model.cdf(t, r - t + 0.5) for t, r in zip(acc, rep)]
         assert x.tobytes() == np.asarray(y, dtype=float).tobytes()
 
 
@@ -300,10 +277,21 @@ def test_match_days_matches_the_claim_loop(matched, gap):
     _, port = matched
     subs = [port.by_type(t) for t in ("bodily_injury", "material_damage")]
     ia, ib, _, _ = match_days(subs[0].accident_days, subs[1].accident_days, gap)
-    pairs = _loop_matched_pairs(port, gap)
+    ra, rb = nearest_unused_pairs(subs[0].accident_days, subs[1].accident_days, gap)
     assert ia.size > 100
-    assert [subs[0].claims[i].claim_id for i in ia] == [a.claim_id for a, _ in pairs]
-    assert [subs[1].claims[i].claim_id for i in ib] == [b.claim_id for _, b in pairs]
+    assert ia.tolist() == ra.tolist() and ib.tolist() == rb.tolist()
+
+
+@pytest.mark.parametrize("gap", [0, 2, 7])
+def test_match_days_takes_the_nearest_unused_day_on_dense_portfolios(gap):
+    # 15 and 25 claims per type per day: a scan that stops after a fixed
+    # number of entries of b never reaches the nearest days here
+    rng = np.random.default_rng(31)
+    days_a = rng.integers(6000, 6100, 1500)
+    days_b = rng.integers(6000, 6100, 2500)
+    ia, ib, _, _ = match_days(days_a, days_b, gap)
+    ra, rb = nearest_unused_pairs(days_a, days_b, gap)
+    assert ia.tolist() == ra.tolist() and ib.tolist() == rb.tolist()
 
 
 def test_fit_hac_outer_recovers_tau():

@@ -1,8 +1,8 @@
 """Property tests for the copula inversions the samplers rely on, for the
 nested draw's rows not depending on which rows are solved with them, for the
-count searches and payment placement against plain references, for the
-claim data's CSV round trip and sub-portfolios, and for the columnar CSV
-ingest against the row-by-row one."""
+cross-type day matching, the count searches and payment placement against
+plain references, for the claim data's CSV round trip and sub-portfolios,
+and for the columnar CSV ingest against the row-by-row one."""
 
 import csv
 import io
@@ -26,11 +26,11 @@ from granres.claims import _COLUMNS, _PAYMENTS, CLAIM_TYPES, censor
 from granres.copulas import CopulaSpec, HacSpec, hac_sample
 from granres.copulas.dynamics import TimeVaryingParam
 from granres.copulas.families import FAMILIES, bisect
-from granres.copulas.hac import hac_uniforms
+from granres.copulas.hac import hac_uniforms, match_days
 from granres.copulas.mixed import conditional_count_quantile, count_quantile
 from granres.daycount import DAYS_PER_YEAR
 from granres.reserving import _place_payments
-from helpers import ingest_csv_report_loop, records_portfolio
+from helpers import ingest_csv_report_loop, nearest_unused_pairs, records_portfolio
 
 UNIT = st.floats(0.01, 0.99)
 
@@ -132,6 +132,31 @@ def test_hac_sample_on_stacked_blocks_equals_each_block_alone(nested, blocks, se
         theta_b_fn=stacked_map(maps(1)),
     )
     assert stacked.tobytes() == np.concatenate(alone).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.floats(0.0, 30.0),
+    st.floats(0.0, 30.0),
+    st.integers(0, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_match_days_is_the_nearest_unused_greedy(n_days, per_day_a, per_day_b, gap, seed):
+    """At 0 to 30 claims per type per day: the brute-force greedy's pairs in
+    its order, each claim used at most once, every pair within the gap, and
+    the rest masks exactly the unmatched claims."""
+    rng = np.random.default_rng(seed)
+    days_a = rng.integers(0, n_days, rng.poisson(per_day_a * n_days))
+    days_b = rng.integers(0, n_days, rng.poisson(per_day_b * n_days))
+    ia, ib, rest_a, rest_b = match_days(days_a, days_b, gap)
+    ref_a, ref_b = nearest_unused_pairs(days_a, days_b, gap)
+    assert_array_equal(ia, ref_a)
+    assert_array_equal(ib, ref_b)
+    assert np.unique(ia).size == ia.size and np.unique(ib).size == ib.size
+    assert np.all(np.abs(days_a[ia] - days_b[ib]) <= gap)
+    assert_array_equal(rest_a, ~np.isin(np.arange(days_a.size), ia))
+    assert_array_equal(rest_b, ~np.isin(np.arange(days_b.size), ib))
 
 
 # claim ids may need CSV quoting, but carry no edge whitespace (ingest strips it)
