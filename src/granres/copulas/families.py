@@ -7,7 +7,9 @@ h(u, v) = dC(u, v)/du, i.e. the conditional cdf of V given U = u.
 
 The edge rule of the cdf and h-function is written once, in _Family; each
 parametric family supplies only the interior. Independence keeps its
-product forms.
+product forms. For likelihood fits, h_prepare computes the theta-free
+transforms of (u, v) once and h_dtheta returns h and dh/dtheta from them in
+one pass.
 
 For Clayton, Gumbel and Frank the additive generator phi and its inverse psi
 are exposed together with the derivatives needed by the nested (hierarchical)
@@ -98,7 +100,9 @@ class _Family:
 
     _cdf(u, v, theta) gets u and v as float arrays and _h(u, v, theta) gets
     v as one. Both must accept any value, because cdf and h replace what
-    they return on and beyond the edges of the unit square.
+    they return on and beyond the edges of the unit square. _prepare(u, v)
+    returns the theta-free transforms that _h_dtheta(pre, theta) turns into
+    h and dh/dtheta, with h's value bit for bit.
     """
 
     name = "base"
@@ -114,6 +118,20 @@ class _Family:
     def h(self, u, v, theta):
         v = np.asarray(v, dtype=float)
         return np.where(v <= 0.0, 0.0, np.where(v >= 1.0, 1.0, self._h(u, v, theta)))
+
+    def h_prepare(self, u, v):
+        """The theta-free part of h(u, v) for h_dtheta: where v is inside
+        (0, 1), h's value on the edges, and the family's transforms of u and v."""
+        v = np.asarray(v, dtype=float)
+        below, above = v <= 0.0, v >= 1.0
+        inside = ~(below | above)
+        return inside, np.where(below, 0.0, 1.0), self._prepare(np.asarray(u, dtype=float), v)
+
+    def h_dtheta(self, prepared, theta):
+        """(h(u, v; theta), dh/dtheta) from h_prepare(u, v), under h's edge rule."""
+        inside, edge, pre = prepared
+        h, dh = self._h_dtheta(pre, theta)
+        return np.where(inside, h, edge), np.where(inside, dh, 0.0)
 
     def hinv(self, u, p, theta):
         """Numeric inverse of v -> h(u, v); overridden where closed form exists."""
@@ -141,6 +159,12 @@ class Independence(_Family):
     def h(self, u, v, theta=None):
         v = np.asarray(v, dtype=float)
         return _clip(v, 0.0, 1.0) * np.ones_like(np.asarray(u, dtype=float))
+
+    def h_prepare(self, u, v):
+        return _clip(np.asarray(v, dtype=float), 0.0, 1.0)
+
+    def h_dtheta(self, prepared, theta=None):
+        return prepared, 0.0
 
     def hinv(self, u, p, theta=None):
         return np.asarray(p, dtype=float)
@@ -176,6 +200,22 @@ class Clayton(_Family):
         T = self._pow(u, theta) + self._pow(v, theta) - 1.0
         return np.exp(-(theta + 1.0) * np.log(u) - (1.0 + 1.0 / theta) * np.log(T))
 
+    def _prepare(self, u, v):
+        return np.log(_clip01(u)), np.log(_clip01(v))
+
+    def _h_dtheta(self, pre, theta):
+        lu, lv = pre
+        theta = np.asarray(theta, dtype=float)
+        # an infinite v^-theta gives h = 0, whose derivative is 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            pu, pv = np.exp(-theta * lu), np.exp(-theta * lv)
+            T = pu + pv - 1.0
+            log_t = np.log(T)
+            h = np.exp(-(theta + 1.0) * lu - (1.0 + 1.0 / theta) * log_t)
+            # dT/dtheta = -(lu u^-theta + lv v^-theta)
+            dlog = log_t / theta**2 - lu + (1.0 + 1.0 / theta) * (lu * pu + lv * pv) / T
+            return h, np.where(h > 0.0, h * dlog, 0.0)
+
     def hinv(self, u, p, theta):
         u = _clip01(u)
         p = _clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12)
@@ -205,6 +245,9 @@ class Clayton(_Family):
         return np.log(theta)
 
     def link_inv(self, eta):
+        return np.exp(np.asarray(eta, dtype=float))
+
+    def link_inv_d1(self, eta):
         return np.exp(np.asarray(eta, dtype=float))
 
     def gen(self, t, theta):
@@ -254,6 +297,29 @@ class Gumbel(_Family):
         c = np.exp(-s ** (1.0 / theta))
         return c * s ** (1.0 / theta - 1.0) * a ** (theta - 1.0) / uc
 
+    def _prepare(self, u, v):
+        uc = _clip01(u)
+        a, b = -np.log(uc), -np.log(_clip01(v))
+        return uc, a, b, np.log(a), np.log(b)
+
+    def _h_dtheta(self, pre, theta):
+        uc, a, b, log_a, log_b = pre
+        theta = np.asarray(theta, dtype=float)
+        a_t, b_t = a**theta, b**theta
+        s = a_t + b_t
+        r = s ** (1.0 / theta)
+        h = np.exp(-r) * s ** (1.0 / theta - 1.0) * a ** (theta - 1.0) / uc
+        # log h = -r + (1/theta - 1) log s + (theta - 1) log a - log u
+        log_s = np.log(s)
+        ds_s = (log_a * a_t + log_b * b_t) / s
+        dlog = (
+            -r * (ds_s - log_s / theta) / theta
+            - log_s / theta**2
+            + (1.0 / theta - 1.0) * ds_s
+            + log_a
+        )
+        return h, h * dlog
+
     def density(self, u, v, theta):
         u = _clip01(u)
         v = _clip01(v)
@@ -281,6 +347,9 @@ class Gumbel(_Family):
 
     def link_inv(self, eta):
         return 1.0 + np.exp(np.asarray(eta, dtype=float))
+
+    def link_inv_d1(self, eta):
+        return np.exp(np.asarray(eta, dtype=float))
 
     def gen(self, t, theta):
         return (-np.log(_clip01(t))) ** theta
@@ -346,6 +415,21 @@ class Frank(_Family):
             np.expm1(theta * u) - np.exp(theta * v) * np.expm1(theta * (u - 1.0))
         )
 
+    def _prepare(self, u, v):
+        return _clip01(u), _clip(v, 0.0, 1.0)
+
+    def _h_dtheta(self, pre, theta):
+        u, v = pre
+        theta = self._nudge(theta)
+        ev = np.exp(theta * v)
+        num = np.expm1(theta * v)
+        e1 = np.expm1(theta * (u - 1.0))
+        den = np.expm1(theta * u) - ev * e1
+        h = num / den
+        dnum = v * ev
+        dden = u * np.exp(theta * u) - ev * (v * e1 + (u - 1.0) * np.exp(theta * (u - 1.0)))
+        return h, (dnum - h * dden) / den
+
     def hinv(self, u, p, theta):
         u = _clip01(u)
         p = _clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12)
@@ -380,6 +464,9 @@ class Frank(_Family):
 
     def link_inv(self, eta):
         return np.asarray(eta, dtype=float)
+
+    def link_inv_d1(self, eta):
+        return np.ones_like(np.asarray(eta, dtype=float))
 
     def gen(self, t, theta):
         theta = self._nudge(theta)
@@ -436,6 +523,17 @@ class Gaussian(_Family):
         y = ndtri(_clip01(v))
         return ndtr((y - rho * x) / np.sqrt(1.0 - rho**2))
 
+    def _prepare(self, u, v):
+        return ndtri(_clip01(u)), ndtri(_clip01(v))
+
+    def _h_dtheta(self, pre, theta):
+        x, y = pre
+        rho = np.asarray(theta, dtype=float)
+        sd = np.sqrt(1.0 - rho**2)
+        z = (y - rho * x) / sd
+        dz = (rho * z / sd - x) / sd
+        return ndtr(z), np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) * dz
+
     def hinv(self, u, p, theta):
         rho = np.asarray(theta, dtype=float)
         x = ndtri(_clip01(u))
@@ -460,6 +558,9 @@ class Gaussian(_Family):
 
     def link_inv(self, eta):
         return np.tanh(np.asarray(eta, dtype=float))
+
+    def link_inv_d1(self, eta):
+        return 1.0 / np.cosh(np.asarray(eta, dtype=float)) ** 2
 
 
 INDEPENDENCE = Independence()

@@ -166,9 +166,49 @@ class CopulaFit:
     aic_table: dict = field(default_factory=dict)
 
 
-def _pair_loglik(u, q_hi, q_lo, fam, theta):
-    bracket = fam.h(u, q_hi, theta) - fam.h(u, q_lo, theta)
-    return float(np.sum(np.log(np.clip(bracket, _FLOOR, None))))
+def _bracket_score(fam, u, q_hi, q_lo):
+    """The pair likelihood's score function: theta -> (nll, per-pair gradient).
+
+    nll is -sum log(h(u, q_hi) - h(u, q_lo)), each bracket floored at
+    _FLOOR; the gradient holds d nll / d theta of each pair, 0 on a floored
+    bracket. theta is a scalar or one value per pair. The theta-free
+    transforms are computed here, once.
+    """
+    hi, lo = fam.h_prepare(u, q_hi), fam.h_prepare(u, q_lo)
+
+    def score(theta):
+        h_hi, d_hi = fam.h_dtheta(hi, theta)
+        h_lo, d_lo = fam.h_dtheta(lo, theta)
+        bracket = h_hi - h_lo
+        live = bracket > _FLOOR
+        grad = np.divide(d_lo - d_hi, bracket, out=np.zeros_like(bracket), where=live)
+        return -float(np.sum(np.log(np.maximum(bracket, _FLOOR)))), grad
+
+    return score
+
+
+def _tv_nll_score(x, score, fam, horizon, link_hi):
+    """(nll, gradient) of the time-varying fit at x = (eta_inf, delta, kappa).
+
+    Each pair's theta is link_inv(eta_inf + (eta0 - eta_inf) exp(-kappa h)),
+    h its horizon and eta0 = eta_inf + delta; an eta0 past link_hi is held
+    there, and the excess pays a quadratic penalty.
+    """
+    eta_inf, delta, kappa = x
+    eta0 = eta_inf + delta
+    pen, dpen = 0.0, 0.0
+    capped = eta0 > link_hi
+    if capped:
+        pen, dpen = 1e5 * (eta0 - link_hi) ** 2, 2e5 * (eta0 - link_hi)
+        eta0 = link_hi
+    decay = np.exp(-kappa * horizon)
+    eta = eta_inf + (eta0 - eta_inf) * decay
+    value, grad = score(fam.link_inv(eta))
+    grad_eta = grad * fam.link_inv_d1(eta)  # d nll / d eta, per pair
+    d_inf = np.sum(grad_eta * (1.0 - decay)) if capped else np.sum(grad_eta)
+    d_delta = 0.0 if capped else np.sum(grad_eta * decay)
+    d_kappa = -(eta0 - eta_inf) * np.sum(grad_eta * horizon * decay)
+    return value + pen, np.array([d_inf + dpen, d_delta + dpen, d_kappa])
 
 
 def fit_copula(
@@ -182,6 +222,8 @@ def fit_copula(
     constant-parameter fits; only the chosen family gets a standard error.
     With time_varying=True the selected family is refit with the link-scale
     decay map; the extra two parameters are kept only when they improve AIC.
+    Every fit and standard error runs on the closed-form score
+    (_bracket_score, chained through the link in _tv_nll_score).
     """
     t, w, horizon, n = pairs
     u = np.clip(delay_score(delay_model, t, w), 1e-9, 1 - 1e-9)
@@ -193,10 +235,11 @@ def fit_copula(
     q_lo = count_process.count_cdf(horizon, n - 1)
 
     def static_fit(name):
-        """A constant-parameter fit and its negative log-likelihood in theta."""
+        """A constant-parameter fit and its (nll, gradient) objective in theta."""
         fam = FAMILIES[name]
+        score = _bracket_score(fam, u, q_hi, q_lo)
         if name == "independence":
-            ll = _pair_loglik(u, q_hi, q_lo, fam, None)
+            ll = -score(None)[0]
             return CopulaFit(CopulaSpec("independence"), ll, -2.0 * ll, u.size), None
         lo, hi = fam.theta_bounds
         if name == "frank":
@@ -209,10 +252,11 @@ def fit_copula(
         def nll(x):
             th = float(x[0])
             if not lo <= th <= hi:  # information probes can step past a bound
-                return np.inf
-            return -_pair_loglik(u, q_hi, q_lo, fam, th)
+                return np.inf, np.full(1, np.nan)
+            value, grad = score(th)
+            return value, np.array([np.sum(grad)])
 
-        opt = mle(nll, [[s] for s in starts], [(lo, hi)])
+        opt = mle(nll, [[s] for s in starts], [(lo, hi)], jac=True)
         warn_unconverged(opt, f"{name} copula fit")
         spec = CopulaSpec(name, theta=float(opt.x[0]))
         return CopulaFit(spec, opt.loglik, 2.0 - 2.0 * opt.loglik, u.size), nll
@@ -221,7 +265,7 @@ def fit_copula(
     fits = {nm: static_fit(nm) for nm in names}
     table = {nm: f.aic for nm, (f, _) in fits.items()}
     base, nll = fits[min(table, key=table.get)]
-    se = {} if nll is None else standard_errors(nll, [base.spec.theta], ("theta",))[1]
+    se = {} if nll is None else standard_errors(nll, [base.spec.theta], ("theta",), jac=True)[1]
     base = replace(base, se=se, aic_table=table)
 
     if not time_varying or base.spec.family == "independence":
@@ -232,26 +276,20 @@ def fit_copula(
     link_lo = float(fam.link(lo))
     link_hi = float(fam.link(hi))
     eta_hat = float(fam.link(base.spec.theta))
+    score = _bracket_score(fam, u, q_hi, q_lo)
 
     def tv_nll(x):
-        eta_inf, delta, kappa = x
-        eta0 = eta_inf + delta
-        pen = 0.0
-        if eta0 > link_hi:
-            pen = 1e5 * (eta0 - link_hi) ** 2
-            eta0 = link_hi
-        theta = fam.link_inv(eta_inf + (eta0 - eta_inf) * np.exp(-kappa * horizon))
-        return -_pair_loglik(u, q_hi, q_lo, fam, theta) + pen
+        return _tv_nll_score(x, score, fam, horizon, link_hi)
 
     span = link_hi - link_lo
     x0 = np.array([eta_hat, min(0.25 * span, 0.5), 1.0])
-    opt = mle(tv_nll, [x0], [(link_lo, link_hi), (0.0, span), (0.0, 20.0)])
+    opt = mle(tv_nll, [x0], [(link_lo, link_hi), (0.0, span), (0.0, 20.0)], jac=True)
     warn_unconverged(opt, f"time-varying {base.spec.family} copula fit")
     aic_tv = 6.0 - 2.0 * opt.loglik
     if aic_tv >= base.aic:
         return base
     eta_inf, delta, kappa = (float(v) for v in opt.x)
-    _, se = standard_errors(tv_nll, opt.x, ("eta_inf", "delta", "kappa"))
+    _, se = standard_errors(tv_nll, opt.x, ("eta_inf", "delta", "kappa"), jac=True)
     dyn = TimeVaryingParam(
         eta0=min(eta_inf + delta, link_hi), eta_inf=eta_inf, kappa=kappa
     )

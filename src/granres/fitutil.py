@@ -5,7 +5,10 @@ Every numeric fit minimizes its negative log-likelihood through mle, and
 every standard error comes from standard_errors, the inverted numeric
 observed information at the estimate. A fit whose objective also returns its
 gradient (the score, negated; jac=True) hands it to the optimizer, and its
-observed information is the central difference of that gradient.
+observed information is the central difference of that gradient. The
+reporting-delay, payment-intensity and delay/count copula fits have a
+score; the fits with none (negative binomial, zero-truncated Poisson,
+gamma) keep the k^2 function difference.
 """
 
 from __future__ import annotations

@@ -190,11 +190,24 @@ def _coupled_pairs(spec, seed, m=2000, horizons=(1.0, 3.0)):
     return t, w, horizon, n
 
 
-def test_fit_copula_recovers_clayton_theta():
-    pairs = _coupled_pairs(CLAY2, seed=14)
-    fit = fit_copula(pairs, DELAY, PROC, "clayton")
-    assert 1.7 < fit.spec.theta < 2.3
-    assert abs(fit.spec.theta - 2.0) < 3 * fit.se["theta"]
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CLAY2,
+        CopulaSpec("gumbel", theta=2.0),
+        CopulaSpec("frank", theta=5.0),
+        CopulaSpec("frank", theta=-5.0),
+        CopulaSpec("gaussian", theta=-0.5),
+    ],
+    ids=["clayton", "gumbel", "frank", "frank_negative", "gaussian_negative"],
+)
+def test_fit_copula_recovers_theta(spec):
+    pairs = _coupled_pairs(spec, seed=14)
+    fit = fit_copula(pairs, DELAY, PROC, spec.family)
+    assert fit.spec.family == spec.family
+    assert abs(fit.spec.theta - spec.theta) < 0.15 * abs(spec.theta)
+    assert 0.0 < fit.se["theta"]
+    assert abs(fit.spec.theta - spec.theta) < 3 * fit.se["theta"]
     assert fit.n_obs == 2000
     assert_allclose(fit.aic, 2.0 - 2.0 * fit.loglik, rtol=1e-13)
 
@@ -210,17 +223,15 @@ def test_fit_copula_auto_selection():
     # the pick, so their missing standard errors are not reported
     assert [str(w.message) for w in caught] == []
 
-    # a pick at its upper bound keeps its warning; Gumbel's lowest optimum
-    # here stopped without converging, which is reported too
+    # a pick at its upper bound keeps its warning; every family's fit
+    # converged (Gumbel's too, on its score), so that is the only message
     bound_pairs = _coupled_pairs(CopulaSpec("clayton", theta=28.0), seed=15)
     with pytest.warns(UserWarning) as caught:
         fit_bound = fit_copula(bound_pairs, DELAY, PROC, "auto")
-    messages = [str(w.message) for w in caught]
-    assert len(messages) == 2
-    assert messages[0].startswith("gumbel copula fit did not converge: ")
-    assert messages[1] == (
+    assert [str(w.message) for w in caught] == [
         "observed information not positive definite; standard errors unavailable"
-    )
+    ]
+    assert np.isfinite(fit_bound.aic_table["gumbel"])
     assert fit_bound.spec.family == "clayton"
     assert fit_bound.spec.theta == FAMILIES["clayton"].theta_bounds[1]
     assert np.isnan(fit_bound.se["theta"])

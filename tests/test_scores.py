@@ -1,10 +1,11 @@
-"""Closed-form scores of the reporting-delay and payment-intensity likelihoods.
+"""Closed-form scores of the reporting-delay, payment-intensity and
+delay/count copula likelihoods.
 
 Each objective returns (negative log-likelihood, gradient). The value is
-checked against the likelihood written from the Weibull survival or the
-intensity's rate and cumulative, and the gradient against central
-differences of that value. The standard errors read off the gradient are
-checked against the function-difference path.
+checked against the likelihood written from the Weibull survival, the
+intensity's rate and cumulative, or the copula's h-function bracket, and the
+gradient against central differences of that value. The standard errors read
+off the gradient are checked against the function-difference path.
 """
 
 import math
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from granres import ExponentialDecay, PowerDecay, WeibullDelayModel
+from granres import CopulaSpec, CountProcess, ExponentialDecay, PowerDecay, WeibullDelayModel
+from granres.copulas.families import FAMILIES
+from granres.copulas.mixed import _bracket_score, _tv_nll_score, conditional_count_quantile
 from granres.daycount import years_since_epoch
 from granres.delays import _interval_nll_score
 from granres.fitutil import standard_errors
@@ -111,3 +114,98 @@ def test_gradient_standard_errors_match_the_function_difference_path():
     assert se_g == fit.se
     assert_allclose(cov_g, cov_f, rtol=1e-5)
     assert_allclose([se_g[n] for n in names], [se_f[n] for n in names], rtol=1e-6)
+
+
+PROC = CountProcess(ExponentialDecay(3.0, 1.2))
+
+
+def _copula_data(spec, seed, m=2000):
+    """Delay scores, horizons and count brackets of pairs coupled by spec.
+
+    u is clipped to [1e-9, 1 - 1e-9] as fit_copula clips it. The first five
+    pairs have horizon 0, so q_hi = 1 and q_lo = 0 there.
+    """
+    rng = np.random.default_rng(seed)
+    u = np.clip(rng.random(m), 1e-9, 1.0 - 1e-9)
+    horizon = rng.uniform(0.5, 3.0, m)
+    horizon[:5] = 0.0
+    n = conditional_count_quantile(u, rng.random(m), horizon, PROC, spec)
+    return u, horizon, PROC.count_cdf(horizon, n), PROC.count_cdf(horizon, n - 1)
+
+
+def _bracket_nll(fam, u, q_hi, q_lo, theta):
+    """-sum log of the fam.h bracket, floored at 1e-300."""
+    bracket = fam.h(u, q_hi, theta) - fam.h(u, q_lo, theta)
+    return -np.sum(np.log(np.clip(bracket, 1e-300, None)))
+
+
+# (family, theta drawing the pairs, theta the score is evaluated at)
+STATIC_CASES = {
+    "clayton": ("clayton", 2.0, 2.4),
+    "gumbel": ("gumbel", 2.0, 1.7),
+    "frank": ("frank", 5.0, 6.0),
+    "frank_negative": ("frank", -5.0, -4.0),
+    "gaussian": ("gaussian", 0.5, 0.6),
+    "gaussian_negative": ("gaussian", -0.5, -0.4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATIC_CASES))
+def test_copula_score_matches_central_differences(case):
+    name, truth, theta = STATIC_CASES[case]
+    fam = FAMILIES[name]
+    u, _, q_hi, q_lo = _copula_data(CopulaSpec(name, theta=truth), 21)
+    assert np.all(q_hi[:5] == 1.0) and np.all(q_lo[:5] == 0.0)
+    score = _bracket_score(fam, u, q_hi, q_lo)
+    value, grad = score(theta)
+    assert value == _bracket_nll(fam, u, q_hi, q_lo, theta)
+    assert grad.shape == u.shape and np.all(np.isfinite(grad))
+    assert np.all(grad[:5] == 0.0)
+    fd = _central_difference(lambda y: score(y[0])[0], [theta])
+    assert_allclose(grad.sum(), fd[0], rtol=1e-6)
+
+
+def test_copula_score_skips_floored_brackets():
+    # at the 1e-9 clip of u, Clayton's h(u, q) rounds to 1 for any count
+    # cdf well inside (0, 1): those brackets are 0 and sit on the floor
+    fam = FAMILIES["clayton"]
+    u, _, q_hi, q_lo = _copula_data(CopulaSpec("clayton", theta=2.0), 22)
+    u[5:205] = 1e-9
+    score = _bracket_score(fam, u, q_hi, q_lo)
+    value, grad = score(2.4)
+    floored = fam.h(u, q_hi, 2.4) - fam.h(u, q_lo, 2.4) <= 1e-300
+    assert np.sum(floored) > 100 and np.all(grad[floored] == 0.0)
+    assert value == _bracket_nll(fam, u, q_hi, q_lo, 2.4)
+    fd = _central_difference(lambda y: score(y[0])[0], [2.4])
+    assert_allclose(grad.sum(), fd[0], rtol=1e-6)
+
+
+# (family, theta drawing the pairs, (eta_inf, delta, kappa) with eta0 inside
+# the family's upper link bound, the same past it by 0.1: the penalty branch)
+TV_CASES = {
+    "clayton": ("clayton", 2.0, [math.log(1.5), 0.6, 0.8]),
+    "gumbel": ("gumbel", 2.0, [math.log(0.7), 0.5, 1.2]),
+    "frank": ("frank", 5.0, [4.0, 2.0, 0.7]),
+    "gaussian": ("gaussian", -0.5, [-0.6, 0.3, 1.5]),
+}
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["inside", "penalty"])
+@pytest.mark.parametrize("case", sorted(TV_CASES))
+def test_time_varying_copula_score_matches_central_differences(case, capped):
+    name, truth, x = TV_CASES[case]
+    fam = FAMILIES[name]
+    link_hi = float(fam.link(fam.theta_bounds[1]))
+    if capped:  # eta0 held at link_hi; a fast decay keeps theta moderate
+        x = [x[0], link_hi + 0.1 - x[0], 5.0]
+    u, horizon, q_hi, q_lo = _copula_data(CopulaSpec(name, theta=truth), 23)
+    score = _bracket_score(fam, u, q_hi, q_lo)
+    nll = lambda y: _tv_nll_score(y, score, fam, horizon, link_hi)
+    value, grad = nll(np.array(x))
+    eta0 = min(x[0] + x[1], link_hi)
+    theta = fam.link_inv(x[0] + (eta0 - x[0]) * np.exp(-x[2] * horizon))
+    pen = 1e5 * (x[0] + x[1] - link_hi) ** 2 if capped else 0.0
+    assert value == _bracket_nll(fam, u, q_hi, q_lo, theta) + pen
+    assert grad.shape == (3,) and np.all(np.isfinite(grad))
+    fd = _central_difference(lambda y: nll(y)[0], x)
+    assert_allclose(grad, fd, rtol=1e-6)
