@@ -256,7 +256,7 @@ def fit_copula(
             value, grad = score(th)
             return value, np.array([np.sum(grad)])
 
-        opt = mle(nll, [[s] for s in starts], [(lo, hi)], jac=True)
+        opt = mle(nll, [[s] for s in starts], [(lo, hi)])
         warn_unconverged(opt, f"{name} copula fit")
         spec = CopulaSpec(name, theta=float(opt.x[0]))
         return CopulaFit(spec, opt.loglik, 2.0 - 2.0 * opt.loglik, u.size), nll
@@ -265,7 +265,7 @@ def fit_copula(
     fits = {nm: static_fit(nm) for nm in names}
     table = {nm: f.aic for nm, (f, _) in fits.items()}
     base, nll = fits[min(table, key=table.get)]
-    se = {} if nll is None else standard_errors(nll, [base.spec.theta], ("theta",), jac=True)[1]
+    se = {} if nll is None else standard_errors(nll, [base.spec.theta], ("theta",))[1]
     base = replace(base, se=se, aic_table=table)
 
     if not time_varying or base.spec.family == "independence":
@@ -283,13 +283,13 @@ def fit_copula(
 
     span = link_hi - link_lo
     x0 = np.array([eta_hat, min(0.25 * span, 0.5), 1.0])
-    opt = mle(tv_nll, [x0], [(link_lo, link_hi), (0.0, span), (0.0, 20.0)], jac=True)
+    opt = mle(tv_nll, [x0], [(link_lo, link_hi), (0.0, span), (0.0, 20.0)])
     warn_unconverged(opt, f"time-varying {base.spec.family} copula fit")
     aic_tv = 6.0 - 2.0 * opt.loglik
     if aic_tv >= base.aic:
         return base
     eta_inf, delta, kappa = (float(v) for v in opt.x)
-    _, se = standard_errors(tv_nll, opt.x, ("eta_inf", "delta", "kappa"), jac=True)
+    _, se = standard_errors(tv_nll, opt.x, ("eta_inf", "delta", "kappa"))
     dyn = TimeVaryingParam(
         eta0=min(eta_inf + delta, link_hi), eta_inf=eta_inf, kappa=kappa
     )

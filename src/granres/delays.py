@@ -169,10 +169,10 @@ def fit_delay(portfolio):
     log_w = np.log(w_days, out=np.full_like(w_days, -np.inf), where=w_days > 0)
     log_w1 = np.log1p(w_days)
     nll = lambda x: _interval_nll_score(x, t_years, log_w, log_w1)
-    opt = mle(nll, [x0], bounds, jac=True)
+    opt = mle(nll, [x0], bounds)
     if not opt.success:
         raise ValueError(f"Weibull delay fit did not converge: {opt.message}")
     k, c0 = float(opt.x[0]), float(opt.x[1])
     c1 = 0.0 if single_year else float(opt.x[2])
-    _, se = standard_errors(nll, opt.x, ("shape", "c0", "c1")[: opt.x.size], jac=True)
+    _, se = standard_errors(nll, opt.x, ("shape", "c0", "c1")[: opt.x.size])
     return WeibullDelayModel(k, c0, c1, se)

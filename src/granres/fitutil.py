@@ -1,14 +1,12 @@
 """The one maximum-likelihood core of the fitters, and the parameter-risk
 redraw of a fitted component.
 
-Every numeric fit minimizes its negative log-likelihood through mle, and
-every standard error comes from standard_errors, the inverted numeric
-observed information at the estimate. A fit whose objective also returns its
-gradient (the score, negated; jac=True) hands it to the optimizer, and its
-observed information is the central difference of that gradient. The
-reporting-delay, payment-intensity and delay/count copula fits have a
-score; the fits with none (negative binomial, zero-truncated Poisson,
-gamma) keep the k^2 function difference.
+Every likelihood a fitter hands to this module returns its negative value
+and that value's gradient (the score, negated) in one call. mle minimizes
+it with that gradient, and standard_errors inverts the observed information
+at the estimate, the central difference of the gradient. The reporting
+delay, payment intensity, delay/count copula, count (negative binomial,
+zero-truncated Poisson) and gamma fits all take this one path.
 """
 
 from __future__ import annotations
@@ -23,50 +21,19 @@ from scipy import optimize
 _REL_STEP = 1e-4
 
 
-def numeric_hessian(f, x):
-    """Central-difference Hessian of a scalar function at x."""
-    x = np.asarray(x, dtype=float)
-    k = x.size
-    h = _REL_STEP * np.maximum(1.0, np.abs(x))
-    steps = np.diag(h)  # row i steps coordinate i alone
-    hess = np.empty((k, k))
-    f0 = f(x)
-    for i in range(k):
-        for j in range(i, k):
-            ei, ej = steps[i], steps[j]
-            if i == j:
-                d = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h[i] ** 2
-            else:
-                d = (
-                    f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-                ) / (4.0 * h[i] * h[j])
-            hess[i, j] = d
-            hess[j, i] = d
-    return hess
-
-
-def gradient_hessian(grad, x):
-    """Symmetrized central difference of a gradient at x: 2k gradient calls."""
-    x = np.asarray(x, dtype=float)
-    h = _REL_STEP * np.maximum(1.0, np.abs(x))
-    cols = [(grad(x + step) - grad(x - step)) / (2.0 * hi) for hi, step in zip(h, np.diag(h))]
-    hess = np.column_stack(cols)
-    return 0.5 * (hess + hess.T)
-
-
-def standard_errors(negloglik, x, names, jac=False):
+def standard_errors(negloglik, x, names):
     """(cov, {name: se}) from the observed information at the estimate x.
 
-    With jac=True negloglik returns (value, gradient) and the information is
-    the difference of the gradient (gradient_hessian); otherwise it is the
-    k^2-call function difference (numeric_hessian). When the information is
-    not positive definite (boundary solutions and the like), cov is None and
-    every se NaN, with a warning.
+    negloglik returns (value, gradient). The information is the symmetrized
+    central difference of the gradient, 2k gradient calls for k parameters.
+    When it is not positive definite (boundary solutions and the like), cov
+    is None and every se NaN, with a warning.
     """
-    if jac:
-        hess = gradient_hessian(lambda y: negloglik(y)[1], x)
-    else:
-        hess = numeric_hessian(negloglik, x)
+    x = np.asarray(x, dtype=float)
+    h = _REL_STEP * np.maximum(1.0, np.abs(x))
+    grad = lambda y: negloglik(y)[1]
+    hess = np.column_stack([(grad(x + e) - grad(x - e)) / (2 * hi) for hi, e in zip(h, np.diag(h))])
+    hess = 0.5 * (hess + hess.T)
     try:
         cov = np.linalg.inv(hess)
     except np.linalg.LinAlgError:  # singular: fails the check below
@@ -81,18 +48,18 @@ def standard_errors(negloglik, x, names, jac=False):
     return cov, {name: float(np.sqrt(cov[i, i])) for i, name in enumerate(names)}
 
 
-def mle(negloglik, starts, bounds, jac=False):
+def mle(negloglik, starts, bounds):
     """Minimize a negative log-likelihood by L-BFGS-B from each start in order.
 
-    Returns the lowest optimum, the first one on ties: scipy's result, whose
-    success and message are the optimizer's convergence flag and message,
-    with its log-likelihood as loglik and which coordinates sit on a bound
-    as at_bound. With jac=True negloglik returns (value, gradient), and the
-    optimizer uses that gradient in place of finite differences.
+    negloglik returns (value, gradient), and the optimizer uses that
+    gradient. Returns the lowest optimum, the first one on ties: scipy's
+    result, whose success and message are the optimizer's convergence flag
+    and message, with its log-likelihood as loglik and which coordinates
+    sit on a bound as at_bound.
     """
     best = None
     for x0 in starts:
-        res = optimize.minimize(negloglik, x0, method="L-BFGS-B", jac=jac, bounds=bounds)
+        res = optimize.minimize(negloglik, x0, method="L-BFGS-B", jac=True, bounds=bounds)
         if best is None or res.fun < best.fun:
             best = res
     lo, hi = np.array(bounds, dtype=float).T

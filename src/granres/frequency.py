@@ -8,6 +8,7 @@ calendar year.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,9 +30,6 @@ class Poisson:
     def logpmf(self, k):
         k = np.asarray(k)
         return k * np.log(self.mu) - self.mu - special.gammaln(k + 1.0)
-
-    def pmf(self, k):
-        return np.exp(self.logpmf(k))
 
     def cdf(self, k):
         return special.pdtr(k, self.mu)
@@ -68,9 +66,6 @@ class NegativeBinomial:
             + self.r * np.log(self.p)
             + k * np.log1p(-self.p)
         )
-
-    def pmf(self, k):
-        return np.exp(self.logpmf(k))
 
     def cdf(self, k):
         # the regularized incomplete beta I_p(r, k + 1); nbdtr would truncate r
@@ -114,13 +109,6 @@ class ZeroModified:
 
     def _base_p0(self):
         return float(np.exp(self.base.logpmf(0)))
-
-    def pmf(self, k):
-        k = np.asarray(k)
-        b0 = self._base_p0()
-        scale = (1.0 - self.p0) / (1.0 - b0)
-        vals = np.where(k == 0, self.p0, scale * self.base.pmf(k))
-        return vals if vals.shape else float(vals)
 
     def mean(self):
         b0 = self._base_p0()
@@ -170,55 +158,107 @@ def _fit_poisson(obs):
     return CountFit(d, ll, {"mu": float(np.sqrt(mu / obs.size))})
 
 
-def _truncated_negloglik_negbin(params, obs):
-    r, p = params
-    d = NegativeBinomial(r, p)
-    # zero-truncated log-likelihood
-    return -float(np.sum(d.logpmf(obs)) - obs.size * np.log1p(-d.pmf(0)))
+def _negbin(mu, alpha):
+    """The negative binomial of mean mu and dispersion alpha > 0."""
+    return NegativeBinomial(float(1.0 / alpha), float(1.0 / (1.0 + alpha * mu)))
 
 
-def _fit_negbin(obs, truncated=False):
-    if np.all(obs == 0):
-        raise ValueError("degenerate sample: all zeros, negative binomial not identifiable")
-    m = float(np.mean(obs))
-    v = float(np.var(obs))
+def _gap_stats(obs):
+    """The sufficient statistics of the count likelihoods, from the gap
+    counts: n, the sum of the gaps, tail[j] = #{gaps > j} for j below the
+    largest gap, and the sum of lgamma(gap + 1)."""
+    counts = np.bincount(obs)
+    k = np.arange(counts.size)
+    tail = obs.size - np.cumsum(counts)[:-1]
+    return obs.size, float(k @ counts), tail, float(special.gammaln(k + 1.0) @ counts)
+
+
+def _phi(a):
+    """(log1p(a) - a / (1 + a)) / a^2, by its series where the difference
+    loses its digits (1/2 at a = 0)."""
+    if abs(a) < 1e-4:
+        return 0.5 - a * (2.0 / 3.0 - 0.75 * a)
+    return (math.log1p(a) - a / (1.0 + a)) / (a * a)
+
+
+def _negbin_nll_score(x, stats, truncated=False):
+    """Negative log-likelihood of the gaps under the negative binomial of
+    mean mu and dispersion alpha, var = mu + alpha mu^2, and its gradient in
+    x = (mu, alpha), or in x = (mu,) at alpha = 0. With S the sum of the n
+    gaps k,
+
+        log L = sum_(j<k) log1p(alpha j) + S log mu
+                - (S + n / alpha) log1p(alpha mu) - sum lgamma(k + 1),
+
+    exact at alpha = 0, the Poisson. truncated conditions every gap on being
+    positive: log L - n log(1 - P(0)), -log P(0) = log1p(alpha mu) / alpha.
+    """
+    mu, alpha = x[0], (x[1] if len(x) > 1 else 0.0)
+    n, total, tail, const = stats
+    j = np.arange(tail.size)
+    a = alpha * mu
+    q = math.log1p(a) / alpha if alpha else mu
+    ll = tail @ np.log1p(alpha * j) + total * (math.log(mu) - math.log1p(a)) - n * q - const
+    d_mu = (total - n * mu) / (mu * (1.0 + a))
+    d_alpha = tail @ (j / (1.0 + alpha * j)) - total * mu / (1.0 + a) + n * mu * mu * _phi(a)
+    if truncated:  # dq/dmu = 1 / (1 + a), dq/dalpha = -mu^2 phi(a)
+        w = n / math.expm1(q)
+        ll -= n * math.log(-math.expm1(-q))
+        d_mu -= w / (1.0 + a)
+        d_alpha += w * mu * mu * _phi(a)
+    return -ll, -np.array([d_mu, d_alpha][: len(x)])
+
+
+def _fit_negbin(obs):
+    """mu is the sample mean at any alpha. The alpha-score is n (v - m) / 2
+    at alpha = 0 and negative for large alpha: v > m puts alpha at its one
+    root, and any other sample sits on the Poisson edge, fitted as Poisson."""
+    m, v = float(np.mean(obs)), float(np.var(obs))
     if v <= m:
-        v = m * 1.25  # moment init needs overdispersion; nudge and let the optimizer move
-    p0 = min(max(m / v, 1e-3), 1.0 - 1e-3)
-    r0 = max(m * p0 / (1.0 - p0), 1e-2)
-    bounds = [(1e-6, 1e6), (1e-9, 1.0 - 1e-9)]
-
-    if truncated:
-        nll = lambda x: _truncated_negloglik_negbin(x, obs)
-    else:
-        nll = lambda x: -float(np.sum(NegativeBinomial(*x).logpmf(obs)))
-    opt = mle(nll, [[r0, p0]], bounds)
-    warn_unconverged(opt, "negative binomial fit")
-    _, se = standard_errors(nll, opt.x, ("r", "p"))
-    return NegativeBinomial(float(opt.x[0]), float(opt.x[1])), opt.loglik, se
+        return _fit_poisson(obs)
+    stats = _gap_stats(obs)
+    nll = lambda y: _negbin_nll_score(y, stats)
+    t = optimize.brentq(lambda t: nll((m, math.exp(t)))[1][1], math.log(1e-12), math.log(1e12))
+    x = (m, math.exp(t))
+    _, se = standard_errors(nll, x, ("mu", "alpha"))
+    return CountFit(_negbin(*x), -nll(x)[0], se)
 
 
-def _fit_truncated_poisson(obs):
+def _fit_truncated_negbin(pos):
+    """The zero-truncated negative binomial by mle in (mu, alpha >= 0); an
+    optimum on alpha = 0 is the zero-truncated Poisson's."""
+    stats = _gap_stats(pos)
+    nll = lambda y: _negbin_nll_score(y, stats, truncated=True)
+    m, v = float(np.mean(pos)), float(np.var(pos))
+    opt = mle(nll, [[m, max(v / (m * m), 0.1)]], [(1e-8, 1e6), (0.0, 1e6)])
+    warn_unconverged(opt, "zero-truncated negative binomial fit")
+    if opt.at_bound[1]:
+        return _fit_truncated_poisson(pos)
+    _, se = standard_errors(nll, opt.x, ("mu", "alpha"))
+    return CountFit(_negbin(*opt.x), opt.loglik, se)
+
+
+def _fit_truncated_poisson(pos):
     """MLE of a zero-truncated Poisson (positive observations only)."""
-    m = float(np.mean(obs))
+    m = float(np.mean(pos))
     if m == 1.0:
         # the likelihood rises as mu falls to 0: no maximum to report
         raise ValueError("zero-truncated Poisson has no MLE: every positive gap is 1")
     # the score equation mu / (1 - exp(-mu)) = m has one root in (0, m)
     mu = optimize.brentq(lambda mu: mu / (1.0 - np.exp(-mu)) - m, 1e-8, m)
-    nll = lambda x: -float(
-        np.sum(Poisson(x[0]).logpmf(obs)) - obs.size * np.log1p(-np.exp(-x[0]))
-    )
+    stats = _gap_stats(pos)
+    nll = lambda y: _negbin_nll_score(y, stats, truncated=True)  # at alpha = 0
     _, se = standard_errors(nll, [mu], ("mu",))
-    return Poisson(float(mu)), -nll([mu]), se
+    return CountFit(Poisson(float(mu)), -nll([mu])[0], se)
 
 
 def fit_count_mle(obs, family: str) -> CountFit:
     """Maximum-likelihood fit of a day-gap distribution.
 
-    Poisson and the zero-modified zero mass are closed form; the rest is
-    bounded numerical maximization. Standard errors come from the observed
-    information.
+    The Poisson mean and the zero mass are closed form, the zero-truncated
+    Poisson mean and the negative binomial alpha one root each of their
+    scores; only the zero-truncated negative binomial runs mle. Standard
+    errors are named mu and alpha for the base law, p0 for the zero mass.
     """
     obs = np.asarray(obs, dtype=np.int64)
     if obs.size < 10:
@@ -228,22 +268,17 @@ def fit_count_mle(obs, family: str) -> CountFit:
     if family == "poisson":
         return _fit_poisson(obs)
     if family == "negbin":
-        d, ll, se = _fit_negbin(obs)
-        return CountFit(d, ll, se)
+        return _fit_negbin(obs)
     if family in ("zm_poisson", "zm_negbin"):
         n0 = int(np.sum(obs == 0))
         p0 = n0 / obs.size
         pos = obs[obs > 0]
         if pos.size < 5:
             raise ValueError("too few positive observations for a zero-modified fit")
-        if family == "zm_poisson":
-            base, ll_pos, se_base = _fit_truncated_poisson(pos)
-        else:
-            base, ll_pos, se_base = _fit_negbin(pos, truncated=True)
-        ll = ll_pos + (n0 * np.log(p0) if n0 else 0.0) + pos.size * np.log1p(-p0)
-        se = {"p0": float(np.sqrt(p0 * (1.0 - p0) / obs.size))}
-        se.update(se_base)
-        return CountFit(ZeroModified(base, p0), float(ll), se)
+        fit_pos = (_fit_truncated_poisson if family == "zm_poisson" else _fit_truncated_negbin)(pos)
+        ll = fit_pos.loglik + (n0 * np.log(p0) if n0 else 0.0) + pos.size * np.log1p(-p0)
+        se = {"p0": float(np.sqrt(p0 * (1.0 - p0) / obs.size)), **fit_pos.se}
+        return CountFit(ZeroModified(fit_pos.dist, p0), float(ll), se)
     raise ValueError(f"unknown count family {family!r}")
 
 

@@ -178,7 +178,7 @@ def _intensity_optimum(n_events, event_stat, horizons, family, lam0_hint):
     nll = lambda p: _intensity_nll_score(p, n_events, event_stat, x, power)
     lo = 1.0 + 1e-6 if power else 1e-6
     x0 = [lam0_hint * 2.0, 2.0 if power else 1.0]
-    opt = mle(nll, [x0], [(1e-8, 1e4), (lo, 60.0)], jac=True)
+    opt = mle(nll, [x0], [(1e-8, 1e4), (lo, 60.0)])
     return opt, nll
 
 
@@ -236,7 +236,7 @@ def fit_intensity(events, horizons, family: str = "exponential"):
         )
         cov, se = None, {"lam0": float("nan"), "beta": float("nan")}
     else:
-        cov, se = standard_errors(nll, x, ("lam0", "beta"), jac=True)
+        cov, se = standard_errors(nll, x, ("lam0", "beta"))
     cov_t = () if cov is None else tuple(tuple(float(v) for v in row) for row in cov)
     cls = INTENSITY_FAMILIES[family]
     return CountProcess(cls(float(x[0]), float(x[1])), se, cov_t), aic

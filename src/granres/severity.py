@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
 from .fitutil import redraw, standard_errors
 
@@ -113,31 +113,28 @@ def fit_lognormal(amounts) -> LogNormalSeverity:
     )
 
 
+def _gamma_nll_score(params, x):
+    """-sum GammaSeverity(shape, scale).logpdf(x) and its gradient in
+    (shape, scale)."""
+    shape, scale = params
+    value = -float(np.sum(GammaSeverity(shape, scale).logpdf(x)))
+    d_shape = np.sum(np.log(x)) - x.size * (special.digamma(shape) + np.log(scale))
+    d_scale = np.sum(x) / scale**2 - x.size * shape / scale
+    return value, -np.array([d_shape, d_scale])
+
+
 def fit_gamma(amounts) -> GammaSeverity:
     x = _positive(amounts, "gamma")
-    # Newton on the shape profile likelihood; moment start
-    m, v = float(np.mean(x)), float(np.var(x))
-    if v <= 0:
+    m = float(np.mean(x))
+    s = float(np.log(m) - np.mean(np.log(x)))  # > 0 unless the amounts are constant
+    if not s > 0:
         raise ValueError("amounts are constant; gamma fit is degenerate")
-    k = m * m / v
-    s = float(np.log(m) - np.mean(np.log(x)))
-    for _ in range(60):
-        num = np.log(k) - special.digamma(k) - s
-        k_new = k - num / (1.0 / k - special.polygamma(1, k))
-        k_new = k_new if k_new > 0 else k / 2.0
-        settled = abs(k_new - k) < 1e-12 * max(1.0, k)
-        k = k_new
-        if settled:
-            break
-    else:
-        raise ValueError("gamma shape Newton did not settle in 60 steps")
-    scale = m / k
-
-    def nll(p):
-        return -float(np.sum(GammaSeverity(p[0], p[1]).logpdf(x)))
-
-    _, se = standard_errors(nll, [k, scale], ("shape", "scale"))
-    return GammaSeverity(float(k), float(scale), se=se)
+    # the shape solves the profile score log k - digamma(k) = s; as
+    # 1/(2k) < log k - digamma(k) < 1/k, the root lies in (1/(2s), 1/s)
+    f = lambda t: t - special.digamma(math.exp(t)) - s
+    k = math.exp(optimize.brentq(f, math.log(0.25 / s), -math.log(s), xtol=1e-15))
+    _, se = standard_errors(lambda p: _gamma_nll_score(p, x), [k, m / k], ("shape", "scale"))
+    return GammaSeverity(k, m / k, se=se)
 
 
 def _positive(amounts, label):

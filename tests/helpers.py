@@ -1,8 +1,10 @@
 """Test data drawn through the engine's own samplers, portfolios built from
 hand-written claim records, the payment rates the intensity fit reduces to
 sufficient statistics, the row-by-row CSV ingest kept as the reference
-for the columnar one, and the brute-force greedy that the cross-type day
-matching is checked against."""
+for the columnar one, the brute-force greedy that the cross-type day
+matching is checked against, the zero-modified pmf, and the function
+difference Hessian that the gradient-difference information is checked
+against."""
 
 import csv
 import math
@@ -41,6 +43,33 @@ def payment_taus(intensity, horizons, rng):
     idx, days = _place_payments(intensity, n, r, lam, cut, rng.random(n.sum()))
     taus = (days - r[idx]) / DAYS_PER_YEAR
     return taus, hz
+
+
+def zero_modified_pmf(zm, k):
+    """The pmf of a ZeroModified law: p0 at 0, the base pmf renormalized above."""
+    k = np.asarray(k)
+    b0 = np.exp(zm.base.logpmf(0))
+    return np.where(k == 0, zm.p0, (1.0 - zm.p0) / (1.0 - b0) * np.exp(zm.base.logpmf(k)))
+
+
+def function_difference_hessian(f, x, rel=1e-4):
+    """Central-difference Hessian of a scalar function at x, k^2 function
+    differences at the step rel * max(1, |x|) per coordinate."""
+    x = np.asarray(x, dtype=float)
+    h = rel * np.maximum(1.0, np.abs(x))
+    steps = np.diag(h)
+    hess = np.empty((x.size, x.size))
+    for i in range(x.size):
+        for j in range(i, x.size):
+            ei, ej = steps[i], steps[j]
+            if i == j:
+                d = (f(x + ei) - 2.0 * f(x) + f(x - ei)) / h[i] ** 2
+            else:
+                d = (f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)) / (
+                    4.0 * h[i] * h[j]
+                )
+            hess[i, j] = hess[j, i] = d
+    return hess
 
 
 def records_portfolio(claims, cutoff) -> Portfolio:

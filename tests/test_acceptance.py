@@ -130,7 +130,7 @@ def _refit_poisson(rng):
 
 def _refit_negbin(rng):
     fit = fit_count_mle(NegativeBinomial(2.0, 0.4).sample(rng, 12000), "negbin")
-    return [(fit.dist.r, 2.0, fit.se["r"]), (fit.dist.p, 0.4, fit.se["p"])]
+    return [(fit.dist.mean(), 3.0, fit.se["mu"]), (1.0 / fit.dist.r, 0.5, fit.se["alpha"])]
 
 
 def _refit_zm_poisson(rng):

@@ -75,13 +75,12 @@ def test_fit_delay_input_validation():
         fit_model(records_portfolio(claims, 200), {"delay_variant": "weibull_tv"})
 
 
-def _failed_minimize(fun, x0, jac=False, **kwargs):
-    """An optimizer that stops at its start without converging; with jac=True
-    the objective returns (value, gradient)."""
+def _failed_minimize(fun, x0, **kwargs):
+    """An optimizer that stops at its start without converging; the
+    objective returns (value, gradient)."""
     x = np.asarray(x0, dtype=float)
-    value = fun(x)[0] if jac else fun(x)
     return optimize.OptimizeResult(
-        x=x, fun=value, success=False, message="ABNORMAL_TERMINATION_IN_LNSRCH"
+        x=x, fun=fun(x)[0], success=False, message="ABNORMAL_TERMINATION_IN_LNSRCH"
     )
 
 
@@ -97,15 +96,17 @@ def test_fit_delay_raises_when_the_optimizer_fails(monkeypatch):
 
 
 def test_count_fit_warns_when_the_optimizer_fails(monkeypatch):
-    # unlike the delay fit, a count fit that did not converge warns and returns
+    # unlike the delay fit, a count fit that did not converge warns and
+    # returns; the zero-truncated negative binomial is the count fit that
+    # runs the optimizer
     obs = np.random.default_rng(5).negative_binomial(3, 0.5, 200)
     monkeypatch.setattr("granres.fitutil.optimize.minimize", _failed_minimize)
     with pytest.warns(UserWarning) as caught:
-        fit = fit_count_mle(obs, "negbin")
+        fit = fit_count_mle(obs, "zm_negbin")
     assert [str(w.message) for w in caught] == [
-        "negative binomial fit did not converge: ABNORMAL_TERMINATION_IN_LNSRCH"
+        "zero-truncated negative binomial fit did not converge: ABNORMAL_TERMINATION_IN_LNSRCH"
     ]
-    assert isinstance(fit.dist, NegativeBinomial)
+    assert isinstance(fit.dist.base, NegativeBinomial)
     assert np.isfinite(fit.loglik)
 
 
@@ -115,9 +116,9 @@ def test_occurrence_fit_warnings_name_their_year_group(monkeypatch):
     claims = [ClaimRecord(f"c{i}", "bodily_injury", int(d), int(d)) for i, d in enumerate(days)]
     monkeypatch.setattr("granres.fitutil.optimize.minimize", _failed_minimize)
     with pytest.warns(UserWarning) as caught:
-        fit_occurrence(records_portfolio(claims, int(days[-1]) + 1), "negbin")
+        fit_occurrence(records_portfolio(claims, int(days[-1]) + 1), "zm_negbin")
     assert [str(w.message) for w in caught] == [
-        f"occurrence years ({year},): negative binomial fit did not converge: "
+        f"occurrence years ({year},): zero-truncated negative binomial fit did not converge: "
         "ABNORMAL_TERMINATION_IN_LNSRCH"
         for year in (2000, 2001)
     ]

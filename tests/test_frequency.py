@@ -5,37 +5,42 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import optimize
 
 from granres import (
     ClaimRecord,
+    GranularModel,
     NegativeBinomial,
     OccurrenceModel,
     PhaseError,
     Poisson,
+    default_model,
     fit_model,
+    parse_iso,
+    synthesize,
 )
 from granres.frequency import (
     ZeroModified,
+    _gap_stats,
+    _negbin_nll_score,
     date_differences,
     dist_from_dict,
     fit_count_mle,
     fit_occurrence,
     simulate_arrivals,
 )
-from helpers import records_portfolio
+from helpers import records_portfolio, zero_modified_pmf
 
 
 def test_poisson_pmf_closed_form():
     d = Poisson(1.0)
-    assert_allclose(d.pmf(0), np.exp(-1.0), rtol=1e-14)
-    assert_allclose(d.pmf(1), np.exp(-1.0), rtol=1e-14)
-    assert_allclose(d.pmf(2), np.exp(-1.0) / 2.0, rtol=1e-14)
+    assert_allclose(d.logpmf([0, 1, 2]), [-1.0, -1.0, -1.0 - np.log(2.0)], rtol=1e-14)
     assert d.mean() == 1.0
 
 
 def test_negbin_pmf_is_geometric_at_unit_size():
     d = NegativeBinomial(1.0, 0.5)
-    assert_allclose(d.pmf([0, 1, 2, 3]), [0.5, 0.25, 0.125, 0.0625], rtol=1e-13)
+    assert_allclose(d.logpmf([0, 1, 2, 3]), np.log([0.5, 0.25, 0.125, 0.0625]), rtol=1e-13)
     assert_allclose(d.mean(), 1.0)
 
 
@@ -56,17 +61,17 @@ def test_count_validation_errors():
 
 def test_zero_modified_mass_and_normalization():
     zm = ZeroModified(Poisson(2.0), 0.5)
-    assert zm.pmf(0) == 0.5
+    assert zero_modified_pmf(zm, 0) == 0.5
     k = np.arange(0, 80)
-    assert_allclose(zm.pmf(k).sum(), 1.0, atol=1e-12)
-    assert_allclose(zm.mean(), np.sum(k * zm.pmf(k)), atol=1e-10)
+    assert_allclose(zero_modified_pmf(zm, k).sum(), 1.0, atol=1e-12)
+    assert_allclose(zm.mean(), np.sum(k * zero_modified_pmf(zm, k)), atol=1e-10)
 
 
 def test_zero_modified_reduces_to_base_at_natural_mass():
     base = Poisson(2.0)
-    zm = ZeroModified(base, float(base.pmf(0)))
+    zm = ZeroModified(base, float(np.exp(base.logpmf(0))))
     k = np.arange(0, 26)
-    assert_allclose(zm.pmf(k), base.pmf(k), atol=1e-14)
+    assert_allclose(zero_modified_pmf(zm, k), np.exp(base.logpmf(k)), atol=1e-14)
     assert_allclose(zm.mean(), base.mean(), atol=1e-12)
 
 
@@ -76,7 +81,7 @@ def test_zero_modified_sampling_moments():
     x = zm.sample(rng, size=200_000)
     assert_allclose(np.mean(x == 0), 0.4, atol=4 * np.sqrt(0.4 * 0.6 / x.size))
     k = np.arange(80)
-    var = np.sum(k**2 * zm.pmf(k)) - zm.mean() ** 2
+    var = np.sum(k**2 * zero_modified_pmf(zm, k)) - zm.mean() ** 2
     assert_allclose(np.mean(x), zm.mean(), atol=4 * np.sqrt(var / x.size))
 
 
@@ -116,10 +121,10 @@ def test_fit_input_validation():
 
 def test_negbin_fit_recovers_truth():
     rng = np.random.default_rng(11)
-    obs = NegativeBinomial(2.0, 0.4).sample(rng, size=20_000)
+    obs = NegativeBinomial(2.0, 0.4).sample(rng, size=20_000)  # mu 3, alpha 0.5
     fit = fit_count_mle(obs, "negbin")
-    assert abs(fit.dist.r - 2.0) < 3 * fit.se["r"]
-    assert abs(fit.dist.p - 0.4) < 3 * fit.se["p"]
+    assert abs(fit.dist.mean() - 3.0) < 3 * fit.se["mu"]
+    assert abs(1.0 / fit.dist.r - 0.5) < 3 * fit.se["alpha"]
 
 
 def test_zm_poisson_fit_recovers_truth():
@@ -144,11 +149,79 @@ def test_zm_poisson_fit_fails_when_every_positive_gap_is_one():
 
 def test_zm_negbin_fit_recovers_truth():
     rng = np.random.default_rng(9)
+    # base mu 2, alpha 0.5
     obs = ZeroModified(NegativeBinomial(2.0, 0.5), 0.3).sample(rng, size=20_000)
     fit = fit_count_mle(obs, "zm_negbin")
     assert abs(fit.dist.p0 - 0.3) < 3 * fit.se["p0"]
-    assert abs(fit.dist.base.r - 2.0) < 3 * fit.se["r"]
-    assert abs(fit.dist.base.p - 0.5) < 3 * fit.se["p"]
+    assert abs(fit.dist.base.mean() - 2.0) < 3 * fit.se["mu"]
+    assert abs(1.0 / fit.dist.base.r - 0.5) < 3 * fit.se["alpha"]
+
+
+def test_negbin_fit_of_an_underdispersed_sample_is_the_poisson_edge():
+    # variance 2/3 below the mean 2: the likelihood rises to its Poisson
+    # limit, alpha = 0, and the fit is that Poisson, without a warning
+    # (warnings fail this suite); the zero-truncated fit stops on the same
+    # edge, so zm_negbin is the zm_poisson fit
+    obs = np.array([1, 2, 3] * 10)
+    assert fit_count_mle(obs, "negbin") == fit_count_mle(obs, "poisson")
+    assert fit_count_mle(obs, "negbin").dist == Poisson(2.0)
+    assert fit_count_mle(obs, "zm_negbin") == fit_count_mle(obs, "zm_poisson")
+
+
+def test_negbin_occurrence_years_on_the_poisson_edge_round_trip(tmp_path):
+    # Poisson gaps: about half the years are not overdispersed, and each of
+    # those stores Poisson(mean gap) in the negbin occurrence model
+    start, end = parse_iso("2016-01-01"), parse_iso("2019-12-31")
+    port = synthesize(
+        default_model(1500, start, end, "independence"), start, end, np.random.default_rng(42)
+    )
+    recipe = {"occurrence_family": "negbin", "copula_family": "independence", "hac_outer": None}
+    model, report = fit_model(port, recipe)
+    assert report["warnings"] == []
+    edges = 0
+    for ctype, tm in model.types.items():
+        assert tm.occurrence.family == "negbin"
+        years, gaps = date_differences(port.by_type(ctype))
+        years, gaps = years[1:], gaps[1:]
+        for year, dist in tm.occurrence.by_year.items():
+            g = gaps[years == year]
+            if np.var(g) <= np.mean(g):
+                assert dist == Poisson(float(np.mean(g)))
+                assert dist.to_dict()["family"] == "poisson"
+                edges += 1
+            else:
+                assert isinstance(dist, NegativeBinomial)
+    assert edges >= 2
+    model.save(tmp_path / "model.json")
+    assert GranularModel.load(tmp_path / "model.json") == model
+
+
+def _profile_optimum(obs):
+    """The negative binomial log-likelihood maximized over alpha >= 0 at mu
+    the sample mean: a grid in log alpha, refined around its best point."""
+    stats, m = _gap_stats(obs), float(np.mean(obs))
+    f = lambda t: _negbin_nll_score((m, np.exp(t)), stats)[0]
+    grid = np.linspace(-20.0, 4.0, 49)
+    i = int(np.argmin([f(t) for t in grid]))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
+    return -min(res.fun, _negbin_nll_score((m, 0.0), stats)[0])
+
+
+@pytest.mark.parametrize("size", [150, 1000])
+@pytest.mark.parametrize("mean", [0.8, 2.0, 5.0])
+def test_negbin_fit_reaches_the_profile_optimum_on_poisson_gaps(mean, size):
+    # Poisson gaps, the generator's own occurrence law: half the samples sit
+    # on the Poisson edge, the others just inside it
+    rng = np.random.default_rng(int(10 * mean) + size)
+    for _ in range(20):
+        obs = rng.poisson(mean, size)
+        fit = fit_count_mle(obs, "negbin")
+        alpha = 0.0 if isinstance(fit.dist, Poisson) else 1.0 / fit.dist.r
+        assert (alpha > 0) == (np.var(obs) > np.mean(obs))
+        ll = -_negbin_nll_score((fit.dist.mean(), alpha), _gap_stats(obs))[0]
+        assert_allclose(fit.loglik, ll, rtol=1e-12)
+        assert ll >= _profile_optimum(obs) - 1e-8
 
 
 def test_date_differences_anchors_first_gap_at_origin():

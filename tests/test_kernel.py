@@ -58,8 +58,8 @@ PERTURB_RECIPES = {
     },
 }
 PERTURB = {
-    "weibull": "9b55a7ca43225b303cfa164393317b9149c4170d3a58b2c138dfc3c397f74f4a",
-    "weibull_order_ar": "40aa04a442bc1b0e683816fce0547ef806c5f1c2c9db7d09b714071f5fc66704",
+    "weibull": "973b8beb879a03e0f650437954a732faa0e9ebe5a0206b1747fa89e8ab7202bc",
+    "weibull_order_ar": "bf5def62dda8c7cf31337182f0c4cf43d12c0e7074f0ca2da83249e5b2082675",
 }
 
 

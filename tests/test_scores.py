@@ -1,11 +1,12 @@
-"""Closed-form scores of the reporting-delay, payment-intensity and
-delay/count copula likelihoods.
+"""Closed-form scores of the reporting-delay, payment-intensity, delay/count
+copula, day-gap count and gamma likelihoods.
 
 Each objective returns (negative log-likelihood, gradient). The value is
 checked against the likelihood written from the Weibull survival, the
-intensity's rate and cumulative, or the copula's h-function bracket, and the
-gradient against central differences of that value. The standard errors read
-off the gradient are checked against the function-difference path.
+intensity's rate and cumulative, the copula's h-function bracket, the count
+laws' logpmf or the gamma logpdf, and the gradient against central
+differences of that value. The standard errors read off the gradient are
+checked against a function-difference Hessian.
 """
 
 import math
@@ -14,15 +15,25 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from granres import CopulaSpec, CountProcess, ExponentialDecay, PowerDecay, WeibullDelayModel
+from granres import (
+    CopulaSpec,
+    CountProcess,
+    ExponentialDecay,
+    NegativeBinomial,
+    Poisson,
+    PowerDecay,
+    WeibullDelayModel,
+)
 from granres.copulas.families import FAMILIES
 from granres.copulas.mixed import _bracket_score, _tv_nll_score, conditional_count_quantile
 from granres.daycount import years_since_epoch
 from granres.delays import _interval_nll_score
 from granres.fitutil import standard_errors
+from granres.frequency import _gap_stats, _negbin_nll_score
 from granres.payments import _intensity_nll_score, fit_intensity
+from granres.severity import GammaSeverity, _gamma_nll_score
 
-from helpers import intensity_rate, payment_taus
+from helpers import function_difference_hessian, intensity_rate, payment_taus
 
 
 def _central_difference(f, x, rel=1e-6):
@@ -109,11 +120,67 @@ def test_gradient_standard_errors_match_the_function_difference_path():
     x = [fit.intensity.lam0, fit.intensity.beta]
     nll = lambda y: _intensity_nll_score(y, taus.size, np.sum(taus), hz, False)
     names = ("lam0", "beta")
-    cov_g, se_g = standard_errors(nll, x, names, jac=True)
-    cov_f, se_f = standard_errors(lambda y: nll(y)[0], x, names)
+    cov_g, se_g = standard_errors(nll, x, names)
+    cov_f = np.linalg.inv(function_difference_hessian(lambda y: nll(y)[0], x))
     assert se_g == fit.se
     assert_allclose(cov_g, cov_f, rtol=1e-5)
-    assert_allclose([se_g[n] for n in names], [se_f[n] for n in names], rtol=1e-6)
+    assert_allclose([se_g[n] for n in names], np.sqrt(np.diag(cov_f)), rtol=1e-6)
+
+
+def _negbin_gaps(truncated):
+    """2,000 gaps drawn from NegativeBinomial(2, 0.4), mu 3 and alpha 0.5;
+    truncated keeps the positive ones."""
+    obs = NegativeBinomial(2.0, 0.4).sample(np.random.default_rng(19), 2000)
+    return obs[obs > 0] if truncated else obs
+
+
+# alpha * mu = 2.6e-5 takes the series branch of the alpha-score
+@pytest.mark.parametrize("alpha", [0.7, 1e-5], ids=["inside", "series"])
+@pytest.mark.parametrize("truncated", [False, True], ids=["plain", "truncated"])
+def test_negbin_score_matches_central_differences(truncated, alpha):
+    obs = _negbin_gaps(truncated)
+    nll = lambda y: _negbin_nll_score(y, _gap_stats(obs), truncated)
+    x = [2.6, alpha]
+    value, grad = nll(x)
+    # the value is the logpmf of NegativeBinomial(1 / alpha, 1 / (1 + alpha mu)),
+    # checked at a moderate size: at r = 1e5, lgamma(k + r) - lgamma(r) in
+    # logpmf loses its last digits
+    if alpha == 0.7:
+        law = NegativeBinomial(1.0 / alpha, 1.0 / (1.0 + x[0] * alpha))
+        direct = np.sum(law.logpmf(obs))
+        if truncated:
+            direct -= obs.size * np.log1p(-np.exp(law.logpmf(0)))
+        assert_allclose(value, -direct, rtol=1e-12)
+    fd = _central_difference(lambda y: nll(y)[0], x)
+    assert_allclose(grad, fd, rtol=1e-6)
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["poisson", "zero_truncated_poisson"])
+def test_negbin_score_at_the_poisson_edge(truncated):
+    # alpha = 0 is the Poisson (zero-truncated, the zero-truncated Poisson
+    # fit's objective); the alpha-score is the one-sided derivative there
+    obs = _negbin_gaps(truncated)
+    nll = lambda y: _negbin_nll_score(y, _gap_stats(obs), truncated)
+    mu = 2.6
+    value, grad = nll([mu, 0.0])
+    law = Poisson(mu)
+    direct = np.sum(law.logpmf(obs)) - (obs.size * np.log1p(-np.exp(-mu)) if truncated else 0)
+    assert_allclose(value, -direct, rtol=1e-12)
+    h = 1e-6
+    d_mu = (nll([mu + h, 0.0])[0] - nll([mu - h, 0.0])[0]) / (2.0 * h)
+    assert_allclose(grad[0], d_mu, rtol=1e-6)
+    h = 1e-7
+    d_alpha = (nll([mu, h])[0] - value) / h
+    assert_allclose(grad[1], d_alpha, rtol=1e-5)
+
+
+def test_gamma_score_matches_central_differences():
+    x = np.random.default_rng(29).gamma(2.0, 3.0, 3000)
+    params = [1.8, 3.4]
+    value, grad = _gamma_nll_score(params, x)
+    assert value == -np.sum(GammaSeverity(*params).logpdf(x))
+    fd = _central_difference(lambda y: _gamma_nll_score(y, x)[0], params)
+    assert_allclose(grad, fd, rtol=1e-6)
 
 
 PROC = CountProcess(ExponentialDecay(3.0, 1.2))

@@ -1,11 +1,9 @@
 """Severity models: iid families and the order-autoregressive payment chain."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import special, stats
+from scipy import stats
 
 from granres import (
     ClaimRecord,
@@ -14,7 +12,6 @@ from granres import (
     OrderARSeverity,
     PaymentEvent,
 )
-from granres import severity
 from granres.severity import (
     fit_gamma,
     fit_lognormal,
@@ -64,21 +61,6 @@ def test_fit_gamma_recovers_truth():
     fit = fit_gamma(x)
     assert abs(fit.shape - 2.0) < 3 * fit.se["shape"]
     assert abs(fit.scale - 3.0) < 3 * fit.se["scale"]
-
-
-def test_fit_gamma_raises_when_newton_does_not_settle(monkeypatch):
-    x = np.random.default_rng(50).gamma(2.0, 3.0, 100)
-    s = np.log(np.mean(x)) - np.mean(np.log(x))
-    k0 = np.mean(x) ** 2 / np.var(x)
-    # a digamma under which Newton hops between the moment start k0 and k0 + 1
-    stub = SimpleNamespace(
-        digamma=lambda k: np.log(k) - s - (1.0 if k < k0 + 0.5 else -1.0),
-        polygamma=lambda n, k: 1.0 / k + 1.0,
-        gammaln=special.gammaln,
-    )
-    monkeypatch.setattr(severity, "special", stub)
-    with pytest.raises(ValueError, match="did not settle in 60 steps"):
-        fit_gamma(x)
 
 
 def test_fit_input_guards():
