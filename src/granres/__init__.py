@@ -19,7 +19,8 @@ from .claims import (
     ingest_csv_report,
     write_csv,
 )
-from .copulas import CopulaSpec, HacSpec, hac_sample
+from .copulas.dynamics import CopulaSpec
+from .copulas.hac import HacSpec, hac_sample
 from .daycount import iso, parse_iso
 from .delays import WeibullDelayModel
 from .frequency import NegativeBinomial, OccurrenceModel, Poisson

@@ -574,9 +574,3 @@ FAMILIES = {
 }
 ARCHIMEDEAN = ("clayton", "gumbel", "frank")
 
-
-def family(name: str) -> _Family:
-    try:
-        return FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown copula family {name!r}") from None

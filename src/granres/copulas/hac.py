@@ -6,20 +6,22 @@ score); an outer Archimedean copula D joins the two inner pairs:
     F(u1, u2, u3, u4) = D( C_A(u1, u2), C_B(u3, u4) )
                       = psi( phi(C_A(u1, u2)) + phi(C_B(u3, u4)) )
 
-Validity requires the outer dependence not to exceed either inner dependence
-(compared on the Kendall's tau scale). The inner copulas are the claim types'
-own, so GranularModel, which holds both, enforces that at construction,
-using each inner spec's long-run minimum when its parameter is time-varying.
-An independent outer copula is no nesting at all: the model has no HacSpec.
+GranularModel, which holds the inner copulas, checks that the outer tau
+exceeds neither inner minimum tau (the long-run one when time-varying);
+HacSpec admits only an outer tau > 0, since an independent outer copula is
+no nesting (hac None). The tau rule is necessary, not sufficient (Joe 1997,
+section 4.2; McNeil 2008): a nesting is a copula when phi_outer(psi_inner)
+has a completely monotone derivative, true within one family with theta_outer
+<= theta_inner, and not known for a mixed one such as the archimedean preset.
 
 Sampling is exact conditional inversion in the order u1, u2, u3, u4,
 vectorized over rows: each conditional cdf is inverted for all rows at once,
 in closed form where the inner family has one and otherwise by bracketed
 bisection. The conditional cdfs only need the outer generator's first three
 inverse derivatives together with the inner h-functions and densities, so
-the scheme works for any mix of inner families, including time-varying inner
-parameters (the parameter of each inner pair may depend on the component
-drawn first).
+the inversion accepts any mix of inner families (which does not make the mix
+a law), including time-varying inner parameters (the parameter of each inner
+pair may depend on the component drawn first).
 
 Claims of the two types are paired by accident day with match_days, within
 MATCH_GAP_DAYS, both when the outer parameter is estimated and when the
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..delays import delay_score
-from .families import ARCHIMEDEAN, FAMILIES, bisect, family
+from .families import ARCHIMEDEAN, FAMILIES, bisect
 
 _LO, _HI = 1e-9, 1.0 - 1e-9
 # the widest accident-day gap of a cross-type pair, in fit and simulation alike
@@ -57,6 +59,12 @@ class HacSpec:
             )
         if self.outer_theta is None:
             raise ValueError(f"{self.outer_family} outer copula needs a parameter")
+        lo, hi = FAMILIES[self.outer_family].theta_bounds
+        if not (lo <= self.outer_theta <= hi and self.outer_tau() > 0.0):  # NaN fails too
+            raise ValueError(
+                f"{self.outer_family} outer parameter {self.outer_theta} is no nesting: "
+                f"it must lie in [{lo}, {hi}] with tau > 0"
+            )
 
     def outer_tau(self) -> float:
         return float(FAMILIES[self.outer_family].tau(self.outer_theta))
@@ -69,13 +77,6 @@ def hac_from_dict(d: dict) -> HacSpec:
     return HacSpec(outer_family=d["outer_family"], outer_theta=d.get("outer_theta"))
 
 
-def hac_cdf(spec, inner_a, inner_b, u1, u2, u3, u4):
-    """Four-dimensional cdf, the inner parameters read at development time 0."""
-    s = family(inner_a.family).cdf(u1, u2, inner_a.theta_at(0.0))
-    t = family(inner_b.family).cdf(u3, u4, inner_b.theta_at(0.0))
-    return family(spec.outer_family).cdf(s, t, spec.outer_theta)
-
-
 def hac_uniforms(rng, size):
     """The (size, 4) uniforms that hac_sample turns into size rows."""
     return rng.uniform(_LO, _HI, size=(size, 4))
@@ -85,24 +86,22 @@ def hac_sample(spec, inner_a, inner_b, uniforms, theta_a_fn=None, theta_b_fn=Non
     """Draw (u1, u2, u3, u4) rows from the nested copula, all rows at once.
 
     spec is the outer copula, inner_a and inner_b the CopulaSpecs of the two
-    inner pairs. Each row solves one row of uniforms, as drawn by
-    hac_uniforms.
+    inner pairs. Each row solves one row of uniforms, as drawn by hac_uniforms.
     theta_a_fn / theta_b_fn, when given, map the array of an inner pair's
     first components to that pair's dependence parameters, one per row;
-    without them each inner parameter is read at development time 0, as in
-    hac_cdf.
+    without them each inner parameter is read at development time 0.
 
     Every step is elementwise over rows, so solving stacked uniforms gives
     bit for bit the rows of solving each block alone, as long as the theta
     maps treat each block as its own.
     """
-    fam_a = family(inner_a.family)
-    fam_b = family(inner_b.family)
+    fam_a = FAMILIES[inner_a.family]
+    fam_b = FAMILIES[inner_b.family]
     u1, p2, p3, p4 = uniforms.T
     th_a = theta_a_fn(u1) if theta_a_fn else inner_a.theta_at(0.0)
     u2 = np.clip(fam_a.hinv(u1, p2, th_a), _LO, _HI)
 
-    outer = family(spec.outer_family)
+    outer = FAMILIES[spec.outer_family]
     th0 = spec.outer_theta
     s = np.clip(fam_a.cdf(u1, u2, th_a), 1e-12, 1.0 - 1e-12)
     s1 = fam_a.h(u1, u2, th_a)

@@ -22,34 +22,9 @@ from ..daycount import DAYS_PER_YEAR
 from ..delays import delay_score
 from ..fitutil import mle, standard_errors, warn_unconverged
 from .dynamics import CopulaSpec, TimeVaryingParam
-from .families import FAMILIES, family
+from .families import FAMILIES
 
 _FLOOR = 1e-300
-
-
-def sklar_joint_cdf(delay_model, count_process, spec, t, w, horizon, n):
-    """P[W <= w, N(horizon) <= n] for a claim from accident day t."""
-    n = np.asarray(n)
-    u = delay_model.cdf(t, w)
-    q = count_process.count_cdf(horizon, np.maximum(n, 0))
-    fam = family(spec.family)
-    theta = spec.theta_at(np.asarray(horizon, dtype=float))
-    out = np.asarray(fam.cdf(u, q, theta), dtype=float)
-    return np.where(n < 0, 0.0, out)
-
-
-def mixed_density(delay_model, count_process, spec, t, w, horizon, n):
-    """Joint density in w with the count fixed at n (see module docstring)."""
-    w = np.asarray(w, dtype=float)
-    n = np.asarray(n)
-    u = delay_model.cdf(t, w)
-    q_hi = count_process.count_cdf(horizon, n)
-    q_lo = count_process.count_cdf(horizon, n - 1)
-    fam = family(spec.family)
-    theta = spec.theta_at(np.asarray(horizon, dtype=float))
-    bracket = fam.h(u, q_hi, theta) - fam.h(u, q_lo, theta)
-    dens = delay_model.density(t, w)
-    return dens * np.clip(bracket, 0.0, None)
 
 
 def _finite_intensity(count_process, horizon):
@@ -112,7 +87,7 @@ def conditional_count_quantile(u, v, horizon, count_process, spec):
     horizon = np.broadcast_to(np.asarray(horizon, dtype=float), u.shape)
     if spec.family == "independence":
         return count_quantile(v, horizon, count_process)
-    fam = family(spec.family)
+    fam = FAMILIES[spec.family]
     theta = np.broadcast_to(spec.theta_at(horizon), u.shape)
     if np.isnan(theta).any():
         raise ValueError("conditional count quantile at a NaN copula parameter")

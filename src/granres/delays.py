@@ -52,14 +52,6 @@ class WeibullDelayModel:
         out = -np.expm1(-np.power(np.maximum(w, 0.0) / lam, self.shape))
         return np.where(w <= 0.0, 0.0, out)
 
-    def density(self, t, w):
-        w = np.asarray(w, dtype=float)
-        lam = self.scale(t)
-        k = self.shape
-        z = np.maximum(w, 1e-300) / lam
-        out = (k / lam) * np.power(z, k - 1.0) * np.exp(-np.power(z, k))
-        return np.where(w < 0.0, 0.0, out)
-
     def quantile(self, t, u):
         u = np.asarray(u, dtype=float)
         if np.any((u < 0) | (u >= 1)):

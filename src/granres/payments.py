@@ -107,27 +107,9 @@ class CountProcess:
             label = f"{type(self.intensity).__name__} (lam0, beta)"
             object.__setattr__(self, "factor", cov_factor(self.cov, label))
 
-    def count_logpmf(self, tau, n):
-        lam = self.intensity.cumulative(tau)
-        n = np.asarray(n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                n < 0,
-                -np.inf,
-                np.where(
-                    lam > 0,
-                    n * np.log(np.maximum(lam, 1e-300)) - lam - special.gammaln(n + 1.0),
-                    np.where(n == 0, 0.0, -np.inf),
-                ),
-            )
-        return out
-
     def perturbed(self, rng):
         """The intensity redrawn from the joint covariance, or from se without one."""
         return replace(self, intensity=redraw(self.intensity, rng, self.se, self.factor))
-
-    def count_pmf(self, tau, n):
-        return np.exp(self.count_logpmf(tau, n))
 
     def count_cdf(self, tau, n):
         """Q_tau(n) = P[N(tau) <= n]; n = -1 gives 0."""

@@ -48,21 +48,20 @@ from functools import partial
 import numpy as np
 
 from .claims import CLAIM_TYPES, censor, records_from_columns
-from .copulas import (
-    CopulaSpec,
+from .copulas.dynamics import CopulaSpec, copula_from_dict
+from .copulas.families import ARCHIMEDEAN
+from .copulas.families import FAMILIES as COPULA_FAMILIES
+from .copulas.hac import (
+    MATCH_GAP_DAYS,
     HacSpec,
-    conditional_count_quantile,
-    copula_from_dict,
-    copula_pairs,
-    fit_copula,
     fit_hac_outer,
     hac_from_dict,
     hac_sample,
+    hac_uniforms,
+    match_days,
     matched_delay_scores,
 )
-from .copulas.families import ARCHIMEDEAN
-from .copulas.families import FAMILIES as COPULA_FAMILIES
-from .copulas.hac import MATCH_GAP_DAYS, hac_uniforms, match_days
+from .copulas.mixed import conditional_count_quantile, copula_pairs, fit_copula
 # bench/tracing.py patches this name to count the matched pairs kept
 from .copulas.mixed import count_quantile as _count_marginal_quantile
 from .daycount import DAYS_PER_YEAR, to_date, to_day, year_of, year_start

@@ -15,8 +15,9 @@ import math
 import numpy as np
 
 from .claims import CLAIM_TYPES, Portfolio
-from .copulas import CopulaSpec, HacSpec
-from .copulas import hac_sample  # noqa: F401  bench/tracing.py patches this name
+from .copulas.dynamics import CopulaSpec
+from .copulas.hac import HacSpec
+from .copulas.hac import hac_sample  # noqa: F401  bench/tracing.py patches this name
 from .daycount import year_of
 from .delays import WeibullDelayModel
 from .frequency import OccurrenceModel, Poisson

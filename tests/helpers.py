@@ -2,17 +2,21 @@
 hand-written claim records, the payment rates the intensity fit reduces to
 sufficient statistics, the row-by-row CSV ingest kept as the reference
 for the columnar one, the brute-force greedy that the cross-type day
-matching is checked against, the zero-modified pmf, and the function
+matching is checked against, the zero-modified pmf, the function
 difference Hessian that the gradient-difference information is checked
-against."""
+against, and the reference laws the engine's draws and fits are checked
+against: the nested copula's cdf and the delay/count copula's joint cdf
+and mixed density."""
 
 import csv
 import math
 import sys
 
 import numpy as np
+from scipy import stats
 
 from granres.claims import _HEADER, CLAIM_TYPES, IngestReport, Portfolio, _text_stream
+from granres.copulas.families import FAMILIES
 from granres.daycount import DAYS_PER_YEAR, parse_iso
 from granres.reserving import _place_payments
 
@@ -70,6 +74,44 @@ def function_difference_hessian(f, x, rel=1e-4):
                 )
             hess[i, j] = hess[j, i] = d
     return hess
+
+
+def hac_cdf(outer_family, outer_theta, inner_a, inner_b, u1, u2, u3, u4):
+    """The nested copula's cdf D(C_A(u1, u2), C_B(u3, u4)), exact, each inner
+    parameter read at development time 0, as hac_sample reads it without
+    theta maps. The outer copula is a family name and a parameter, so that a
+    parameter HacSpec refuses (tau 0, the independence edge) is evaluated
+    too."""
+    s = FAMILIES[inner_a.family].cdf(u1, u2, inner_a.theta_at(0.0))
+    t = FAMILIES[inner_b.family].cdf(u3, u4, inner_b.theta_at(0.0))
+    return FAMILIES[outer_family].cdf(s, t, outer_theta)
+
+
+def sklar_joint_cdf(delay_model, count_process, spec, t, w, horizon, n):
+    """P[W <= w, N(horizon) <= n] for a claim from accident day t: the copula
+    at the delay cdf and the count cdf."""
+    n = np.asarray(n)
+    u = delay_model.cdf(t, w)
+    q = count_process.count_cdf(horizon, np.maximum(n, 0))
+    theta = spec.theta_at(np.asarray(horizon, dtype=float))
+    out = np.asarray(FAMILIES[spec.family].cdf(u, q, theta), dtype=float)
+    return np.where(n < 0, 0.0, out)
+
+
+def mixed_density(delay_model, count_process, spec, t, w, horizon, n):
+    """Joint density in w with the count fixed at n:
+    dens_t(w) [h(H_t(w), Q(n)) - h(H_t(w), Q(n - 1))], dens_t the Weibull
+    density from scipy.stats."""
+    w = np.asarray(w, dtype=float)
+    n = np.asarray(n)
+    u = delay_model.cdf(t, w)
+    q_hi = count_process.count_cdf(horizon, n)
+    q_lo = count_process.count_cdf(horizon, n - 1)
+    fam = FAMILIES[spec.family]
+    theta = spec.theta_at(np.asarray(horizon, dtype=float))
+    bracket = fam.h(u, q_hi, theta) - fam.h(u, q_lo, theta)
+    dens = stats.weibull_min.pdf(w, delay_model.shape, scale=delay_model.scale(t))
+    return dens * np.clip(bracket, 0.0, None)
 
 
 def records_portfolio(claims, cutoff) -> Portfolio:

@@ -270,6 +270,15 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
             "outer family must be Archimedean") in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
+    # and an outer parameter with no positive dependence
+    fitted["hac"] = {"outer_family": "gumbel", "outer_theta": 0.5}
+    old_model.write_text(json.dumps(fitted))
+    assert main(["reserve", "--config", str(tmp_path / "old.json"), "--input", port,
+                 "--valuation-date", "2019-12-31", "--scenarios", "5", "--out", str(out)]) == 2
+    assert (f"config error: model file {old_model} is not a readable model: "
+            "gumbel outer parameter 0.5 is no nesting") in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
     # reserve reads its model from a file; a model dict is synth's form
     (tmp_path / "dict.json").write_text(json.dumps({"model": {"types": {}}}))
     assert main(["reserve", "--config", str(tmp_path / "dict.json"), "--input", port,

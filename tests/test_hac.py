@@ -1,5 +1,6 @@
 """Nested two-level cross-type dependence: validity, sampling, estimation."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -13,25 +14,27 @@ from granres import (
     CopulaSpec,
     GranularModel,
     HacSpec,
+    Portfolio,
+    ValuationWindow,
     WeibullDelayModel,
     default_model,
     hac_sample,
     parse_iso,
     reserving,
+    simulate_reserves,
     synthesize,
 )
 from granres.copulas.dynamics import TimeVaryingParam
-from granres.copulas.families import CLAYTON, GUMBEL
+from granres.copulas.families import CLAYTON, FAMILIES, GUMBEL
 from granres.copulas.hac import (
     MATCH_GAP_DAYS,
     fit_hac_outer,
-    hac_cdf,
     hac_from_dict,
     hac_uniforms,
     match_days,
     matched_delay_scores,
 )
-from helpers import nearest_unused_pairs, records_portfolio
+from helpers import hac_cdf, nearest_unused_pairs, records_portfolio
 
 CLAY2 = CopulaSpec("clayton", theta=2.0)
 GUM2 = CopulaSpec("gumbel", theta=2.0)
@@ -47,34 +50,34 @@ def _nested_model(hac, *copulas):
 
 
 def test_independence_outer_factorizes():
-    # a Gumbel outer copula at theta 1 (tau 0) is the independence copula
-    spec = HacSpec("gumbel", 1.0)
+    # a Gumbel outer copula at theta 1 (tau 0) is the independence copula;
+    # HacSpec refuses it, so the oracle takes the family and theta
+    outer = ("gumbel", 1.0)
     u = np.array([0.3, 0.6, 0.2, 0.8])
-    prod = float(hac_cdf(spec, *INNER, u[0], u[1], 1.0, 1.0)) * float(
-        hac_cdf(spec, *INNER, 1.0, 1.0, u[2], u[3])
+    prod = float(hac_cdf(*outer, *INNER, u[0], u[1], 1.0, 1.0)) * float(
+        hac_cdf(*outer, *INNER, 1.0, 1.0, u[2], u[3])
     )
-    assert_allclose(float(hac_cdf(spec, *INNER, *u)), prod, rtol=1e-12)
+    assert_allclose(float(hac_cdf(*outer, *INNER, *u)), prod, rtol=1e-12)
 
 
 def test_equal_parameters_collapse_to_exchangeable():
     th = 2.0
-    eq = HacSpec("gumbel", th)
     inner = CopulaSpec("gumbel", theta=th)
     for p in [(0.2, 0.5, 0.7, 0.9), (0.1, 0.1, 0.1, 0.1), (0.9, 0.4, 0.6, 0.3)]:
         direct = GUMBEL.gen_inv(sum(GUMBEL.gen(x, th) for x in p), th)
-        assert_allclose(float(hac_cdf(eq, inner, inner, *p)), float(direct), atol=1e-12)
+        assert_allclose(float(hac_cdf("gumbel", th, inner, inner, *p)), float(direct), atol=1e-12)
 
 
 def test_cdf_is_symmetric_within_pairs():
-    spec = HacSpec("gumbel", 1.2)
+    outer = ("gumbel", 1.2)
     assert_allclose(
-        float(hac_cdf(spec, *INNER, 0.3, 0.7, 0.5, 0.9)),
-        float(hac_cdf(spec, *INNER, 0.7, 0.3, 0.5, 0.9)),
+        float(hac_cdf(*outer, *INNER, 0.3, 0.7, 0.5, 0.9)),
+        float(hac_cdf(*outer, *INNER, 0.7, 0.3, 0.5, 0.9)),
         rtol=1e-12,
     )
     assert_allclose(
-        float(hac_cdf(spec, *INNER, 0.3, 0.7, 0.5, 0.9)),
-        float(hac_cdf(spec, *INNER, 0.3, 0.7, 0.9, 0.5)),
+        float(hac_cdf(*outer, *INNER, 0.3, 0.7, 0.5, 0.9)),
+        float(hac_cdf(*outer, *INNER, 0.3, 0.7, 0.9, 0.5)),
         rtol=1e-12,
     )
 
@@ -125,6 +128,28 @@ def test_hac_spec_validation_and_round_trip():
     spec = HacSpec("gumbel", 1.2)
     assert spec.to_dict() == {"outer_family": "gumbel", "outer_theta": 1.2}
     assert hac_from_dict(spec.to_dict()) == spec
+
+
+# outer parameters that are no nesting: below Gumbel's bound, negative and
+# zero dependence, and a NaN that every comparison lets through
+NOT_NESTINGS = [("gumbel", 0.5), ("clayton", -1.0), ("frank", 0.0), ("gumbel", math.nan)]
+
+
+@pytest.mark.parametrize("outer", NOT_NESTINGS)
+def test_outer_theta_must_be_a_nesting(outer, tmp_path):
+    with pytest.raises(ValueError, match="is no nesting"):
+        HacSpec(*outer)
+    # nor does a saved model with such an outer copula load
+    model = default_model(1000, parse_iso("2016-01-01"), parse_iso("2017-12-31"), "archimedean")
+    d = model.to_dict()
+    d["hac"] = {"outer_family": outer[0], "outer_theta": outer[1]}
+    (tmp_path / "model.json").write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="is no nesting"):
+        GranularModel.load(tmp_path / "model.json")
+    # a weak positive dependence is still a nesting: the lower bound, where
+    # fit_hac_outer clamps, or for Frank (bounded below by -35) a small theta
+    lo = FAMILIES[outer[0]].theta_bounds[0]
+    assert HacSpec(outer[0], 1e-3 if outer[0] == "frank" else lo).outer_tau() > 0.0
 
 
 def test_saved_inner_copies_are_ignored():
@@ -326,3 +351,27 @@ def test_fit_hac_outer_projections_and_errors():
     for outer in ("gaussian", "independence"):
         with pytest.raises(ValueError, match="must be Archimedean"):
             fit_hac_outer(a, b, CLAY2, CLAY2, outer)
+
+
+def test_nesting_leaves_each_type_reserve_unchanged():
+    """Each type's IBNR reserve has the same law with and without the outer
+    copula: the nested draw's inner margins are the types' own copulas.
+
+    This checks hac_sample's inner margins end to end, through the reserve
+    engine; it does not show that the default mixed nesting is a law. The
+    portfolio is empty, so the reserve is all IBNR. The control swaps both
+    inner copulas for independence, which the same test must see.
+    """
+    cutoff = parse_iso("2020-12-31")
+    nested = default_model(2000, parse_iso("2016-01-01"), cutoff, "archimedean")
+    empty = Portfolio([], [], [], [], [], [], [], cutoff)
+    window = ValuationWindow.one_year(cutoff)
+    indep = CopulaSpec("independence")
+    control_model = GranularModel({t: replace(m, copula=indep) for t, m in nested.types.items()})
+    ref = simulate_reserves(nested, empty, window, 2000, seed=11)
+    flat = simulate_reserves(replace(nested, hac=None), empty, window, 2000, seed=12)
+    control = simulate_reserves(control_model, empty, window, 2000, seed=12)
+    assert not ref.rbns.any()
+    for t in nested.type_names():
+        assert stats.ks_2samp(ref.by_type[t], flat.by_type[t]).pvalue > 0.01, t
+        assert stats.ks_2samp(ref.by_type[t], control.by_type[t]).pvalue < 1e-6, t

@@ -25,8 +25,8 @@ from granres import (
     simulate_reserves,
     synthesize,
 )
-from granres.copulas import family
 from granres.copulas.dynamics import TimeVaryingParam
+from granres.copulas.families import FAMILIES
 from granres.reserving import _perturb_model
 
 START, END = parse_iso("2016-01-01"), parse_iso("2018-12-31")
@@ -106,7 +106,7 @@ def test_ibnr_simulate_is_pinned(drawn):
 def _decaying(spec):
     """spec made time-varying: one link unit more dependence at x = 0, relaxing
     to spec's own level."""
-    eta = float(family(spec.family).link(spec.theta))
+    eta = float(FAMILIES[spec.family].link(spec.theta))
     return CopulaSpec(spec.family, dynamics=TimeVaryingParam(eta + 1.0, eta, 1.0))
 
 

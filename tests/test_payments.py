@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from granres import CountProcess, ExponentialDecay, PowerDecay
 from granres.daycount import DAYS_PER_YEAR
@@ -44,14 +45,17 @@ def test_intensity_validation():
 
 
 def test_count_pmf_normalizes_and_cdf_matches():
+    # the count law is Poisson at Lambda(tau): its pmf, from scipy.stats,
+    # accumulates to count_cdf
     proc = CountProcess(ExponentialDecay(3.0, 1.2))
     n = np.arange(0, 60)
-    pmf = proc.count_pmf(1.7, n)
+    pmf = stats.poisson.pmf(n, proc.intensity.cumulative(1.7))
     assert_allclose(pmf.sum(), 1.0, atol=1e-12)
     assert_allclose(np.cumsum(pmf), proc.count_cdf(1.7, n), atol=1e-12)
     assert proc.count_cdf(1.7, -1) == 0.0
-    assert proc.count_pmf(0.0, 0) == 1.0
-    assert proc.count_pmf(0.0, 3) == 0.0
+    # no time, no payments: all the mass sits at 0
+    assert proc.count_cdf(0.0, 0) == 1.0
+    assert proc.count_cdf(0.0, 3) == 1.0
 
 
 def test_count_cdf_time_derivative_matches_finite_differences():
@@ -60,7 +64,8 @@ def test_count_cdf_time_derivative_matches_finite_differences():
         for n in (0, 2, 4, 9):
             fd = (proc.count_cdf(tau + h, n) - proc.count_cdf(tau - h, n)) / (2 * h)
             # dQ_tau(n)/dtau = -rate(tau) * P[N(tau) = n]
-            exact = -intensity_rate(proc.intensity, tau) * proc.count_pmf(tau, n)
+            pmf = stats.poisson.pmf(n, proc.intensity.cumulative(tau))
+            exact = -intensity_rate(proc.intensity, tau) * pmf
             assert_allclose(exact, fd, atol=1e-9)
             assert fd <= 0.0
 

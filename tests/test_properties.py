@@ -23,10 +23,9 @@ from granres import (
     write_csv,
 )
 from granres.claims import _COLUMNS, _PAYMENTS, CLAIM_TYPES, censor
-from granres.copulas import CopulaSpec, HacSpec, hac_sample
-from granres.copulas.dynamics import TimeVaryingParam
+from granres.copulas.dynamics import CopulaSpec, TimeVaryingParam
 from granres.copulas.families import FAMILIES, bisect
-from granres.copulas.hac import hac_uniforms, match_days
+from granres.copulas.hac import HacSpec, hac_sample, hac_uniforms, match_days
 from granres.copulas.mixed import conditional_count_quantile, count_quantile
 from granres.daycount import DAYS_PER_YEAR
 from granres.reserving import _place_payments

@@ -39,8 +39,8 @@ from granres import (
     synthesize,
 )
 from granres import reserving
-from granres.copulas import family
 from granres.copulas.dynamics import TimeVaryingParam
+from granres.copulas.families import FAMILIES
 from granres.delays import delay_quantile
 from granres.reserving import (
     RecipeError,
@@ -198,7 +198,7 @@ def test_ibnr_count_conditional_normalizes_under_coupling():
     r = t + np.floor(delay_quantile(tm.delay, t, u)).astype(np.int64)
     kept = (WIN.a_day < r) & (r <= WIN.b_day)
     u, horizon = u[kept], (WIN.b_day - r[kept]) / 365.25
-    fam, theta = family("clayton"), tm.copula.theta_at(horizon)
+    fam, theta = FAMILIES["clayton"], tm.copula.theta_at(horizon)
     n = np.arange(61)[:, None]
     cdf = fam.h(u, tm.counts.count_cdf(horizon, n), theta)
     pmf = np.diff(cdf, axis=0, prepend=0.0)
@@ -536,7 +536,7 @@ def test_nested_scenarios_repeat_bitwise_for_any_batching(monkeypatch, preset):
     for t, tm in truth.types.items():
         copula = tm.copula
         if truth.hac is not None:
-            eta = float(family(copula.family).link(copula.theta))
+            eta = float(FAMILIES[copula.family].link(copula.theta))
             copula = CopulaSpec(copula.family, dynamics=TimeVaryingParam(eta + 1.0, eta, 1.0))
         severity = tm.severity
         if preset == "order_ar":

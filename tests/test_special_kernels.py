@@ -12,8 +12,7 @@ from numpy.testing import assert_array_equal
 from scipy import special, stats
 
 from granres import CopulaSpec, CountProcess, ExponentialDecay, NegativeBinomial, Poisson
-from granres.copulas.families import GAUSSIAN, GUMBEL, bvn_cdf
-from granres.copulas.families import family as family_of
+from granres.copulas.families import FAMILIES, GAUSSIAN, GUMBEL, bvn_cdf
 from granres.copulas.hac import fit_hac_outer, kendall_tau_b
 from granres.copulas.mixed import conditional_count_quantile, count_quantile
 from granres.frequency import ZeroModified
@@ -87,7 +86,7 @@ def test_conditional_count_quantile_matches_the_poisson_cdf_search(family, theta
     got = conditional_count_quantile(u, v, horizon, PROC, spec)
     lam = PROC.intensity.cumulative(horizon)
     ns = np.arange(int(lam.max() + 10.0 * np.sqrt(lam.max()) + 21))
-    hmat = family_of(family).h(u[:, None], stats.poisson.cdf(ns[None, :], lam[:, None]), theta)
+    hmat = FAMILIES[family].h(u[:, None], stats.poisson.cdf(ns[None, :], lam[:, None]), theta)
     ok = hmat >= v[:, None]
     assert ok.any(axis=1).all()
     assert_array_equal(got, np.argmax(ok, axis=1))
