@@ -2,24 +2,22 @@
 
 Stateless singletons; the dependence parameter is an argument so callers can
 pass per-observation arrays (needed by the time-varying parameter map). The
-h-function is the partial derivative of the cdf in its first argument,
-h(u, v) = dC(u, v)/du, i.e. the conditional cdf of V given U = u.
+h-function is the partial derivative of the copula cdf in its first
+argument, h(u, v) = dC(u, v)/du, i.e. the conditional cdf of V given U = u.
 
-The edge rule of the cdf and h-function is written once, in _Family; each
-parametric family supplies only the interior. Independence keeps its
-product forms. For likelihood fits, h_prepare computes the theta-free
-transforms of (u, v) once and h_dtheta returns h and dh/dtheta from them in
-one pass.
+The edge rule of the h-function is written once, in _Family; each
+parametric family supplies only the interior. For likelihood fits,
+h_prepare computes the theta-free transforms of (u, v) once and h_dtheta
+returns h and dh/dtheta from them in one pass; Independence has only these.
 
-For Clayton, Gumbel and Frank the additive generator phi and its inverse psi
-are exposed together with the derivatives needed by the nested (hierarchical)
-machinery: phi', phi'', psi', psi'', psi'''. These three are the
-outer families of a nesting; an independent outer copula is no nesting.
+Clayton, Gumbel and Frank, the Archimedean families, expose the additive
+generator phi and its inverse psi with the derivatives the nested copula is
+built from: phi', phi'', psi', psi'', psi'''. Their cdf is psi(phi(u) +
+phi(v)); no family carries a cdf or density of its own. Only these three
+nest; the Gaussian has no generator.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, optimize
@@ -40,39 +38,6 @@ def _clip(x, lo, hi):
 
 def _clip01(x):
     return _clip(np.asarray(x, dtype=float), _EPS, 1.0 - _EPS)
-
-
-@lru_cache(maxsize=8)
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
-# Gauss-Legendre nodes of bvn_cdf's correlation integral
-_BVN_NODES = 96
-
-
-def bvn_cdf(x, y, rho):
-    """Bivariate standard normal cdf via the correlation-integral identity.
-
-    P[X <= x, Y <= y] = Phi(x) Phi(y) + integral_0^rho of the bivariate
-    density in the correlation, evaluated with fixed Gauss-Legendre
-    quadrature. Absolute error is far below 1e-7 for |rho| <= 0.99.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    t, wgt = _leggauss(_BVN_NODES)
-    # map nodes from [-1, 1] to [0, rho] per element
-    r = 0.5 * rho[..., None] * (t + 1.0)
-    scale = 0.5 * rho[..., None]
-    xx = x[..., None]
-    yy = y[..., None]
-    one_m_r2 = 1.0 - r * r
-    dens = np.exp(-(xx * xx - 2.0 * r * xx * yy + yy * yy) / (2.0 * one_m_r2)) / (
-        2.0 * np.pi * np.sqrt(one_m_r2)
-    )
-    corr = np.sum(dens * wgt, axis=-1) * np.squeeze(scale, axis=-1)
-    return ndtr(x) * ndtr(y) + corr
 
 
 def bisect(f, target, lo, hi):
@@ -98,22 +63,14 @@ def bisect(f, target, lo, hi):
 class _Family:
     """Edge rule of every parametric family; subclasses give the interior.
 
-    _cdf(u, v, theta) gets u and v as float arrays and _h(u, v, theta) gets
-    v as one. Both must accept any value, because cdf and h replace what
-    they return on and beyond the edges of the unit square. _prepare(u, v)
-    returns the theta-free transforms that _h_dtheta(pre, theta) turns into
-    h and dh/dtheta, with h's value bit for bit.
+    _h(u, v, theta) gets v as a float array and must accept any value,
+    because h replaces what it returns on and beyond the edges of the unit
+    square. _prepare(u, v) returns the theta-free transforms that
+    _h_dtheta(pre, theta) turns into h and dh/dtheta, with h's value bit for
+    bit.
     """
 
     name = "base"
-    n_params = 1
-
-    def cdf(self, u, v, theta):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = np.where((u <= 0.0) | (v <= 0.0), 0.0, self._cdf(u, v, theta))
-        out = np.where(u >= 1.0, _clip(v, 0.0, 1.0), out)
-        return np.where(v >= 1.0, _clip(u, 0.0, 1.0), out)
 
     def h(self, u, v, theta):
         v = np.asarray(v, dtype=float)
@@ -141,39 +98,20 @@ class _Family:
 
     def theta_from_tau(self, tau):
         lo, hi = self.theta_bounds
-        return float(
-            optimize.brentq(lambda th: self.tau(th) - tau, lo, hi, xtol=1e-10)
-        )
+        return float(optimize.brentq(lambda th: self.tau(th) - tau, lo, hi, xtol=1e-10))
 
 
-class Independence(_Family):
+class Independence:
+    """The product copula as the pair likelihood reads it: h(u, v) = v."""
+
     name = "independence"
-    n_params = 0
     theta_bounds = (0.0, 0.0)
-
-    def cdf(self, u, v, theta=None):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return _clip(u, 0.0, 1.0) * _clip(v, 0.0, 1.0)
-
-    def h(self, u, v, theta=None):
-        v = np.asarray(v, dtype=float)
-        return _clip(v, 0.0, 1.0) * np.ones_like(np.asarray(u, dtype=float))
 
     def h_prepare(self, u, v):
         return _clip(np.asarray(v, dtype=float), 0.0, 1.0)
 
     def h_dtheta(self, prepared, theta=None):
         return prepared, 0.0
-
-    def hinv(self, u, p, theta=None):
-        return np.asarray(p, dtype=float)
-
-    def density(self, u, v, theta=None):
-        return np.ones(np.broadcast(np.asarray(u), np.asarray(v)).shape)
-
-    def tau(self, theta=None):
-        return 0.0
 
 
 class Clayton(_Family):
@@ -185,14 +123,6 @@ class Clayton(_Family):
     def _pow(self, u, theta):
         with np.errstate(over="ignore"):  # inf propagates correctly downstream
             return np.exp(-theta * np.log(_clip01(u)))
-
-    def _cdf(self, u, v, theta):
-        # u and v unclipped: at the _EPS clip C(u, v) would reach _EPS, above
-        # its bound min(u, v); an infinite u^-theta gives C = 0 instead
-        theta = np.asarray(theta, dtype=float)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            T = np.exp(-theta * np.log(u)) + np.exp(-theta * np.log(v)) - 1.0
-        return np.exp(-np.log(T) / theta)
 
     def _h(self, u, v, theta):
         u = _clip01(u)
@@ -224,16 +154,6 @@ class Clayton(_Family):
         T = np.exp(-(theta / (theta + 1.0)) * (np.log(p) + (theta + 1.0) * np.log(u)))
         vpow = T - self._pow(u, theta) + 1.0
         return np.exp(-np.log(np.maximum(vpow, 1e-300)) / theta)
-
-    def density(self, u, v, theta):
-        u = _clip01(u)
-        v = _clip01(v)
-        theta = np.asarray(theta, dtype=float)
-        T = self._pow(u, theta) + self._pow(v, theta) - 1.0
-        return (
-            (1.0 + theta)
-            * np.exp(-(theta + 1.0) * (np.log(u) + np.log(v)) - (1.0 / theta + 2.0) * np.log(T))
-        )
 
     def tau(self, theta):
         return theta / (theta + 2.0)
@@ -281,13 +201,6 @@ class Gumbel(_Family):
     name = "gumbel"
     theta_bounds = (1.0 + 1e-6, 17.0)
 
-    def _cdf(self, u, v, theta):
-        theta = np.asarray(theta, dtype=float)
-        a = -np.log(_clip01(u))
-        b = -np.log(_clip01(v))
-        s = a**theta + b**theta
-        return np.exp(-np.exp(np.log(s) / theta))
-
     def _h(self, u, v, theta):
         uc = _clip01(u)
         theta = np.asarray(theta, dtype=float)
@@ -319,22 +232,6 @@ class Gumbel(_Family):
             + log_a
         )
         return h, h * dlog
-
-    def density(self, u, v, theta):
-        u = _clip01(u)
-        v = _clip01(v)
-        theta = np.asarray(theta, dtype=float)
-        a = -np.log(u)
-        b = -np.log(v)
-        s = a**theta + b**theta
-        c = np.exp(-s ** (1.0 / theta))
-        return (
-            c
-            * (a * b) ** (theta - 1.0)
-            / (u * v)
-            * s ** (1.0 / theta - 2.0)
-            * (s ** (1.0 / theta) + theta - 1.0)
-        )
 
     def tau(self, theta):
         return 1.0 - 1.0 / theta
@@ -399,13 +296,6 @@ class Frank(_Family):
         theta = np.asarray(theta, dtype=float)
         return np.where(np.abs(theta) < 1e-6, np.where(theta < 0, -1e-6, 1e-6), theta)
 
-    def _cdf(self, u, v, theta):
-        theta = self._nudge(theta)
-        eu = np.expm1(-theta * _clip(u, 0.0, 1.0))
-        ev = np.expm1(-theta * _clip(v, 0.0, 1.0))
-        et = np.expm1(-theta)
-        return -np.log1p(eu * ev / et) / theta
-
     def _h(self, u, v, theta):
         u = _clip01(u)
         v = _clip(v, 0.0, 1.0)
@@ -441,19 +331,14 @@ class Frank(_Family):
         gap = -p * np.expm1(-theta)
         return np.where(theta > 0, np.log1p(gap / den), -np.log1p(-gap / num)) / theta
 
-    def density(self, u, v, theta):
-        u = _clip01(u)
-        v = _clip01(v)
-        theta = self._nudge(theta)
-        et = -np.expm1(-theta)
-        num = theta * et * np.exp(-theta * (u + v))
-        den = et - (-np.expm1(-theta * u)) * (-np.expm1(-theta * v))
-        return num / den**2
-
     def tau(self, theta):
+        """1 + 4 (D1(theta) - 1) / theta, D1 the Debye function. Below
+        |theta| 0.05 that difference cancels, and its Taylor series
+        theta/9 - theta^3/900 + theta^5/52920 takes over."""
         theta = float(theta)
-        if abs(theta) < 1e-8:
-            return 0.0
+        if abs(theta) < 0.05:
+            t2 = theta * theta
+            return theta * (1.0 / 9.0 - t2 * (1.0 / 900.0 - t2 / 52920.0))
         sign = 1.0 if theta > 0 else -1.0
         t = abs(theta)
         d1 = integrate.quad(lambda x: x / np.expm1(x), 0.0, t)[0] / t
@@ -506,16 +391,10 @@ class Frank(_Family):
 
 
 class Gaussian(_Family):
-    """rho in (-1, 1). Not Archimedean: no generator, not nestable."""
+    """rho in (-1, 1). Not Archimedean: no generator, never nested."""
 
     name = "gaussian"
     theta_bounds = (-0.99, 0.99)
-
-    def _cdf(self, u, v, theta):
-        rho = np.broadcast_to(np.asarray(theta, dtype=float), np.broadcast(u, v).shape)
-        x = ndtri(_clip01(u))
-        y = ndtri(_clip01(v))
-        return bvn_cdf(np.broadcast_to(x, rho.shape), np.broadcast_to(y, rho.shape), rho)
 
     def _h(self, u, v, theta):
         rho = np.asarray(theta, dtype=float)
@@ -540,18 +419,8 @@ class Gaussian(_Family):
         z = ndtri(_clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12))
         return ndtr(z * np.sqrt(1.0 - rho**2) + rho * x)
 
-    def density(self, u, v, theta):
-        rho = np.asarray(theta, dtype=float)
-        x = ndtri(_clip01(u))
-        y = ndtri(_clip01(v))
-        r2 = 1.0 - rho**2
-        return np.exp(-(rho**2 * (x**2 + y**2) - 2.0 * rho * x * y) / (2.0 * r2)) / np.sqrt(r2)
-
     def tau(self, theta):
         return 2.0 * np.arcsin(theta) / np.pi
-
-    def theta_from_tau(self, tau):
-        return float(np.sin(np.pi * tau / 2.0))
 
     def link(self, theta):
         return np.arctanh(theta)

@@ -6,22 +6,23 @@ score); an outer Archimedean copula D joins the two inner pairs:
     F(u1, u2, u3, u4) = D( C_A(u1, u2), C_B(u3, u4) )
                       = psi( phi(C_A(u1, u2)) + phi(C_B(u3, u4)) )
 
-GranularModel, which holds the inner copulas, checks that the outer tau
-exceeds neither inner minimum tau (the long-run one when time-varying);
-HacSpec admits only an outer tau > 0, since an independent outer copula is
-no nesting (hac None). The tau rule is necessary, not sufficient (Joe 1997,
-section 4.2; McNeil 2008): a nesting is a copula when phi_outer(psi_inner)
-has a completely monotone derivative, true within one family with theta_outer
-<= theta_inner, and not known for a mixed one such as the archimedean preset.
+GranularModel, which holds the inner copulas, admits a nesting by one rule,
+check_nesting: both inner families Archimedean (a Gaussian has no
+generator), and an outer tau exceeding neither inner minimum tau (the
+long-run one when time-varying); HacSpec admits only an outer tau > 0, as
+an independent outer copula is no nesting (hac None). The tau rule is
+necessary, not sufficient (Joe 1997, section 4.2; McNeil 2008): a nesting is
+a copula when phi_outer(psi_inner) has a completely monotone derivative,
+true within one family with theta_outer <= theta_inner, and not known for a
+mixed one such as the archimedean preset, which the rule still admits.
 
 Sampling is exact conditional inversion in the order u1, u2, u3, u4,
 vectorized over rows: each conditional cdf is inverted for all rows at once,
 in closed form where the inner family has one and otherwise by bracketed
-bisection. The conditional cdfs only need the outer generator's first three
-inverse derivatives together with the inner h-functions and densities, so
-the inversion accepts any mix of inner families (which does not make the mix
-a law), including time-varying inner parameters (the parameter of each inner
-pair may depend on the component drawn first).
+bisection. The conditional cdfs take the outer generator's first three
+inverse derivatives, each inner cdf psi(phi(u) + phi(v)) and density from
+its generator, and the closed-form inner h-functions. Inner parameters may
+be time-varying (each pair's may depend on the component drawn first).
 
 Claims of the two types are paired by accident day with match_days, within
 MATCH_GAP_DAYS, both when the outer parameter is estimated and when the
@@ -43,6 +44,10 @@ from .families import ARCHIMEDEAN, FAMILIES, bisect
 _LO, _HI = 1e-9, 1.0 - 1e-9
 # the widest accident-day gap of a cross-type pair, in fit and simulation alike
 MATCH_GAP_DAYS = 7
+# the fewest matched cross-type pairs the outer parameter is estimated from
+MIN_MATCHED_PAIRS = 20
+# the slack of the nesting rule's tau comparison
+NESTING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,25 @@ def hac_from_dict(d: dict) -> HacSpec:
     return HacSpec(outer_family=d["outer_family"], outer_theta=d.get("outer_theta"))
 
 
+def check_nesting(spec, inner_a, inner_b):
+    """The nesting rule: raise ValueError unless both inner CopulaSpecs are
+    Archimedean and the outer tau of spec exceeds neither inner minimum tau
+    by more than NESTING_TOL."""
+    outer_tau = spec.outer_tau()
+    for label, inner in zip(("first", "second"), (inner_a, inner_b)):
+        if inner.family not in ARCHIMEDEAN:
+            raise ValueError(
+                f"the {label} inner copula is {inner.family}: a nesting takes only "
+                f"Archimedean inner copulas {ARCHIMEDEAN}"
+            )
+        inner_tau = inner.min_tau()
+        if outer_tau > inner_tau + NESTING_TOL:
+            raise ValueError(
+                f"nesting violated: outer tau {outer_tau:.10g} exceeds the {label} "
+                f"inner copula's minimum tau {inner_tau:.10g}"
+            )
+
+
 def hac_uniforms(rng, size):
     """The (size, 4) uniforms that hac_sample turns into size rows."""
     return rng.uniform(_LO, _HI, size=(size, 4))
@@ -103,10 +127,13 @@ def hac_sample(spec, inner_a, inner_b, uniforms, theta_a_fn=None, theta_b_fn=Non
 
     outer = FAMILIES[spec.outer_family]
     th0 = spec.outer_theta
-    s = np.clip(fam_a.cdf(u1, u2, th_a), 1e-12, 1.0 - 1e-12)
+    # C_A = psi(phi(u1) + phi(u2)); its density psi''(x) phi'(u1) phi'(u2)
+    # is -s1 s2 phi''(s) / phi'(s), as psi'' underflows deep in a tail
+    x_a = fam_a.gen(u1, th_a) + fam_a.gen(u2, th_a)
+    s = np.clip(fam_a.gen_inv(x_a, th_a), 1e-12, 1.0 - 1e-12)
     s1 = fam_a.h(u1, u2, th_a)
     s2 = fam_a.h(u2, u1, th_a)
-    s12 = fam_a.density(u1, u2, th_a)
+    s12 = -s1 * s2 * fam_a.gen_d2(s, th_a) / fam_a.gen_d1(s, th_a)
     phi_s = outer.gen(s, th0)
     dphi_s = outer.gen_d1(s, th0)
     ddphi_s = outer.gen_d2(s, th0)
@@ -133,9 +160,10 @@ def hac_sample(spec, inner_a, inner_b, uniforms, theta_a_fn=None, theta_b_fn=Non
         return (lead + d2 * dphi_s * s12) * outer.gen_d1(t, th0) * t3
 
     k1 = third_mixed(u3, 1.0)
+    phi_u3 = fam_b.gen(u3, th_b)
 
     def f4(u4):
-        t = np.clip(fam_b.cdf(u3, u4, th_b), 1e-12, 1.0 - 1e-12)
+        t = np.clip(fam_b.gen_inv(phi_u3 + fam_b.gen(u4, th_b), th_b), 1e-12, 1.0 - 1e-12)
         return third_mixed(t, fam_b.h(u3, u4, th_b)) / k1
 
     u4 = bisect(f4, p4, _LO, _HI)
@@ -270,20 +298,29 @@ def fit_hac_outer(scores_a, scores_b, inner_a, inner_b, outer_family="gumbel"):
     The empirical tau of the cross-type pairs identifies the outer parameter
     because every cross-type bivariate margin of the nested copula equals the
     outer copula itself. Estimates above an inner copula's minimum tau
-    collapse onto it; a non-positive admissible tau means independent types,
-    returned as None (no nesting).
+    collapse onto it. A non-positive admissible tau means independent types,
+    returned as None (no nesting), and so, with a warning, does a nesting
+    that check_nesting refuses: a Gaussian inner copula, or an outer
+    parameter clipped to a bound past the inner taus.
     """
     if outer_family not in ARCHIMEDEAN:
         raise ValueError(f"outer family must be Archimedean {ARCHIMEDEAN}, got {outer_family!r}")
-    if len(scores_a) < 20:
-        raise ValueError("need at least 20 matched pairs")
+    if len(scores_a) < MIN_MATCHED_PAIRS:
+        raise ValueError(f"need at least {MIN_MATCHED_PAIRS} matched pairs")
+    for inner in (inner_a, inner_b):
+        if inner.family not in (*ARCHIMEDEAN, "independence"):
+            warnings.warn(
+                f"a {inner.family} inner copula has no generator and cannot be nested; "
+                "outer copula set to independence"
+            )
+            return None
     tau_hat = kendall_tau_b(scores_a, scores_b)
     cap = min(inner_a.min_tau(), inner_b.min_tau())
     tau_use = min(max(tau_hat, 0.0), cap)
     independent = tau_use < 1e-6
     if tau_hat > cap + 1e-6:
         warnings.warn(
-            f"outer tau estimate {tau_hat:.4f} exceeds inner minimum {cap:.4f}; "
+            f"outer tau estimate {tau_hat:.4f} exceeds inner minimum {cap:.4g}; "
             + (
                 "outer copula set to independence"
                 if independent
@@ -293,7 +330,11 @@ def fit_hac_outer(scores_a, scores_b, inner_a, inner_b, outer_family="gumbel"):
     if independent:
         return None
     fam = FAMILIES[outer_family]
-    theta = float(fam.theta_from_tau(tau_use))
     lo, hi = fam.theta_bounds
-    theta = min(max(theta, lo), hi)
-    return HacSpec(outer_family, theta)
+    spec = HacSpec(outer_family, min(max(float(fam.theta_from_tau(tau_use)), lo), hi))
+    try:
+        check_nesting(spec, inner_a, inner_b)
+    except ValueError as e:  # Clayton's bound has tau 5e-5
+        warnings.warn(f"{e}; outer copula set to independence")
+        return None
+    return spec

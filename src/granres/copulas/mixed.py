@@ -74,11 +74,14 @@ def conditional_count_quantile(u, v, horizon, count_process, spec):
     independence copula h(u, q) = q, so it is the count quantile of v.
 
     Otherwise the first n is searched in blocks of columns n, h not being
-    assumed monotone in n: the first block is lam + 4 sqrt(lam) + 4 wide
-    (the largest lam of the rows), and the rows not settled continue from the
-    last column searched in a block twice as wide. A row whose count cdf
-    reaches 1 in a block without h reaching v can never settle; the search
-    raises there. NaN u, v or theta and a non-finite Lambda raise too.
+    assumed monotone in n: in floating point it is not, near 1 (Frank theta
+    3.5, u 0, v 1, Lambda 797: h reaches 1 at n = 1029, falls an ulp below
+    and reaches 1 again at 1042, where a walk from a normal guess stops).
+    The first block is lam + 4 sqrt(lam) + 4 wide (the largest lam of the
+    rows), and the rows not settled continue from the last column searched
+    in a block twice as wide. A row whose count cdf reaches 1 in a block
+    without h reaching v can never settle; the search raises there. NaN u, v
+    or theta and a non-finite Lambda raise too.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))

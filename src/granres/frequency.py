@@ -224,9 +224,20 @@ def _fit_negbin(obs):
     return CountFit(_negbin(*x), -nll(x)[0], se)
 
 
+def _logseries_loglik(pos):
+    """The maximized log-likelihood of the logarithmic series P(k) = p^k /
+    (k y), y = -log(1 - p), the alpha -> infinity limit of the zero-truncated
+    negative binomial: its mean expm1(y) / y is the sample mean, above 1."""
+    m = float(np.mean(pos))
+    y = optimize.brentq(lambda y: math.expm1(y) / y - m, 1e-10, 50.0 + math.log(m))
+    return float(pos.sum() * math.log(-math.expm1(-y)) - pos.size * math.log(y) - np.log(pos).sum())
+
+
 def _fit_truncated_negbin(pos):
     """The zero-truncated negative binomial by mle in (mu, alpha >= 0); an
-    optimum on alpha = 0 is the zero-truncated Poisson's."""
+    optimum on alpha = 0 is the zero-truncated Poisson's. The likelihood can
+    keep rising towards alpha -> infinity, nearly flat, where mle stops at
+    some large alpha: the fit warns when that limit fits at least as well."""
     stats = _gap_stats(pos)
     nll = lambda y: _negbin_nll_score(y, stats, truncated=True)
     m, v = float(np.mean(pos)), float(np.var(pos))
@@ -234,6 +245,11 @@ def _fit_truncated_negbin(pos):
     warn_unconverged(opt, "zero-truncated negative binomial fit")
     if opt.at_bound[1]:
         return _fit_truncated_poisson(pos)
+    if m > 1.0 and _logseries_loglik(pos) >= opt.loglik:
+        warnings.warn(
+            "zero-truncated negative binomial likelihood has no finite maximum: the "
+            f"logarithmic series (alpha -> infinity) fits as well; kept alpha {opt.x[1]:.4g}"
+        )
     _, se = standard_errors(nll, opt.x, ("mu", "alpha"))
     return CountFit(_negbin(*opt.x), opt.loglik, se)
 

@@ -53,7 +53,9 @@ from .copulas.families import ARCHIMEDEAN
 from .copulas.families import FAMILIES as COPULA_FAMILIES
 from .copulas.hac import (
     MATCH_GAP_DAYS,
+    MIN_MATCHED_PAIRS,
     HacSpec,
+    check_nesting,
     fit_hac_outer,
     hac_from_dict,
     hac_sample,
@@ -131,17 +133,13 @@ class TypeModel:
         )
 
 
-# the slack of the nesting rule's tau comparison
-_NESTING_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class GranularModel:
     """Per-type component bundles plus the optional cross-type coupling.
 
     hac, when set, is the outer copula of a nesting whose inner copulas are
-    the two types' own copulas, in type_names() order; None means the types
-    are independent.
+    the two types' own copulas, in type_names() order, under the nesting
+    rule of hac.check_nesting; None means the types are independent.
     """
 
     types: dict  # claim type -> TypeModel
@@ -157,15 +155,7 @@ class GranularModel:
             return
         if len(self.types) != 2:
             raise ValueError("a nested copula needs exactly two claim types")
-        outer_tau = self.hac.outer_tau()
-        for label, name in zip(("first", "second"), self.type_names()):
-            inner_tau = self.types[name].copula.min_tau()
-            if outer_tau > inner_tau + _NESTING_TOL:
-                raise ValueError(
-                    "nesting violated: outer tau "
-                    f"{outer_tau:.4f} exceeds the {label} inner copula's "
-                    f"minimum tau {inner_tau:.4f}"
-                )
+        check_nesting(self.hac, *(self.types[t].copula for t in self.type_names()))
 
     def type_names(self) -> list:
         return [t for t in CLAIM_TYPES if t in self.types]
@@ -365,7 +355,7 @@ def fit_model(portfolio, recipe=None):
         sa, sb = matched_delay_scores(
             subs[names[0]], subs[names[1]], types[names[0]].delay, types[names[1]].delay
         )
-        if sa.size >= 20:
+        if sa.size >= MIN_MATCHED_PAIRS:
             hac = _phase(
                 warned,
                 "cross-type nesting",
@@ -383,7 +373,7 @@ def fit_model(portfolio, recipe=None):
                 "matched_pairs": int(sa.size),
             }
         else:
-            report["hac"] = {"skipped": "fewer than 20 matched pairs"}
+            report["hac"] = {"skipped": f"fewer than {MIN_MATCHED_PAIRS} matched pairs"}
     elif len(names) < 2:
         report["hac"] = {"skipped": "fewer than two claim types"}
     return GranularModel(types=types, hac=hac), report

@@ -5,15 +5,15 @@ for the columnar one, the brute-force greedy that the cross-type day
 matching is checked against, the zero-modified pmf, the function
 difference Hessian that the gradient-difference information is checked
 against, and the reference laws the engine's draws and fits are checked
-against: the nested copula's cdf and the delay/count copula's joint cdf
-and mixed density."""
+against: the bivariate copula cdf, the nested copula's cdf and the
+delay/count copula's joint cdf and mixed density."""
 
 import csv
 import math
 import sys
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from granres.claims import _HEADER, CLAIM_TYPES, IngestReport, Portfolio, _text_stream
 from granres.copulas.families import FAMILIES
@@ -76,15 +76,49 @@ def function_difference_hessian(f, x, rel=1e-4):
     return hess
 
 
+def _bvn_cdf(x, y, rho):
+    """P[X <= x, Y <= y] of the standard bivariate normal of correlation rho,
+    by Owen's T: Phi(x)/2 + Phi(y)/2 - T(x, a_x) - T(y, a_y) - beta, with
+    a_x = (y - rho x) / (x sqrt(1 - rho^2)), and beta 1/2 where x and y have
+    opposite signs. A zero coordinate is taken as its limit from above."""
+    x, y, rho = np.broadcast_arrays(*(np.asarray(z, dtype=float) for z in (x, y, rho)))
+    x, y = (np.where(z == 0.0, 1e-300, z) for z in (x, y))
+    r = np.sqrt(1.0 - rho * rho)
+    out = 0.5 * (special.ndtr(x) + special.ndtr(y))
+    out -= special.owens_t(x, (y - rho * x) / (x * r)) + special.owens_t(y, (x - rho * y) / (y * r))
+    return out - np.where(x * y < 0.0, 0.5, 0.0)
+
+
+def copula_cdf(family, u, v, theta=None):
+    """The bivariate copula cdf C(u, v): psi(phi(u) + phi(v)) from the
+    family's generators for the Archimedean families, u v for independence,
+    and the bivariate normal cdf at the normal quantiles for the Gaussian.
+    On and beyond the edges of the unit square it is C(0, v) = C(u, 0) = 0,
+    C(1, v) = v and C(u, 1) = u."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if family == "independence":
+        out = u * v
+    elif family == "gaussian":
+        z = (special.ndtri(np.clip(x, 1e-300, 1.0 - 1e-16)) for x in (u, v))
+        out = _bvn_cdf(*z, theta)
+    else:
+        fam = FAMILIES[family]
+        out = fam.gen_inv(fam.gen(u, theta) + fam.gen(v, theta), theta)
+    out = np.where((u <= 0.0) | (v <= 0.0), 0.0, out)
+    out = np.where(u >= 1.0, np.clip(v, 0.0, 1.0), out)
+    return np.where(v >= 1.0, np.clip(u, 0.0, 1.0), out)
+
+
 def hac_cdf(outer_family, outer_theta, inner_a, inner_b, u1, u2, u3, u4):
-    """The nested copula's cdf D(C_A(u1, u2), C_B(u3, u4)), exact, each inner
-    parameter read at development time 0, as hac_sample reads it without
-    theta maps. The outer copula is a family name and a parameter, so that a
-    parameter HacSpec refuses (tau 0, the independence edge) is evaluated
-    too."""
-    s = FAMILIES[inner_a.family].cdf(u1, u2, inner_a.theta_at(0.0))
-    t = FAMILIES[inner_b.family].cdf(u3, u4, inner_b.theta_at(0.0))
-    return FAMILIES[outer_family].cdf(s, t, outer_theta)
+    """The nested copula's cdf D(C_A(u1, u2), C_B(u3, u4)) by copula_cdf,
+    each inner parameter read at development time 0, as hac_sample reads it
+    without theta maps. The outer copula is a family name and a parameter,
+    so that a parameter HacSpec refuses (tau 0, the independence edge) is
+    evaluated too."""
+    s = copula_cdf(inner_a.family, u1, u2, inner_a.theta_at(0.0))
+    t = copula_cdf(inner_b.family, u3, u4, inner_b.theta_at(0.0))
+    return copula_cdf(outer_family, s, t, outer_theta)
 
 
 def sklar_joint_cdf(delay_model, count_process, spec, t, w, horizon, n):
@@ -94,8 +128,7 @@ def sklar_joint_cdf(delay_model, count_process, spec, t, w, horizon, n):
     u = delay_model.cdf(t, w)
     q = count_process.count_cdf(horizon, np.maximum(n, 0))
     theta = spec.theta_at(np.asarray(horizon, dtype=float))
-    out = np.asarray(FAMILIES[spec.family].cdf(u, q, theta), dtype=float)
-    return np.where(n < 0, 0.0, out)
+    return np.where(n < 0, 0.0, copula_cdf(spec.family, u, q, theta))
 
 
 def mixed_density(delay_model, count_process, spec, t, w, horizon, n):
@@ -107,9 +140,12 @@ def mixed_density(delay_model, count_process, spec, t, w, horizon, n):
     u = delay_model.cdf(t, w)
     q_hi = count_process.count_cdf(horizon, n)
     q_lo = count_process.count_cdf(horizon, n - 1)
-    fam = FAMILIES[spec.family]
-    theta = spec.theta_at(np.asarray(horizon, dtype=float))
-    bracket = fam.h(u, q_hi, theta) - fam.h(u, q_lo, theta)
+    if spec.family == "independence":  # h(u, q) = q
+        bracket = q_hi - q_lo
+    else:
+        theta = spec.theta_at(np.asarray(horizon, dtype=float))
+        fam = FAMILIES[spec.family]
+        bracket = fam.h(u, q_hi, theta) - fam.h(u, q_lo, theta)
     dens = stats.weibull_min.pdf(w, delay_model.shape, scale=delay_model.scale(t))
     return dens * np.clip(bracket, 0.0, None)
 

@@ -279,6 +279,16 @@ def test_config_errors_exit_2(workdir, tmp_path, capsys):
             "gumbel outer parameter 0.5 is no nesting") in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
+    # and a Gaussian inner copula, which has no generator to nest
+    fitted["hac"] = {"outer_family": "gumbel", "outer_theta": 1.05}
+    fitted["types"]["bodily_injury"]["copula"] = {"family": "gaussian", "theta": 0.9}
+    old_model.write_text(json.dumps(fitted))
+    assert main(["reserve", "--config", str(tmp_path / "old.json"), "--input", port,
+                 "--valuation-date", "2019-12-31", "--scenarios", "5", "--out", str(out)]) == 2
+    assert (f"config error: model file {old_model} is not a readable model: "
+            "the first inner copula is gaussian") in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
     # reserve reads its model from a file; a model dict is synth's form
     (tmp_path / "dict.json").write_text(json.dumps({"model": {"types": {}}}))
     assert main(["reserve", "--config", str(tmp_path / "dict.json"), "--input", port,

@@ -19,6 +19,7 @@ from granres import (
     parse_iso,
     synthesize,
 )
+from granres.claims import PaymentEvent
 from granres.frequency import (
     ZeroModified,
     _gap_stats,
@@ -155,6 +156,53 @@ def test_zm_negbin_fit_recovers_truth():
     assert abs(fit.dist.p0 - 0.3) < 3 * fit.se["p0"]
     assert abs(fit.dist.base.mean() - 2.0) < 3 * fit.se["mu"]
     assert abs(1.0 / fit.dist.base.r - 0.5) < 3 * fit.se["alpha"]
+
+
+def _zm_log_edge_gaps(seed):
+    """150 zero-modified gaps from NB(0.5, 0.5)'s positive part, zero mass 0.3."""
+    rng = np.random.default_rng(seed)
+    base = rng.negative_binomial(0.5, 0.5, 600)
+    pos = base[base > 0]
+    return np.where(rng.random(150) < 0.3, 0, pos[:150])
+
+
+EDGE = "zero-truncated negative binomial likelihood has no finite maximum"
+
+
+@pytest.mark.parametrize("seed", [0, 15])
+def test_zm_negbin_fit_warns_on_the_logarithmic_series_edge(seed):
+    # the truncated likelihood keeps rising, nearly flat, towards alpha ->
+    # infinity, and the optimizer stops near r = 1e-3: the logarithmic
+    # series, that limit, fits at least as well
+    with pytest.warns(UserWarning, match=EDGE) as caught:
+        fit = fit_count_mle(_zm_log_edge_gaps(seed), "zm_negbin")
+    assert len(caught) == 1
+    assert fit.dist.base.r < 1e-3  # the estimate is kept
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_zm_negbin_fit_with_an_interior_optimum_does_not_warn(seed):
+    # warnings fail this suite
+    fit = fit_count_mle(_zm_log_edge_gaps(seed), "zm_negbin")
+    assert 0.2 < fit.dist.base.r < 0.35
+
+
+def test_fit_model_records_the_zm_negbin_edge_under_occurrence():
+    # one type, its 150 gaps in 2016 those of seed 0
+    rng = np.random.default_rng(4)
+    days = parse_iso("2016-01-01") + np.concatenate([[0], np.cumsum(_zm_log_edge_gaps(0))])
+    claims = []
+    for i, d in enumerate(days.tolist()):
+        r = d + int(rng.geometric(1 / 30))
+        pays = sorted(r + rng.integers(0, 400, rng.poisson(2)))
+        events = tuple(PaymentEvent(int(p), float(rng.lognormal(7.0, 1.0))) for p in pays)
+        claims.append(ClaimRecord(f"c{i}", "material_damage", d, r, events))
+    port = records_portfolio(claims, int(days[-1]) + 800)
+    recipe = {"occurrence_family": "zm_negbin", "copula_family": "independence", "hac_outer": None}
+    _, report = fit_model(port, recipe)
+    edge = [w for w in report["warnings"] if EDGE in w["message"]]
+    assert [(w["phase"], w["claim_type"]) for w in edge] == [("occurrence", "material_damage")]
+    assert edge[0]["message"].startswith("occurrence years (2016,): ")
 
 
 def test_negbin_fit_of_an_underdispersed_sample_is_the_poisson_edge():

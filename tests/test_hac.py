@@ -1,5 +1,6 @@
 """Nested two-level cross-type dependence: validity, sampling, estimation."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -18,6 +19,7 @@ from granres import (
     ValuationWindow,
     WeibullDelayModel,
     default_model,
+    fit_model,
     hac_sample,
     parse_iso,
     reserving,
@@ -114,6 +116,88 @@ def test_nesting_validity_enforced():
     # independent types (no nesting) take any inner pair, negative tau too
     neg = CopulaSpec("frank", theta=-0.1)
     assert _nested_model(None, neg, CopulaSpec("independence")).hac is None
+
+
+@pytest.mark.parametrize("outer", [("gumbel", 1.2), ("clayton", 0.5), ("frank", 1.0)])
+@pytest.mark.parametrize("position", [0, 1])
+def test_a_gaussian_inner_copula_is_never_nested(outer, position, tmp_path):
+    # the Gaussian has no generator; its tau 0.71 clears every outer tau here
+    inners = [GUM2, GUM2]
+    inners[position] = CopulaSpec("gaussian", theta=0.9)
+    message = f"the {('first', 'second')[position]} inner copula is gaussian"
+    with pytest.raises(ValueError, match=message):
+        _nested_model(HacSpec(*outer), *inners)
+    # nor does a saved model with one load
+    d = _nested_model(HacSpec(*outer), GUM2, GUM2).to_dict()
+    name = sorted(d["types"])[position]
+    d["types"][name]["copula"] = inners[position].to_dict()
+    (tmp_path / "model.json").write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=message):
+        GranularModel.load(tmp_path / "model.json")
+
+
+def test_fit_model_with_a_gaussian_pick_has_independent_types():
+    start, end = parse_iso("2016-01-01"), parse_iso("2018-12-31")
+    truth = default_model(1500, start, end, dependence="archimedean")
+    port = synthesize(truth, start, end, np.random.default_rng(3))
+    model, report = fit_model(port, {"copula_family": "gaussian"})
+    assert [tm.copula.family for tm in model.types.values()] == ["gaussian", "gaussian"]
+    assert model.hac is None
+    assert report["hac"]["outer_family"] == "independence"
+    nesting = [w for w in report["warnings"] if w["phase"] == "cross-type nesting"]
+    assert nesting == [
+        {
+            "phase": "cross-type nesting",
+            "claim_type": None,
+            "message": "a gaussian inner copula has no generator and cannot be nested; "
+            "outer copula set to independence",
+        }
+    ]
+
+
+# inner copulas of tau just above 0: Frank 1.8e-4 (tau 2e-5) and 9.5e-6
+# (tau 1.06e-6), Gumbel 1 + 1e-5 (tau 1e-5), and Clayton's bound 1e-4
+WEAK_INNERS = [
+    CopulaSpec("frank", theta=1.8e-4),
+    CopulaSpec("frank", theta=9.5e-6),
+    CopulaSpec("gumbel", theta=1.0 + 1e-5),
+    CopulaSpec("clayton", theta=1e-4),
+]
+
+
+@pytest.mark.parametrize("outer", ["clayton", "gumbel", "frank"])
+@pytest.mark.parametrize("inner", WEAK_INNERS, ids=lambda c: f"{c.family}{c.theta}")
+def test_fit_hac_outer_returns_only_nestings_the_rule_admits(outer, inner):
+    # positively dependent scores: the estimate projects onto the inner cap
+    rng = np.random.default_rng(12)
+    a = rng.random(500)
+    b = GUMBEL.hinv(a, rng.random(500), 2.0)
+    with pytest.warns(UserWarning) as caught:
+        spec = fit_hac_outer(a, b, inner, inner, outer)
+    if spec is None:
+        assert "outer copula set to independence" in str(caught[-1].message)
+    else:
+        assert _nested_model(spec, inner, inner).hac == spec
+
+
+def test_fit_hac_outer_below_claytons_bound_is_no_nesting():
+    # Clayton's smallest theta, 1e-4, has tau 5e-5: clipping up to it would
+    # exceed inner Frank copulas of tau 2e-5, a nesting the rule refuses
+    inner = CopulaSpec("frank", theta=1.8e-4)
+    with pytest.raises(ValueError, match=r"outer tau 4\.99975\d*e-05 exceeds the first inner "
+                       r"copula's minimum tau 1\.99999\d*e-05"):
+        _nested_model(HacSpec("clayton", 1e-4), inner, inner)
+    rng = np.random.default_rng(12)
+    a = rng.random(500)
+    b = GUMBEL.hinv(a, rng.random(500), 2.0)
+    with pytest.warns(UserWarning) as caught:
+        assert fit_hac_outer(a, b, inner, inner, "clayton") is None
+    assert [str(w.message) for w in caught] == [
+        "outer tau estimate 0.4696 exceeds inner minimum 2e-05; projected onto the nesting "
+        "boundary",
+        "nesting violated: outer tau 4.999750012e-05 exceeds the first inner copula's minimum "
+        "tau 1.999999999e-05; outer copula set to independence",
+    ]
 
 
 def test_hac_spec_validation_and_round_trip():
@@ -351,6 +435,63 @@ def test_fit_hac_outer_projections_and_errors():
     for outer in ("gaussian", "independence"):
         with pytest.raises(ValueError, match="must be Archimedean"):
             fit_hac_outer(a, b, CLAY2, CLAY2, outer)
+
+
+# same-family nestings, each a copula (McNeil 2008): (outer, inner A, inner B)
+LAWS = [
+    (("gumbel", 1.2), CopulaSpec("gumbel", theta=1.75), CopulaSpec("gumbel", theta=1.4)),
+    (("clayton", 0.5), CopulaSpec("clayton", theta=2.0), CopulaSpec("clayton", theta=1.0)),
+    (("frank", 2.0), CopulaSpec("frank", theta=5.0), CopulaSpec("frank", theta=3.0)),
+]
+# two corners and the box item 13 found mass outside the law in
+BOXES = [
+    ((0.0, 0.3),) * 4,
+    ((0.6, 1.0),) * 4,
+    ((0.9, 1.0), (0.9, 1.0), (0.0, 0.1), (0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("law", LAWS, ids=[law[0][0] for law in LAWS])
+def test_nested_sampler_draws_the_nested_law(law):
+    """hac_sample's box frequencies match the box masses of the nested cdf,
+    within 4 standard errors, on 100k rows."""
+    outer, inner_a, inner_b = law
+    n = 100_000
+    rows = hac_sample(HacSpec(*outer), inner_a, inner_b, hac_uniforms(np.random.default_rng(21), n))
+    for box in BOXES:
+        # inclusion-exclusion over the 16 corners of the box
+        mass = sum(
+            (-1) ** (4 - sum(pick))
+            * float(hac_cdf(*outer, inner_a, inner_b, *(box[i][pick[i]] for i in range(4))))
+            for pick in itertools.product((0, 1), repeat=4)
+        )
+        inside = np.all([(x > lo) & (x <= hi) for x, (lo, hi) in zip(rows.T, box)], axis=0)
+        se = math.sqrt(mass * (1.0 - mass) / n)
+        assert abs(inside.mean() - mass) < 4.0 * se, (box, inside.mean(), mass)
+
+
+def test_nested_draw_solves_u3_deep_in_a_clayton_tail():
+    """Near u1 = 1e-6 under inner Clayton 28, psi''(phi(u1) + phi(u2))
+    underflows to 0, yet the inner density there is about 1e7. The drawn u3
+    still solves its conditional cdf (D_11(s, t) s1 s2 + D_1(s, t) c) / c,
+    evaluated here in closed form: D the outer Clayton 1 copula, s, s1, s2
+    and c the inner cdf, h-functions and density."""
+    th, a = 28.0, 1.0
+    p3 = np.array([0.5, 0.9, 0.1])
+    uniforms = np.column_stack([[1e-6, 1e-7, 1e-8], np.full(3, 0.5), p3, np.full(3, 0.5)])
+    rows = hac_sample(
+        HacSpec("clayton", a), CopulaSpec("clayton", theta=th), CopulaSpec("frank", theta=35.0),
+        uniforms,
+    )
+    u1, u2, t = rows[:, 0], rows[:, 1], rows[:, 2]
+    big = u1**-th + u2**-th - 1.0
+    s = big ** (-1.0 / th)
+    s1, s2 = (np.exp(-(th + 1.0) * np.log(x) - (1.0 + 1.0 / th) * np.log(big)) for x in (u1, u2))
+    c = (1.0 + th) * np.exp(-(th + 1.0) * np.log(u1 * u2) - (1.0 / th + 2.0) * np.log(big))
+    outer = s**-a + t**-a - 1.0
+    d1 = s ** (-a - 1.0) * outer ** (-1.0 / a - 1.0)
+    d11 = (a + 1.0) * s ** (-a - 2.0) * outer ** (-1.0 / a - 2.0) * (1.0 - t**-a)
+    assert_allclose((d11 * s1 * s2 + d1 * c) / c, p3, atol=1e-9)
 
 
 def test_nesting_leaves_each_type_reserve_unchanged():

@@ -8,7 +8,7 @@ import csv
 import io
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy import special, stats
@@ -29,20 +29,20 @@ from granres.copulas.hac import HacSpec, hac_sample, hac_uniforms, match_days
 from granres.copulas.mixed import conditional_count_quantile, count_quantile
 from granres.daycount import DAYS_PER_YEAR
 from granres.reserving import _place_payments
-from helpers import ingest_csv_report_loop, nearest_unused_pairs, records_portfolio
+from helpers import copula_cdf, ingest_csv_report_loop, nearest_unused_pairs, records_portfolio
 
 UNIT = st.floats(0.01, 0.99)
 
 
 @st.composite
-def family_and_theta(draw):
-    name = draw(st.sampled_from(sorted(FAMILIES)))
+def family_and_theta(draw, names=tuple(sorted(FAMILIES))):
+    name = draw(st.sampled_from(names))
     lo, hi = FAMILIES[name].theta_bounds
     return name, draw(st.floats(lo, hi))
 
 
 @settings(max_examples=300, deadline=None)
-@given(family_and_theta(), UNIT, UNIT)
+@given(family_and_theta(("clayton", "frank", "gaussian", "gumbel")), UNIT, UNIT)
 def test_hinv_inverts_h(fam_theta, u, v):
     name, theta = fam_theta
     fam = FAMILIES[name]
@@ -271,9 +271,12 @@ def test_columnar_ingest_matches_the_row_loop(text, cutoff):
 @given(family_and_theta(), *(st.floats(0.0, 1.0),) * 4)
 def test_copula_cdf_gives_every_rectangle_nonnegative_mass(fam_theta, a, b, c, d):
     name, theta = fam_theta
-    cdf = FAMILIES[name].cdf
+
+    def cdf(u, v):
+        return copula_cdf(name, u, v, theta)
+
     (u1, u2), (v1, v2) = sorted((a, b)), sorted((c, d))
-    mass = cdf(u2, v2, theta) - cdf(u1, v2, theta) - cdf(u2, v1, theta) + cdf(u1, v1, theta)
+    mass = cdf(u2, v2) - cdf(u1, v2) - cdf(u2, v1) + cdf(u1, v1)
     assert float(mass) >= -1e-12
 
 
@@ -402,6 +405,9 @@ def count_copulas(draw):
     count_copulas(),
     st.lists(st.tuples(st.floats(0.0, 1.0), NEAR_ONE, HORIZON), min_size=1, max_size=30),
 )
+# h(u, Q(n)) is not monotone in n here: the first n is 1029, while a walk
+# from the normal guess that stops once h reaches v stops at 1042
+@example(CopulaSpec("frank", theta=3.5), [(0.0, 1.0, 5.5)])
 def test_conditional_count_quantile_equals_the_full_matrix_search(spec, rows):
     u, v, horizon = (np.array(x) for x in zip(*rows))
     lam = WIDE.intensity.cumulative(horizon)

@@ -12,7 +12,7 @@ from numpy.testing import assert_array_equal
 from scipy import special, stats
 
 from granres import CopulaSpec, CountProcess, ExponentialDecay, NegativeBinomial, Poisson
-from granres.copulas.families import FAMILIES, GAUSSIAN, GUMBEL, bvn_cdf
+from granres.copulas.families import FAMILIES, GAUSSIAN, GUMBEL
 from granres.copulas.hac import fit_hac_outer, kendall_tau_b
 from granres.copulas.mixed import conditional_count_quantile, count_quantile
 from granres.frequency import ZeroModified
@@ -141,8 +141,6 @@ def test_gaussian_copula_matches_the_norm_formulas():
     interior = (u > 0) & (u < 1) & (v > 0) & (v < 1)
     assert_array_equal(GAUSSIAN.h(u, v, rho)[interior], stats.norm.cdf((y - rho * x) / s)[interior])
     assert_array_equal(GAUSSIAN.hinv(u, v, rho), stats.norm.cdf(y * s + rho * x))
-    bvn = bvn_cdf(x, y, np.full(u.shape, rho))
-    assert_array_equal(GAUSSIAN.cdf(u, v, rho)[interior], bvn[interior])
 
 
 def _tied_scores(rng, n, ties):
