@@ -12,26 +12,35 @@ returns h and dh/dtheta from them in one pass; Independence has only these.
 
 Clayton, Gumbel and Frank, the Archimedean families, expose the additive
 generator phi and its inverse psi with the derivatives the nested copula is
-built from: phi', phi'', psi', psi'', psi'''. Their cdf is psi(phi(u) +
-phi(v)); no family carries a cdf or density of its own. Only these three
-nest; the Gaussian has no generator.
+built from: phi', phi'', psi', psi'', psi''', and hinv, the closed-form
+inverse of v -> h(u, v). Their cdf is psi(phi(u) + phi(v)); no family
+carries a cdf or density of its own. Only these three nest; the Gaussian
+has no generator. invert_increasing is the bracketed solve for the
+conditional cdfs without a closed-form inverse.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, wrightomega
 
 _EPS = 1e-12
-_BISECT_STEPS = 50
+# a row's bracket closes below _XRTOL |x| + _XATOL, the resolution of 50
+# halvings of the unit interval
+_XRTOL, _XATOL = 4e-16, 1e-16
+# and a row whose f(x) is within _EPS_F |target| of its target is solved
+_EPS_F = np.finfo(float).eps
+# interpolation steps before invert_increasing gives up on a row
+_MAX_STEPS = 100
 
 
 def _clip(x, lo, hi):
     """np.clip(x, lo, hi) as two ufunc calls; NaN stays NaN.
 
-    The copula functions run on every bisection halving, on a few dozen
-    pairs, where np.clip's Python-level wrapper was a large share of the time.
+    The copula functions run on every step of a bracketed solve, on a few
+    dozen pairs, where np.clip's Python-level wrapper was a large share of
+    the time.
     """
     return np.minimum(np.maximum(x, lo), hi)
 
@@ -40,24 +49,79 @@ def _clip01(x):
     return _clip(np.asarray(x, dtype=float), _EPS, 1.0 - _EPS)
 
 
-def bisect(f, target, lo, hi):
-    """Invert an increasing f elementwise on [lo, hi] by bracketed bisection.
+def invert_increasing(f, target, lo, hi, args=()):
+    """Solve f(x, *args) = target for each entry of the 1-d array target, f
+    increasing on [lo, hi], by Chandrupatla's bracketed inverse quadratic
+    interpolation (Adv. Eng. Softw. 28 (1997) 145).
 
-    f maps an array of trial points, one per target, to an array. A target at
-    or below f(lo) takes lo and one at or above f(hi) takes hi; the rest end
-    within (hi - lo) / 2**_BISECT_STEPS of the crossing.
+    f takes trial points and the matching entries of args, one array entry
+    per row. A target at or below f(lo) takes lo and one at or above f(hi)
+    takes hi. Any other row brackets the first x where f(x) < target fails
+    and ends at a point where f(x) is within _EPS_F |target| of the target,
+    or at the end of its bracket nearer the target once the bracket is
+    narrower than _XRTOL |x| + _XATOL. Finished rows leave the solve with
+    their args, and every step is elementwise, so a row's result does not
+    depend on the rows solved with it. Raises ValueError on a NaN target and
+    on rows still open after _MAX_STEPS steps.
     """
     target = np.asarray(target, dtype=float)
-    a = np.full(target.shape, float(lo))
-    b = np.full(target.shape, float(hi))
-    below_lo = f(a) >= target
-    above_hi = f(b) <= target
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
-        low = f(mid) < target
-        a = np.where(low, mid, a)
-        b = np.where(low, b, mid)
-    return np.where(below_lo, lo, np.where(above_hi, hi, 0.5 * (a + b)))
+    if np.isnan(target).any():
+        raise ValueError("cannot invert at a NaN target")
+    args = [np.broadcast_to(a, target.shape) for a in args]
+    f_lo = f(np.full(target.shape, float(lo)), *args) - target
+    f_hi = f(np.full(target.shape, float(hi)), *args) - target
+    out = np.where(f_lo >= 0.0, float(lo), float(hi))
+    rows = np.flatnonzero(~(f_lo >= 0.0) & ~(f_hi <= 0.0))
+    # x1 is the newest point and x2 the far end of the bracket, x3 the point
+    # dropped last; below1 says that x1 lies below the target's crossing
+    x1, f1 = np.full(rows.size, float(lo)), f_lo[rows]
+    x2, f2 = np.full(rows.size, float(hi)), f_hi[rows]
+    below1 = np.ones(rows.size, dtype=bool)
+    target = target[rows]
+    f_tol = _EPS_F * np.abs(target)
+    args = [a[rows] for a in args]
+    t = 0.5
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_MAX_STEPS):
+            if not rows.size:
+                break
+            x = x1 + t * (x2 - x1)
+            fx = f(x, *args) - target
+            below = fx < 0.0
+            flip = below != below1
+            x3, f3 = np.where(flip, x2, x1), np.where(flip, f2, f1)
+            x2, f2 = np.where(flip, x1, x2), np.where(flip, f1, f2)
+            x1, f1, below1 = x, fx, below
+            dx = np.abs(x2 - x1)
+            tol = _XRTOL * np.abs(x1) + _XATOL
+            done = (dx < tol) | (np.abs(f1) <= f_tol)
+            if done.any():
+                nearer = np.abs(f1[done]) <= np.abs(f2[done])
+                out[rows[done]] = np.where(nearer, x1[done], x2[done])
+                live = ~done
+                rows, x1, f1, x2, f2, x3, f3, below1, dx, tol, target, f_tol = (
+                    a[live] for a in (rows, x1, f1, x2, f2, x3, f3, below1, dx, tol, target, f_tol)
+                )
+                args = [a[live] for a in args]
+            # interpolate where the three points are monotone enough for
+            # the inverse quadratic (Chandrupatla's test), else bisect
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            iqi = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            t = np.where(
+                iqi,
+                f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                0.5,
+            )
+            # every trial point lands at least tol / 2 inside the bracket
+            edge = 0.5 * tol / dx
+            t = _clip(t, edge, 1.0 - edge)
+    if rows.size:
+        raise ValueError(
+            f"bracketed solve: {rows.size} of {out.size} rows still open after {_MAX_STEPS} steps"
+        )
+    return out
 
 
 class _Family:
@@ -90,22 +154,11 @@ class _Family:
         h, dh = self._h_dtheta(pre, theta)
         return np.where(inside, h, edge), np.where(inside, dh, 0.0)
 
-    def hinv(self, u, p, theta):
-        """Numeric inverse of v -> h(u, v); overridden where closed form exists."""
-        u, p, theta = np.broadcast_arrays(u, _clip(p, 1e-9, 1.0 - 1e-9), theta)
-        out = bisect(lambda v: self.h(u, v, theta), p, 1e-12, 1.0 - 1e-12)
-        return out if out.shape else float(out)
-
-    def theta_from_tau(self, tau):
-        lo, hi = self.theta_bounds
-        return float(optimize.brentq(lambda th: self.tau(th) - tau, lo, hi, xtol=1e-10))
-
 
 class Independence:
     """The product copula as the pair likelihood reads it: h(u, v) = v."""
 
     name = "independence"
-    theta_bounds = (0.0, 0.0)
 
     def h_prepare(self, u, v):
         return _clip(np.asarray(v, dtype=float), 0.0, 1.0)
@@ -233,6 +286,21 @@ class Gumbel(_Family):
         )
         return h, h * dlog
 
+    def hinv(self, u, p, theta):
+        """v with h(u, v) = p. With a = -ln u, b = -ln v and z = (a^theta +
+        b^theta)^(1/theta), ln h = -z + (1 - theta) ln z + (theta - 1) ln a + a,
+        so z + c ln z = K for c = theta - 1 and K = c ln a + a - ln p, solved
+        by z = c w(K/c - ln c), w the Wright omega function. At theta = 1
+        (independence) v = p."""
+        a = -np.log(_clip01(u))
+        p = _clip(np.asarray(p, dtype=float), 1e-9, 1.0 - 1e-9)
+        theta = np.asarray(theta, dtype=float)
+        c = theta - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = c * wrightomega((c * np.log(a) + a - np.log(p)) / c - np.log(c))
+            b = np.maximum(z**theta - a**theta, 0.0) ** (1.0 / theta)
+        return np.where(c > 0.0, np.exp(-b), p)
+
     def tau(self, theta):
         return 1.0 - 1.0 / theta
 
@@ -344,6 +412,10 @@ class Frank(_Family):
         d1 = integrate.quad(lambda x: x / np.expm1(x), 0.0, t)[0] / t
         return sign * (1.0 + 4.0 * (d1 - 1.0) / t)
 
+    def theta_from_tau(self, tau):
+        lo, hi = self.theta_bounds
+        return float(optimize.brentq(lambda th: self.tau(th) - tau, lo, hi, xtol=1e-10))
+
     def link(self, theta):
         return np.asarray(theta, dtype=float)
 
@@ -412,15 +484,6 @@ class Gaussian(_Family):
         z = (y - rho * x) / sd
         dz = (rho * z / sd - x) / sd
         return ndtr(z), np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) * dz
-
-    def hinv(self, u, p, theta):
-        rho = np.asarray(theta, dtype=float)
-        x = ndtri(_clip01(u))
-        z = ndtri(_clip(np.asarray(p, dtype=float), 1e-12, 1.0 - 1e-12))
-        return ndtr(z * np.sqrt(1.0 - rho**2) + rho * x)
-
-    def tau(self, theta):
-        return 2.0 * np.arcsin(theta) / np.pi
 
     def link(self, theta):
         return np.arctanh(theta)

@@ -17,12 +17,15 @@ true within one family with theta_outer <= theta_inner, and not known for a
 mixed one such as the archimedean preset, which the rule still admits.
 
 Sampling is exact conditional inversion in the order u1, u2, u3, u4,
-vectorized over rows: each conditional cdf is inverted for all rows at once,
-in closed form where the inner family has one and otherwise by bracketed
-bisection. The conditional cdfs take the outer generator's first three
-inverse derivatives, each inner cdf psi(phi(u) + phi(v)) and density from
-its generator, and the closed-form inner h-functions. Inner parameters may
-be time-varying (each pair's may depend on the component drawn first).
+vectorized over rows: u2 by the first inner family's closed-form
+h-inverse, u3 and u4 by invert_increasing, a bracketed solve (Chandrupatla's
+method) that each row leaves once its own bracket closes. The conditional
+cdfs take the outer generator's first three inverse derivatives, each inner
+cdf psi(phi(u) + phi(v)) and density from its generator, and the
+closed-form inner h-functions. Inner parameters may be time-varying (each
+pair's may depend on the component drawn first), and u4 may be solved for
+a subset of rows only: a reserve reads it only for the claims its window
+keeps.
 
 Claims of the two types are paired by accident day with match_days, within
 MATCH_GAP_DAYS, both when the outer parameter is estimated and when the
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..delays import delay_score
-from .families import ARCHIMEDEAN, FAMILIES, bisect
+from .families import ARCHIMEDEAN, FAMILIES, invert_increasing
 
 _LO, _HI = 1e-9, 1.0 - 1e-9
 # the widest accident-day gap of a cross-type pair, in fit and simulation alike
@@ -106,7 +109,9 @@ def hac_uniforms(rng, size):
     return rng.uniform(_LO, _HI, size=(size, 4))
 
 
-def hac_sample(spec, inner_a, inner_b, uniforms, theta_a_fn=None, theta_b_fn=None):
+def hac_sample(
+    spec, inner_a, inner_b, uniforms, theta_a_fn=None, theta_b_fn=None, keep_b_fn=None
+):
     """Draw (u1, u2, u3, u4) rows from the nested copula, all rows at once.
 
     spec is the outer copula, inner_a and inner_b the CopulaSpecs of the two
@@ -114,10 +119,14 @@ def hac_sample(spec, inner_a, inner_b, uniforms, theta_a_fn=None, theta_b_fn=Non
     theta_a_fn / theta_b_fn, when given, map the array of an inner pair's
     first components to that pair's dependence parameters, one per row;
     without them each inner parameter is read at development time 0.
+    keep_b_fn, called after theta_b_fn with the same u3, maps it to a mask of
+    the rows whose u4 is solved; the others' u4 is NaN. Without it every row
+    is solved.
 
     Every step is elementwise over rows, so solving stacked uniforms gives
     bit for bit the rows of solving each block alone, as long as the theta
-    maps treat each block as its own.
+    maps treat each block as its own; and a row's u4 is the same whichever
+    rows keep_b_fn keeps with it.
     """
     fam_a = FAMILIES[inner_a.family]
     fam_b = FAMILIES[inner_b.family]
@@ -137,6 +146,7 @@ def hac_sample(spec, inner_a, inner_b, uniforms, theta_a_fn=None, theta_b_fn=Non
     phi_s = outer.gen(s, th0)
     dphi_s = outer.gen_d1(s, th0)
     ddphi_s = outer.gen_d2(s, th0)
+    pair_a = (phi_s, dphi_s, ddphi_s, s1, s2, s12)
 
     # conditional cdf of U3 given (U1, U2): second mixed derivative ratio
     den = (
@@ -144,29 +154,38 @@ def hac_sample(spec, inner_a, inner_b, uniforms, theta_a_fn=None, theta_b_fn=Non
         + outer.gen_inv_d1(phi_s, th0) * ddphi_s
     ) * s1 * s2 + s12  # gen_inv_d1(phi(s)) * gen_d1(s) = 1 exactly
 
-    def g3(u3):
+    def g3(u3, phi_s, dphi_s, ddphi_s, s1, s2, s12, den):
         x = phi_s + outer.gen(u3, th0)
         d1 = outer.gen_inv_d1(x, th0)
         d_ss = outer.gen_inv_d2(x, th0) * dphi_s**2 + d1 * ddphi_s
         return (d_ss * s1 * s2 + d1 * dphi_s * s12) / den
 
-    u3 = bisect(g3, p3, _LO, _HI)
+    u3 = invert_increasing(g3, p3, _LO, _HI, (*pair_a, den))
     th_b = theta_b_fn(u3) if theta_b_fn else inner_b.theta_at(0.0)
+    # a mask even for every row: numpy's vector power loop and its loop for a
+    # broadcast (stride-0) exponent differ in the last bit, so every per-row
+    # array of the u4 solve is a masked copy, whichever rows are kept
+    keep = keep_b_fn(u3) if keep_b_fn else np.ones(u3.shape, dtype=bool)
 
-    def third_mixed(t, t3):
+    def third_mixed(t, t3, phi_s, dphi_s, ddphi_s, s1, s2, s12):
         x = phi_s + outer.gen(t, th0)
         d2 = outer.gen_inv_d2(x, th0)
         lead = (outer.gen_inv_d3(x, th0) * dphi_s**2 + d2 * ddphi_s) * s1 * s2
         return (lead + d2 * dphi_s * s12) * outer.gen_d1(t, th0) * t3
 
-    k1 = third_mixed(u3, 1.0)
-    phi_u3 = fam_b.gen(u3, th_b)
-
-    def f4(u4):
+    def f4(u4, u3, th_b, phi_u3, k1, *pair_a):
         t = np.clip(fam_b.gen_inv(phi_u3 + fam_b.gen(u4, th_b), th_b), 1e-12, 1.0 - 1e-12)
-        return third_mixed(t, fam_b.h(u3, u4, th_b)) / k1
+        return third_mixed(t, fam_b.h(u3, u4, th_b), *pair_a) / k1
 
-    u4 = bisect(f4, p4, _LO, _HI)
+    kept_a = [x[keep] for x in pair_a]
+    kept_u3 = u3[keep]
+    kept_th_b = np.broadcast_to(th_b, u3.shape)[keep]
+    k1 = third_mixed(kept_u3, 1.0, *kept_a)
+    phi_u3 = fam_b.gen(kept_u3, kept_th_b)
+    u4 = np.full(u3.shape, np.nan)
+    u4[keep] = invert_increasing(
+        f4, p4[keep], _LO, _HI, (kept_u3, kept_th_b, phi_u3, k1, *kept_a)
+    )
     return np.column_stack([u1, u2, u3, u4])
 
 

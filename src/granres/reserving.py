@@ -508,17 +508,19 @@ def _draw_arrivals(model, from_day_by_type, to_day, rng):
     return days, hac_uniforms(rng, ia.size)
 
 
-def _solve_pairs(batch, draws, horizon_end):
+def _solve_pairs(batch, draws, report_after, horizon_end):
     """Stage 2: the nested copula rows of every matched pair of a batch.
 
     draws[s] is scenario s's stage-1 draw. A single hac_sample solves every
     pair at once, its inner families the types' copulas. An inner pair's
     parameter is read at its claim's horizon: horizon_end less the reporting
-    day that its delay score u1 implies under the scenario's own delay, taken
-    per pair from the stacked delay. The solve is elementwise, so each
-    scenario's rows are bit for bit those of solving it alone. Returns one
-    (pairs, 4) row array per scenario; an uncoupled model's are its empty
-    uniforms.
+    day that its delay score implies under the scenario's own delay, taken
+    per pair from the stacked delay. A second-type claim that does not report
+    in (report_after, horizon_end] is dropped by stage 3, which then never
+    reads its count score u4, so that u4 is left unsolved (NaN). The solve is
+    elementwise, so each scenario's rows, and each solved u4, are bit for bit
+    those of solving it alone. Returns one (pairs, 4) row array per scenario;
+    an uncoupled model's are its empty uniforms.
     """
     model = batch.models[0]
     if model.hac is None:
@@ -526,6 +528,7 @@ def _solve_pairs(batch, draws, horizon_end):
     names = model.type_names()
     sizes = [uniforms.shape[0] for _, uniforms in draws]
     scen = np.repeat(np.arange(len(draws)), sizes)
+    reported = {}
 
     def theta_fn(k):
         days = np.concatenate([d[names[k]][0] for d, _ in draws])
@@ -534,9 +537,14 @@ def _solve_pairs(batch, draws, horizon_end):
 
         def fn(u1):
             w = np.floor(np.asarray(delay_quantile(delay, days, u1), dtype=float))
-            return copula.theta_at(np.maximum((horizon_end - days - w) / DAYS_PER_YEAR, 0.0))
+            reported[k] = r = days + w
+            return copula.theta_at(np.maximum((horizon_end - r) / DAYS_PER_YEAR, 0.0))
 
         return fn
+
+    def keep_b(u3):
+        # the reporting days theta_fn(1) just read off this u3
+        return (reported[1] > report_after) & (reported[1] <= horizon_end)
 
     rows = hac_sample(
         model.hac,
@@ -544,6 +552,7 @@ def _solve_pairs(batch, draws, horizon_end):
         uniforms=np.concatenate([uniforms for _, uniforms in draws]),
         theta_a_fn=theta_fn(0),
         theta_b_fn=theta_fn(1),
+        keep_b_fn=keep_b,
     )
     return np.split(rows, np.cumsum(sizes)[:-1])
 
@@ -645,7 +654,7 @@ def _draw_claims(model, from_day_by_type, to_day, report_after, horizon_end, rng
     """
     batch = _batch([model], [rng])
     draws = [_draw_arrivals(model, from_day_by_type, to_day, rng)]
-    rows = _solve_pairs(batch, draws, horizon_end)
+    rows = _solve_pairs(batch, draws, report_after, horizon_end)
     return _finish_claims(batch, draws, rows, report_after, horizon_end)
 
 
@@ -871,7 +880,7 @@ def _run_batch(model, prep, window, parameter_risk, children):
     for s, (m, rng) in enumerate(zip(models, rngs)):
         rbns.append(_rbns_scenario(m, prep, {t: x[s] for t, x in means.items()}, n_periods, rng))
         draws.append(_draw_arrivals(m, {t: int(d[s]) for t, d in starts.items()}, a, rng))
-    ibnr = _ibnr_draw(batch, window, draws, _solve_pairs(batch, draws, window.b_day))
+    ibnr = _ibnr_draw(batch, window, draws, _solve_pairs(batch, draws, a, window.b_day))
     flows = {}
     for ctype, d in ibnr.items():
         bucket = np.searchsorted(edges, d["pay_day"], side="right") - 1

@@ -256,13 +256,36 @@ def test_inner_family_is_the_type_copula():
     days = dict.fromkeys(model.type_names(), start)
     draw = reserving._draw_arrivals(model, days, end, np.random.default_rng(3))
     batch = reserving._batch([model], [np.random.default_rng(3)])
-    rows = reserving._solve_pairs(batch, [draw], end)[0]
+    rows = reserving._solve_pairs(batch, [draw], start - 1, end)[0]
     uniforms = draw[1]
     assert rows.shape[0] > 100
     clayton = np.clip(CLAYTON.hinv(uniforms[:, 0], uniforms[:, 1], 1.5), 1e-9, 1.0 - 1e-9)
     gumbel = np.clip(GUMBEL.hinv(uniforms[:, 0], uniforms[:, 1], 1.5), 1e-9, 1.0 - 1e-9)
     assert rows[:, 1].tobytes() == clayton.tobytes()
     assert not np.allclose(rows[:, 1], gumbel)
+
+
+def test_pairs_solve_u4_only_for_second_type_claims_in_the_window():
+    """_solve_pairs leaves u4 unsolved (NaN) exactly for the matched
+    second-type claims that do not report in (report_after, horizon_end],
+    the ones stage 3 drops; every solved row is byte for byte the row a
+    wider window solves."""
+    model = default_model(4000, parse_iso("2016-01-01"), parse_iso("2017-12-31"), "archimedean")
+    start, end = parse_iso("2016-01-01"), parse_iso("2017-12-31")
+    draw = reserving._draw_arrivals(model, dict.fromkeys(model.type_names(), start), end,
+                                    np.random.default_rng(4))
+    batch = reserving._batch([model], [np.random.default_rng(4)])
+    after = parse_iso("2017-06-30")
+    rows = reserving._solve_pairs(batch, [draw], after, end)[0]
+    wide = reserving._solve_pairs(batch, [draw], start - 1, end)[0]
+    second = model.type_names()[1]
+    days = draw[0][second][0]
+    r = days + np.floor(model.types[second].delay.quantile(days, wide[:, 2]))
+    in_window = (r > after) & (r <= end)
+    assert 0 < in_window.sum() < in_window.size
+    assert np.array_equal(~np.isnan(rows[:, 3]), in_window)
+    assert rows[in_window].tobytes() == wide[in_window].tobytes()
+    assert rows[~in_window, :3].tobytes() == wide[~in_window, :3].tobytes()
 
 
 def test_sample_with_parameter_callbacks():
