@@ -178,14 +178,6 @@ class Portfolio:
     def __len__(self):
         return self.claim_ids.size
 
-    def __eq__(self, other):
-        if not isinstance(other, Portfolio):
-            return NotImplemented
-        return self.data_cutoff == other.data_cutoff and all(
-            np.array_equal(getattr(self, k), getattr(other, k))
-            for k in _COLUMNS + _PAYMENTS
-        )
-
     def by_type(self, *claim_types: str) -> "Portfolio":
         """The sub-portfolio of the claims of the given types."""
         unknown = [t for t in claim_types if t not in CLAIM_TYPES]
@@ -447,10 +439,12 @@ class RunOffTriangle:
 def aggregate_triangle(portfolio: Portfolio, granularity: int = 1) -> RunOffTriangle:
     """Aggregate payments into a cumulative run-off triangle.
 
-    Origin periods are calendar accident years grouped `granularity` at a time;
-    the development index of a payment is (payment year - origin year) //
-    granularity. A cell is observable when its whole development period lies
-    within the cutoff year.
+    Origin periods are calendar accident years grouped `granularity` at a time,
+    counted back from the cutoff year so that the last one ends with it: the
+    first may start before the first accident year, and is labelled by its
+    own first year. The development index of a payment is (payment year -
+    origin year) // granularity. A cell is observable when its whole
+    development period lies within the cutoff year.
     """
     if granularity < 1:
         raise ValueError("granularity must be a positive integer (years)")
@@ -460,8 +454,8 @@ def aggregate_triangle(portfolio: Portfolio, granularity: int = 1) -> RunOffTria
     y0 = int(acc_years.min())
     cutoff_year = year_of(portfolio.data_cutoff)
     n_origin = (cutoff_year - y0) // granularity + 1
-    origin_years = y0 + np.arange(n_origin) * granularity
-    row = ((acc_years - y0) // granularity)[portfolio.pay_owner]
+    origin_years = cutoff_year + 1 - (n_origin - np.arange(n_origin)) * granularity
+    row = ((acc_years - origin_years[0]) // granularity)[portfolio.pay_owner]
     col = (year_of(portfolio.pay_days) - origin_years[row]) // granularity
     inc = np.zeros((n_origin, n_origin))
     np.add.at(inc, (row, col), portfolio.pay_amounts)

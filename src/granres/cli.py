@@ -78,6 +78,8 @@ def _effective_config(args) -> dict:
                 convert(cfg[key])
             except (TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"{key} must be a number, got {cfg[key]!r}") from e
+    if int(cfg["seed"]) < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
     if int(cfg.get("scenarios", 1)) < 1:
         raise ConfigError("scenarios must be at least 1")
     return cfg

@@ -58,9 +58,6 @@ class WeibullDelayModel:
             raise ValueError("quantile level must be in [0, 1)")
         return self.scale(t) * np.power(-np.log1p(-u), 1.0 / self.shape)
 
-    def mean(self, t):
-        return self.scale(t) * math.gamma(1.0 + 1.0 / self.shape)
-
     def perturbed(self, rng):
         return redraw(self, rng, self.se)
 

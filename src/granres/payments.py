@@ -48,9 +48,6 @@ class ExponentialDecay:
         x = np.asarray(x, dtype=float)
         return -np.log1p(-self.beta * x / self.lam0) / self.beta
 
-    def total(self):
-        return self.lam0 / self.beta
-
     def to_dict(self):
         return {"family": "exponential", "lam0": self.lam0, "beta": self.beta}
 
@@ -73,9 +70,6 @@ class PowerDecay:
     def cumulative_inv(self, x):
         x = np.asarray(x, dtype=float)
         return np.power(1.0 - x * (self.beta - 1.0) / self.lam0, 1.0 / (1.0 - self.beta)) - 1.0
-
-    def total(self):
-        return self.lam0 / (self.beta - 1.0)
 
     def to_dict(self):
         return {"family": "power", "lam0": self.lam0, "beta": self.beta}

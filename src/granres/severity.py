@@ -48,16 +48,6 @@ class LogNormalSeverity(_IidSeverity):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    def mean(self) -> float:
-        return float(np.exp(self.mu + 0.5 * self.sigma**2))
-
-    def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = (np.log(x) - self.mu) / self.sigma
-            out = -np.log(x * self.sigma * np.sqrt(2 * np.pi)) - 0.5 * z * z
-        return np.where(x > 0, out, -np.inf)
-
     def sample(self, n, rng):
         return rng.lognormal(self.mu, self.sigma, n)
 
@@ -77,9 +67,6 @@ class GammaSeverity(_IidSeverity):
     def __post_init__(self):
         if self.shape <= 0 or self.scale <= 0:
             raise ValueError("shape and scale must be positive")
-
-    def mean(self) -> float:
-        return float(self.shape * self.scale)
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -1,12 +1,13 @@
 """Test data drawn through the engine's own samplers, portfolios built from
-hand-written claim records, the payment rates the intensity fit reduces to
-sufficient statistics, the row-by-row CSV ingest kept as the reference
-for the columnar one, the brute-force greedy that the cross-type day
-matching is checked against, the zero-modified pmf, the function
-difference Hessian that the gradient-difference information is checked
-against, and the reference laws the engine's draws and fits are checked
-against: the bivariate copula cdf, the nested copula's cdf and the
-delay/count copula's joint cdf and mixed density."""
+hand-written claim records and compared column by column, the payment
+rates the intensity fit reduces to sufficient statistics, the row-by-row
+CSV ingest kept as the reference for the columnar one, the brute-force
+greedy that the cross-type day matching is checked against, the
+zero-modified pmf, the function difference Hessian that the
+gradient-difference information is checked against, and the reference laws
+the engine's draws and fits are checked against: the bivariate copula cdf,
+the nested copula's cdf and the delay/count copula's joint cdf and mixed
+density."""
 
 import csv
 import math
@@ -15,7 +16,15 @@ import sys
 import numpy as np
 from scipy import special, stats
 
-from granres.claims import _HEADER, CLAIM_TYPES, IngestReport, Portfolio, _text_stream
+from granres.claims import (
+    _COLUMNS,
+    _HEADER,
+    _PAYMENTS,
+    CLAIM_TYPES,
+    IngestReport,
+    Portfolio,
+    _text_stream,
+)
 from granres.copulas.families import FAMILIES
 from granres.daycount import DAYS_PER_YEAR, parse_iso
 from granres.reserving import _place_payments
@@ -168,6 +177,14 @@ def records_portfolio(claims, cutoff) -> Portfolio:
         [p.amount for p in pays],
         cutoff,
     )
+
+
+def assert_same_portfolio(p, q):
+    """p and q hold the same data cutoff and every claim and payment column."""
+    assert isinstance(p, Portfolio) and isinstance(q, Portfolio), (type(p), type(q))
+    assert p.data_cutoff == q.data_cutoff, (p.data_cutoff, q.data_cutoff)
+    for name in _COLUMNS + _PAYMENTS:
+        np.testing.assert_array_equal(getattr(p, name), getattr(q, name), err_msg=name)
 
 
 def nearest_unused_pairs(days_a, days_b, max_gap):

@@ -15,11 +15,12 @@ from granres import (
     Portfolio,
     aggregate_triangle,
     censor,
+    chain_ladder_reserve,
     ingest_csv_report,
     parse_iso,
     write_csv,
 )
-from helpers import ingest_csv_report_loop, records_portfolio
+from helpers import assert_same_portfolio, ingest_csv_report_loop, records_portfolio
 
 
 def _claim(cid, ctype, acc, rep, pays=()):
@@ -206,7 +207,7 @@ def test_ingest_orders_claims_and_payments():
     assert p.pay_amounts.tolist() == [5.0, 10.0, 20.0, 30.0, 20.0, 10.0]
     feb, mar = parse_iso("2018-02-01"), parse_iso("2018-03-01")
     assert p.pay_days.tolist()[1:] == [feb, feb, mar, feb, feb]
-    assert records_portfolio(p.claims, p.data_cutoff) == p
+    assert_same_portfolio(records_portfolio(p.claims, p.data_cutoff), p)
 
 
 def test_ingest_rejects_claim_with_inconsistent_header_rows():
@@ -241,7 +242,8 @@ def test_ingest_reads_utf8_with_a_byte_order_mark(small_portfolio, tmp_path):
     assert "d\u00e9j\u00e0".encode("utf-8") in data and not data.startswith(b"\xef\xbb\xbf")
     path.write_bytes(b"\xef\xbb\xbf" + data)
     back, report = ingest_csv_report(path, cutoff=named.data_cutoff)
-    assert back == named and report.rejected_rows == 0
+    assert_same_portfolio(back, named)
+    assert report.rejected_rows == 0
 
 
 def test_ingest_matches_the_row_loop_on_every_rule():
@@ -267,7 +269,8 @@ def test_ingest_matches_the_row_loop_on_every_rule():
     diag, loop_diag = io.StringIO(), io.StringIO()
     p, report = _ingest(text, diagnostics=diag)
     q, loop_report = ingest_csv_report_loop(io.StringIO(text), diagnostics=loop_diag)
-    assert p == q and report == loop_report and diag.getvalue() == loop_diag.getvalue()
+    assert_same_portfolio(p, q)
+    assert report == loop_report and diag.getvalue() == loop_diag.getvalue()
     assert report.messages == [
         "line 2: payment_date 2018-01-02 before reporting_date 2018-01-05 (row rejected)",
         "line 3: duplicate row for claim d1 (kept)",
@@ -350,6 +353,25 @@ def test_triangle_granularity_two(small_portfolio):
     tri = aggregate_triangle(small_portfolio, granularity=2)
     assert tri.origin_years == (2018,)
     assert_allclose(tri.cells, [[230.0]])
+
+
+def test_triangle_origins_end_with_the_cutoff_year():
+    # five accident years at granularity 2: the origins are counted back from
+    # 2020, so the last one, 2019-2020, has an observable first column
+    claims = (
+        _claim("a", "bodily_injury", "2016-03-01", "2016-03-05",
+               [("2016-06-01", 10.0), ("2018-02-01", 5.0)]),
+        _claim("b", "material_damage", "2017-05-01", "2017-05-02",
+               [("2017-07-01", 20.0), ("2019-03-01", 4.0)]),
+        _claim("d", "material_damage", "2018-01-10", "2018-01-12", [("2020-05-01", 2.0)]),
+        _claim("c", "bodily_injury", "2020-02-01", "2020-02-03", [("2020-04-01", 30.0)]),
+    )
+    tri = aggregate_triangle(records_portfolio(claims, parse_iso("2020-12-31")), granularity=2)
+    assert tri.origin_years == (2015, 2017, 2019)
+    assert_allclose(tri.cells, [[10.0, 15.0, 15.0], [20.0, 26.0, np.nan], [30.0, np.nan, np.nan]])
+    cl = chain_ladder_reserve(tri)
+    assert_allclose(cl["factors"], [41.0 / 30.0, 1.0], rtol=1e-15)
+    assert_allclose(cl["total_reserve"], 11.0, rtol=1e-12)
 
 
 def test_triangle_csv_format(small_portfolio):

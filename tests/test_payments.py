@@ -16,8 +16,8 @@ from helpers import intensity_rate, payment_taus
 def test_cumulative_intensity_closed_forms():
     assert_allclose(PowerDecay(3.0, 2.5).cumulative(1.0), 1.2928932188134525, rtol=1e-15)
     assert_allclose(ExponentialDecay(3.0, 1.2).cumulative(2.0), 2.273205116776469, rtol=1e-15)
-    assert_allclose(ExponentialDecay(2.0, 0.5).total(), 4.0)
-    assert_allclose(PowerDecay(2.0, 3.0).total(), 1.0)
+    assert_allclose(ExponentialDecay(2.0, 0.5).cumulative(np.inf), 4.0)
+    assert_allclose(PowerDecay(2.0, 3.0).cumulative(np.inf), 1.0)
     # rate is the derivative of the cumulative
     for inten in (ExponentialDecay(3.0, 1.2), PowerDecay(3.0, 2.5)):
         h = 1e-6
@@ -27,7 +27,7 @@ def test_cumulative_intensity_closed_forms():
 
 def test_cumulative_inverse_round_trip():
     for inten in (ExponentialDecay(3.0, 1.2), PowerDecay(3.0, 2.5)):
-        x = np.linspace(0.01, 0.95, 25) * inten.total()
+        x = np.linspace(0.01, 0.95, 25) * inten.cumulative(np.inf)
         assert_allclose(inten.cumulative(inten.cumulative_inv(x)), x, rtol=1e-12)
 
 
@@ -162,7 +162,7 @@ def test_longer_empty_exposure_lowers_expected_total():
         taus, hz = payment_taus(truth, np.full(800, 2.0), rng)
         short, _ = fit_intensity(taus, hz, fam)
         long, _ = fit_intensity(taus, hz * 2.0, fam)
-        assert long.intensity.total() < short.intensity.total()
+        assert long.intensity.cumulative(np.inf) < short.intensity.cumulative(np.inf)
 
 
 def test_fit_intensity_input_validation():

@@ -380,7 +380,7 @@ def test_rbns_period_moments_are_compound_poisson(horizon):
         mass.append(np.sum(lam((last - r) / 365.25) - lam((first - 1 - r) / 365.25)))
     mass = np.array(mass)
     sev = tm.severity
-    ex, ex2 = sev.mean(), math.exp(2 * sev.mu + 2 * sev.sigma**2)
+    ex, ex2 = math.exp(sev.mu + 0.5 * sev.sigma**2), math.exp(2 * sev.mu + 2 * sev.sigma**2)
     n = flows.shape[0]
     assert flows.shape[1] == len(years) == (3 if horizon == "mid_year" else 16)
     z_mean = (flows.mean(axis=0) - mass * ex) / (flows.std(axis=0, ddof=1) / math.sqrt(n))
